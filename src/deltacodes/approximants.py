@@ -14,7 +14,7 @@ space below any semigroup element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd
 
@@ -172,7 +172,12 @@ class BasisElement:
 
     exponents: tuple[int, ...]
     weight: object
-    expanded: BivarPoly
+    family: ApproximateFamily = field(compare=False, repr=False)
+
+    @property
+    def expanded(self) -> BivarPoly:
+        """The product multiplied out, computed on each access."""
+        return _product_of(self.family, self.exponents)
 
 
 def _base_sequence(delta) -> DeltaN:
@@ -234,7 +239,6 @@ def build_approximates(delta, spec: FieldSpec, depth: int | None = None) -> Appr
     )
 
 
-@lru_cache(maxsize=None)
 def _product_of(fam: ApproximateFamily, exponents: tuple[int, ...]) -> BivarPoly:
     result = BivarPoly.from_coeffs(fam.spec, {(0, 0): 1})
     for q, a in zip(fam.polys, exponents):
@@ -260,7 +264,7 @@ def basis_for(delta, fam: ApproximateFamily, alpha) -> tuple[BasisElement, ...]:
     out = []
     for value, rep in enumerate_upto(delta, alpha):
         exps = _fit_exponents(fam, rep.exponents)
-        out.append(BasisElement(exps, value, _product_of(fam, exps)))
+        out.append(BasisElement(exps, value, fam))
     return tuple(out)
 
 
@@ -268,4 +272,4 @@ def basis_for(delta, fam: ApproximateFamily, alpha) -> tuple[BasisElement, ...]:
 def basis_element(delta, fam: ApproximateFamily, alpha) -> BasisElement:
     """The single basis element attached to one semigroup member."""
     exps = _fit_exponents(fam, represent(delta, alpha).exponents)
-    return BasisElement(exps, alpha, _product_of(fam, exps))
+    return BasisElement(exps, alpha, fam)

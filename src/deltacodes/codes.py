@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .approximants import ApproximateFamily, BasisElement, basis_element
+from .approximants import ApproximateFamily, BasisElement, _fit_exponents
 from .deltaseq import DeltaN, denormalize, gaps, members_below, normalize
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2, extend_n
@@ -33,8 +33,7 @@ from .semigroup import (
     RatValue,
     compare,
     represent,
-    successor,
-    zero_of,
+    walk,
 )
 
 __all__ = [
@@ -58,9 +57,8 @@ DEFAULT_HORIZON = 4096
 
 
 class EvalMap:
-    """Distinct evaluation points over one field, with a cached row per
-    basis element.  Instances hash by identity so scans keyed on a map
-    share its cache."""
+    """Distinct evaluation points over one field.  Instances hash by
+    identity, so the scan cached for a map is shared by its users."""
 
     def __init__(self, spec: FieldSpec, points) -> None:
         self.spec = spec
@@ -70,23 +68,20 @@ class EvalMap:
         if len(set(coerced)) != len(coerced):
             raise DomainError("evaluation points must be distinct")
         self.points = coerced
-        self._rows: dict[BasisElement, tuple[int, ...]] = {}
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     def row(self, element: BasisElement) -> tuple[int, ...]:
-        """The element evaluated at every point, as encoded field values."""
-        got = self._rows.get(element)
-        if got is None:
-            if element.expanded.spec != self.spec:
-                raise DomainError(
-                    "field mismatch: the family and the points use different fields"
-                )
-            got = tuple(int(element.expanded.evaluate(pt)) for pt in self.points)
-            self._rows[element] = got
-        return got
+        """The element's expanded polynomial evaluated at every point, as
+        encoded field values."""
+        poly = element.expanded
+        if poly.spec != self.spec:
+            raise DomainError(
+                "field mismatch: the family and the points use different fields"
+            )
+        return tuple(int(poly.evaluate(pt)) for pt in self.points)
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,8 @@ class TableRow:
 
 
 def evaluation_matrix(ev: EvalMap, basis) -> tuple[tuple[FieldElement, ...], ...]:
-    """Every basis element evaluated at every point, in basis order."""
+    """Every basis element evaluated at every point, in basis order, by
+    multiplying out its polynomial (the reference for the scan's rows)."""
     by_val = _tables(ev.spec).by_val
     return tuple(
         tuple(by_val[v] for v in ev.row(element)) for element in basis
@@ -154,6 +150,46 @@ def _eliminate(row, pivots, q, t):
     return row
 
 
+class _PointwiseRows:
+    """Basis rows at the points of one map, as encoded field values.
+
+    Evaluation is a ring homomorphism, so the value of q_{i+1} = q_i^{n_i} -
+    prod q_j^{a_ij} at a point follows from the values of the earlier
+    approximants there, and a basis element's row is the pointwise product
+    of powers of approximant rows.  Powers are kept as they are first needed.
+    """
+
+    def __init__(self, fam: ApproximateFamily, ev: EvalMap) -> None:
+        t = _tables(ev.spec)
+        self.q, self.mul = t.q, t.mul
+        self.ones = [1] * ev.n
+        self.powers: list[list[list[int]]] = []
+        for coords in zip(*ev.points):
+            self.powers.append([self.ones, [int(v) for v in coords]])
+        for i, step in enumerate(fam.expansion, start=1):
+            lead, rest = self.power(i, step.n), self.row(step.exponents)
+            value = [t.sub[a * self.q + b] for a, b in zip(lead, rest)]
+            self.powers.append([self.ones, value])
+
+    def power(self, i: int, k: int) -> list[int]:
+        known = self.powers[i]
+        q, mul, base = self.q, self.mul, known[1]
+        while len(known) <= k:
+            known.append([mul[a * q + b] for a, b in zip(known[-1], base)])
+        return known[k]
+
+    def row(self, exponents) -> list[int]:
+        q, mul = self.q, self.mul
+        acc = self.ones
+        for i, k in enumerate(exponents):
+            if k:
+                factor = self.power(i, k)
+                if acc is not self.ones:
+                    factor = [mul[a * q + b] for a, b in zip(acc, factor)]
+                acc = factor
+        return acc
+
+
 def _sub_values(a, b):
     if isinstance(a, LexValue):
         return LexValue(a.x - b.x, a.y - b.y)
@@ -170,7 +206,7 @@ def _build_scan(delta, fam: ApproximateFamily, ev: EvalMap, horizon: int) -> _Sc
     n = ev.n
     q = ev.spec.q
     t = _tables(ev.spec)
-    zero = zero_of(delta)
+    evaluate = _PointwiseRows(fam, ev)
 
     members = []
     exponents = []
@@ -178,16 +214,15 @@ def _build_scan(delta, fam: ApproximateFamily, ev: EvalMap, horizon: int) -> _Sc
     jump = []
     rank_after = []
     pivots: dict[int, list[int]] = {}
-    current = zero
-    while True:
+    for current, rep in walk(delta):
         if len(members) >= horizon:
             raise DomainError(
                 f"rank ceiling: rank {len(pivots)} of {n} after {horizon} members"
             )
-        element = basis_element(delta, fam, current)
-        row = ev.row(element)
+        exps = _fit_exponents(fam, rep.exponents)
+        row = tuple(evaluate.row(exps))
         members.append(current)
-        exponents.append(element.exponents)
+        exponents.append(exps)
         rows.append(row)
         reduced = _eliminate(row, pivots, q, t)
         lead = next((j for j, v in enumerate(reduced) if v), None)
@@ -198,9 +233,9 @@ def _build_scan(delta, fam: ApproximateFamily, ev: EvalMap, horizon: int) -> _Sc
             pivots[lead] = [t.mul[inv * q + v] for v in reduced]
             jump.append(True)
         rank_after.append(len(pivots))
-        if len(pivots) == n and compare(current, zero) > 0:
+        # Only positive members can be the rank bound; members[0] is zero.
+        if len(pivots) == n and len(members) > 1:
             break
-        current = successor(delta, current)
 
     omega_index = len(members) - 1
 

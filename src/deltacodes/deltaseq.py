@@ -31,6 +31,7 @@ __all__ = [
     "normalize",
     "structure_of",
     "telescopic_exponents",
+    "telescopic_members",
     "validate_n",
 ]
 
@@ -91,7 +92,13 @@ def validate_n(deltas) -> DeltaN:
     if any(v == 1 for v in n):
         raise DomainError("condition (1): every n_i must exceed 1")
     for i in range(1, g + 1):
-        if not contains(seq[:i], n[i - 1] * seq[i]):
+        # The prefix divided by its gcd d_i is telescopic (its own conditions
+        # (2) were checked in earlier rounds), so gcd descent decides
+        # membership exactly; n_i * delta_i is always a multiple of d_i.
+        d_i = d[i - 1]
+        prefix = tuple(v // d_i for v in seq[:i])
+        chain = tuple(v // d_i for v in d[:i])
+        if _descend(prefix, chain, n[: i - 1], n[i - 1] * seq[i] // d_i) is None:
             raise DomainError(
                 f"condition (2): n_{i} * delta_{i} = {n[i - 1] * seq[i]} is not in "
                 f"the semigroup of the first {i} entries"
@@ -241,14 +248,17 @@ def telescopic_exponents(delta: DeltaN, value: int) -> tuple[int, ...] | None:
     earlier entries are all divisible by d_i while delta_i / d_{i+1} is
     invertible mod n_i.
     """
+    return _descend(delta.deltas, delta.structure.d, delta.structure.n, value)
+
+
+def _descend(seq, d, n, value: int) -> tuple[int, ...] | None:
+    """Gcd descent on a telescopic sequence given by its entries, gcd chain
+    (d[i] holds d_{i+1}) and quotients."""
     if value < 0:
         return None
-    seq = delta.deltas
-    d = delta.structure.d  # d[i] holds d_{i+1}
-    n = delta.structure.n
     exps = [0] * len(seq)
     v = value
-    for i in range(delta.g, 0, -1):
+    for i in range(len(seq) - 1, 0, -1):
         d_next = d[i]
         if v % d_next:
             return None
@@ -262,3 +272,39 @@ def telescopic_exponents(delta: DeltaN, value: int) -> tuple[int, ...] | None:
         return None
     exps[0] = v // seq[0]
     return tuple(exps)
+
+
+def telescopic_members(
+    delta: DeltaN, lo: int, hi: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Members v with lo < v <= hi in increasing order, each with its
+    telescopic exponents.
+
+    Every member is sum gamma_i delta_i with gamma_i < n_i for i >= 1, so the
+    bounded tails whose sum stays <= hi are enumerated and each is completed by
+    the multiples of delta_0 that land in the window.  The work is the number
+    of such tails plus the output, not the width of the window.
+    """
+    seq, n = delta.deltas, delta.structure.n
+    first = seq[0]
+    out: list[tuple[int, tuple[int, ...]]] = []
+    tail = [0] * delta.g
+
+    def descend(i: int, s: int) -> None:
+        if i == 0:
+            rest = tuple(tail)
+            for c in range(max(0, (lo - s) // first + 1), (hi - s) // first + 1):
+                out.append((s + c * first, (c,) + rest))
+            return
+        step = seq[i]
+        for c in range(n[i - 1]):
+            total = s + c * step
+            if total > hi:
+                break
+            tail[i - 1] = c
+            descend(i - 1, total)
+        tail[i - 1] = 0
+
+    descend(delta.g, 0)
+    out.sort()
+    return out

@@ -278,6 +278,27 @@ class Matrix:
         return self.entries[i * self.cols + j]
 
 
+def _digitwise(p: int, m: int, op) -> list[int]:
+    """Flat table of a coefficient-wise operation mod p on encoded values,
+    grown one base-p digit at a time: for a = a_low + P * a_top (a_low < P)
+    the entry at (a, b) is the entry at (a_low, b_low) plus
+    P * (op(a_top, b_top) mod p)."""
+    table, size = [0], 1
+    for _ in range(m):
+        width = size * p
+        grown = [0] * (width * width)
+        at = 0
+        for a_top in range(p):
+            for a_low in range(size):
+                row = table[a_low * size : (a_low + 1) * size]
+                for b_top in range(p):
+                    shift = op(a_top, b_top) % p * size
+                    grown[at : at + size] = [v + shift for v in row]
+                    at += size
+        table, size = grown, width
+    return table
+
+
 class _Tables:
     """Flat arithmetic tables for one field, indexed by encoded values."""
 
@@ -299,40 +320,40 @@ class _Tables:
                 v = v * p + c
             return v
 
-        self.add = [0] * (q * q)
-        self.sub = [0] * (q * q)
+        self.add = _digitwise(p, m, lambda x, y: x + y)
+        self.sub = _digitwise(p, m, lambda x, y: x - y)
+        self.neg = self.sub[:q]
+
+        def times(a: int, b: int) -> int:
+            if m == 1:
+                return a * b % p
+            return enc(_poly_rem(_poly_mul(decode[a], decode[b], p), spec.modulus, p))
+
+        # Powers of a primitive element, found by trial (the class of g first,
+        # so a primitive modulus keeps g as the logarithm base).  Every
+        # nonzero product and inverse then follows from the logarithms.
+        order = q - 1
+        for root in sorted(range(1, q), key=lambda c: c != p):
+            powers = [1]
+            acc = root
+            while acc != 1:
+                powers.append(acc)
+                acc = times(acc, root)
+            if len(powers) == order:
+                break
+        log = [0] * q
+        for k, v in enumerate(powers):
+            log[v] = k
+        cycle = powers + powers
+        logs = log[1:]
         self.mul = [0] * (q * q)
-        self.neg = [0] * q
-        for a in range(q):
-            ca = decode[a]
-            self.neg[a] = enc(tuple((-c) % p for c in ca))
-            for b in range(q):
-                cb = decode[b]
-                self.add[a * q + b] = enc(tuple((x + y) % p for x, y in zip(ca, cb)))
-                self.sub[a * q + b] = enc(tuple((x - y) % p for x, y in zip(ca, cb)))
-                if m == 1:
-                    self.mul[a * q + b] = (a * b) % p
-                else:
-                    self.mul[a * q + b] = enc(_poly_rem(_poly_mul(ca, cb, p), spec.modulus, p))
-        self.inv = [0] * q
         for a in range(1, q):
-            if self.inv[a]:
-                continue
-            for b in range(1, q):
-                if self.mul[a * q + b] == 1:
-                    self.inv[a], self.inv[b] = b, a
-                    break
+            la = log[a]
+            self.mul[a * q + 1 : (a + 1) * q] = [cycle[la + lb] for lb in logs]
+        self.inv = [0] + [powers[-la % order] for la in logs]
         self.dlog: dict[int, int] | None = None
-        if m > 1:
-            g = enc(tuple([0, 1] + [0] * (m - 2)))
-            dlog, acc = {1: 0}, 1
-            for k in range(1, q - 1):
-                acc = self.mul[acc * q + g]
-                if acc in dlog:
-                    break
-                dlog[acc] = k
-            if len(dlog) == q - 1:
-                self.dlog = dlog
+        if m > 1 and root == p:
+            self.dlog = {v: k for k, v in enumerate(powers)}
 
 
 @functools.lru_cache(maxsize=None)

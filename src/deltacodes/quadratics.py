@@ -13,7 +13,7 @@ from math import isqrt, lcm
 
 from .errors import DomainError
 
-__all__ = ["QuadExt", "sqrt_of"]
+__all__ = ["QuadExt", "floor_of", "sign_of", "sqrt_of"]
 
 
 def _is_squarefree(d: int) -> bool:
@@ -26,6 +26,36 @@ def _is_squarefree(d: int) -> bool:
 
 
 RationalLike = int | Fraction
+
+
+def sign_of(a: RationalLike, b: RationalLike, d: int) -> int:
+    """Sign of a + b*sqrt(d) for rational a, b and squarefree d >= 2."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    lhs, rhs = a * a, b * b * d
+    if lhs == rhs:
+        return 0
+    rational_dominates = lhs > rhs
+    return (1 if rational_dominates else -1) * (1 if a > 0 else -1)
+
+
+def floor_of(a: Fraction, b: Fraction, d: int) -> int:
+    """Largest integer <= a + b*sqrt(d) for rational a, b and squarefree d >= 2."""
+    if b == 0:
+        return a.numerator // a.denominator
+    den = lcm(a.denominator, b.denominator)
+    whole = a.numerator * (den // a.denominator)
+    root = b.numerator * (den // b.denominator)
+    # root**2 * d is never a perfect square (d squarefree, root nonzero),
+    # so sqrt(root**2 * d) lies strictly between t and t + 1.
+    t = isqrt(root * root * d)
+    if root > 0:
+        return (whole + t) // den
+    return (whole - t - 1) // den
 
 
 @dataclass(frozen=True)
@@ -45,6 +75,16 @@ class QuadExt:
         if self.d < 2 or not _is_squarefree(self.d):
             raise DomainError(f"radicand must be squarefree and >= 2, got {self.d}")
 
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> QuadExt:
+        """An arithmetic result: a and b are already fractions and d comes
+        from a validated operand, so the radicand check is skipped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "a", a)
+        object.__setattr__(out, "b", b)
+        object.__setattr__(out, "d", d if b else 0)
+        return out
+
     @property
     def is_rational(self) -> bool:
         return self.b == 0
@@ -55,7 +95,7 @@ class QuadExt:
                 raise DomainError("incompatible radicands")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), 0)
+            return QuadExt._of(Fraction(other), Fraction(0), 0)
         raise DomainError(f"cannot combine quadratic value with {type(other).__name__}")
 
     def _radicand(self, other: QuadExt) -> int:
@@ -63,13 +103,13 @@ class QuadExt:
 
     def __add__(self, other) -> QuadExt:
         o = self._coerce(other)
-        return QuadExt(self.a + o.a, self.b + o.b, self._radicand(o))
+        return QuadExt._of(self.a + o.a, self.b + o.b, self._radicand(o))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> QuadExt:
         o = self._coerce(other)
-        return QuadExt(self.a - o.a, self.b - o.b, self._radicand(o))
+        return QuadExt._of(self.a - o.a, self.b - o.b, self._radicand(o))
 
     def __rsub__(self, other) -> QuadExt:
         return self._coerce(other) - self
@@ -77,7 +117,9 @@ class QuadExt:
     def __mul__(self, other) -> QuadExt:
         o = self._coerce(other)
         d = self._radicand(o)
-        return QuadExt(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+        return QuadExt._of(
+            self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d
+        )
 
     __rmul__ = __mul__
 
@@ -88,7 +130,7 @@ class QuadExt:
         return self._coerce(other) * self.inverse()
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._of(-self.a, -self.b, self.d)
 
     def inverse(self) -> QuadExt:
         norm = self.a * self.a - self.b * self.b * self.d
@@ -96,35 +138,14 @@ class QuadExt:
             if self.a == 0 and self.b == 0:
                 raise DomainError("division by zero")
             raise DomainError("value has zero norm")  # impossible for valid d
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        return QuadExt._of(self.a / norm, -self.b / norm, self.d)
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        lhs, rhs = a * a, b * b * self.d
-        if lhs == rhs:
-            return 0
-        rational_dominates = lhs > rhs
-        return (1 if rational_dominates else -1) * (1 if a > 0 else -1)
+        return sign_of(self.a, self.b, self.d)
 
     def floor(self) -> int:
         """Largest integer <= the exact real value."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        den = lcm(self.a.denominator, self.b.denominator)
-        whole = self.a.numerator * (den // self.a.denominator)
-        root = self.b.numerator * (den // self.b.denominator)
-        # root**2 * d is never a perfect square (d squarefree, root nonzero),
-        # so sqrt(root**2 * d) lies strictly between t and t + 1.
-        t = isqrt(root * root * self.d)
-        if root > 0:
-            return (whole + t) // den
-        return (whole - t - 1) // den
+        return floor_of(self.a, self.b, self.d)
 
     def _cmp(self, other) -> int:
         return (self - self._coerce(other)).sign()

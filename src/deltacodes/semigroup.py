@@ -4,9 +4,10 @@ Every sequence kind generates a semigroup in its ambient ordered group:
 integers, plane vectors under lexicographic order, rationals, or a real
 quadratic extension.  This module provides the shared operations on those
 semigroups: exact comparison of values, the unique bounded representation
-of a member over the generators, ordered enumeration up to a bound, the
-successor of a value, and the pair count omega (the number of ordered pairs
-of members summing to a given value).
+of a member over the generators, and one ordered walk over the members with
+their representations.  Enumeration up to a bound, the successor of a value
+and the pair count omega (the number of ordered pairs of members summing to
+a given value) are views on that walk.
 
 Representations are unique under the bound pattern reported alongside the
 exponents: the first exponent is always free, interior exponents are bounded
@@ -16,20 +17,22 @@ exponent is free depends on the kind.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
+from math import lcm
 
 from .deltaseq import (
     DeltaN,
-    members_below,
-    normalize,
     telescopic_exponents,
+    telescopic_members,
     validate_n,
 )
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2, extend_n
-from .quadratics import QuadExt
+from .quadratics import QuadExt, floor_of, sign_of
 
 __all__ = [
     "LexValue",
@@ -42,6 +45,7 @@ __all__ = [
     "omega",
     "represent",
     "successor",
+    "walk",
     "zero_of",
 ]
 
@@ -85,6 +89,11 @@ class Representation:
     bounds: tuple[int | None, ...]
 
 
+def _quad_sign(r: Fraction, m: int, tau: QuadExt) -> int:
+    """Sign of r + m * tau, without building a quadratic value."""
+    return sign_of(r + m * tau.a, m * tau.b, tau.d)
+
+
 def compare(left, right) -> int:
     """Exact three-way comparison; -1, 0, or 1.
 
@@ -99,18 +108,45 @@ def compare(left, right) -> int:
     if isinstance(left, QuadValue) and isinstance(right, QuadValue):
         if left.tau != right.tau:
             raise DomainError("order mismatch: values live over different tails")
-        return (left.exact() - right.exact()).sign()
+        return _quad_sign(left.r - right.r, left.m - right.m, left.tau)
     if isinstance(left, RatValue) and isinstance(right, QuadValue):
-        return (right.exact() - left.value).sign() * -1
+        return _quad_sign(left.value - right.r, -right.m, right.tau)
     if isinstance(left, QuadValue) and isinstance(right, RatValue):
-        return (left.exact() - right.value).sign()
+        return _quad_sign(left.r - right.value, left.m, left.tau)
     raise DomainError("order mismatch: values of different kinds")
 
 
 # --- per-kind engines -------------------------------------------------------
 
 
-class _IntegerEngine:
+def _floor(value: Fraction) -> int:
+    return value.numerator // value.denominator
+
+
+class _Engine:
+    """The ordered walk shared by every kind.
+
+    An engine supplies ``between(lo, hi)``: the members in the window
+    (lo, hi] (from zero on when lo is None) in increasing order, with their
+    representations.  The walk strings windows together, doubling the upper
+    end, so every member is yielded once and in order.
+    """
+
+    def walk(self, after=None, upto=None):
+        """Members above ``after`` and up to ``upto`` (unbounded when None)."""
+        lo = after
+        if upto is not None:
+            hi = upto
+        else:
+            hi = self.add(self.zero() if after is None else after, self.generators()[0])
+        while True:
+            yield from self.between(lo, hi)
+            if upto is not None:
+                return
+            lo, hi = hi, self.add(hi, hi)
+
+
+class _IntegerEngine(_Engine):
     """The integer sequence's own telescopic semigroup."""
 
     def __init__(self, delta: DeltaN) -> None:
@@ -144,16 +180,15 @@ class _IntegerEngine:
             raise DomainError("not a member")
         return Representation(exps, self.bounds)
 
-    def enumerate(self, bound: RatValue):
-        top = bound.value.numerator // bound.value.denominator
-        out = []
-        for v in members_below(self.delta.deltas, top):
-            exps = telescopic_exponents(self.delta, v)
-            out.append((RatValue(Fraction(v)), Representation(exps, self.bounds)))
-        return out
+    def between(self, lo, hi: RatValue):
+        bottom = -1 if lo is None else _floor(lo.value)
+        found = telescopic_members(self.delta, bottom, _floor(hi.value))
+        for i, (v, exps) in enumerate(found):
+            found[i] = (RatValue(Fraction(v)), Representation(exps, self.bounds))
+        return found
 
 
-class _PlanarEngine:
+class _PlanarEngine(_Engine):
     """Plane-vector semigroup; the last generator is peeled off by the
     determinant of the witness pair, the rest is telescopic."""
 
@@ -209,20 +244,20 @@ class _PlanarEngine:
             raise DomainError("not a member")
         return Representation(head_exps + (last,), self.bounds)
 
-    def enumerate(self, bound: LexValue):
+    def between(self, lo, hi: LexValue):
         gens = self.delta.deltas
         if any(gx == 0 for gx, _ in gens):
             raise DomainError(
                 "enumeration is infinite: a generator has first component zero"
             )
-        target = (bound.x, bound.y)
-        out = []
+        target = (hi.x, hi.y)
+        bottom = None if lo is None else (lo.x, lo.y)
+        found = []
 
-        def walk(i: int, x: int, y: int, acc: tuple[int, ...]) -> None:
+        def descend(i: int, x: int, y: int, acc: tuple[int, ...]) -> None:
             if i == len(gens):
-                out.append(
-                    (LexValue(x, y), Representation(acc, self.bounds))
-                )
+                if bottom is None or (x, y) > bottom:
+                    found.append(((x, y), acc))
                 return
             gx, gy = gens[i]
             cap = self.bounds[i]
@@ -231,15 +266,29 @@ class _PlanarEngine:
                 nx, ny = x + c * gx, y + c * gy
                 if (nx, ny) > target:
                     break
-                walk(i + 1, nx, ny, acc + (c,))
+                descend(i + 1, nx, ny, acc + (c,))
                 c += 1
 
-        walk(0, 0, 0, ())
-        out.sort(key=cmp_to_key(lambda a, b: compare(a[0], b[0])))
-        return out
+        descend(0, 0, 0, ())
+        found.sort()
+        return [
+            (LexValue(x, y), Representation(acc, self.bounds)) for (x, y), acc in found
+        ]
 
 
-class _QuadraticEngine:
+class _Exact:
+    """Heap key a + b*sqrt(d) with integer a and b, ordered exactly."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int) -> None:
+        self.a, self.b, self.d = a, b, d
+
+    def __lt__(self, other: _Exact) -> bool:
+        return sign_of(self.a - other.a, self.b - other.b, self.d) < 0
+
+
+class _QuadraticEngine(_Engine):
     """Rational head plus one irrational tail generator."""
 
     def __init__(self, delta: DeltaR) -> None:
@@ -248,6 +297,8 @@ class _QuadraticEngine:
         self.scale = self.dstar.deltas[1]
         self.tau = delta.tail
         self.bounds = (None,) + tuple(self.dstar.structure.n) + (None,)
+        # Common denominator that makes v / scale + m * tau an integer pair.
+        self.den = lcm(self.scale, self.tau.a.denominator, self.tau.b.denominator)
 
     def lift(self, value) -> QuadValue:
         if isinstance(value, QuadValue):
@@ -272,7 +323,7 @@ class _QuadraticEngine:
         return QuadValue(a.r - b.r, a.m - b.m, self.tau)
 
     def represent(self, value: QuadValue) -> Representation:
-        if value.exact().sign() < 0:
+        if _quad_sign(value.r, value.m, self.tau) < 0:
             raise DomainError("below zero")
         if value.m < 0:
             raise DomainError("not a member")
@@ -284,34 +335,44 @@ class _QuadraticEngine:
             raise DomainError("not a member")
         return Representation(exps + (value.m,), self.bounds)
 
-    def enumerate(self, bound: QuadValue):
-        exact_bound = bound.exact()
-        out = []
+    def _scaled_floor(self, value: QuadValue, m: int) -> int:
+        """floor((value - m * tau) * scale)."""
+        k, tau = value.m - m, self.tau
+        return floor_of((value.r + k * tau.a) * self.scale, k * tau.b * self.scale, tau.d)
+
+    def between(self, lo, hi: QuadValue):
+        """One sorted list of head members per multiple m of tau, merged by
+        comparing list heads exactly as integer pairs over ``den``."""
+        tau, scale, den = self.tau, self.scale, self.den
+        step, a_den, b_den = den // scale, int(tau.a * den), int(tau.b * den)
+
+        def key(item):
+            v, exps = item
+            return _Exact(v * step + exps[-1] * a_den, exps[-1] * b_den, tau.d)
+
+        runs = []
         m = 0
-        while True:
-            room = exact_bound - self.tau * m
-            if room.sign() < 0:
-                break
-            top = (room * self.scale).floor()
-            for v in members_below(self.dstar.deltas, top):
-                exps = telescopic_exponents(self.dstar, v)
-                out.append(
-                    (
-                        QuadValue(Fraction(v, self.scale), m, self.tau),
-                        Representation(exps + (m,), self.bounds),
-                    )
-                )
+        while _quad_sign(hi.r, hi.m - m, tau) >= 0:
+            bottom = -1 if lo is None else self._scaled_floor(lo, m)
+            run = telescopic_members(self.dstar, bottom, self._scaled_floor(hi, m))
+            runs.append([(v, exps + (m,)) for v, exps in run])
             m += 1
-        out.sort(key=cmp_to_key(lambda a, b: compare(a[0], b[0])))
-        return out
+        return [
+            (QuadValue(Fraction(v, scale), exps[-1], tau), Representation(exps, self.bounds))
+            for v, exps in heapq.merge(*runs, key=key)
+        ]
 
 
-class _ChainEngine:
+class _ChainEngine(_Engine):
     """Rational chain; every query works inside a stage whose next generator
-    would already exceed the query bound."""
+    would already exceed the query bound.  The stages beyond the sequence's
+    own are grown once and kept as a ladder."""
 
     def __init__(self, delta: DeltaQ) -> None:
         self.delta = delta
+        self.ladder = [delta.stages[-1]]
+        # appended[k]: the generator that ladder[k + 1] appends, normalized.
+        self.appended: list[Fraction] = []
 
     def lift(self, value) -> RatValue:
         if isinstance(value, RatValue):
@@ -331,13 +392,11 @@ class _ChainEngine:
         return RatValue(a.value - b.value)
 
     def covering_stage(self, bound: Fraction) -> DeltaN:
-        stage = self.delta.stages[-1]
-        while True:
-            grown = extend_n(stage)
-            appended = Fraction(grown.deltas[-1], grown.deltas[1])
-            if appended > bound:
-                return stage
-            stage = grown
+        while not self.appended or self.appended[-1] <= bound:
+            grown = extend_n(self.ladder[-1])
+            self.ladder.append(grown)
+            self.appended.append(Fraction(grown.deltas[-1], grown.deltas[1]))
+        return self.ladder[bisect_right(self.appended, bound)]
 
     def represent(self, value: RatValue) -> Representation:
         if value.value < 0:
@@ -351,18 +410,15 @@ class _ChainEngine:
             raise DomainError("not a member")
         return Representation(exps, (None,) + tuple(stage.structure.n))
 
-    def enumerate(self, bound: RatValue):
-        stage = self.covering_stage(bound.value)
+    def between(self, lo, hi: RatValue):
+        stage = self.covering_stage(hi.value)
         scale = stage.deltas[1]
-        top = (bound.value.numerator * scale) // bound.value.denominator
         bounds = (None,) + tuple(stage.structure.n)
-        out = []
-        for v in members_below(stage.deltas, top):
-            exps = telescopic_exponents(stage, v)
-            out.append(
-                (RatValue(Fraction(v, scale)), Representation(exps, bounds))
-            )
-        return out
+        bottom = -1 if lo is None else _floor(lo.value * scale)
+        found = telescopic_members(stage, bottom, _floor(hi.value * scale))
+        for i, (v, exps) in enumerate(found):
+            found[i] = (RatValue(Fraction(v, scale)), Representation(exps, bounds))
+        return found
 
 
 @lru_cache(maxsize=None)
@@ -397,10 +453,19 @@ def represent(delta, value) -> Representation:
     return eng.represent(eng.lift(value))
 
 
+def walk(delta):
+    """Every member from zero on in increasing order, with its representation.
+
+    The walk does not end.  For the chain kind a representation may carry
+    trailing zero exponents of generators beyond the member's own stage.
+    """
+    return _engine(delta).walk()
+
+
 def enumerate_upto(delta, bound):
     """All members up to the bound in increasing order, with representations."""
     eng = _engine(delta)
-    return eng.enumerate(eng.lift(bound))
+    return list(eng.walk(upto=eng.lift(bound)))
 
 
 def successor(delta, value):
@@ -410,13 +475,8 @@ def successor(delta, value):
     zero = eng.zero()
     if compare(value, zero) < 0:
         return zero
-    # The largest member m <= value satisfies m + delta_0 > value, so the
-    # successor is never beyond value + delta_0.
-    bound = eng.add(value, eng.generators()[0])
-    for member, _ in eng.enumerate(bound):
-        if compare(member, value) > 0:
-            return member
-    raise DomainError("successor search failed")
+    member, _ = next(eng.walk(after=value))
+    return member
 
 
 def omega(delta, value) -> int:
@@ -425,7 +485,7 @@ def omega(delta, value) -> int:
     value = eng.lift(value)
     if compare(value, eng.zero()) < 0:
         return 0
-    members = [v for v, _ in eng.enumerate(value)]
+    members = [v for v, _ in eng.walk(upto=value)]
     seen = set(members)
     count = 0
     for member in members:

@@ -6,11 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deltacodes.approximants import basis_for, build_approximates
+from deltacodes.approximants import basis_element, basis_for, build_approximates
 from deltacodes.codes import (
     CodePair,
     EvalMap,
+    _PointwiseRows,
+    _scan,
     code_at,
     evaluation_matrix,
     feng_rao,
@@ -25,9 +28,9 @@ from deltacodes.deltaseq import validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import build_type_e
 from deltacodes.gf import rank_nullspace_ints
-from deltacodes.semigroup import LexValue, QuadValue, RatValue, successor
+from deltacodes.semigroup import LexValue, QuadValue, RatValue, enumerate_upto, successor
 
-from helpers import DN119, DR119, DZ119, EV7, F7, F32
+from helpers import CH119, CH75, DN119, DR119, DR75, DZ119, DZ75, EV32_B, EV7, F7, F32
 
 FAM7 = build_approximates(DZ119, F7)
 
@@ -95,6 +98,49 @@ class TestEvaluationMatrix:
         other = EvalMap(F32, [(1, 2)])
         with pytest.raises(DomainError, match="field mismatch"):
             evaluation_matrix(other, basis)
+
+
+# One family per kind with a bound inside its generators (the chain's next
+# appended generator is 243/32).
+ROW_KINDS = {
+    "integer": (DN119, RatValue(Fraction(60))),
+    "planar": (DZ119, LexValue(25, 6)),
+    "quadratic": (DR119, QuadValue(Fraction(5), 2, DR119.tail)),
+    "chain": (CH119, RatValue(Fraction(7))),
+}
+
+
+class TestPointwiseRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(ROW_KINDS)),
+        spec=st.sampled_from([F7, F32]),
+        data=st.data(),
+    )
+    def test_rows_equal_polynomial_evaluation(self, kind, spec, data):
+        delta, bound = ROW_KINDS[kind]
+        fam = build_approximates(delta, spec)
+        cell = st.integers(0, spec.q - 1)
+        pairs = st.lists(st.tuples(cell, cell), min_size=1, max_size=10, unique=True)
+        points = data.draw(pairs)
+        ev = EvalMap(spec, points)
+        members = enumerate_upto(delta, bound)
+        value, _ = members[data.draw(st.integers(0, len(members) - 1))]
+        element = basis_element(delta, fam, value)
+        assert tuple(_PointwiseRows(fam, ev).row(element.exponents)) == ev.row(element)
+
+    @pytest.mark.parametrize(
+        "delta,spec,ev",
+        [(DZ119, F7, EV7), (DR119, F7, EV7), (CH119, F7, EV7), (DN119, F7, EV7),
+         (DZ75, F32, EV32_B), (DR75, F32, EV32_B), (CH75, F32, EV32_B)],
+    )
+    def test_scan_rows_equal_the_evaluation_matrix(self, delta, spec, ev):
+        fam = build_approximates(delta, spec)
+        data = _scan(delta, fam, ev)
+        basis = basis_for(delta, fam, data.members[-1])
+        assert [b.weight for b in basis] == list(data.members)
+        matrix = evaluation_matrix(ev, basis)
+        assert [tuple(int(v) for v in row) for row in matrix] == list(data.rows)
 
 
 class TestCodeAt:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deltacodes.deltaseq import (
     DeltaN,
@@ -230,3 +230,67 @@ def test_coprime_pairs_are_exactly_the_valid_pairs(a, b):
     else:
         with pytest.raises(DomainError):
             validate_n((a, b))
+
+
+def sieve_validate(deltas):
+    """validate_n with condition (2) decided by the contains sieve: the
+    message of the first violated condition, or None when valid."""
+    seq = tuple(deltas)
+    if any(v <= 0 for v in seq):
+        return "sequence entries must be positive integers"
+    d = []
+    for v in seq:
+        d.append(gcd(d[-1] if d else 0, v))
+    if d[-1] != 1:
+        return f"condition (1): gcd chain must end at 1, got d = {d[-1]}"
+    n = [d[i] // d[i + 1] for i in range(len(seq) - 1)]
+    if 1 in n:
+        return "condition (1): every n_i must exceed 1"
+    for i in range(1, len(seq)):
+        if not contains(seq[:i], n[i - 1] * seq[i]):
+            return (
+                f"condition (2): n_{i} * delta_{i} = {n[i - 1] * seq[i]} is not in "
+                f"the semigroup of the first {i} entries"
+            )
+    if len(seq) > 1 and seq[0] <= seq[1]:
+        return "condition (3): delta_0 must exceed delta_1"
+    for i in range(2, len(seq)):
+        if seq[i] >= seq[i - 1] * n[i - 2]:
+            return f"condition (3): delta_{i} must be below delta_{i - 1} * n_{i - 1}"
+    return None
+
+
+@st.composite
+def near_telescopic(draw):
+    """A sequence with the gcd chain of given quotients n_i, where each
+    n_i * delta_i may or may not lie in the prefix semigroup, optionally
+    with one entry nudged by one."""
+    quotients = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    d = [1]
+    for q in reversed(quotients):
+        d.insert(0, d[0] * q)
+    seq = [d[0]]
+    for i, q in enumerate(quotients):
+        w = draw(st.integers(1, 40).filter(lambda w, q=q: gcd(w, q) == 1))
+        seq.append(d[i + 1] * w)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(seq) - 1))
+        seq[i] = max(1, seq[i] + draw(st.sampled_from((-1, 1))))
+    return tuple(seq)
+
+
+def _outcome(seq):
+    try:
+        return validate_n(seq).deltas
+    except DomainError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(near_telescopic(), st.lists(st.integers(1, 120), min_size=1, max_size=5))
+)
+def test_gcd_descent_decides_condition_2_like_the_sieve(seq):
+    seq = tuple(seq)
+    message = sieve_validate(seq)
+    assert _outcome(seq) == (seq if message is None else message)

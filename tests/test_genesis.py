@@ -74,6 +74,18 @@ class TestQuadExt:
         with pytest.raises(DomainError):
             sqrt_of(2) + sqrt_of(5)
 
+    def test_public_constructor_still_checks_the_radicand(self):
+        with pytest.raises(DomainError, match="squarefree"):
+            QuadExt(1, 1, 8)
+
+    def test_arithmetic_results_equal_checked_values(self):
+        x, y = quad(Fraction(3, 5), Fraction(-2, 7)), quad(Fraction(1, 4), 3)
+        for got in (x + y, x - y, x * y, x / y, -x, x.inverse(), x + 1, 2 * y):
+            checked = QuadExt(got.a, got.b, got.d)
+            assert (got.a, got.b, got.d) == (checked.a, checked.b, checked.d)
+            assert hash(got) == hash(checked)
+        assert (SQRT3 * SQRT3).d == 0 and (SQRT3 * SQRT3).is_rational
+
     def test_rational_collapse(self):
         assert QuadExt(Fraction(1, 2), Fraction(0), 3) == QuadExt(Fraction(1, 2), Fraction(0), 5)
         assert quad(3, 0).is_rational

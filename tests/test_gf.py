@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deltacodes.errors import DomainError
-from deltacodes.gf import FieldElement, FieldSpec, Matrix, field_arith, mat_rank_kernel
+from deltacodes.gf import (
+    FieldElement,
+    FieldSpec,
+    Matrix,
+    _poly_mul,
+    _poly_rem,
+    _Tables,
+    field_arith,
+    mat_rank_kernel,
+)
 
 F7 = FieldSpec(7)
 F32 = FieldSpec(2, 5)
@@ -81,6 +90,36 @@ def test_nonprimitive_irreducible_modulus_detected():
     spec = FieldSpec(2, 4, (1, 1, 1, 1, 1))
     assert not spec.is_primitive
     assert F16.is_primitive
+
+
+SMALL_FIELDS = [
+    FieldSpec(p, m)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    for m in range(1, 7)
+    if p**m <= 64
+] + [FieldSpec(2, 4, (1, 1, 1, 1, 1))]  # irreducible, but g has order 5
+
+
+@pytest.mark.parametrize("spec", SMALL_FIELDS, ids=lambda s: f"{s.p}^{s.m}:{s.modulus}")
+def test_tables_match_polynomial_arithmetic(spec):
+    t = _Tables(spec)
+    p, q = spec.p, spec.q
+    coeffs = [spec.element(v).coeffs for v in range(q)]
+    for a in range(q):
+        ca = coeffs[a]
+        assert t.neg[a] == int(spec.element(tuple(-c % p for c in ca)))
+        assert a == 0 or t.mul[a * q + t.inv[a]] == 1
+        for b in range(q):
+            cb = coeffs[b]
+            if spec.m == 1:
+                product = (ca[0] * cb[0] % p,)
+            else:
+                product = _poly_rem(_poly_mul(ca, cb, p), spec.modulus, p)
+            total = tuple((x + y) % p for x, y in zip(ca, cb))
+            difference = tuple((x - y) % p for x, y in zip(ca, cb))
+            assert t.mul[a * q + b] == int(spec.element(product))
+            assert t.add[a * q + b] == int(spec.element(total))
+            assert t.sub[a * q + b] == int(spec.element(difference))
 
 
 def test_bad_specs_rejected():

@@ -4,23 +4,36 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import islice
+from math import floor
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deltacodes.deltaseq import members_below, validate_n
+from deltacodes.deltaseq import DeltaN, members_below, telescopic_exponents, validate_n
 from deltacodes.errors import DomainError
-from deltacodes.genesis import build_type_c, build_type_d, build_type_e
+from deltacodes.genesis import (
+    DeltaR,
+    DeltaZ2,
+    build_type_c,
+    build_type_d,
+    build_type_e,
+    extend_n,
+)
 from deltacodes.semigroup import (
     LexValue,
     QuadValue,
     RatValue,
+    Representation,
     compare,
     enumerate_upto,
     generators,
     omega,
     represent,
     successor,
+    walk,
 )
 
 DZ2 = build_type_c((11, 9))
@@ -302,3 +315,124 @@ def test_representation_reproduces_value():
         x = sum(g * vec[0] for g, vec in zip(rep.exponents, gens))
         y = sum(g * vec[1] for g, vec in zip(rep.exponents, gens))
         assert (x, y) == (v.x, v.y)
+
+
+# --- the ordered walk against the enumerate-then-sort reference ----------------
+
+
+def _exact_order(a, b):
+    """Three-way order of two members through QuadExt arithmetic or tuples."""
+    if isinstance(a, QuadValue):
+        return (a.exact() - b.exact()).sign()
+    if isinstance(a, LexValue):
+        return ((a.x, a.y) > (b.x, b.y)) - ((a.x, a.y) < (b.x, b.y))
+    return (a.value > b.value) - (a.value < b.value)
+
+
+def reference_enumerate(delta, bound):
+    """Every member up to the bound with its representation, found by a
+    membership sieve or an exhaustive tuple walk and then sorted exactly."""
+    out = []
+    if isinstance(delta, DeltaN):
+        bounds = (None,) + delta.structure.n
+        for v in members_below(delta.deltas, floor(bound.value)):
+            exps = telescopic_exponents(delta, v)
+            out.append((RatValue(Fraction(v)), Representation(exps, bounds)))
+    elif isinstance(delta, DeltaZ2):
+        gens = delta.deltas
+        bounds = (None,) + validate_n(delta.witness.head_c).structure.n + (None,)
+
+        def visit(i, x, y, acc):
+            if i == len(gens):
+                out.append((LexValue(x, y), Representation(acc, bounds)))
+                return
+            c = 0
+            while bounds[i] is None or c < bounds[i]:
+                if (x + c * gens[i][0], y + c * gens[i][1]) > (bound.x, bound.y):
+                    break
+                visit(i + 1, x + c * gens[i][0], y + c * gens[i][1], acc + (c,))
+                c += 1
+
+        visit(0, 0, 0, ())
+    elif isinstance(delta, DeltaR):
+        dstar = delta.witness.dstar
+        scale = dstar.deltas[1]
+        bounds = (None,) + dstar.structure.n + (None,)
+        m = 0
+        while (bound.exact() - delta.tail * m).sign() >= 0:
+            top = ((bound.exact() - delta.tail * m) * scale).floor()
+            for v in members_below(dstar.deltas, top):
+                value = QuadValue(Fraction(v, scale), m, delta.tail)
+                exps = telescopic_exponents(dstar, v) + (m,)
+                out.append((value, Representation(exps, bounds)))
+            m += 1
+    else:
+        stage = delta.stages[-1]
+        grown = extend_n(stage)
+        while Fraction(grown.deltas[-1], grown.deltas[1]) <= bound.value:
+            stage, grown = grown, extend_n(grown)
+        scale = stage.deltas[1]
+        bounds = (None,) + stage.structure.n
+        for v in members_below(stage.deltas, floor(bound.value * scale)):
+            exps = telescopic_exponents(stage, v)
+            out.append((RatValue(Fraction(v, scale)), Representation(exps, bounds)))
+    out.sort(key=cmp_to_key(lambda a, b: _exact_order(a[0], b[0])))
+    return out
+
+
+DR_BIG = build_type_d((36, 24, 8, 18, 13), (20, 5, 2))
+
+# Each kind with a map from an integer to a bound (members and non-members,
+# some below zero).
+WALK_KINDS = {
+    "integer": (validate_n((36, 24, 8, 18, 13)), lambda k: RatValue(Fraction(k))),
+    "planar": (DZ2_BIG, lambda k: LexValue(k // 3, k % 7 - 3)),
+    "quadratic": (DR_BIG, lambda k: QuadValue(Fraction(k, 20), k % 4, DR_BIG.tail)),
+    "chain": (build_type_e((11, 9), 2), lambda k: RatValue(Fraction(k, 9))),
+}
+
+
+def _padded(exps, width):
+    assert not any(exps[width:])
+    return exps[:width] + (0,) * (width - len(exps))
+
+
+class TestOrderedWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(WALK_KINDS)), k=st.integers(-3, 100))
+    def test_enumeration_equals_sorted_reference(self, kind, k):
+        delta, make = WALK_KINDS[kind]
+        assert enumerate_upto(delta, make(k)) == reference_enumerate(delta, make(k))
+
+    @pytest.mark.parametrize("kind", sorted(WALK_KINDS))
+    def test_unbounded_walk_prefix(self, kind):
+        delta, make = WALK_KINDS[kind]
+        ref = reference_enumerate(delta, make(100))
+        got = list(islice(walk(delta), len(ref)))
+        assert [v for v, _ in got] == [v for v, _ in ref]
+        for (_, rep), (_, want) in zip(got, ref):
+            if kind == "chain":
+                # The walk may use a different stage than the bound's.
+                assert _padded(rep.exponents, len(want.exponents)) == want.exponents
+            else:
+                assert rep == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(WALK_KINDS)), k=st.integers(-3, 80))
+    def test_successor_is_next_reference_member(self, kind, k):
+        delta, make = WALK_KINDS[kind]
+        value = make(k)
+        members = [v for v, _ in reference_enumerate(delta, make(k + 40))]
+        later = [v for v in members if compare(v, value) > 0]
+        expected = later[0] if compare(value, members[0]) >= 0 else members[0]
+        assert successor(delta, value) == expected
+
+    def test_chain_bound_decides_the_representation_length(self):
+        chain = build_type_e((11, 9), 0)
+        short = enumerate_upto(chain, RatValue(Fraction(1)))
+        long = enumerate_upto(chain, RatValue(Fraction(3)))
+        assert len(short[-1][1].exponents) < len(long[-1][1].exponents)
+        assert long == reference_enumerate(chain, RatValue(Fraction(3)))
+
+    def test_enumeration_is_a_list(self):
+        assert isinstance(enumerate_upto(DZ2, LexValue(12, 3)), list)
