@@ -1,14 +1,8 @@
-"""Build script: compiles the column-search kernel from the shipped C source.
+"""Build script: compiles the column-search kernel from its C source.
 
-``src/deltacodes/_minweight.c`` is the Cython output for ``_minweight.pyx``
-and is kept in the tree, so a build needs only a C compiler and the Python
-headers, not Cython.  Cython is needed only to regenerate the C after editing
-the ``.pyx``::
-
-    cythonize -3 -X boundscheck=False -X wraparound=False -X cdivision=True \\
-        src/deltacodes/_minweight.pyx
-
-For a source-tree run, build the kernel next to its sources with
+``src/deltacodes/_minweight.c`` is a hand-written CPython extension, so a
+build, and an edit of the kernel, need only a C compiler and the Python
+headers.  For a source-tree run, build the kernel next to its sources with
 ``python setup.py build_ext --inplace``.
 
 The package works without the extension (a pure-Python fallback with the same

@@ -1,8 +1,9 @@
 """Pure-Python twin of the compiled column-search kernel.
 
-Same algorithm and call signature as ``_minweight.pyx``: iterative-deepening
-DFS over column subsets in increasing index order, with the chosen columns
-kept as a normalized incremental echelon basis.
+Same algorithm and call signature as the C kernel ``_minweight.c``, and the
+reference the tests compare it against: iterative-deepening DFS over column
+subsets in increasing index order, with the chosen columns kept as a
+normalized incremental echelon basis.
 """
 
 from __future__ import annotations

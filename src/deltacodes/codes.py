@@ -23,7 +23,7 @@ from functools import lru_cache
 from .approximants import ApproximateFamily, BasisElement, _fit_exponents
 from .deltaseq import DeltaN, denormalize, gaps, members_below, normalize
 from .errors import DomainError
-from .genesis import DeltaQ, DeltaR, DeltaZ2, extend_n
+from .genesis import DeltaQ, DeltaR, DeltaZ2
 from .gf import FieldElement, FieldSpec, _tables, rank_nullspace_ints
 from .minweight import min_dependent_columns
 from .quadratics import QuadExt
@@ -31,6 +31,7 @@ from .semigroup import (
     LexValue,
     QuadValue,
     RatValue,
+    _engine,
     compare,
     represent,
     walk,
@@ -446,7 +447,7 @@ def goppa_distance(delta, alpha) -> int:
     all ways of splitting the bound along the last generator.  It can be
     negative, in which case it carries no information.
     """
-    represent(delta, alpha)
+    rep = represent(delta, alpha)
 
     if isinstance(delta, DeltaN):
         if delta.g < 1:
@@ -495,10 +496,8 @@ def goppa_distance(delta, alpha) -> int:
         return _goppa_of_star(star, above, b_top)
 
     if isinstance(delta, DeltaQ):
-        rep = represent(delta, alpha)
-        stage = delta.stages[-1]
-        while len(stage.deltas) < len(rep.exponents):
-            stage = extend_n(stage)
+        # the stage the representation was taken in, from the engine's ladder
+        stage = _engine(delta).covering_stage(alpha.value)
         s_last = 0
         for i, a in enumerate(rep.exponents):
             if a:

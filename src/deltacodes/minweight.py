@@ -1,8 +1,9 @@
 """Backend selection for the minimum-dependent-columns search.
 
-The compiled Cython kernel is preferred when present; setting the environment
-variable ``DELTACODES_PURE=1`` forces the pure-Python fallback.  Both backends
-implement the identical algorithm and signature.
+The compiled kernel (the C extension ``_minweight``) is preferred when it is
+built; setting the environment variable ``DELTACODES_PURE=1`` forces the
+pure-Python fallback.  Both backends implement the identical algorithm and
+signature.
 """
 
 from __future__ import annotations
