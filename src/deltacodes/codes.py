@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import minweight
 from .approximants import ApproximateFamily, BasisElement, _fit_exponents
 from .deltaseq import DeltaN, denormalize, gaps, members_below, normalize
 from .errors import DomainError
@@ -364,7 +365,9 @@ def feng_rao(delta, fam: ApproximateFamily, ev: EvalMap, alpha, literal: bool = 
 # --- minimum distance -------------------------------------------------------
 
 
-def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None) -> int:
+def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None, wmin=1) -> int:
+    """Minimum distance of the dual of the code with parity rows ``enc_rows``;
+    ``wmin`` must not exceed it (the search starts there)."""
     r = len(enc_rows)
     if r == 0:
         return 1
@@ -373,8 +376,12 @@ def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None) -> int:
     for i, row in enumerate(enc_rows):
         for j, v in enumerate(row):
             cols[j * r + i] = v
+    if (backend or minweight.BACKEND) == "pure":
+        tables = t.mul, t.sub, t.inv  # the pure loops index lists faster
+    else:
+        tables = t.kernel_tables
     w = min_dependent_columns(
-        cols, r, n, spec.q, t.mul, t.sub, t.inv, r + 1, backend=backend
+        cols, r, n, spec.q, *tables, r + 1, wmin, backend=backend
     )
     if w == 0:
         raise DomainError("distance search exhausted without a dependency")
@@ -536,7 +543,12 @@ def scan_table(
     if limit is not None:
         indices = indices[:limit]
 
+    # The parity rows of a later row extend those of an earlier one, so its
+    # dual code is a subcode and d never decreases: the search for a new rank
+    # starts at the d of the previous one (never at d_ev or d_fr, which are
+    # checked against d).
     distances: dict[int, int] = {}
+    floor = 1
     out = []
     for i in indices:
         rank = data.rank_after[i]
@@ -546,7 +558,7 @@ def scan_table(
             d = distances[rank]
         else:
             enc = [data.rows[j] for j in range(i + 1) if data.jump[j]][:rank]
-            d = _distance_of_rows(ev.spec, enc, ev.n)
+            d = floor = _distance_of_rows(ev.spec, enc, ev.n, wmin=floor)
             distances[rank] = d
         out.append(
             TableRow(

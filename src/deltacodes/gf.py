@@ -9,6 +9,7 @@ is the smallest primitive monic polynomial, which for GF(2^5) is g^5+g^2+1.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -182,16 +183,25 @@ def _generator_order(mod: tuple[int, ...], p: int) -> int:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of a finite field, as little-endian coefficients in g."""
+    """An element of a finite field, as little-endian coefficients in g.
+
+    ``encoded`` is the coefficients read as base-p digits, the index into the
+    field's tables; it is computed once and takes no part in equality, hashing
+    or the repr.
+    """
 
     field: FieldSpec
     coeffs: tuple[int, ...]
+    encoded: int = field(init=False, repr=False, compare=False)
 
-    def __int__(self) -> int:
+    def __post_init__(self) -> None:
         v = 0
         for c in reversed(self.coeffs):
             v = v * self.field.p + c
-        return v
+        object.__setattr__(self, "encoded", v)
+
+    def __int__(self) -> int:
+        return self.encoded
 
     def _other(self, other: FieldElement) -> FieldElement:
         if not isinstance(other, FieldElement):
@@ -202,29 +212,29 @@ class FieldElement:
 
     def __add__(self, other: FieldElement) -> FieldElement:
         t = _tables(self.field)
-        return t.by_val[t.add[int(self) * self.field.q + int(self._other(other))]]
+        return t.by_val[t.add[self.encoded * self.field.q + self._other(other).encoded]]
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         t = _tables(self.field)
-        return t.by_val[t.sub[int(self) * self.field.q + int(self._other(other))]]
+        return t.by_val[t.sub[self.encoded * self.field.q + self._other(other).encoded]]
 
     def __mul__(self, other: FieldElement) -> FieldElement:
         t = _tables(self.field)
-        return t.by_val[t.mul[int(self) * self.field.q + int(self._other(other))]]
+        return t.by_val[t.mul[self.encoded * self.field.q + self._other(other).encoded]]
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
         return self * self._other(other).inverse()
 
     def __neg__(self) -> FieldElement:
         t = _tables(self.field)
-        return t.by_val[t.neg[int(self)]]
+        return t.by_val[t.neg[self.encoded]]
 
     def __pow__(self, n: int) -> FieldElement:
         base = self
         if n < 0:
             base, n = self.inverse(), -n
         t = _tables(self.field)
-        acc, b = 1, int(base)
+        acc, b = 1, base.encoded
         while n:
             if n & 1:
                 acc = t.mul[acc * self.field.q + b]
@@ -233,19 +243,19 @@ class FieldElement:
         return t.by_val[acc]
 
     def inverse(self) -> FieldElement:
-        v = int(self)
+        v = self.encoded
         if v == 0:
             raise DomainError("division by zero")
         t = _tables(self.field)
         return t.by_val[t.inv[v]]
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.encoded != 0
 
     def __str__(self) -> str:
         if self.field.m == 1:
             return str(self.coeffs[0])
-        v = int(self)
+        v = self.encoded
         if v == 0:
             return "0"
         t = _tables(self.field)
@@ -354,6 +364,12 @@ class _Tables:
         self.dlog: dict[int, int] | None = None
         if m > 1 and root == p:
             self.dlog = {v: k for k, v in enumerate(powers)}
+
+    @functools.cached_property
+    def kernel_tables(self) -> tuple[array, array, array]:
+        """``mul``, ``sub`` and ``inv`` as array('i'), the form the compiled
+        column-search kernel reads, made once per field."""
+        return array("i", self.mul), array("i", self.sub), array("i", self.inv)
 
 
 @functools.lru_cache(maxsize=None)

@@ -44,13 +44,23 @@ def min_dependent_columns(
     sub: Sequence[int],
     inv: Sequence[int],
     wmax: int,
+    wmin: int = 1,
     backend: str | None = None,
 ) -> int:
-    """Smallest w such that some w columns are linearly dependent, or 0.
+    """Smallest w with wmin <= w <= wmax such that some w columns are
+    linearly dependent, or 0 when there is none.
+
+    That is max(d, wmin) for the least dependent size d, because a superset
+    of a dependent set is dependent: a caller that knows a lower bound on d
+    passes it as ``wmin`` and the search skips the depths below it.  Both
+    backends close the last two columns of a subset by hashing the reduced,
+    normalized columns instead of trying every pair.
 
     ``cols`` holds an r x n matrix column-major; ``mul``/``sub`` are flat q*q
-    arithmetic tables and ``inv`` a length-q inverse table.  Raises
-    ``ValueError`` when ``backend`` names a backend that is not built.
+    arithmetic tables and ``inv`` a length-q inverse table.  The compiled
+    backend takes them as array('i'); an argument that is already one is
+    passed as it is, anything else is copied.  Raises ``ValueError`` when
+    ``backend`` names a backend that is not built, or when ``wmin`` < 1.
     """
     name = backend or BACKEND
     fn = _BACKENDS.get(name)
@@ -60,8 +70,12 @@ def min_dependent_columns(
             "`python setup.py build_ext --inplace` builds the compiled kernel"
         )
     if fn is not _BACKENDS["pure"]:
-        cols = array("i", cols)
-        mul = array("i", mul)
-        sub = array("i", sub)
-        inv = array("i", inv)
-    return fn(cols, r, n, q, mul, sub, inv, wmax)
+        cols, mul, sub, inv = map(_int_array, (cols, mul, sub, inv))
+    return fn(cols, r, n, q, mul, sub, inv, wmax, wmin)
+
+
+def _int_array(values: Sequence[int]) -> array:
+    """``values`` as an array('i'), copied only when it is not one already."""
+    if isinstance(values, array) and values.typecode == "i":
+        return values
+    return array("i", values)

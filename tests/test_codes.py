@@ -30,7 +30,10 @@ from deltacodes.genesis import build_type_e
 from deltacodes.gf import rank_nullspace_ints
 from deltacodes.semigroup import LexValue, QuadValue, RatValue, enumerate_upto, successor
 
-from helpers import CH119, CH75, DN119, DR119, DR75, DZ119, DZ75, EV32_B, EV7, F7, F32
+from helpers import (
+    CH119, CH75, DN119, DR119, DR75, DZ119, DZ75, EV32_B, EV7, F7, F32, PAIRS_F32_B,
+    xi_points,
+)
 
 FAM7 = build_approximates(DZ119, F7)
 
@@ -353,6 +356,30 @@ class TestScanTable:
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(DomainError, match="mode"):
             scan_table(DZ119, FAM7, EV7, mode="all")
+
+
+# Eleven of the 31 F_32 points of PAIRS_F32_B, so a floor-free search of
+# every row stays short.
+EV32_SMALL = EvalMap(F32, xi_points(F32, PAIRS_F32_B[::3]))
+
+
+class TestScanFloor:
+    """Each scan row's d, found from the previous rank's d on, equals a
+    search of the same code from 1."""
+
+    @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+    @pytest.mark.parametrize("ev", [EV7, EV32_SMALL], ids=["F7", "F32"])
+    @pytest.mark.parametrize(
+        "mode,limit", [("jumps", None), ("full", None), ("jumps", 4), ("full", 6)]
+    )
+    def test_scan_distances_equal_floor_free_search(self, kind, ev, mode, limit):
+        delta = ROW_KINDS[kind][0]
+        fam = build_approximates(delta, ev.spec)
+        rows = scan_table(delta, fam, ev, mode=mode, limit=limit)
+        assert rows and (limit is None or len(rows) == limit)
+        for row in rows:
+            code = code_at(delta, fam, ev, row.alpha)
+            assert row.d == min_distance(code)
 
 
 class TestRendering:

@@ -148,6 +148,24 @@ def test_int_encoding_roundtrip():
             assert int(spec.element(v)) == v
 
 
+def test_stored_encoding_leaves_identity_unchanged():
+    for spec in (F7, F32):
+        for v in range(spec.q):
+            e = spec.element(v)
+            assert e.encoded == v
+            assert e == FieldElement(spec, e.coeffs)
+            assert hash(e) == hash((spec, e.coeffs))
+            assert repr(e) == f"FieldElement(field={spec!r}, coeffs={e.coeffs!r})"
+
+
+def test_kernel_tables_are_made_once_per_field():
+    t = _Tables(F32)
+    mul, sub, inv = t.kernel_tables
+    assert t.kernel_tables[0] is mul
+    assert (mul.typecode, sub.typecode, inv.typecode) == ("i", "i", "i")
+    assert (list(mul), list(sub), list(inv)) == (t.mul, t.sub, t.inv)
+
+
 def test_rendering():
     assert str(F7.element(5)) == "5"
     assert str(F32.zero) == "0"
