@@ -1,11 +1,13 @@
-/* Compiled search for the smallest number of linearly dependent columns.
+/* Compiled linear algebra over a finite field given as flat arithmetic tables.
 
-   Works over any finite field given as flat arithmetic tables: an
-   iterative-deepening DFS over column subsets in increasing index order, with
-   the chosen columns kept as a normalized echelon basis so each candidate is
-   reduced incrementally.  The deepening starts at a floor wmin, and the last
-   two columns of a subset are closed by hashing (see pairs).
-   _minweight_py.py is the same algorithm in Python. */
+   min_dependent_columns searches for the smallest number of linearly
+   dependent columns: an iterative-deepening DFS over column subsets in
+   increasing index order, with the chosen columns kept as a normalized
+   echelon basis so each candidate is reduced incrementally.  The deepening
+   starts at a floor wmin, and the last two columns of a subset are closed by
+   hashing (see pairs).  extend_echelon is the rank step of a scan: it reduces
+   a block of rows against a normalized echelon basis the caller keeps, with
+   the same reduce and lead_one.  _minweight_py.py is the same in Python. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -15,7 +17,7 @@
 
 typedef struct {
     const int *cols, *mul, *sub, *inv;
-    int r, n, q;
+    int r, n, q; /* r is the length of a basis row */
     int *basis;  /* one normalized row of length r per chosen column */
     int *pivots; /* the first nonzero index of each basis row */
     int *seen;   /* the pair level's image of column j at seen + j * r */
@@ -100,16 +102,18 @@ static int dfs(const Search *s, int nbasis, int start, int depth_left)
     return 0;
 }
 
-/* The ints of buf if it holds at least `need` aligned ints, each in [0, q);
-   else NULL with ValueError set.  An empty array's buffer may be unaligned. */
-static const int *check(const Py_buffer *buf, Py_ssize_t need, int q, const char *name)
+/* The ints of buf if it holds at least `room` aligned ints, the first `need`
+   of them each in [0, q); else NULL with ValueError set.  An empty array's
+   buffer may be unaligned. */
+static int *check_room(const Py_buffer *buf, Py_ssize_t room, Py_ssize_t need, int q,
+                       const char *name)
 {
-    const int *x = buf->buf;
+    int *x = buf->buf;
     Py_ssize_t len = buf->len / (Py_ssize_t)sizeof(int), i = 0;
-    if (buf->itemsize != sizeof(int) || (need > 0 && (uintptr_t)x % sizeof(int)))
+    if (buf->itemsize != sizeof(int) || (room > 0 && (uintptr_t)x % sizeof(int)))
         PyErr_Format(PyExc_ValueError, "%s must be an array('i')", name);
-    else if (len < need)
-        PyErr_Format(PyExc_ValueError, "%s holds %zd entries, needs %zd", name, len, need);
+    else if (len < room)
+        PyErr_Format(PyExc_ValueError, "%s holds %zd entries, needs %zd", name, len, room);
     else {
         while (i < need && x[i] >= 0 && x[i] < q)
             i++;
@@ -118,6 +122,22 @@ static const int *check(const Py_buffer *buf, Py_ssize_t need, int q, const char
         PyErr_Format(PyExc_ValueError, "%s[%zd] = %d is not in [0, %d)", name, i, x[i], q);
     }
     return NULL;
+}
+
+static const int *check(const Py_buffer *buf, Py_ssize_t need, int q, const char *name)
+{
+    return check_room(buf, need, need, q, name);
+}
+
+/* check_room for a buffer the kernel writes to. */
+static int *check_out(const Py_buffer *buf, Py_ssize_t room, Py_ssize_t need, int q,
+                      const char *name)
+{
+    if (buf->readonly) {
+        PyErr_Format(PyExc_ValueError, "%s must be writable", name);
+        return NULL;
+    }
+    return check_room(buf, room, need, q, name);
 }
 
 static PyObject *search(Search *s, int wmin, int wmax)
@@ -183,14 +203,81 @@ static PyObject *min_dependent_columns(PyObject *Py_UNUSED(self), PyObject *args
     return result;
 }
 
+/* Reduce each of the m rows of length s->r against the basis, appending the
+   independent ones normalized; the flags as bytes.  A full basis spans every
+   row, so nothing is written past row r. */
+static PyObject *extend(Search *s, const int *rows, int m, int rank)
+{
+    int n = s->r;
+    PyObject *flags = PyBytes_FromStringAndSize(NULL, m);
+    if (flags == NULL)
+        return NULL;
+    char *flag = PyBytes_AS_STRING(flags);
+    for (int i = 0; i < m; i++) {
+        int *row = s->basis + (size_t)rank * n;
+        flag[i] = 0;
+        if (rank == n)
+            continue;
+        memcpy(row, rows + (size_t)i * n, sizeof(int) * n);
+        if (!reduce(s, row, rank)) {
+            s->pivots[rank++] = lead_one(s, row);
+            flag[i] = 1;
+        }
+    }
+    return flags;
+}
+
+PyDoc_STRVAR(extend_echelon_doc,
+"extend_echelon(rows, m, n, q, mul, sub, inv, basis, pivots, rank)\n--\n\n"
+"Reduce each of the m rows of length n in turn against a normalized echelon\n"
+"basis, and append each independent one, scaled to a leading 1; one flag\n"
+"per row as bytes, 1 when the row was independent of the rows before it.\n\n"
+"``rows`` is row-major; ``mul`` and ``sub`` are flat q*q tables, ``inv`` a\n"
+"length-q table.  The caller keeps the basis across calls: its first\n"
+"``rank`` rows in ``basis`` (room for n*n ints) and their pivot columns in\n"
+"``pivots`` (room for n ints), both writable, all array('i').  The new rank\n"
+"is ``rank`` plus the number of flags set.");
+
+static PyObject *extend_echelon(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer rows, mul, sub, inv, basis, pivots;
+    Search s = {0};
+    int m, rank;
+    const int *in;
+    PyObject *result = NULL;
+    if (!PyArg_ParseTuple(args, "y*iiiy*y*y*y*y*i", &rows, &m, &s.r, &s.q, &mul, &sub,
+                          &inv, &basis, &pivots, &rank))
+        return NULL;
+    if (m < 0 || s.r < 0 || s.q < 0 || rank < 0 || rank > s.r || s.q > MAX_Q)
+        PyErr_Format(PyExc_ValueError,
+                     "m, n and q must be non-negative, rank in [0, n] "
+                     "and q at most %d", MAX_Q);
+    else if ((in = check(&rows, (Py_ssize_t)m * s.r, s.q, "rows"))
+             && (s.mul = check(&mul, (Py_ssize_t)s.q * s.q, s.q, "mul"))
+             && (s.sub = check(&sub, (Py_ssize_t)s.q * s.q, s.q, "sub"))
+             && (s.inv = check(&inv, s.q, s.q, "inv"))
+             && (s.basis = check_out(&basis, (Py_ssize_t)s.r * s.r,
+                                     (Py_ssize_t)rank * s.r, s.q, "basis"))
+             && (s.pivots = check_out(&pivots, s.r, rank, s.r, "pivots")))
+        result = extend(&s, in, m, rank);
+    PyBuffer_Release(&rows);
+    PyBuffer_Release(&mul);
+    PyBuffer_Release(&sub);
+    PyBuffer_Release(&inv);
+    PyBuffer_Release(&basis);
+    PyBuffer_Release(&pivots);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"min_dependent_columns", min_dependent_columns, METH_VARARGS, min_dependent_columns_doc},
+    {"extend_echelon", extend_echelon, METH_VARARGS, extend_echelon_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, .m_name = "_minweight", .m_size = -1, .m_methods = methods,
-    .m_doc = "Compiled search for the smallest number of linearly dependent columns.",
+    .m_doc = "Compiled column search and echelon extension over a finite field.",
 };
 
 PyMODINIT_FUNC PyInit__minweight(void)

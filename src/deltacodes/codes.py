@@ -10,15 +10,22 @@ sharper variant restricted to members where the dual chain strictly steps,
 and a product bound from the bounded representations.  A fourth, purely
 semigroup-theoretic estimate in the style of one-point Goppa codes is derived
 from the gap count of an integer scaling of the family prefix.
+
+The scan walks the members in blocks of n - rank and hands each block's rows
+to the kernel's ``extend_echelon``, which keeps the echelon basis of the rows
+so far; the pair counts behind the order bounds are taken on integer keys.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from math import lcm
 
 from . import minweight
 from .approximants import ApproximateFamily, BasisElement, _fit_exponents
@@ -142,16 +149,6 @@ class _ScanData:
     suffix_prod: tuple                 # min product bound over [i, Omega_n)
 
 
-def _eliminate(row, pivots, q, t):
-    row = list(row)
-    for col, prow in pivots.items():
-        c = row[col]
-        if c:
-            sub, mul = t.sub, t.mul
-            row = [sub[a * q + mul[c * q + b]] for a, b in zip(row, prow)]
-    return row
-
-
 class _PointwiseRows:
     """Basis rows at the points of one map, as encoded field values.
 
@@ -192,63 +189,93 @@ class _PointwiseRows:
         return acc
 
 
-def _sub_values(a, b):
-    if isinstance(a, LexValue):
-        return LexValue(a.x - b.x, a.y - b.y)
-    if isinstance(a, RatValue):
-        return RatValue(a.value - b.value)
-    return QuadValue(a.r - b.r, a.m - b.m, a.tau)
+def _kernel_tables(t, backend: str | None):
+    """``mul``, ``sub`` and ``inv`` in the form the backend reads fastest."""
+    if (backend or minweight.BACKEND) == "pure":
+        return t.mul, t.sub, t.inv  # the pure loops index lists faster
+    return t.kernel_tables
 
 
-def _build_scan(delta, fam: ApproximateFamily, ev: EvalMap, horizon: int) -> _ScanData:
+def _pair_counts(members) -> list[int]:
+    """omega of every member: how many earlier-or-equal members it exceeds by
+    a member.  Members are compared on integer keys that add like the
+    members: a rational value times the lcm L of the denominators, the pair
+    (r * L, m) for r + m * tau, and the plane vector itself."""
+    first = members[0]
+    if isinstance(first, LexValue):
+        keys = [(v.x, v.y) for v in members]
+    elif isinstance(first, RatValue):
+        den = lcm(*(v.value.denominator for v in members))
+        keys = [v.value.numerator * (den // v.value.denominator) for v in members]
+    else:
+        den = lcm(*(v.r.denominator for v in members))
+        keys = [(v.r.numerator * (den // v.r.denominator), v.m) for v in members]
+    seen = set(keys)
+    # keys are distinct, so are the differences from one key
+    if isinstance(keys[0], int):
+        return [
+            len(seen.intersection([key - k for k in keys[: i + 1]]))
+            for i, key in enumerate(keys)
+        ]
+    return [
+        len(seen.intersection([(x - a, y - b) for a, b in keys[: i + 1]]))
+        for i, (x, y) in enumerate(keys)
+    ]
+
+
+def _build_scan(
+    delta, fam: ApproximateFamily, ev: EvalMap, horizon: int, backend: str | None = None
+) -> _ScanData:
+    """Walk the members up to the rank bound, with each member's row and
+    rank step, then the pair counts and the bounds built from them.
+
+    Members are walked in blocks of n - rank (at least one), and each block's
+    rows are reduced by one ``minweight.extend_echelon`` call against the
+    echelon basis kept here: the rank can reach n only on the last row of a
+    block, so the walk stops at the rank bound as a row-at-a-time walk would.
+    """
     if fam.spec != ev.spec:
         raise DomainError(
             "field mismatch: the family and the points use different fields"
         )
     n = ev.n
-    q = ev.spec.q
     t = _tables(ev.spec)
     evaluate = _PointwiseRows(fam, ev)
+    tables = _kernel_tables(t, backend)
+    basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
 
     members = []
     exponents = []
     rows = []
     jump = []
     rank_after = []
-    pivots: dict[int, list[int]] = {}
-    for current, rep in walk(delta):
+    rank = 0
+    walker = walk(delta)
+    # Only positive members can be the rank bound; members[0] is zero.
+    while rank < n or len(members) == 1:
         if len(members) >= horizon:
             raise DomainError(
-                f"rank ceiling: rank {len(pivots)} of {n} after {horizon} members"
+                f"rank ceiling: rank {rank} of {n} after {horizon} members"
             )
-        exps = _fit_exponents(fam, rep.exponents)
-        row = tuple(evaluate.row(exps))
-        members.append(current)
-        exponents.append(exps)
-        rows.append(row)
-        reduced = _eliminate(row, pivots, q, t)
-        lead = next((j for j, v in enumerate(reduced) if v), None)
-        if lead is None:
-            jump.append(False)
-        else:
-            inv = t.inv[reduced[lead]]
-            pivots[lead] = [t.mul[inv * q + v] for v in reduced]
-            jump.append(True)
-        rank_after.append(len(pivots))
-        # Only positive members can be the rank bound; members[0] is zero.
-        if len(pivots) == n and len(members) > 1:
-            break
+        start, block = len(members), []
+        for current, rep in islice(walker, min(max(n - rank, 1), horizon - start)):
+            exps = _fit_exponents(fam, rep.exponents)
+            row = tuple(evaluate.row(exps))
+            members.append(current)
+            exponents.append(exps)
+            rows.append(row)
+            block.extend(row)
+        flags = minweight.extend_echelon(
+            block, len(members) - start, n, ev.spec.q, *tables, basis, pivots, rank,
+            backend=backend,
+        )
+        for flag in flags:
+            rank += flag
+            jump.append(flag == 1)
+            rank_after.append(rank)
 
     omega_index = len(members) - 1
-
-    seen = set(members)
-    weights = []
-    for i, value in enumerate(members):
-        count = 0
-        for other in members[: i + 1]:
-            if _sub_values(value, other) in seen:
-                count += 1
-        weights.append(count)
+    weights = _pair_counts(members)
 
     suffix_all: list[int] = [0] * len(members)
     suffix_jump: list[int | None] = [None] * len(members)
@@ -376,12 +403,8 @@ def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None, wmin=1) -
     for i, row in enumerate(enc_rows):
         for j, v in enumerate(row):
             cols[j * r + i] = v
-    if (backend or minweight.BACKEND) == "pure":
-        tables = t.mul, t.sub, t.inv  # the pure loops index lists faster
-    else:
-        tables = t.kernel_tables
     w = min_dependent_columns(
-        cols, r, n, spec.q, *tables, r + 1, wmin, backend=backend
+        cols, r, n, spec.q, *_kernel_tables(t, backend), r + 1, wmin, backend=backend
     )
     if w == 0:
         raise DomainError("distance search exhausted without a dependency")

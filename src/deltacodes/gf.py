@@ -206,21 +206,22 @@ class FieldElement:
     def _other(self, other: FieldElement) -> FieldElement:
         if not isinstance(other, FieldElement):
             raise DomainError(f"cannot combine field element with {type(other).__name__}")
-        if other.field != self.field:
+        # elements of one field usually share its FieldSpec object
+        if other.field is not self.field and other.field != self.field:
             raise DomainError("field mismatch")
         return other
 
     def __add__(self, other: FieldElement) -> FieldElement:
         t = _tables(self.field)
-        return t.by_val[t.add[self.encoded * self.field.q + self._other(other).encoded]]
+        return t.by_val[t.add[self.encoded * t.q + self._other(other).encoded]]
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         t = _tables(self.field)
-        return t.by_val[t.sub[self.encoded * self.field.q + self._other(other).encoded]]
+        return t.by_val[t.sub[self.encoded * t.q + self._other(other).encoded]]
 
     def __mul__(self, other: FieldElement) -> FieldElement:
         t = _tables(self.field)
-        return t.by_val[t.mul[self.encoded * self.field.q + self._other(other).encoded]]
+        return t.by_val[t.mul[self.encoded * t.q + self._other(other).encoded]]
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
         return self * self._other(other).inverse()
@@ -331,7 +332,8 @@ class _Tables:
             return v
 
         self.add = _digitwise(p, m, lambda x, y: x + y)
-        self.sub = _digitwise(p, m, lambda x, y: x - y)
+        # in characteristic 2, a - b = a + b: one table serves both
+        self.sub = self.add if p == 2 else _digitwise(p, m, lambda x, y: x - y)
         self.neg = self.sub[:q]
 
         def times(a: int, b: int) -> int:

@@ -1,26 +1,28 @@
-"""Backend selection for the minimum-dependent-columns search.
+"""Backend selection for the kernel: the minimum-dependent-columns search
+and the echelon extension behind the scan's rank step.
 
 The compiled kernel (the C extension ``_minweight``) is preferred when it is
 built; setting the environment variable ``DELTACODES_PURE=1`` forces the
-pure-Python fallback.  Both backends implement the identical algorithm and
-signature.
+pure-Python fallback.  Both backends implement the identical algorithms and
+signatures.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, MutableSequence, Sequence
+from types import ModuleType
 
 from . import _minweight_py
 
-__all__ = ["BACKEND", "available_backends", "min_dependent_columns"]
+__all__ = ["BACKEND", "available_backends", "extend_echelon", "min_dependent_columns"]
 
-_BACKENDS: dict[str, Callable] = {"pure": _minweight_py.min_dependent_columns}
+_BACKENDS: dict[str, ModuleType] = {"pure": _minweight_py}
 try:
     from . import _minweight  # type: ignore[attr-defined]
 
-    _BACKENDS["compiled"] = _minweight.min_dependent_columns
+    _BACKENDS["compiled"] = _minweight
 except ImportError:  # pragma: no cover - depends on build environment
     pass
 
@@ -31,8 +33,9 @@ else:
 
 
 def available_backends() -> dict[str, Callable]:
-    """Callable per built backend, keyed by name ('pure', 'compiled')."""
-    return dict(_BACKENDS)
+    """The column search of each built backend, keyed by name ('pure',
+    'compiled')."""
+    return {name: mod.min_dependent_columns for name, mod in _BACKENDS.items()}
 
 
 def min_dependent_columns(
@@ -62,16 +65,59 @@ def min_dependent_columns(
     passed as it is, anything else is copied.  Raises ``ValueError`` when
     ``backend`` names a backend that is not built, or when ``wmin`` < 1.
     """
+    kernel = _built(backend)
+    if kernel is not _minweight_py:
+        cols, mul, sub, inv = map(_int_array, (cols, mul, sub, inv))
+    return kernel.min_dependent_columns(cols, r, n, q, mul, sub, inv, wmax, wmin)
+
+
+def extend_echelon(
+    rows: Sequence[int],
+    m: int,
+    n: int,
+    q: int,
+    mul: Sequence[int],
+    sub: Sequence[int],
+    inv: Sequence[int],
+    basis: MutableSequence[int],
+    pivots: MutableSequence[int],
+    rank: int,
+    backend: str | None = None,
+) -> bytes:
+    """Reduce each of the m rows of length n in turn against a normalized
+    echelon basis, and append each independent one, scaled to a leading 1;
+    one flag per row, 1 when the row was independent of the rows before it.
+
+    The caller keeps the basis across calls: its first ``rank`` rows in
+    ``basis`` (row-major, room for n*n entries) and their pivot columns in
+    ``pivots`` (room for n); both are updated in place, and the new rank is
+    ``rank`` plus the number of flags set.  A scan walks its members in
+    blocks of n - rank rows: only the last row of such a block can bring the
+    rank to n, so no block goes past the rank bound.
+
+    ``rows`` is row-major; ``mul``/``sub`` are flat q*q arithmetic tables and
+    ``inv`` a length-q inverse table.  The compiled backend takes everything
+    as array('i'): ``rows`` and the tables are copied when they are not one
+    already, while ``basis`` and ``pivots`` must be writable array('i')
+    (``ValueError`` otherwise), since the caller reads them back.  Raises
+    ``ValueError`` when ``backend`` names a backend that is not built.
+    """
+    kernel = _built(backend)
+    if kernel is not _minweight_py:
+        rows, mul, sub, inv = map(_int_array, (rows, mul, sub, inv))
+    return kernel.extend_echelon(rows, m, n, q, mul, sub, inv, basis, pivots, rank)
+
+
+def _built(backend: str | None) -> ModuleType:
+    """The kernel module of the named backend (``BACKEND`` for None);
+    ValueError when it is not built."""
     name = backend or BACKEND
-    fn = _BACKENDS.get(name)
-    if fn is None:
+    if name not in _BACKENDS:
         raise ValueError(
             f"backend {name!r} is not built (built: {', '.join(sorted(_BACKENDS))}); "
             "`python setup.py build_ext --inplace` builds the compiled kernel"
         )
-    if fn is not _BACKENDS["pure"]:
-        cols, mul, sub, inv = map(_int_array, (cols, mul, sub, inv))
-    return fn(cols, r, n, q, mul, sub, inv, wmax, wmin)
+    return _BACKENDS[name]
 
 
 def _int_array(values: Sequence[int]) -> array:

@@ -8,11 +8,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltacodes.approximants import basis_element, basis_for, build_approximates
+from deltacodes.approximants import (
+    _fit_exponents,
+    basis_element,
+    basis_for,
+    build_approximates,
+)
 from deltacodes.codes import (
+    DEFAULT_HORIZON,
     CodePair,
     EvalMap,
     _PointwiseRows,
+    _ScanData,
+    _build_scan,
     _scan,
     code_at,
     evaluation_matrix,
@@ -27,11 +35,20 @@ from deltacodes.codes import (
 from deltacodes.deltaseq import validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import build_type_e
-from deltacodes.gf import rank_nullspace_ints
-from deltacodes.semigroup import LexValue, QuadValue, RatValue, enumerate_upto, successor
+from deltacodes.gf import _tables, rank_nullspace_ints
+from deltacodes.minweight import available_backends
+from deltacodes.semigroup import (
+    LexValue,
+    QuadValue,
+    RatValue,
+    enumerate_upto,
+    omega,
+    successor,
+    walk,
+)
 
 from helpers import (
-    CH119, CH75, DN119, DR119, DR75, DZ119, DZ75, EV32_B, EV7, F7, F32, PAIRS_F32_B,
+    CH119, CH75, DN119, DR119, DR75, DZ119, DZ427, DZ75, EV32_B, EV7, F7, F32, PAIRS_F32_B,
     xi_points,
 )
 
@@ -380,6 +397,127 @@ class TestScanFloor:
         for row in rows:
             code = code_at(delta, fam, ev, row.alpha)
             assert row.d == min_distance(code)
+
+
+def row_at_a_time_scan(delta, fam, ev, horizon):
+    """The scan as it was before the block walk: one member at a time,
+    eliminated against a dict of pivot rows, with pair counts found by
+    subtracting semigroup values."""
+    n, q, t = ev.n, ev.spec.q, _tables(ev.spec)
+    evaluate = _PointwiseRows(fam, ev)
+    members, exponents, rows, jump, rank_after = [], [], [], [], []
+    pivots = {}
+    for current, rep in walk(delta):
+        if len(members) >= horizon:
+            raise DomainError(f"rank ceiling: rank {len(pivots)} of {n} after {horizon} members")
+        exps = _fit_exponents(fam, rep.exponents)
+        row = tuple(evaluate.row(exps))
+        members.append(current)
+        exponents.append(exps)
+        rows.append(row)
+        reduced = list(row)
+        for col, prow in pivots.items():
+            c = reduced[col]
+            if c:
+                reduced = [t.sub[a * q + t.mul[c * q + b]] for a, b in zip(reduced, prow)]
+        lead = next((j for j, v in enumerate(reduced) if v), None)
+        if lead is not None:
+            inv = t.inv[reduced[lead]]
+            pivots[lead] = [t.mul[inv * q + v] for v in reduced]
+        jump.append(lead is not None)
+        rank_after.append(len(pivots))
+        if len(pivots) == n and len(members) > 1:
+            break
+
+    def minus(a, b):
+        if isinstance(a, LexValue):
+            return LexValue(a.x - b.x, a.y - b.y)
+        if isinstance(a, RatValue):
+            return RatValue(a.value - b.value)
+        return QuadValue(a.r - b.r, a.m - b.m, a.tau)
+
+    seen = set(members)
+    weights = [sum(minus(v, o) in seen for o in members[: i + 1]) for i, v in enumerate(members)]
+    suffix_all, suffix_jump = [], []
+    best, best_jump = weights[-1], weights[-1] if jump[-1] else None
+    for w, j in zip(reversed(weights), reversed(jump)):
+        best = min(best, w)
+        if j:
+            best_jump = w if best_jump is None else min(best_jump, w)
+        suffix_all.append(best)
+        suffix_jump.append(best_jump)
+    omega_index = len(members) - 1
+    suffix_prod = [0] * len(members)
+    best_prod = None
+    for i in range(omega_index - 1, -1, -1):
+        prod = 1
+        for a in exponents[i]:
+            prod *= a + 1
+        best_prod = prod - 2 if best_prod is None else min(best_prod, prod - 2)
+        suffix_prod[i] = best_prod
+    return _ScanData(
+        tuple(members), tuple(exponents), tuple(rows), tuple(jump), tuple(rank_after),
+        omega_index, tuple(weights), tuple(suffix_all[::-1]), tuple(suffix_jump[::-1]),
+        tuple(suffix_prod),
+    )
+
+
+def scan_outcome(build, *args):
+    """The scan data, or the DomainError text it raised."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+# The four kinds, plus a planar family whose members have negative second
+# components; and a single point, where the rank is full at zero.
+SCAN_KINDS = {**{kind: delta for kind, (delta, _) in ROW_KINDS.items()}, "planar-signed": DZ427}
+EV1 = EvalMap(F7, [(1, 1)])
+
+
+class TestBlockScan:
+    """The scan walks members in blocks of n - rank rows, each reduced by one
+    kernel call, and counts pairs on integer keys; it must give what the
+    row-at-a-time scan gave, on both kernel backends."""
+
+    # Over the 31 points of EV32_B the integer kind never reaches full rank
+    # and stops at the horizon.
+    @pytest.mark.parametrize("kind", sorted(SCAN_KINDS))
+    @pytest.mark.parametrize(
+        "ev", [EV7, EV32_SMALL, EV32_B, EV1], ids=["F7", "F32", "F32-31", "F7-1"]
+    )
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_scan_data_equals_the_row_at_a_time_scan(self, kind, ev, backend):
+        delta = SCAN_KINDS[kind]
+        fam = build_approximates(delta, ev.spec)
+        expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, DEFAULT_HORIZON)
+        data = scan_outcome(_build_scan, delta, fam, ev, DEFAULT_HORIZON, backend)
+        if isinstance(expected, str):
+            assert data == expected
+            return
+        for name in _ScanData.__dataclass_fields__:
+            assert getattr(data, name) == getattr(expected, name), name
+
+    @pytest.mark.parametrize("kind", sorted(SCAN_KINDS))
+    @pytest.mark.parametrize("ev", [EV7, EV32_SMALL], ids=["F7", "F32"])
+    def test_pair_counts_equal_omega(self, kind, ev):
+        delta = SCAN_KINDS[kind]
+        data = _build_scan(delta, build_approximates(delta, ev.spec), ev, DEFAULT_HORIZON)
+        assert data.weights == tuple(omega(delta, m) for m in data.members)
+
+    @pytest.mark.parametrize("kind", sorted(SCAN_KINDS))
+    @pytest.mark.parametrize("ev", [EV7, EV32_SMALL, EV1], ids=["F7", "F32", "F7-1"])
+    def test_every_horizon_stops_where_the_row_at_a_time_scan_did(self, kind, ev):
+        delta = SCAN_KINDS[kind]
+        fam = build_approximates(delta, ev.spec)
+        top = len(_build_scan(delta, fam, ev, DEFAULT_HORIZON).members)
+        for horizon in range(top + 2):
+            expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, horizon)
+            assert isinstance(expected, str) == (horizon < top)
+            for backend in available_backends():
+                got = scan_outcome(_build_scan, delta, fam, ev, horizon, backend)
+                assert got == expected, (horizon, backend)
 
 
 class TestRendering:

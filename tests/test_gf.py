@@ -122,6 +122,21 @@ def test_tables_match_polynomial_arithmetic(spec):
             assert t.sub[a * q + b] == int(spec.element(difference))
 
 
+def test_gf256_add_and_sub_tables_every_entry():
+    # in characteristic 2 one table is built and serves as both
+    spec = FieldSpec(2, 8)
+    t = _Tables(spec)
+    q = spec.q
+    coeffs = [spec.element(v).coeffs for v in range(q)]
+    for a in range(q):
+        ca = coeffs[a]
+        for b in range(q):
+            difference = tuple((x - y) % 2 for x, y in zip(ca, coeffs[b]))
+            assert t.sub[a * q + b] == int(spec.element(difference))
+    assert t.add == t.sub
+    assert t.neg == list(range(q))
+
+
 def test_bad_specs_rejected():
     with pytest.raises(DomainError):
         FieldSpec(6)

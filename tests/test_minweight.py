@@ -10,8 +10,13 @@ from array import array
 
 import pytest
 
-from deltacodes.gf import FieldSpec, _tables
-from deltacodes.minweight import _int_array, available_backends, min_dependent_columns
+from deltacodes.gf import FieldSpec, _tables, rank_nullspace_ints
+from deltacodes.minweight import (
+    _int_array,
+    available_backends,
+    extend_echelon,
+    min_dependent_columns,
+)
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -200,6 +205,168 @@ class TestBackends:
             args[index] = value
             with pytest.raises(ValueError):
                 compiled(*args)
+
+
+    def test_compiled_extend_echelon_rejects_bad_input(self):
+        """The C echelon extension checks its buffers, its sizes and the
+        caller's basis before it reads or writes."""
+        extend = pytest.importorskip("deltacodes._minweight").extend_echelon
+        n, q = 3, 5
+        mul, sub, inv = (array("i", x) for x in kernel_args(F5, [[0]])[4:])
+        basis, pivots = array("i", [0, 1, 2] + [0] * 6), array("i", [1, 0, 0])
+        rows = [0, 2, 4, 1, 1, 1]  # twice the basis row, then a new row
+        good = [array("i", rows), 2, n, q, mul, sub, inv, basis, pivots, 1]
+
+        def fresh(args):
+            # the basis and pivots as a call sees them, unchanged by others
+            args = list(args)
+            args[7], args[8] = array("i", basis), array("i", pivots)
+            return args
+
+        assert extend(*fresh(good)) == b"\x00\x01"
+        readonly = memoryview(array("i", basis)).toreadonly()
+        bad = [
+            (0, array("b", bytes(4 * len(rows)))),  # item size 1
+            (0, array("i", rows[:-1])),  # shorter than m * n
+            (0, array("i", [5] + rows[1:])),  # entry outside [0, q)
+            (4, array("i", mul[:-1])),  # shorter than q * q
+            (5, array("i", sub[:-1])),
+            (6, array("i", inv[:-1])),  # shorter than q
+            (7, array("i", basis[:-1])),  # no room for n rows
+            (8, array("i", pivots[:-1])),  # no room for n pivots
+            (7, readonly),
+            (8, memoryview(array("i", pivots)).toreadonly()),
+            (7, array("i", [0, 1, 5] + [0] * 6)),  # basis entry outside [0, q)
+            (7, array("i", [0, -1, 2] + [0] * 6)),
+            (8, array("i", [3, 0, 0])),  # pivot outside [0, n)
+            (8, array("i", [-1, 0, 0])),
+            (1, -1), (2, -1), (3, -1),  # negative m, n, q
+        ]
+        for index, value in bad:
+            args = fresh(good)
+            args[index] = value
+            with pytest.raises(ValueError):
+                extend(*args)
+        # rank outside [0, n], with buffers that would pass for that rank
+        for rank in (-1, n + 1):
+            args = fresh(good)
+            args[7] = array("i", [0, 1, 2] * (n + 1) + [0] * n)
+            args[8] = array("i", [1] * (n + 1))
+            args[9] = rank
+            with pytest.raises(ValueError):
+                extend(*args)
+
+
+def mixed_rows(spec, rng, n, count):
+    """Random rows with every kind of dependency on the rows before them."""
+    t, q = _tables(spec), spec.q
+    rows = []
+    for _ in range(count):
+        kind = rng.randrange(5) if rows else 4
+        if kind == 0:  # zero row
+            row = [0] * n
+        elif kind == 1:  # repeated row
+            row = list(rng.choice(rows))
+        elif kind == 2:  # scalar multiple
+            c = rng.randrange(1, q)
+            row = [t.mul[c * q + v] for v in rng.choice(rows)]
+        elif kind == 3:  # a combination of earlier rows
+            row = [0] * n
+            for other in rng.sample(rows, min(3, len(rows))):
+                c = rng.randrange(q)
+                row = [t.sub[a * q + t.mul[c * q + b]] for a, b in zip(row, other)]
+        else:
+            row = [rng.randrange(q) for _ in range(n)]
+        rows.append(row)
+    return rows
+
+
+class EchelonCase:
+    """Rows of length n over one field, and the flags their prefix ranks
+    give: flag i is rank(rows[:i + 1]) - rank(rows[:i])."""
+
+    def __init__(self, spec, n, rows):
+        self.spec, self.n, self.rows = spec, n, rows
+        ranks = [rank_nullspace_ints(rows[:i], n, spec)[0] for i in range(len(rows) + 1)]
+        self.expected = [b - a for a, b in zip(ranks, ranks[1:])]
+
+    def run(self, sizes, backend, guard=7):
+        """Flags, basis rows and pivots after feeding the rows in blocks of
+        the given sizes; ``guard`` entries after the room for n rows and n
+        pivots must stay untouched."""
+        spec, n = self.spec, self.n
+        t = _tables(spec)
+        basis = array("i", [0] * (n * n) + [guard] * n)
+        pivots = array("i", [0] * n + [guard])
+        flags, rank, at = [], 0, 0
+        for m in sizes:
+            block = [v for row in self.rows[at : at + m] for v in row]
+            got = extend_echelon(
+                block, m, n, spec.q, t.mul, t.sub, t.inv, basis, pivots, rank,
+                backend=backend,
+            )
+            assert isinstance(got, bytes) and len(got) == m
+            flags += got
+            rank += sum(got)
+            at += m
+        assert at == len(self.rows)
+        assert list(basis[n * n :]) == [guard] * n and pivots[n] == guard
+        return flags, list(basis[: rank * n]), list(pivots[:rank])
+
+
+def random_split(rng, count):
+    """Block sizes summing to count, empty blocks included."""
+    sizes = []
+    while count:
+        m = rng.randrange(0, count + 1)
+        sizes.append(m)
+        count -= m
+    return sizes + [0] * rng.randrange(2)
+
+
+class TestExtendEchelon:
+    """The scan's rank step: a block of rows reduced against an echelon
+    basis the caller keeps."""
+
+    @pytest.mark.parametrize("spec", [F2, F5, F32, F256], ids=lambda s: str(s.q))
+    def test_flags_are_prefix_rank_steps_on_every_split(self, spec):
+        rng = random.Random(717273 + spec.q)
+        for _ in range(20):
+            n = rng.randrange(1, 8)
+            case = EchelonCase(spec, n, mixed_rows(spec, rng, n, rng.randrange(0, n + 5)))
+            whole = None
+            count = len(case.rows)
+            for sizes in ([count], [1] * count, random_split(rng, count)):
+                for name in available_backends():
+                    got = case.run(sizes, name)
+                    assert got[0] == case.expected, (name, sizes)
+                    whole = whole or got
+                    assert got == whole, (name, sizes)  # same basis on both backends
+
+    @pytest.mark.parametrize("spec", [F2, F5, F32, F256], ids=lambda s: str(s.q))
+    def test_blocks_that_reach_rank_n(self, spec):
+        rng = random.Random(818283 + spec.q)
+        n = 4
+        while True:
+            rows = random_rows(rng, spec.q, n, n)
+            if rank_nullspace_ints(rows, n, spec)[0] == n:
+                break
+        case = EchelonCase(spec, n, rows + [rows[0], [0] * n] + random_rows(rng, spec.q, 2, n))
+        assert case.expected == [1] * n + [0] * 4
+        for sizes in ([n, 4], [n + 4], [2, n - 2, 0, 1, 3]):
+            for name in available_backends():
+                flags, basis, pivots = case.run(sizes, name)
+                assert flags == case.expected
+                assert len(pivots) == n and sorted(pivots) == list(range(n))
+                for b, p in enumerate(pivots):  # normalized: leading 1 at the pivot
+                    row = basis[b * n : (b + 1) * n]
+                    assert row[:p] == [0] * p and row[p] == 1
+
+    def test_empty_blocks_and_zero_rows(self):
+        for name in available_backends():
+            for spec in (F2, F5):
+                assert EchelonCase(spec, 3, [[0] * 3] * 2).run([0, 2, 0], name)[0] == [0, 0]
+                assert EchelonCase(spec, 3, []).run([0], name) == ([], [], [])
 
 
 class TestFloorAndPairs:
