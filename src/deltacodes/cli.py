@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .approximants import build_approximates
-from .codes import EvalMap, render_value, scan_table, table_csv
+from .codes import EvalMap, render_ratio, render_value, scan_table, table_csv
 from .errors import ConfigError, DomainError
 from .genesis import build_type_c, build_type_d, build_type_e, validate_n
 from .gf import FieldElement, FieldSpec
-from .semigroup import LexValue, QuadValue, RatValue, enumerate_upto, zero_of
+from .semigroup import LexValue, QuadValue, RatValue, rows_upto, zero_of
 
 __all__ = ["JobConfig", "main", "parse_config", "run"]
 
@@ -350,13 +350,28 @@ def _run_approximates(config: JobConfig) -> str:
 
 
 def _run_semigroup(config: JobConfig) -> str:
+    """One line per member up to the bound, rendered straight from the
+    semigroup's integer rows: the value as ``render_value`` prints it, then
+    the exponents."""
     delta = _build_delta(config)
-    bound = _parse_bound(config, delta)
+    scale, rows = rows_upto(delta, _parse_bound(config, delta))
+    kind = config.delta_type
+    # exps[1:] -> its text; interior exponents are bounded, so tails repeat
+    tails: dict[tuple[int, ...], str] = {}
     lines = []
-    for value, rep in enumerate_upto(delta, bound):
-        exps = " ".join(str(a) for a in rep.exponents)
-        lines.append(f"{render_value(value)} : {exps}")
-    return "\n".join(lines) + "\n" if lines else ""
+    for v, exps in rows:
+        tail = exps[1:]
+        text = tails.get(tail)
+        if text is None:
+            text = tails[tail] = "".join(f" {a}" for a in tail)
+        if kind == "C":
+            value = f"({v[0]},{v[1]})"
+        elif kind == "D":
+            value = f"{render_ratio(v, scale)} + {exps[-1]}*tau"
+        else:
+            value = render_ratio(v, scale)
+        lines.append(f"{value} : {exps[0]}{text}\n")
+    return "".join(lines)
 
 
 def _run_table(config: JobConfig) -> str:

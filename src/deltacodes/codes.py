@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 from . import minweight
 from .approximants import ApproximateFamily, BasisElement, _fit_exponents
@@ -57,6 +57,7 @@ __all__ = [
     "min_distance",
     "omega_n_bound",
     "render_exponents",
+    "render_ratio",
     "render_value",
     "scan_table",
     "table_csv",
@@ -598,14 +599,20 @@ def scan_table(
     return out
 
 
+def render_ratio(num: int, den: int) -> str:
+    """num / den (den > 0) in lowest terms, without the slash when whole."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def render_value(value) -> str:
     """A compact single-token rendering of a semigroup value."""
     if isinstance(value, LexValue):
         return f"({value.x},{value.y})"
     if isinstance(value, RatValue):
-        return str(value.value)
+        return render_ratio(value.value.numerator, value.value.denominator)
     if isinstance(value, QuadValue):
-        return f"{value.r} + {value.m}*tau"
+        return f"{render_ratio(value.r.numerator, value.r.denominator)} + {value.m}*tau"
     raise DomainError("unsupported value kind")
 
 

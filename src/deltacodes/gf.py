@@ -120,6 +120,12 @@ class FieldSpec:
     def q(self) -> int:
         return self.p**self.m
 
+    @functools.cached_property
+    def _t(self) -> _Tables:
+        """The field's tables, the set shared by equal specs, kept on this
+        spec so that element arithmetic does not hash it per operation."""
+        return _tables(self)
+
     @property
     def is_primitive(self) -> bool:
         """Whether the generator class of g has full multiplicative order."""
@@ -212,34 +218,34 @@ class FieldElement:
         return other
 
     def __add__(self, other: FieldElement) -> FieldElement:
-        t = _tables(self.field)
+        t = self.field._t
         return t.by_val[t.add[self.encoded * t.q + self._other(other).encoded]]
 
     def __sub__(self, other: FieldElement) -> FieldElement:
-        t = _tables(self.field)
+        t = self.field._t
         return t.by_val[t.sub[self.encoded * t.q + self._other(other).encoded]]
 
     def __mul__(self, other: FieldElement) -> FieldElement:
-        t = _tables(self.field)
+        t = self.field._t
         return t.by_val[t.mul[self.encoded * t.q + self._other(other).encoded]]
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
         return self * self._other(other).inverse()
 
     def __neg__(self) -> FieldElement:
-        t = _tables(self.field)
+        t = self.field._t
         return t.by_val[t.neg[self.encoded]]
 
     def __pow__(self, n: int) -> FieldElement:
         base = self
         if n < 0:
             base, n = self.inverse(), -n
-        t = _tables(self.field)
+        t = self.field._t
         acc, b = 1, base.encoded
         while n:
             if n & 1:
-                acc = t.mul[acc * self.field.q + b]
-            b = t.mul[b * self.field.q + b]
+                acc = t.mul[acc * t.q + b]
+            b = t.mul[b * t.q + b]
             n >>= 1
         return t.by_val[acc]
 
@@ -247,7 +253,7 @@ class FieldElement:
         v = self.encoded
         if v == 0:
             raise DomainError("division by zero")
-        t = _tables(self.field)
+        t = self.field._t
         return t.by_val[t.inv[v]]
 
     def __bool__(self) -> bool:
@@ -259,7 +265,7 @@ class FieldElement:
         v = self.encoded
         if v == 0:
             return "0"
-        t = _tables(self.field)
+        t = self.field._t
         if t.dlog is not None:
             k = t.dlog[v]
             return "1" if k == 0 else ("g" if k == 1 else f"g^{k}")

@@ -7,7 +7,8 @@ semigroups: exact comparison of values, the unique bounded representation
 of a member over the generators, and one ordered walk over the members with
 their representations.  Enumeration up to a bound, the successor of a value
 and the pair count omega (the number of ordered pairs of members summing to
-a given value) are views on that walk.
+a given value) are views on that walk.  The engines yield integer rows;
+value objects are built from them only where a caller asks for values.
 
 Representations are unique under the bound pattern reported alongside the
 exponents: the first exponent is always free, interior exponents are bounded
@@ -17,12 +18,13 @@ exponent is free depends on the kind.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cmp_to_key, lru_cache
+from itertools import groupby
+from math import isqrt, lcm
+from operator import itemgetter
 
 from .deltaseq import (
     DeltaN,
@@ -44,6 +46,7 @@ __all__ = [
     "generators",
     "omega",
     "represent",
+    "rows_upto",
     "successor",
     "walk",
     "zero_of",
@@ -127,9 +130,14 @@ class _Engine:
     """The ordered walk shared by every kind.
 
     An engine supplies ``between(lo, hi)``: the members in the window
-    (lo, hi] (from zero on when lo is None) in increasing order, with their
-    representations.  The walk strings windows together, doubling the upper
-    end, so every member is yielded once and in order.
+    (lo, hi] (from zero on when lo is None) in increasing order, as a pair
+    (scale, rows).  A row is ``(v, exps)``: ``v`` is the integer numerator
+    over ``scale`` of the member's rational part, or the plane vector (x, y)
+    for the planar kind (scale 1), and ``exps`` are its exponents; for the
+    quadratic kind the member is v / scale + exps[-1] * tau.  ``values``
+    turns one window's rows into (value, Representation) pairs.  The walk
+    strings windows together, doubling the upper end, so every member is
+    yielded once and in order.
     """
 
     def walk(self, after=None, upto=None):
@@ -140,7 +148,7 @@ class _Engine:
         else:
             hi = self.add(self.zero() if after is None else after, self.generators()[0])
         while True:
-            yield from self.between(lo, hi)
+            yield from self.values(*self.between(lo, hi))
             if upto is not None:
                 return
             lo, hi = hi, self.add(hi, hi)
@@ -182,10 +190,11 @@ class _IntegerEngine(_Engine):
 
     def between(self, lo, hi: RatValue):
         bottom = -1 if lo is None else _floor(lo.value)
-        found = telescopic_members(self.delta, bottom, _floor(hi.value))
-        for i, (v, exps) in enumerate(found):
-            found[i] = (RatValue(Fraction(v)), Representation(exps, self.bounds))
-        return found
+        return 1, telescopic_members(self.delta, bottom, _floor(hi.value))
+
+    def values(self, scale: int, rows):
+        bounds = self.bounds
+        return [(RatValue(Fraction(v)), Representation(exps, bounds)) for v, exps in rows]
 
 
 class _PlanarEngine(_Engine):
@@ -271,21 +280,15 @@ class _PlanarEngine(_Engine):
 
         descend(0, 0, 0, ())
         found.sort()
-        return [
-            (LexValue(x, y), Representation(acc, self.bounds)) for (x, y), acc in found
-        ]
+        return 1, found
+
+    def values(self, scale: int, rows):
+        bounds = self.bounds
+        return [(LexValue(x, y), Representation(acc, bounds)) for (x, y), acc in rows]
 
 
-class _Exact:
-    """Heap key a + b*sqrt(d) with integer a and b, ordered exactly."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: int, b: int, d: int) -> None:
-        self.a, self.b, self.d = a, b, d
-
-    def __lt__(self, other: _Exact) -> bool:
-        return sign_of(self.a - other.a, self.b - other.b, self.d) < 0
+# Bits below the point kept by the quadratic kind's integer sort key.
+_KEY_BITS = 32
 
 
 class _QuadraticEngine(_Engine):
@@ -341,25 +344,46 @@ class _QuadraticEngine(_Engine):
         return floor_of((value.r + k * tau.a) * self.scale, k * tau.b * self.scale, tau.d)
 
     def between(self, lo, hi: QuadValue):
-        """One sorted list of head members per multiple m of tau, merged by
-        comparing list heads exactly as integer pairs over ``den``."""
-        tau, scale, den = self.tau, self.scale, self.den
+        """The head members for each multiple m of tau, sorted on the exact
+        integer key floor(value * 2**_KEY_BITS).  floor is monotone, so only
+        rows with equal keys need the exact comparison of
+        den * value = v * step + m * a_den + m * b_den * sqrt(d)."""
+        tau, scale, den, d = self.tau, self.scale, self.den, self.tau.d
         step, a_den, b_den = den // scale, int(tau.a * den), int(tau.b * den)
-
-        def key(item):
-            v, exps = item
-            return _Exact(v * step + exps[-1] * a_den, exps[-1] * b_den, tau.d)
-
-        runs = []
+        shift = _KEY_BITS
+        keyed = []
         m = 0
         while _quad_sign(hi.r, hi.m - m, tau) >= 0:
             bottom = -1 if lo is None else self._scaled_floor(lo, m)
             run = telescopic_members(self.dstar, bottom, self._scaled_floor(hi, m))
-            runs.append([(v, exps + (m,)) for v, exps in run])
+            # floor(m * b_den * sqrt(d) * 2**shift): the root is irrational
+            # unless m = 0, so below zero it is one less than -isqrt.  Adding
+            # the integer part and dividing by den keep the floor exact.
+            irr = m * b_den
+            root = isqrt(irr * irr * d << 2 * shift)
+            base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
+            keyed += [(((v * step << shift) + base) // den, v, exps + (m,)) for v, exps in run]
             m += 1
+        first = itemgetter(0)
+        keyed.sort(key=first)
+        if len(set(map(first, keyed))) < len(keyed):
+
+            def exact(p, q):
+                dm = p[2][-1] - q[2][-1]
+                return sign_of((p[1] - q[1]) * step + dm * a_den, dm * b_den, d)
+
+            keyed = [
+                row
+                for _, tied in groupby(keyed, first)
+                for row in sorted(tied, key=cmp_to_key(exact))
+            ]
+        return scale, [(v, exps) for _, v, exps in keyed]
+
+    def values(self, scale: int, rows):
+        tau, bounds = self.tau, self.bounds
         return [
-            (QuadValue(Fraction(v, scale), exps[-1], tau), Representation(exps, self.bounds))
-            for v, exps in heapq.merge(*runs, key=key)
+            (QuadValue(Fraction(v, scale), exps[-1], tau), Representation(exps, bounds))
+            for v, exps in rows
         ]
 
 
@@ -413,12 +437,16 @@ class _ChainEngine(_Engine):
     def between(self, lo, hi: RatValue):
         stage = self.covering_stage(hi.value)
         scale = stage.deltas[1]
-        bounds = (None,) + tuple(stage.structure.n)
         bottom = -1 if lo is None else _floor(lo.value * scale)
-        found = telescopic_members(stage, bottom, _floor(hi.value * scale))
-        for i, (v, exps) in enumerate(found):
-            found[i] = (RatValue(Fraction(v, scale)), Representation(exps, bounds))
-        return found
+        return scale, telescopic_members(stage, bottom, _floor(hi.value * scale))
+
+    def values(self, scale: int, rows):
+        if not rows:
+            return []
+        # every ladder step appends one generator, so the row width names the stage
+        stage = self.ladder[len(rows[0][1]) - len(self.ladder[0].deltas)]
+        bounds = (None,) + tuple(stage.structure.n)
+        return [(RatValue(Fraction(v, scale)), Representation(exps, bounds)) for v, exps in rows]
 
 
 @lru_cache(maxsize=None)
@@ -462,10 +490,16 @@ def walk(delta):
     return _engine(delta).walk()
 
 
+def rows_upto(delta, bound):
+    """All members up to the bound in increasing order as integer rows: a
+    pair (scale, rows) with rows ``(v, exps)``, read as in ``_Engine``."""
+    eng = _engine(delta)
+    return eng.between(None, eng.lift(bound))
+
+
 def enumerate_upto(delta, bound):
     """All members up to the bound in increasing order, with representations."""
-    eng = _engine(delta)
-    return list(eng.walk(upto=eng.lift(bound)))
+    return _engine(delta).values(*rows_upto(delta, bound))
 
 
 def successor(delta, value):

@@ -15,6 +15,8 @@ GOLDEN = DATA / "golden_table2.csv"
 
 FIELD_7 = "[field]\np = 7\n"
 DELTA_N = "[delta]\ntype = N\nunder = 11 9\n"
+DELTA_D = "[delta]\ntype = D\nunder = 11 9\ndigits = 80 1 2\n"
+DELTA_E = "[delta]\ntype = E\nunder = 3 1\nsteps = 2\nchoices = 2 5, 2 19\n"
 
 
 def parse_error(text):
@@ -222,6 +224,52 @@ class TestCommands:
         assert lines[0] == "(0,0) : 0 0"
         assert lines[-1] == "(10,2) : 2 0"
         assert len(lines) == 6
+
+    def test_semigroup_d(self, tmp_path, capsys):
+        path = tmp_path / "d.cfg"
+        path.write_text(FIELD_7 + DELTA_D + "[job]\nbound = 3 2\n")
+        assert main(["semigroup", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 51
+        assert lines[0] == "0 + 0*tau : 0 0 0"
+        assert lines[1] == "1 + 0*tau : 0 1 0"
+        assert lines[-2] == "5 + 1*tau : 0 5 1"
+        assert lines[-1] == "3 + 2*tau : 0 3 2"
+
+    @pytest.mark.parametrize("bound", ["-1", "-3 1"])
+    def test_semigroup_d_below_zero_is_empty(self, tmp_path, capsys, bound):
+        # tau is about 2.03, so -3 + tau is below zero although m > 0
+        path = tmp_path / "d.cfg"
+        path.write_text(FIELD_7 + DELTA_D + f"[job]\nbound = {bound}\n")
+        assert main(["semigroup", "--config", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_semigroup_e(self, tmp_path, capsys):
+        path = tmp_path / "e.cfg"
+        path.write_text(FIELD_7 + DELTA_E + "[job]\nbound = 6\n")
+        assert main(["semigroup", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 13
+        assert lines[0] == "0 : 0 0 0 0"
+        assert lines[3] == "5/2 : 0 0 1 0"
+        assert lines[8] == "19/4 : 0 0 0 1"
+        assert lines[-1] == "6 : 2 0 0 0"
+
+    def test_semigroup_e_below_zero_is_empty(self, tmp_path, capsys):
+        path = tmp_path / "e.cfg"
+        path.write_text(FIELD_7 + DELTA_E + "[job]\nbound = -1/2\n")
+        assert main(["semigroup", "--config", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_semigroup_c_generator_on_the_y_axis_is_infinite(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text(
+            FIELD_7 + "[delta]\ntype = C\nunder = 6 3 1\n[job]\nbound = 3 3\n"
+        )
+        assert main(["semigroup", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "enumeration is infinite" in err
 
     def test_semigroup_needs_bound(self, tmp_path, capsys):
         path = tmp_path / "n.cfg"

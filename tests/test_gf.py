@@ -15,6 +15,7 @@ from deltacodes.gf import (
     _poly_mul,
     _poly_rem,
     _Tables,
+    _tables,
     field_arith,
     mat_rank_kernel,
 )
@@ -172,6 +173,18 @@ def test_stored_encoding_leaves_identity_unchanged():
             assert hash(e) == hash((spec, e.coeffs))
             assert repr(e) == f"FieldElement(field={spec!r}, coeffs={e.coeffs!r})"
 
+
+
+def test_spec_keeps_the_shared_tables_without_changing_identity():
+    twin = FieldSpec(2, 5)
+    assert twin is not F32
+    assert twin._t is F32._t is _tables(F32)
+    assert twin == F32
+    assert hash(twin) == hash(F32) == hash((2, 5, F32.modulus))
+    assert repr(twin) == f"FieldSpec(p=2, m=5, modulus={F32.modulus!r})"
+    assert FieldSpec(7)._t is not F32._t
+    # elements of equal specs combine through the one table set
+    assert (twin.element(3) * F32.element(5)).encoded == _tables(F32).mul[3 * 32 + 5]
 
 def test_kernel_tables_are_made_once_per_field():
     t = _Tables(F32)

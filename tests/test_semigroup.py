@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
@@ -12,6 +13,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltacodes import semigroup as semigroup_module
+from deltacodes.cli import _build_delta as cli_build_delta, parse_config, run
+from deltacodes.codes import render_value
 from deltacodes.deltaseq import DeltaN, members_below, telescopic_exponents, validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import (
@@ -436,3 +440,91 @@ class TestOrderedWalk:
 
     def test_enumeration_is_a_list(self):
         assert isinstance(enumerate_upto(DZ2, LexValue(12, 3)), list)
+
+
+# --- the CLI listing on integer rows against the value-object path ------------
+
+CLI_DELTAS = {
+    "integer": "type = N\nunder = 36 24 8 18 13\n",
+    "planar": "type = C\nunder = 36 24 8 18 13\n",
+    "quadratic": "type = D\nunder = 36 24 8 18 13\ndigits = 20 5 2\n",
+    "chain": "type = E\nunder = 11 9\nsteps = 2\n",
+}
+
+
+def _bound_text(value):
+    if isinstance(value, LexValue):
+        return f"{value.x} {value.y}"
+    if isinstance(value, QuadValue):
+        return f"{value.r} {value.m}"
+    return str(value.value)
+
+
+def cli_listing(kind, bound):
+    text = f"[field]\np = 7\n[delta]\n{CLI_DELTAS[kind]}[job]\nbound = {_bound_text(bound)}\n"
+    return run(replace(parse_config(text), command="semigroup"))
+
+
+def object_listing(delta, bound):
+    return "".join(
+        f"{render_value(v)} : {' '.join(map(str, rep.exponents))}\n"
+        for v, rep in enumerate_upto(delta, bound)
+    )
+
+
+def _times(value, c):
+    if isinstance(value, LexValue):
+        return LexValue(value.x * c, value.y * c)
+    if isinstance(value, QuadValue):
+        return QuadValue(value.r * c, value.m * c, value.tau)
+    return RatValue(value.value * c)
+
+
+def _appended(chain, count):
+    """The generators the chain engine appends beyond the sequence's own."""
+    stage, out = chain.stages[-1], []
+    for _ in range(count):
+        stage = extend_n(stage)
+        out.append(Fraction(stage.deltas[-1], stage.deltas[1]))
+    return out
+
+
+@st.composite
+def listing_bounds(draw):
+    """A kind and a bound: anywhere (below zero too), a small multiple of a
+    generator, or for the chain a point between two appended generators."""
+    kind = draw(st.sampled_from(sorted(WALK_KINDS)))
+    delta, make = WALK_KINDS[kind]
+    where = draw(st.sampled_from(("any", "generator", "appended")))
+    if where == "generator":
+        return kind, _times(draw(st.sampled_from(generators(delta))), draw(st.integers(0, 3)))
+    if where == "appended" and kind == "chain":
+        appended = _appended(delta, 4)
+        lo, hi = draw(st.sampled_from(list(zip(appended, appended[1:]))))
+        return kind, RatValue(lo + (hi - lo) * Fraction(draw(st.integers(0, 16)), 16))
+    return kind, make(draw(st.integers(-30, 100)))
+
+
+class TestRowListing:
+    def test_configs_build_the_walk_kinds(self):
+        for kind, (delta, _) in WALK_KINDS.items():
+            text = f"[field]\np = 7\n[delta]\n{CLI_DELTAS[kind]}"
+            assert cli_build_delta(parse_config(text)) == delta
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=listing_bounds())
+    def test_cli_text_equals_the_value_object_path(self, case):
+        kind, bound = case
+        delta, _ = WALK_KINDS[kind]
+        assert cli_listing(kind, bound) == object_listing(delta, bound)
+
+    def test_equal_quadratic_keys_are_ordered_exactly(self, monkeypatch):
+        bound = QuadValue(Fraction(5), 0, DR_BIG.tail)
+        text = cli_listing("quadratic", bound)
+        monkeypatch.setattr(semigroup_module, "_KEY_BITS", 0)
+        # floor(value) is the key now: the 790 members share 6 keys
+        scale, rows = semigroup_module.rows_upto(DR_BIG, bound)
+        assert len(rows) == 790
+        assert len({(Fraction(v, scale) + exps[-1] * DR_BIG.tail).floor() for v, exps in rows}) == 6
+        assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
+        assert cli_listing("quadratic", bound) == text
