@@ -15,7 +15,7 @@ space below any semigroup element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd
 
 from .deltaseq import DeltaN, telescopic_exponents, validate_n
@@ -205,7 +205,6 @@ def _prefix_row(base: DeltaN, i: int) -> tuple[int, ...]:
     return exps
 
 
-@lru_cache(maxsize=None)
 def build_approximates(delta, spec: FieldSpec, depth: int | None = None) -> ApproximateFamily:
     """Build the family of approximates for a delta-sequence over a field."""
     weights = generators(delta)
@@ -258,7 +257,6 @@ def _fit_exponents(fam: ApproximateFamily, exps: tuple[int, ...]) -> tuple[int, 
     return exps + (0,) * (width - len(exps))
 
 
-@lru_cache(maxsize=None)
 def basis_for(delta, fam: ApproximateFamily, alpha) -> tuple[BasisElement, ...]:
     """One basis element per semigroup member up to alpha, in semigroup order."""
     out = []
@@ -268,7 +266,6 @@ def basis_for(delta, fam: ApproximateFamily, alpha) -> tuple[BasisElement, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def basis_element(delta, fam: ApproximateFamily, alpha) -> BasisElement:
     """The single basis element attached to one semigroup member."""
     exps = _fit_exponents(fam, represent(delta, alpha).exponents)

@@ -11,9 +11,11 @@ and a product bound from the bounded representations.  A fourth, purely
 semigroup-theoretic estimate in the style of one-point Goppa codes is derived
 from the gap count of an integer scaling of the family prefix.
 
-The scan walks the members in blocks of n - rank and hands each block's rows
-to the kernel's ``extend_echelon``, which keeps the echelon basis of the rows
-so far; the pair counts behind the order bounds are taken on integer keys.
+A ``Scan`` holds the whole chain for one family and one point set; callers
+keep it and ask it for the code and bounds at each alpha.  It walks the
+members in blocks of n - rank and hands each block's rows to the kernel's
+``extend_echelon``, which keeps the echelon basis of the rows so far; the
+pair counts behind the order bounds are taken on integer keys.
 """
 
 from __future__ import annotations
@@ -23,13 +25,19 @@ import io
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 
 from . import minweight
 from .approximants import ApproximateFamily, BasisElement, _fit_exponents
-from .deltaseq import DeltaN, denormalize, gaps, members_below, normalize
+from .deltaseq import (
+    DeltaN,
+    denormalize,
+    gap_count_telescopic,
+    members_below,
+    normalize,
+    validate_n,
+)
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
 from .gf import FieldElement, FieldSpec, _tables, rank_nullspace_ints
@@ -49,13 +57,11 @@ __all__ = [
     "CodePair",
     "DEFAULT_HORIZON",
     "EvalMap",
+    "Scan",
     "TableRow",
-    "code_at",
     "evaluation_matrix",
-    "feng_rao",
     "goppa_distance",
     "min_distance",
-    "omega_n_bound",
     "render_exponents",
     "render_ratio",
     "render_value",
@@ -67,8 +73,7 @@ DEFAULT_HORIZON = 4096
 
 
 class EvalMap:
-    """Distinct evaluation points over one field.  Instances hash by
-    identity, so the scan cached for a map is shared by its users."""
+    """Distinct evaluation points over one field."""
 
     def __init__(self, spec: FieldSpec, points) -> None:
         self.spec = spec
@@ -134,20 +139,6 @@ def evaluation_matrix(ev: EvalMap, basis) -> tuple[tuple[FieldElement, ...], ...
 
 
 # --- the rank scan ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ScanData:
-    members: tuple                     # ascending, members[0] = 0
-    exponents: tuple                   # fitted representation per member
-    rows: tuple                        # encoded evaluation row per member
-    jump: tuple                        # whether the rank grew at this member
-    rank_after: tuple                  # rank of the first i + 1 rows
-    omega_index: int                   # index of the rank bound Omega_n
-    weights: tuple                     # ordered-pair count per member
-    suffix_all: tuple                  # min weight over members[i:]
-    suffix_jump: tuple                 # same, restricted to jump members
-    suffix_prod: tuple                 # min product bound over [i, Omega_n)
 
 
 class _PointwiseRows:
@@ -224,170 +215,164 @@ def _pair_counts(members) -> list[int]:
     ]
 
 
-def _build_scan(
-    delta, fam: ApproximateFamily, ev: EvalMap, horizon: int, backend: str | None = None
-) -> _ScanData:
-    """Walk the members up to the rank bound, with each member's row and
-    rank step, then the pair counts and the bounds built from them.
+class Scan:
+    """The chain of codes for one family at one set of points, up to the
+    rank bound Omega_n.
 
-    Members are walked in blocks of n - rank (at least one), and each block's
-    rows are reduced by one ``minweight.extend_echelon`` call against the
-    echelon basis kept here: the rank can reach n only on the last row of a
-    block, so the walk stops at the rank bound as a row-at-a-time walk would.
+    The constructor walks the members with each member's row and rank step,
+    then takes the pair counts and the bounds built from them.  Members are
+    walked in blocks of n - rank (at least one), and each block's rows are
+    reduced by one ``minweight.extend_echelon`` call against the echelon
+    basis kept here: the rank can reach n only on the last row of a block,
+    so the walk stops at the rank bound as a row-at-a-time walk would.  Hold
+    one scan to ask it about many bounds; the library keeps no reference
+    to it.
     """
-    if fam.spec != ev.spec:
-        raise DomainError(
-            "field mismatch: the family and the points use different fields"
-        )
-    n = ev.n
-    t = _tables(ev.spec)
-    evaluate = _PointwiseRows(fam, ev)
-    tables = _kernel_tables(t, backend)
-    basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
 
-    members = []
-    exponents = []
-    rows = []
-    jump = []
-    rank_after = []
-    rank = 0
-    walker = walk(delta)
-    # Only positive members can be the rank bound; members[0] is zero.
-    while rank < n or len(members) == 1:
-        if len(members) >= horizon:
+    def __init__(
+        self,
+        delta,
+        fam: ApproximateFamily,
+        ev: EvalMap,
+        horizon: int = DEFAULT_HORIZON,
+        backend: str | None = None,
+    ) -> None:
+        if fam.spec != ev.spec:
             raise DomainError(
-                f"rank ceiling: rank {rank} of {n} after {horizon} members"
+                "field mismatch: the family and the points use different fields"
             )
-        start, block = len(members), []
-        for current, rep in islice(walker, min(max(n - rank, 1), horizon - start)):
-            exps = _fit_exponents(fam, rep.exponents)
-            row = tuple(evaluate.row(exps))
-            members.append(current)
-            exponents.append(exps)
-            rows.append(row)
-            block.extend(row)
-        flags = minweight.extend_echelon(
-            block, len(members) - start, n, ev.spec.q, *tables, basis, pivots, rank,
-            backend=backend,
-        )
-        for flag in flags:
-            rank += flag
-            jump.append(flag == 1)
-            rank_after.append(rank)
+        n = ev.n
+        t = _tables(ev.spec)
+        evaluate = _PointwiseRows(fam, ev)
+        tables = _kernel_tables(t, backend)
+        basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
 
-    omega_index = len(members) - 1
-    weights = _pair_counts(members)
+        members = []
+        exponents = []
+        rows = []
+        jump = []
+        rank_after = []
+        rank = 0
+        walker = walk(delta)
+        # Only positive members can be the rank bound; members[0] is zero.
+        while rank < n or len(members) == 1:
+            if len(members) >= horizon:
+                raise DomainError(
+                    f"rank ceiling: rank {rank} of {n} after {horizon} members"
+                )
+            start, block = len(members), []
+            for current, rep in islice(walker, min(max(n - rank, 1), horizon - start)):
+                exps = _fit_exponents(fam, rep.exponents)
+                row = tuple(evaluate.row(exps))
+                members.append(current)
+                exponents.append(exps)
+                rows.append(row)
+                block.extend(row)
+            flags = minweight.extend_echelon(
+                block, len(members) - start, n, ev.spec.q, *tables, basis, pivots, rank,
+                backend=backend,
+            )
+            for flag in flags:
+                rank += flag
+                jump.append(flag == 1)
+                rank_after.append(rank)
 
-    suffix_all: list[int] = [0] * len(members)
-    suffix_jump: list[int | None] = [None] * len(members)
-    best = weights[-1]
-    best_jump = weights[-1] if jump[-1] else None
-    for i in range(len(members) - 1, -1, -1):
-        best = min(best, weights[i])
-        if jump[i]:
-            best_jump = weights[i] if best_jump is None else min(best_jump, weights[i])
-        suffix_all[i] = best
-        suffix_jump[i] = best_jump
+        omega_index = len(members) - 1
+        weights = _pair_counts(members)
 
-    suffix_prod: list[int] = [0] * len(members)
-    best_prod = None
-    for i in range(omega_index - 1, -1, -1):
-        prod = 1
-        for a in exponents[i]:
-            prod *= a + 1
-        best_prod = prod - 2 if best_prod is None else min(best_prod, prod - 2)
-        suffix_prod[i] = best_prod
+        suffix_all: list[int] = [0] * len(members)
+        suffix_jump: list[int | None] = [None] * len(members)
+        best = weights[-1]
+        best_jump = weights[-1] if jump[-1] else None
+        for i in range(len(members) - 1, -1, -1):
+            best = min(best, weights[i])
+            if jump[i]:
+                best_jump = weights[i] if best_jump is None else min(best_jump, weights[i])
+            suffix_all[i] = best
+            suffix_jump[i] = best_jump
 
-    return _ScanData(
-        tuple(members),
-        tuple(exponents),
-        tuple(rows),
-        tuple(jump),
-        tuple(rank_after),
-        omega_index,
-        tuple(weights),
-        tuple(suffix_all),
-        tuple(suffix_jump),
-        tuple(suffix_prod),
-    )
+        suffix_prod: list[int] = [0] * len(members)
+        best_prod = None
+        for i in range(omega_index - 1, -1, -1):
+            prod = 1
+            for a in exponents[i]:
+                prod *= a + 1
+            best_prod = prod - 2 if best_prod is None else min(best_prod, prod - 2)
+            suffix_prod[i] = best_prod
 
+        self.delta = delta
+        self.spec = ev.spec
+        self.n = n
+        self.members = tuple(members)          # ascending, members[0] = 0
+        self.exponents = tuple(exponents)      # fitted representation per member
+        self.rows = tuple(rows)                # encoded evaluation row per member
+        self.jump = tuple(jump)                # whether the rank grew at this member
+        self.rank_after = tuple(rank_after)    # rank of the first i + 1 rows
+        self.omega_index = omega_index         # index of the rank bound Omega_n
+        self.weights = tuple(weights)          # ordered-pair count per member
+        self.suffix_all = tuple(suffix_all)    # min weight over members[i:]
+        self.suffix_jump = tuple(suffix_jump)  # same, restricted to jump members
+        self.suffix_prod = tuple(suffix_prod)  # min product bound over [i, Omega_n)
 
-@lru_cache(maxsize=None)
-def _scan(delta, fam: ApproximateFamily, ev: EvalMap) -> _ScanData:
-    return _build_scan(delta, fam, ev, DEFAULT_HORIZON)
+    @property
+    def omega_n(self):
+        """The least positive member whose evaluation space has full rank."""
+        return self.members[self.omega_index]
 
+    def _index(self, alpha) -> int | None:
+        """Index of alpha in the members, None when beyond the rank bound."""
+        lo, hi = 0, self.omega_index
+        if compare(alpha, self.members[hi]) > 0:
+            return None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if compare(self.members[mid], alpha) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
-def _member_index(data: _ScanData, alpha) -> int | None:
-    """Index of alpha in the scan members, None when beyond the rank bound."""
-    lo, hi = 0, data.omega_index
-    if compare(alpha, data.members[hi]) > 0:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare(data.members[mid], alpha) < 0:
-            lo = mid + 1
+    def _parity_rows(self, i: int) -> list[tuple[int, ...]]:
+        """The encoded rows at rank steps up to members[i]: a basis of the
+        evaluation space there."""
+        return [self.rows[j] for j in range(i + 1) if self.jump[j]]
+
+    def code_at(self, alpha) -> CodePair:
+        """The evaluation space and dual code at a semigroup member."""
+        represent(self.delta, alpha)
+        idx = self._index(alpha)
+        enc = self._parity_rows(self.omega_index if idx is None else idx)
+        by_val = _tables(self.spec).by_val
+        gen_e = tuple(tuple(by_val[v] for v in row) for row in enc)
+        _, kernel = rank_nullspace_ints([list(row) for row in enc], self.n, self.spec)
+        gen_c = tuple(tuple(by_val[v] for v in row) for row in kernel)
+        return CodePair(alpha, gen_e, len(enc), gen_c, self.n - len(enc))
+
+    def feng_rao(self, alpha, literal: bool = False):
+        """The weight bound, its strict-step variant, and the product bound.
+
+        Returns ``(d_fr, d_ev, fr_product_bound)`` for the dual code at
+        alpha.  With ``literal=True`` the strict-step variant instead ranges
+        over members whose successor is a strict step, which shifts the
+        candidate set down by one member and can run dry near the rank bound.
+        """
+        represent(self.delta, alpha)
+        idx = self._index(alpha)
+        if idx is None or idx == self.omega_index:
+            raise DomainError("dual code is zero at and beyond the rank bound")
+        d_fr = self.suffix_all[idx + 1]
+        if literal:
+            candidates = [
+                self.weights[j]
+                for j in range(idx + 1, self.omega_index)
+                if self.jump[j + 1]
+            ]
+            if not candidates:
+                raise DomainError("no dual jump above alpha")
+            d_ev = min(candidates)
         else:
-            hi = mid
-    return lo
-
-
-# --- codes at a bound -------------------------------------------------------
-
-
-def code_at(delta, fam: ApproximateFamily, ev: EvalMap, alpha) -> CodePair:
-    """The evaluation space and dual code at a semigroup member."""
-    represent(delta, alpha)
-    data = _scan(delta, fam, ev)
-    by_val = _tables(ev.spec).by_val
-    idx = _member_index(data, alpha)
-    if idx is None:
-        rank = ev.n
-        top = data.omega_index
-    else:
-        rank = data.rank_after[idx]
-        top = idx
-    enc = [data.rows[j] for j in range(top + 1) if data.jump[j]][:rank]
-    gen_e = tuple(tuple(by_val[v] for v in row) for row in enc)
-    _, kernel = rank_nullspace_ints([list(row) for row in enc], ev.n, ev.spec)
-    gen_c = tuple(tuple(by_val[v] for v in row) for row in kernel)
-    return CodePair(alpha, gen_e, rank, gen_c, ev.n - rank)
-
-
-def omega_n_bound(delta, fam: ApproximateFamily, ev: EvalMap, horizon: int | None = None):
-    """The least positive member whose evaluation space has full rank."""
-    if horizon is None:
-        data = _scan(delta, fam, ev)
-    else:
-        data = _build_scan(delta, fam, ev, horizon)
-    return data.members[data.omega_index]
-
-
-def feng_rao(delta, fam: ApproximateFamily, ev: EvalMap, alpha, literal: bool = False):
-    """The weight bound, its strict-step variant, and the product bound.
-
-    Returns ``(d_fr, d_ev, fr_product_bound)`` for the dual code at alpha.
-    With ``literal=True`` the strict-step variant instead ranges over members
-    whose successor is a strict step, which shifts the candidate set down by
-    one member and can run dry near the rank bound.
-    """
-    represent(delta, alpha)
-    data = _scan(delta, fam, ev)
-    idx = _member_index(data, alpha)
-    if idx is None or idx == data.omega_index:
-        raise DomainError("dual code is zero at and beyond the rank bound")
-    d_fr = data.suffix_all[idx + 1]
-    if literal:
-        candidates = [
-            data.weights[j]
-            for j in range(idx + 1, data.omega_index + 1)
-            if j + 1 <= data.omega_index and data.jump[j + 1]
-        ]
-        if not candidates:
-            raise DomainError("no dual jump above alpha")
-        d_ev = min(candidates)
-    else:
-        d_ev = data.suffix_jump[idx + 1]
-    return (d_fr, d_ev, data.suffix_prod[idx])
+            d_ev = self.suffix_jump[idx + 1]
+        return (d_fr, d_ev, self.suffix_prod[idx])
 
 
 # --- minimum distance -------------------------------------------------------
@@ -426,11 +411,6 @@ def min_distance(code: CodePair, backend: str | None = None) -> int:
 # --- the Goppa-style estimate -----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gap_count(star: tuple[int, ...]) -> int:
-    return len(gaps(star))
-
-
 def _chi(star: tuple[int, ...], value: int) -> int:
     return len(members_below(star, value)) - 1
 
@@ -461,7 +441,7 @@ def _least_scalar_above(u: tuple[int, int], t: tuple[int, int]) -> int:
 
 
 def _goppa_of_star(star: tuple[int, ...], least_member_above, b_top: int) -> int:
-    xi = _gap_count(star)
+    xi = gap_count_telescopic(validate_n(star))
     best = None
     for j in range(b_top + 1):
         d_j = (_chi(star, least_member_above(j)) + 1 - xi) * (j + 1)
@@ -536,7 +516,7 @@ def goppa_distance(delta, alpha) -> int:
         s_eff = max(s_last, 1)
         star = denormalize(normalize(stage)[: s_eff + 1])
         value = sum(a * v for a, v in zip(rep.exponents, star))
-        return _chi(star, value) + 1 - _gap_count(star)
+        return _chi(star, value) + 1 - gap_count_telescopic(validate_n(star))
 
     raise DomainError("unsupported sequence kind")
 
@@ -557,11 +537,11 @@ def scan_table(
     between zero and the rank bound; ``full`` reports every member below the
     rank bound, zero included.  ``limit`` caps the number of rows.
     """
-    data = _scan(delta, fam, ev)
+    scan = Scan(delta, fam, ev)
     if mode == "jumps":
-        indices = [i for i in range(1, data.omega_index) if data.jump[i]]
+        indices = [i for i in range(1, scan.omega_index) if scan.jump[i]]
     elif mode == "full":
-        indices = list(range(data.omega_index))
+        indices = list(range(scan.omega_index))
     else:
         raise DomainError(f"unknown mode: {mode!r}")
     if limit is not None:
@@ -575,25 +555,25 @@ def scan_table(
     floor = 1
     out = []
     for i in indices:
-        rank = data.rank_after[i]
+        rank = scan.rank_after[i]
         if rank == ev.n:
             d = None
         elif rank in distances:
             d = distances[rank]
         else:
-            enc = [data.rows[j] for j in range(i + 1) if data.jump[j]][:rank]
+            enc = scan._parity_rows(i)
             d = floor = _distance_of_rows(ev.spec, enc, ev.n, wmin=floor)
             distances[rank] = d
         out.append(
             TableRow(
-                data.members[i],
-                data.exponents[i],
+                scan.members[i],
+                scan.exponents[i],
                 ev.n - rank,
                 d,
-                data.suffix_jump[i + 1],
-                data.suffix_all[i + 1],
-                data.suffix_prod[i],
-                goppa_distance(delta, data.members[i]),
+                scan.suffix_jump[i + 1],
+                scan.suffix_all[i + 1],
+                scan.suffix_prod[i],
+                goppa_distance(delta, scan.members[i]),
             )
         )
     return out

@@ -178,27 +178,9 @@ def denormalize(values) -> tuple[int, ...]:
     return tuple(int(f * lcm) for f in fracs)
 
 
-def contains(gens, value: int) -> bool:
-    """Whether value lies in the numerical semigroup generated by gens."""
-    if value < 0:
-        return False
-    reach = bytearray(value + 1)
-    reach[0] = 1
-    gs = sorted({int(v) for v in gens if v > 0})
-    for v in range(1, value + 1):
-        for d in gs:
-            if d > v:
-                break
-            if reach[v - d]:
-                reach[v] = 1
-                break
-    return bool(reach[value])
-
-
-def members_below(gens, bound: int) -> list[int]:
-    """Sorted members of the semigroup of gens that are <= bound."""
-    if bound < 0:
-        return []
+def _sieve(gens, bound: int) -> bytearray:
+    """reach[v] = 1 exactly for the members v <= bound (bound >= 0) of the
+    semigroup of gens."""
     reach = bytearray(bound + 1)
     reach[0] = 1
     gs = sorted({int(v) for v in gens if v > 0})
@@ -209,6 +191,19 @@ def members_below(gens, bound: int) -> list[int]:
             if reach[v - d]:
                 reach[v] = 1
                 break
+    return reach
+
+
+def contains(gens, value: int) -> bool:
+    """Whether value lies in the numerical semigroup generated by gens."""
+    return value >= 0 and bool(_sieve(gens, value)[value])
+
+
+def members_below(gens, bound: int) -> list[int]:
+    """Sorted members of the semigroup of gens that are <= bound."""
+    if bound < 0:
+        return []
+    reach = _sieve(gens, bound)
     return [v for v in range(bound + 1) if reach[v]]
 
 
@@ -223,11 +218,8 @@ def gaps(gens) -> list[int]:
     if acc != 1:
         raise DomainError("gap set is infinite unless the gcd of generators is 1")
     bound = gs[0] * gs[-1] + 1
-    members = members_below(gs, bound)
-    present = bytearray(bound + 1)
-    for v in members:
-        present[v] = 1
-    return [v for v in range(1, bound + 1) if not present[v]]
+    reach = _sieve(gs, bound)
+    return [v for v in range(1, bound + 1) if not reach[v]]
 
 
 def gap_count_telescopic(delta: DeltaN) -> int:

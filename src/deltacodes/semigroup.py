@@ -154,12 +154,8 @@ class _Engine:
             lo, hi = hi, self.add(hi, hi)
 
 
-class _IntegerEngine(_Engine):
-    """The integer sequence's own telescopic semigroup."""
-
-    def __init__(self, delta: DeltaN) -> None:
-        self.delta = delta
-        self.bounds = (None,) + tuple(delta.structure.n)
+class _RationalEngine(_Engine):
+    """Arithmetic shared by the kinds whose members are rational numbers."""
 
     def lift(self, value) -> RatValue:
         if isinstance(value, RatValue):
@@ -169,14 +165,22 @@ class _IntegerEngine(_Engine):
     def zero(self) -> RatValue:
         return RatValue(Fraction(0))
 
-    def generators(self) -> tuple[RatValue, ...]:
-        return tuple(RatValue(Fraction(v)) for v in self.delta.deltas)
-
     def add(self, a: RatValue, b: RatValue) -> RatValue:
         return RatValue(a.value + b.value)
 
     def sub(self, a: RatValue, b: RatValue) -> RatValue:
         return RatValue(a.value - b.value)
+
+
+class _IntegerEngine(_RationalEngine):
+    """The integer sequence's own telescopic semigroup."""
+
+    def __init__(self, delta: DeltaN) -> None:
+        self.delta = delta
+        self.bounds = (None,) + tuple(delta.structure.n)
+
+    def generators(self) -> tuple[RatValue, ...]:
+        return tuple(RatValue(Fraction(v)) for v in self.delta.deltas)
 
     def represent(self, value: RatValue) -> Representation:
         if value.value < 0:
@@ -387,7 +391,7 @@ class _QuadraticEngine(_Engine):
         ]
 
 
-class _ChainEngine(_Engine):
+class _ChainEngine(_RationalEngine):
     """Rational chain; every query works inside a stage whose next generator
     would already exceed the query bound.  The stages beyond the sequence's
     own are grown once and kept as a ladder."""
@@ -398,22 +402,8 @@ class _ChainEngine(_Engine):
         # appended[k]: the generator that ladder[k + 1] appends, normalized.
         self.appended: list[Fraction] = []
 
-    def lift(self, value) -> RatValue:
-        if isinstance(value, RatValue):
-            return value
-        raise DomainError("value kind mismatch")
-
-    def zero(self) -> RatValue:
-        return RatValue(Fraction(0))
-
     def generators(self) -> tuple[RatValue, ...]:
         return tuple(RatValue(v) for v in self.delta.generators())
-
-    def add(self, a: RatValue, b: RatValue) -> RatValue:
-        return RatValue(a.value + b.value)
-
-    def sub(self, a: RatValue, b: RatValue) -> RatValue:
-        return RatValue(a.value - b.value)
 
     def covering_stage(self, bound: Fraction) -> DeltaN:
         while not self.appended or self.appended[-1] <= bound:
@@ -449,7 +439,9 @@ class _ChainEngine(_Engine):
         return [(RatValue(Fraction(v, scale)), Representation(exps, bounds)) for v, exps in rows]
 
 
-@lru_cache(maxsize=None)
+# Bounded: an engine keeps the chain's stage ladder, and one that is evicted
+# is rebuilt with the same results.
+@lru_cache(maxsize=16)
 def _engine(delta):
     if isinstance(delta, DeltaN):
         return _IntegerEngine(delta)

@@ -2,7 +2,7 @@
 
 Field specs, the standard point sets, the delta-sequences behind the published
 parameter scans, and the evaluation maps built from them.  Everything here is
-a module-level singleton so repeated imports share the library caches.
+a module-level singleton, shared by every test module that imports it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Acceptance suite: reference constructions, parameter tables, properties.
 
 Every test re-derives one block of the reference data from scratch (fresh
-evaluation maps, so no scan cache can hide cost) and compares cell by cell
-at the stated tolerances.  One PASS/FAIL line per block is printed outside
+evaluation maps, and a fresh scan per table) and compares cell by cell at
+the stated tolerances.  One PASS/FAIL line per block is printed outside
 the capture machinery so a full run reads as a checklist.
 
 Reference cells that our recomputation contradicts are asserted faithfully
@@ -27,10 +27,9 @@ from deltacodes.approximants import basis_for, build_approximates
 from deltacodes.codes import (
     CodePair,
     EvalMap,
-    code_at,
+    Scan,
     evaluation_matrix,
     min_distance,
-    omega_n_bound,
     scan_table,
 )
 from deltacodes.deltaseq import gap_count_telescopic, gaps
@@ -623,11 +622,10 @@ class TestPropertySuite:
         ]
         produced = 0
         for label, delta, spec, ev in combos:
-            fam = build_approximates(delta, spec)
-            top = omega_n_bound(delta, fam, ev)
+            scan = Scan(delta, build_approximates(delta, spec), ev)
             seen_dims: set[int] = set()
-            for value, _ in enumerate_upto(delta, top):
-                code = code_at(delta, fam, ev, value)
+            for value, _ in enumerate_upto(delta, scan.omega_n):
+                code = scan.code_at(value)
                 if code.dim_e in seen_dims:
                     continue
                 seen_dims.add(code.dim_e)

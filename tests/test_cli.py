@@ -321,6 +321,40 @@ class TestTable:
         assert capsys.readouterr().err.startswith("error[domain]:")
 
 
+# One config per sequence kind over the twelve points of the golden table,
+# with a semigroup bound for each.
+KIND_DELTAS = {
+    "N": (DELTA_N, "40"),
+    "C": ("[delta]\ntype = C\nunder = 11 9\n", "10 2"),
+    "D": (DELTA_D, "3 2"),
+    "E": (DELTA_E, "6"),
+}
+
+
+class TestInProcessDeterminism:
+    def test_repeated_jobs_print_identical_output(self, tmp_path, capsys):
+        """Every job prints the same bytes when run again in the same
+        process after the other jobs ran in between."""
+        points = PLANAR.read_text().partition("[points]")[2]
+        jobs = []
+        for kind, (delta, bound) in KIND_DELTAS.items():
+            path = tmp_path / f"{kind}.cfg"
+            path.write_text(FIELD_7 + delta + "[points]" + points + f"\n[job]\nbound = {bound}\n")
+            jobs += [("table", "--config", str(path)), ("semigroup", "--config", str(path))]
+
+        def outputs(order):
+            out = {}
+            for job in order:
+                assert main(list(job)) == 0
+                out[job] = capsys.readouterr().out
+            return out
+
+        first = outputs(jobs)
+        assert all(first.values())
+        assert outputs(jobs[::-1]) == first
+        assert outputs(jobs[1::2] + jobs[::2]) == first
+
+
 class TestEntryPoint:
     def test_module_invocation_exit_codes(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
+from itertools import islice
+from math import gcd
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from deltacodes import codes
 from deltacodes.approximants import (
     _fit_exponents,
     basis_element,
@@ -18,23 +25,18 @@ from deltacodes.codes import (
     DEFAULT_HORIZON,
     CodePair,
     EvalMap,
+    Scan,
     _PointwiseRows,
-    _ScanData,
-    _build_scan,
-    _scan,
-    code_at,
     evaluation_matrix,
-    feng_rao,
     goppa_distance,
     min_distance,
-    omega_n_bound,
     render_value,
     scan_table,
     table_csv,
 )
-from deltacodes.deltaseq import validate_n
+from deltacodes.deltaseq import gap_count_telescopic, gaps, validate_n
 from deltacodes.errors import DomainError
-from deltacodes.genesis import build_type_e
+from deltacodes.genesis import build_type_c, build_type_e
 from deltacodes.gf import _tables, rank_nullspace_ints
 from deltacodes.minweight import available_backends
 from deltacodes.semigroup import (
@@ -48,11 +50,12 @@ from deltacodes.semigroup import (
 )
 
 from helpers import (
-    CH119, CH75, DN119, DR119, DR75, DZ119, DZ427, DZ75, EV32_B, EV7, F7, F32, PAIRS_F32_B,
-    xi_points,
+    CH119, CH75, CH_BIG, DN119, DR119, DR75, DR_BIG_A, DR_BIG_B, DZ119, DZ2029, DZ427, DZ75,
+    DZ_BIG, EV32_B, EV7, F7, F32, PAIRS_F32_B, UNDER_2029, UNDER_BIG, xi_points,
 )
 
 FAM7 = build_approximates(DZ119, F7)
+SCAN7 = Scan(DZ119, FAM7, EV7)
 
 # Scan of the {11,9}-family codes over the 12 standard F_7 points: one entry
 # per strict-inclusion step of the dual chain, smallest member first.
@@ -156,7 +159,7 @@ class TestPointwiseRows:
     )
     def test_scan_rows_equal_the_evaluation_matrix(self, delta, spec, ev):
         fam = build_approximates(delta, spec)
-        data = _scan(delta, fam, ev)
+        data = Scan(delta, fam, ev)
         basis = basis_for(delta, fam, data.members[-1])
         assert [b.weight for b in basis] == list(data.members)
         matrix = evaluation_matrix(ev, basis)
@@ -166,25 +169,25 @@ class TestPointwiseRows:
 class TestCodeAt:
     def test_dimensions_along_the_whole_scan(self):
         for pair, k in zip(SCAN119["alpha"], SCAN119["k"]):
-            code = code_at(DZ119, FAM7, EV7, lex(pair))
+            code = SCAN7.code_at(lex(pair))
             assert code.k == k
             assert code.dim_e == 12 - k
             assert len(code.gen_e) == code.dim_e
             assert len(code.gen_c) == code.k
 
     def test_zero_bound_gives_the_full_dual(self):
-        code = code_at(DZ119, FAM7, EV7, LexValue(0, 0))
+        code = SCAN7.code_at(LexValue(0, 0))
         assert code.dim_e == 1
         assert code.k == 11
 
     def test_generator_rows_are_independent(self):
-        code = code_at(DZ119, FAM7, EV7, lex((9, 2)))
+        code = SCAN7.code_at(lex((9, 2)))
         ints = [[int(v) for v in row] for row in code.gen_e]
         rank, _ = rank_nullspace_ints(ints, 12, F7)
         assert rank == code.dim_e == 5
 
     def test_duality_of_the_two_generators(self):
-        code = code_at(DZ119, FAM7, EV7, lex((13, 3)))
+        code = SCAN7.code_at(lex((13, 3)))
         for erow in code.gen_e:
             for crow in code.gen_c:
                 acc = F7.zero
@@ -194,26 +197,26 @@ class TestCodeAt:
 
     def test_non_member_bound_is_rejected(self):
         with pytest.raises(DomainError, match="not a member"):
-            code_at(DZ119, FAM7, EV7, LexValue(7, 2))
+            SCAN7.code_at(LexValue(7, 2))
 
     def test_field_mismatch_is_rejected(self):
         ev32 = EvalMap(F32, [(1, 2), (3, 4)])
         with pytest.raises(DomainError, match="field mismatch"):
-            code_at(DZ119, FAM7, ev32, lex((4, 1)))
+            Scan(DZ119, FAM7, ev32)
 
 
 class TestOmegaBound:
     def test_rank_bound_for_the_twelve_points(self):
-        assert omega_n_bound(DZ119, FAM7, EV7) == LexValue(21, 5)
+        assert SCAN7.omega_n == LexValue(21, 5)
 
     def test_single_point_bound_is_the_first_positive_member(self):
         ev = EvalMap(F7, [(1, 1)])
-        assert omega_n_bound(DZ119, FAM7, ev) == successor(DZ119, LexValue(0, 0))
-        assert omega_n_bound(DZ119, FAM7, ev) == LexValue(4, 1)
+        assert Scan(DZ119, FAM7, ev).omega_n == successor(DZ119, LexValue(0, 0))
+        assert Scan(DZ119, FAM7, ev).omega_n == LexValue(4, 1)
 
     def test_horizon_cap_raises(self):
         with pytest.raises(DomainError, match="rank ceiling"):
-            omega_n_bound(DZ119, FAM7, EV7, horizon=3)
+            Scan(DZ119, FAM7, EV7, horizon=3)
 
 
 class TestFengRao:
@@ -221,24 +224,24 @@ class TestFengRao:
         for pair, d_fr, d_ev, bound in zip(
             SCAN119["alpha"], SCAN119["d_fr"], SCAN119["d_ev"], SCAN119["fr_bound"]
         ):
-            assert feng_rao(DZ119, FAM7, EV7, lex(pair)) == (d_fr, d_ev, bound)
+            assert SCAN7.feng_rao(lex(pair)) == (d_fr, d_ev, bound)
 
     def test_order_bound_at_an_interior_member(self):
         # Weights above (12,3): the minimum over the strict-inclusion steps
         # is attained at (16,4), not at the first candidate.
-        assert feng_rao(DZ119, FAM7, EV7, lex((12, 3)))[1] == 5
+        assert SCAN7.feng_rao(lex((12, 3)))[1] == 5
 
     def test_literal_step_test_shifts_the_candidate_set(self):
-        assert feng_rao(DZ119, FAM7, EV7, lex((17, 4)), literal=True) == (5, 5, 3)
-        assert feng_rao(DZ119, FAM7, EV7, lex((17, 4))) == (5, 6, 3)
+        assert SCAN7.feng_rao(lex((17, 4)), literal=True) == (5, 5, 3)
+        assert SCAN7.feng_rao(lex((17, 4))) == (5, 6, 3)
 
     def test_literal_step_test_can_run_dry(self):
         with pytest.raises(DomainError, match="no dual jump above alpha"):
-            feng_rao(DZ119, FAM7, EV7, lex((20, 5)), literal=True)
+            SCAN7.feng_rao(lex((20, 5)), literal=True)
 
     def test_zero_dual_is_rejected(self):
         with pytest.raises(DomainError, match="dual code is zero"):
-            feng_rao(DZ119, FAM7, EV7, lex((21, 5)))
+            SCAN7.feng_rao(lex((21, 5)))
 
 
 def brute_min_weight(code: CodePair) -> int:
@@ -276,11 +279,11 @@ def random_code(rng: random.Random, n: int, dim_e: int) -> CodePair:
 class TestMinDistance:
     def test_distances_along_the_whole_scan(self):
         for pair, d in zip(SCAN119["alpha"], SCAN119["d"]):
-            code = code_at(DZ119, FAM7, EV7, lex(pair))
+            code = SCAN7.code_at(lex(pair))
             assert min_distance(code) == d
 
     def test_backends_agree_on_a_scan_member(self):
-        code = code_at(DZ119, FAM7, EV7, lex((10, 2)))
+        code = SCAN7.code_at(lex((10, 2)))
         assert min_distance(code, backend="pure") == 4
 
     def test_matches_exhaustive_enumeration(self):
@@ -290,7 +293,7 @@ class TestMinDistance:
             assert min_distance(code) == brute_min_weight(code)
 
     def test_zero_code_is_rejected(self):
-        code = code_at(DZ119, FAM7, EV7, lex((21, 5)))
+        code = SCAN7.code_at(lex((21, 5)))
         assert code.k == 0
         with pytest.raises(DomainError, match="zero code"):
             min_distance(code)
@@ -328,6 +331,50 @@ class TestGoppaDistance:
     def test_genus_zero_family_is_rejected(self):
         with pytest.raises(DomainError):
             goppa_distance(validate_n((1,)), RatValue(Fraction(3)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_gap_count_equals_the_sieve(self, data):
+        """Every star the estimate scales out of a family is telescopic, and
+        its closed-form gap count equals the sieve's count of its gaps."""
+        delta = data.draw(st.one_of(st.sampled_from(GOPPA_FAMILIES), built_families()))
+        value, _ = next(islice(walk(delta), data.draw(st.integers(0, 30)), None))
+        stars = []
+
+        def spy(star):
+            stars.append(star)
+            return gap_count_telescopic(star)
+
+        with mock.patch.object(codes, "gap_count_telescopic", side_effect=spy):
+            goppa_distance(delta, value)
+        assert len(stars) == 1
+        star = stars[0].deltas
+        # the sieve runs up to the product of the least and largest entries;
+        # chain stages grow geometrically, so keep to the stars it can finish
+        assume(min(star) * max(star) <= 10**5)
+        assert gap_count_telescopic(stars[0]) == len(gaps(star))
+
+
+# Families of all four kinds for the gap-count check; the quadratic kind needs
+# tail digits fitted to its sequence, so it comes from the shared fixtures only.
+GOPPA_FAMILIES = [
+    DN119, validate_n(UNDER_BIG), validate_n(UNDER_2029), DZ119, DZ_BIG, DZ2029, DZ427,
+    DR119, DR75, DR_BIG_A, DR_BIG_B, CH119, CH75, CH_BIG,
+]
+
+
+@st.composite
+def built_families(draw):
+    """An integer, planar or chain family over a random coprime pair a > b + 1
+    (the planar expansion needs a slope)."""
+    a = draw(st.integers(5, 12))
+    b = draw(st.integers(2, a - 2).filter(lambda b: gcd(a, b) == 1))
+    build = draw(st.sampled_from(["integer", "planar", "chain"]))
+    if build == "integer":
+        return validate_n((a, b))
+    if build == "planar":
+        return build_type_c((a, b))
+    return build_type_e((a, b), 2)
 
 
 class TestScanTable:
@@ -394,8 +441,9 @@ class TestScanFloor:
         fam = build_approximates(delta, ev.spec)
         rows = scan_table(delta, fam, ev, mode=mode, limit=limit)
         assert rows and (limit is None or len(rows) == limit)
+        scan = Scan(delta, fam, ev)
         for row in rows:
-            code = code_at(delta, fam, ev, row.alpha)
+            code = scan.code_at(row.alpha)
             assert row.d == min_distance(code)
 
 
@@ -455,17 +503,19 @@ def row_at_a_time_scan(delta, fam, ev, horizon):
             prod *= a + 1
         best_prod = prod - 2 if best_prod is None else min(best_prod, prod - 2)
         suffix_prod[i] = best_prod
-    return _ScanData(
-        tuple(members), tuple(exponents), tuple(rows), tuple(jump), tuple(rank_after),
-        omega_index, tuple(weights), tuple(suffix_all[::-1]), tuple(suffix_jump[::-1]),
-        tuple(suffix_prod),
+    return SimpleNamespace(
+        delta=delta, spec=ev.spec, n=n,
+        members=tuple(members), exponents=tuple(exponents), rows=tuple(rows),
+        jump=tuple(jump), rank_after=tuple(rank_after), omega_index=omega_index,
+        weights=tuple(weights), suffix_all=tuple(suffix_all[::-1]),
+        suffix_jump=tuple(suffix_jump[::-1]), suffix_prod=tuple(suffix_prod),
     )
 
 
 def scan_outcome(build, *args):
-    """The scan data, or the DomainError text it raised."""
+    """The scan's attributes by name, or the DomainError text it raised."""
     try:
-        return build(*args)
+        return vars(build(*args))
     except DomainError as exc:
         return str(exc)
 
@@ -492,18 +542,19 @@ class TestBlockScan:
         delta = SCAN_KINDS[kind]
         fam = build_approximates(delta, ev.spec)
         expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, DEFAULT_HORIZON)
-        data = scan_outcome(_build_scan, delta, fam, ev, DEFAULT_HORIZON, backend)
+        data = scan_outcome(Scan, delta, fam, ev, DEFAULT_HORIZON, backend)
         if isinstance(expected, str):
             assert data == expected
             return
-        for name in _ScanData.__dataclass_fields__:
-            assert getattr(data, name) == getattr(expected, name), name
+        assert data.keys() == expected.keys()
+        for name, value in expected.items():
+            assert data[name] == value, name
 
     @pytest.mark.parametrize("kind", sorted(SCAN_KINDS))
     @pytest.mark.parametrize("ev", [EV7, EV32_SMALL], ids=["F7", "F32"])
     def test_pair_counts_equal_omega(self, kind, ev):
         delta = SCAN_KINDS[kind]
-        data = _build_scan(delta, build_approximates(delta, ev.spec), ev, DEFAULT_HORIZON)
+        data = Scan(delta, build_approximates(delta, ev.spec), ev)
         assert data.weights == tuple(omega(delta, m) for m in data.members)
 
     @pytest.mark.parametrize("kind", sorted(SCAN_KINDS))
@@ -511,12 +562,12 @@ class TestBlockScan:
     def test_every_horizon_stops_where_the_row_at_a_time_scan_did(self, kind, ev):
         delta = SCAN_KINDS[kind]
         fam = build_approximates(delta, ev.spec)
-        top = len(_build_scan(delta, fam, ev, DEFAULT_HORIZON).members)
+        top = len(Scan(delta, fam, ev).members)
         for horizon in range(top + 2):
             expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, horizon)
             assert isinstance(expected, str) == (horizon < top)
             for backend in available_backends():
-                got = scan_outcome(_build_scan, delta, fam, ev, horizon, backend)
+                got = scan_outcome(Scan, delta, fam, ev, horizon, backend)
                 assert got == expected, (horizon, backend)
 
 
@@ -552,3 +603,22 @@ class TestReedSolomonEquivalence:
                 [r[:] for r in ours] + [r[:] for r in vand], 6, F7
             )
             assert r_ours == r_vand == r_both == level + 1
+
+
+class TestBoundedState:
+    def test_no_evaluation_map_outlives_its_scans(self):
+        """Neither scan_table nor a scan held while it answers queries keeps
+        an evaluation map alive once the caller lets go of both."""
+        rng = random.Random(1000)
+        cells = [(x, y) for x in range(7) for y in range(7)]
+        refs = []
+        for _ in range(1000):
+            ev = EvalMap(F7, rng.sample(cells, 5))
+            scan_table(DZ119, FAM7, ev)
+            scan = Scan(DZ119, FAM7, ev)
+            scan.code_at(scan.omega_n)
+            scan.feng_rao(scan.members[0])
+            refs.append(weakref.ref(ev))
+        del ev, scan
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) == 0

@@ -528,3 +528,21 @@ class TestRowListing:
         assert len({(Fraction(v, scale) + exps[-1] * DR_BIG.tail).floor() for v, exps in rows}) == 6
         assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
         assert cli_listing("quadratic", bound) == text
+
+
+class TestEngineCache:
+    def test_evicted_engine_is_rebuilt_with_the_same_results(self):
+        """The engine cache is bounded; an engine pushed out by other
+        sequences (the chain's with its stage ladder) comes back equal."""
+        for delta in (DN, DZ2, DR, DQ119):
+            engine = semigroup_module._engine(delta)
+            members = list(islice(walk(delta), 300))
+            listed = enumerate_upto(delta, members[-1][0])
+            reps = [represent(delta, v) for v, _ in members]
+            for k in range(2, 2 + semigroup_module._engine.cache_info().maxsize):
+                generators(validate_n((2 * k + 1, 2)))
+            assert semigroup_module._engine(delta) is not engine
+            # the rebuilt chain engine grows its ladder for the largest member first
+            assert [represent(delta, v) for v, _ in reversed(members)] == reps[::-1]
+            semigroup_module._engine.cache_clear()
+            assert enumerate_upto(delta, members[-1][0]) == listed
