@@ -24,7 +24,6 @@ import csv
 import io
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
@@ -34,15 +33,14 @@ from .deltaseq import (
     DeltaN,
     denormalize,
     gap_count_telescopic,
-    members_below,
     normalize,
+    telescopic_count,
     validate_n,
 )
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
 from .gf import FieldElement, FieldSpec, _tables, rank_nullspace_ints
 from .minweight import min_dependent_columns
-from .quadratics import QuadExt
 from .semigroup import (
     LexValue,
     QuadValue,
@@ -411,114 +409,45 @@ def min_distance(code: CodePair, backend: str | None = None) -> int:
 # --- the Goppa-style estimate -----------------------------------------------
 
 
-def _chi(star: tuple[int, ...], value: int) -> int:
-    return len(members_below(star, value)) - 1
-
-
-def _least_member_at_least(star: tuple[int, ...], w_min: int) -> int:
-    if w_min <= 0:
-        return 0
-    step = min(v for v in star if v > 0)
-    for v in members_below(star, w_min + step):
-        if v >= w_min:
-            return v
-    raise DomainError("member search failed")
-
-
-def _least_scalar_above(u: tuple[int, int], t: tuple[int, int]) -> int:
-    """The least integer s >= 0 with s * u lexicographically above t."""
-    ux, uy = u
-    tx, ty = t
-    if ux > 0:
-        quo, rem = divmod(tx, ux)
-        s = quo if rem == 0 and quo * uy > ty else quo + 1
-        return max(s, 0)
-    if tx < 0:
-        return 0
-    if tx > 0:
-        raise DomainError("no scalar multiple exceeds the bound")
-    return max(ty // uy + 1, 0)
-
-
-def _goppa_of_star(star: tuple[int, ...], least_member_above, b_top: int) -> int:
-    xi = gap_count_telescopic(validate_n(star))
-    best = None
-    for j in range(b_top + 1):
-        d_j = (_chi(star, least_member_above(j)) + 1 - xi) * (j + 1)
-        if best is None or d_j < best:
-            best = d_j
-    return best
-
-
 def goppa_distance(delta, alpha) -> int:
     """A one-point-code style distance estimate from the family prefix.
 
-    The estimate scales the prefix of the sequence to an integer semigroup,
-    counts its gaps, and minimises a rank-times-multiplicity expression over
-    all ways of splitting the bound along the last generator.  It can be
-    negative, in which case it carries no information.
+    Every kind but the chain is an integer telescopic head plus one free
+    generator: delta_g over the prefix divided by its gcd, the planar last
+    vector, or tau.  For j = 0, 1, ... copies of that generator, up to and
+    including the first j whose copies alone exceed alpha, it counts the
+    head members whose member with j copies is <= alpha; the estimate is
+    the least (count + 1 - gaps of the head) * (j + 1).  The chain kind
+    counts the members below alpha in the stage prefix its representation
+    uses.  The estimate can be negative, in which case it carries no
+    information.
     """
     rep = represent(delta, alpha)
-
-    if isinstance(delta, DeltaN):
-        if delta.g < 1:
-            raise DomainError("the estimate needs at least two generators")
-        prefix = delta.deltas[:-1]
-        scale = delta.structure.d[delta.g - 1]
-        star = tuple(v // scale for v in prefix)
-        last = delta.deltas[-1]
-        a = int(alpha.value)
-        b_top = a // last + 1
-
-        def above(j: int) -> int:
-            t_val = a - j * last
-            return _least_member_at_least(star, max(t_val // scale + 1, 0))
-
-        return _goppa_of_star(star, above, b_top)
-
-    if isinstance(delta, DeltaZ2):
-        w = delta.witness
-        star = w.head_c
-        last = delta.deltas[-1]
-        target = (alpha.x, alpha.y)
-        b_top = max(_least_scalar_above(last, target), 1)
-
-        def above(j: int) -> int:
-            t_vec = (target[0] - j * last[0], target[1] - j * last[1])
-            return _least_member_at_least(star, _least_scalar_above(w.u, t_vec))
-
-        return _goppa_of_star(star, above, b_top)
-
-    if isinstance(delta, DeltaR):
-        star = delta.witness.dstar.deltas
-        scale = star[1]
-        tau = delta.tail
-        if isinstance(alpha, RatValue):
-            r_part, m_part = alpha.value, 0
-        else:
-            r_part, m_part = alpha.r, alpha.m
-        ratio = QuadExt(r_part, Fraction(0), tau.d) / tau
-        b_top = m_part + ratio.floor() + 1
-
-        def above(j: int) -> int:
-            x = (QuadExt(r_part, Fraction(0), tau.d) + tau * (m_part - j)) * scale
-            return _least_member_at_least(star, max(x.floor() + 1, 0))
-
-        return _goppa_of_star(star, above, b_top)
 
     if isinstance(delta, DeltaQ):
         # the stage the representation was taken in, from the engine's ladder
         stage = _engine(delta).covering_stage(alpha.value)
-        s_last = 0
-        for i, a in enumerate(rep.exponents):
-            if a:
-                s_last = i
-        s_eff = max(s_last, 1)
-        star = denormalize(normalize(stage)[: s_eff + 1])
-        value = sum(a * v for a, v in zip(rep.exponents, star))
-        return _chi(star, value) + 1 - gap_count_telescopic(validate_n(star))
+        s_last = max((i for i, a in enumerate(rep.exponents) if a), default=0)
+        star = validate_n(denormalize(normalize(stage)[: max(s_last, 1) + 1]))
+        value = sum(a * v for a, v in zip(rep.exponents, star.deltas))
+        return telescopic_count(star, value) + 1 - gap_count_telescopic(star)
 
-    raise DomainError("unsupported sequence kind")
+    if isinstance(delta, DeltaN):
+        if delta.g < 1:
+            raise DomainError("the estimate needs at least two generators")
+        scale = delta.structure.d[delta.g - 1]
+        head = validate_n(tuple(v // scale for v in delta.deltas[:-1]))
+        last, a = delta.deltas[-1], int(alpha.value)
+        tops = ((a - j * last) // scale for j in range(a // last + 2))
+    elif isinstance(delta, (DeltaZ2, DeltaR)):
+        eng = _engine(delta)
+        head, tops = eng.head, eng.tops(eng.lift(alpha))
+    else:
+        raise DomainError("unsupported sequence kind")
+    xi = gap_count_telescopic(head)
+    return min(
+        (telescopic_count(head, top + 1) + 1 - xi) * (j + 1) for j, top in enumerate(tops)
+    )
 
 
 # --- scans and rendering ----------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .errors import DomainError
 
@@ -30,6 +31,7 @@ __all__ = [
     "members_below",
     "normalize",
     "structure_of",
+    "telescopic_count",
     "telescopic_exponents",
     "telescopic_members",
     "validate_n",
@@ -266,6 +268,25 @@ def _descend(seq, d, n, value: int) -> tuple[int, ...] | None:
     return tuple(exps)
 
 
+def _tails(delta: DeltaN, hi: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every bounded tail (gamma_1, ..., gamma_g), gamma_i < n_i, whose sum
+    s = sum gamma_i delta_i is <= hi, as pairs (s, tail) in no set order.
+
+    Representations are unique, so distinct tails have distinct sums modulo
+    delta_0: there are at most min(hi + 1, delta_0) of them.
+    """
+    seq, n = delta.deltas, delta.structure.n
+    tails = [(0, ())] if hi >= 0 else []
+    for i in range(delta.g, 0, -1):
+        step, cap = seq[i], n[i - 1]
+        tails = [
+            (s + c * step, (c,) + tail)
+            for s, tail in tails
+            for c in range(min(cap, (hi - s) // step + 1))
+        ]
+    return tails
+
+
 def telescopic_members(
     delta: DeltaN, lo: int, hi: int
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -277,26 +298,19 @@ def telescopic_members(
     the multiples of delta_0 that land in the window.  The work is the number
     of such tails plus the output, not the width of the window.
     """
-    seq, n = delta.deltas, delta.structure.n
-    first = seq[0]
-    out: list[tuple[int, tuple[int, ...]]] = []
-    tail = [0] * delta.g
-
-    def descend(i: int, s: int) -> None:
-        if i == 0:
-            rest = tuple(tail)
-            for c in range(max(0, (lo - s) // first + 1), (hi - s) // first + 1):
-                out.append((s + c * first, (c,) + rest))
-            return
-        step = seq[i]
-        for c in range(n[i - 1]):
-            total = s + c * step
-            if total > hi:
-                break
-            tail[i - 1] = c
-            descend(i - 1, total)
-        tail[i - 1] = 0
-
-    descend(delta.g, 0)
-    out.sort()
+    first = delta.deltas[0]
+    out = [
+        (s + c * first, (c,) + tail)
+        for s, tail in _tails(delta, hi)
+        for c in range(max(0, (lo - s) // first + 1), (hi - s) // first + 1)
+    ]
+    out.sort(key=itemgetter(0))  # values are distinct
     return out
+
+
+def telescopic_count(delta: DeltaN, w: int) -> int:
+    """How many members lie below w: each bounded tail s < w is completed by
+    (w - 1 - s) // delta_0 + 1 multiples of delta_0.  The work is at most
+    min(w, delta_0) tails, whatever the size of w."""
+    first = delta.deltas[0]
+    return sum((w - 1 - s) // first + 1 for s, _ in _tails(delta, w - 1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .deltaseq import DeltaN, contains, normalize, validate_n
+from .deltaseq import DeltaN, normalize, telescopic_exponents, validate_n
 from .errors import DomainError
 from .quadratics import QuadExt, sqrt_of
 
@@ -231,7 +231,7 @@ def build_type_d(dstar, digits, b: QuadExt | int = 3) -> DeltaR:
     for j in (2, 3):
         h, k = folded.convergents[j - 1]
         bar = k * nd - h
-        if not contains(seq, bar):
+        if telescopic_exponents(delta, bar) is None:
             raise DomainError(
                 f"type D condition violated: delta_bar^{j} = {bar} is outside "
                 f"the integer semigroup"

@@ -140,18 +140,35 @@ class _Engine:
     yielded once and in order.
     """
 
-    def walk(self, after=None, upto=None):
-        """Members above ``after`` and up to ``upto`` (unbounded when None)."""
+    def walk(self, after=None):
+        """Every member above ``after`` (from zero on when None), unbounded."""
         lo = after
-        if upto is not None:
-            hi = upto
-        else:
-            hi = self.add(self.zero() if after is None else after, self.generators()[0])
+        hi = self.add(self.zero() if after is None else after, self.generators()[0])
         while True:
             yield from self.values(*self.between(lo, hi))
-            if upto is not None:
-                return
             lo, hi = hi, self.add(hi, hi)
+
+
+class _HeadEngine(_Engine):
+    """A kind whose members are a member s of the integer semigroup ``head``
+    plus m times one free generator.  ``top(value, m)`` is the largest s
+    whose member with m copies is <= value, negative when there is none."""
+
+    def tops(self, value):
+        """top(value, m) for m = 0, 1, ... up to and including the first
+        negative one."""
+        top, m = 0, 0
+        while top >= 0:
+            top = self.top(value, m)
+            yield top
+            m += 1
+
+    def runs(self, lo, hi):
+        """(m, head rows) for each m: the rows (s, exps) of the head members
+        whose member with m copies lies in the window (lo, hi], by s."""
+        for m, top in enumerate(self.tops(hi)):
+            if top >= 0:
+                yield m, telescopic_members(self.head, -1 if lo is None else self.top(lo, m), top)
 
 
 class _RationalEngine(_Engine):
@@ -201,9 +218,25 @@ class _IntegerEngine(_RationalEngine):
         return [(RatValue(Fraction(v)), Representation(exps, bounds)) for v, exps in rows]
 
 
-class _PlanarEngine(_Engine):
-    """Plane-vector semigroup; the last generator is peeled off by the
-    determinant of the witness pair, the rest is telescopic."""
+def _least_scalar_above(u: tuple[int, int], t: tuple[int, int]) -> int:
+    """The least integer s >= 0 with s * u lexicographically above t."""
+    ux, uy = u
+    tx, ty = t
+    if ux > 0:
+        quo, rem = divmod(tx, ux)
+        s = quo if rem == 0 and quo * uy > ty else quo + 1
+        return max(s, 0)
+    if tx < 0:
+        return 0
+    if tx > 0:
+        raise DomainError("no scalar multiple exceeds the bound")
+    return max(ty // uy + 1, 0)
+
+
+class _PlanarEngine(_HeadEngine):
+    """Plane-vector semigroup: s * u for s in the telescopic head, plus m
+    times the last generator, peeled off by the determinant of the witness
+    pair."""
 
     def __init__(self, delta: DeltaZ2) -> None:
         self.delta = delta
@@ -211,6 +244,7 @@ class _PlanarEngine(_Engine):
         self.u = w.u
         self.off = w.off
         self.cg = w.cg
+        self.last = delta.deltas[-1]
         self.head = validate_n(w.head_c)
         self.det = w.u[0] * w.off[1] - w.u[1] * w.off[0]
         self.bounds = (None,) + tuple(self.head.structure.n) + (None,)
@@ -257,33 +291,27 @@ class _PlanarEngine(_Engine):
             raise DomainError("not a member")
         return Representation(head_exps + (last,), self.bounds)
 
+    def top(self, value: LexValue, m: int) -> int:
+        lx, ly = self.last
+        return _least_scalar_above(self.u, (value.x - m * lx, value.y - m * ly)) - 1
+
+    def tops(self, value: LexValue):
+        # with the free generator on the y axis, value - m * last never
+        # drops below zero once value.x > 0
+        if self.last[0] == 0 and value.x > 0:
+            raise DomainError("no scalar multiple exceeds the bound")
+        return super().tops(value)
+
     def between(self, lo, hi: LexValue):
-        gens = self.delta.deltas
-        if any(gx == 0 for gx, _ in gens):
+        if any(gx == 0 for gx, _ in self.delta.deltas):
             raise DomainError(
                 "enumeration is infinite: a generator has first component zero"
             )
-        target = (hi.x, hi.y)
-        bottom = None if lo is None else (lo.x, lo.y)
+        (ux, uy), (lx, ly) = self.u, self.last
         found = []
-
-        def descend(i: int, x: int, y: int, acc: tuple[int, ...]) -> None:
-            if i == len(gens):
-                if bottom is None or (x, y) > bottom:
-                    found.append(((x, y), acc))
-                return
-            gx, gy = gens[i]
-            cap = self.bounds[i]
-            c = 0
-            while cap is None or c < cap:
-                nx, ny = x + c * gx, y + c * gy
-                if (nx, ny) > target:
-                    break
-                descend(i + 1, nx, ny, acc + (c,))
-                c += 1
-
-        descend(0, 0, 0, ())
-        found.sort()
+        for m, run in self.runs(lo, hi):
+            found += [((s * ux + m * lx, s * uy + m * ly), exps + (m,)) for s, exps in run]
+        found.sort(key=itemgetter(0))
         return 1, found
 
     def values(self, scale: int, rows):
@@ -295,15 +323,16 @@ class _PlanarEngine(_Engine):
 _KEY_BITS = 32
 
 
-class _QuadraticEngine(_Engine):
-    """Rational head plus one irrational tail generator."""
+class _QuadraticEngine(_HeadEngine):
+    """Rational head s / scale, s in the integer sequence's semigroup, plus
+    m times one irrational tail generator tau."""
 
     def __init__(self, delta: DeltaR) -> None:
         self.delta = delta
-        self.dstar = delta.witness.dstar
-        self.scale = self.dstar.deltas[1]
+        self.head = delta.witness.dstar
+        self.scale = self.head.deltas[1]
         self.tau = delta.tail
-        self.bounds = (None,) + tuple(self.dstar.structure.n) + (None,)
+        self.bounds = (None,) + tuple(self.head.structure.n) + (None,)
         # Common denominator that makes v / scale + m * tau an integer pair.
         self.den = lcm(self.scale, self.tau.a.denominator, self.tau.b.denominator)
 
@@ -337,12 +366,12 @@ class _QuadraticEngine(_Engine):
         scaled = value.r * self.scale
         if scaled.denominator != 1 or scaled < 0:
             raise DomainError("not a member")
-        exps = telescopic_exponents(self.dstar, int(scaled))
+        exps = telescopic_exponents(self.head, int(scaled))
         if exps is None:
             raise DomainError("not a member")
         return Representation(exps + (value.m,), self.bounds)
 
-    def _scaled_floor(self, value: QuadValue, m: int) -> int:
+    def top(self, value: QuadValue, m: int) -> int:
         """floor((value - m * tau) * scale)."""
         k, tau = value.m - m, self.tau
         return floor_of((value.r + k * tau.a) * self.scale, k * tau.b * self.scale, tau.d)
@@ -356,10 +385,7 @@ class _QuadraticEngine(_Engine):
         step, a_den, b_den = den // scale, int(tau.a * den), int(tau.b * den)
         shift = _KEY_BITS
         keyed = []
-        m = 0
-        while _quad_sign(hi.r, hi.m - m, tau) >= 0:
-            bottom = -1 if lo is None else self._scaled_floor(lo, m)
-            run = telescopic_members(self.dstar, bottom, self._scaled_floor(hi, m))
+        for m, run in self.runs(lo, hi):
             # floor(m * b_den * sqrt(d) * 2**shift): the root is irrational
             # unless m = 0, so below zero it is one less than -isqrt.  Adding
             # the integer part and dividing by den keep the floor exact.
@@ -367,7 +393,6 @@ class _QuadraticEngine(_Engine):
             root = isqrt(irr * irr * d << 2 * shift)
             base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
             keyed += [(((v * step << shift) + base) // den, v, exps + (m,)) for v, exps in run]
-            m += 1
         first = itemgetter(0)
         keyed.sort(key=first)
         if len(set(map(first, keyed))) < len(keyed):
@@ -511,7 +536,7 @@ def omega(delta, value) -> int:
     value = eng.lift(value)
     if compare(value, eng.zero()) < 0:
         return 0
-    members = [v for v, _ in eng.walk(upto=value)]
+    members = [v for v, _ in enumerate_upto(delta, value)]
     seen = set(members)
     count = 0
     for member in members:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import pathlib
 import random
 import weakref
 from fractions import Fraction
@@ -14,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from deltacodes import codes
+from deltacodes import codes, deltaseq
 from deltacodes.approximants import (
     _fit_exponents,
     basis_element,
@@ -34,24 +35,36 @@ from deltacodes.codes import (
     scan_table,
     table_csv,
 )
-from deltacodes.deltaseq import gap_count_telescopic, gaps, validate_n
+from deltacodes.deltaseq import (
+    DeltaN,
+    denormalize,
+    gap_count_telescopic,
+    gaps,
+    members_below,
+    normalize,
+    validate_n,
+)
 from deltacodes.errors import DomainError
-from deltacodes.genesis import build_type_c, build_type_e
+from deltacodes.genesis import DeltaR, DeltaZ2, build_type_c, build_type_e
 from deltacodes.gf import _tables, rank_nullspace_ints
 from deltacodes.minweight import available_backends
+from deltacodes.quadratics import QuadExt
 from deltacodes.semigroup import (
     LexValue,
     QuadValue,
     RatValue,
+    _engine,
+    _least_scalar_above,
     enumerate_upto,
     omega,
+    represent,
     successor,
     walk,
 )
 
 from helpers import (
-    CH119, CH75, CH_BIG, DN119, DR119, DR75, DR_BIG_A, DR_BIG_B, DZ119, DZ2029, DZ427, DZ75,
-    DZ_BIG, EV32_B, EV7, F7, F32, PAIRS_F32_B, UNDER_2029, UNDER_BIG, xi_points,
+    CH119, CH75, CH_BIG, DN119, DR119, DR75, DR_BIG_A, DR_BIG_B, DZ119, DZ2029, DZ427, DZ53,
+    DZ75, DZ_BIG, EV32_B, EV7, F7, F32, PAIRS_F32_B, UNDER_2029, UNDER_BIG, xi_points,
 )
 
 FAM7 = build_approximates(DZ119, F7)
@@ -354,6 +367,26 @@ class TestGoppaDistance:
         assume(min(star) * max(star) <= 10**5)
         assert gap_count_telescopic(stars[0]) == len(gaps(star))
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_estimate_equals_the_sieve_version(self, data):
+        delta = data.draw(st.one_of(st.sampled_from(GOPPA_FAMILIES), built_families()))
+        value, _ = next(islice(walk(delta), data.draw(st.integers(0, 60)), None))
+        assert goppa_outcome(goppa_distance, delta, value) == goppa_outcome(
+            sieve_goppa, delta, value
+        )
+
+    def test_free_generator_on_the_y_axis(self):
+        """{(1,1), (0,1)}: the copies of (0,1) below a bound with x > 0 never
+        run out, which the estimate reports as the sieve version did."""
+        plane = build_type_c((11, 1))
+        assert plane.deltas == ((1, 1), (0, 1))
+        for pair in [(1, 1), (2, 5)]:
+            with pytest.raises(DomainError, match="no scalar multiple exceeds the bound"):
+                goppa_distance(plane, lex(pair))
+        assert goppa_distance(plane, LexValue(0, 0)) == 2
+        assert goppa_distance(plane, LexValue(0, 3)) == 2
+
 
 # Families of all four kinds for the gap-count check; the quadratic kind needs
 # tail digits fitted to its sequence, so it comes from the shared fixtures only.
@@ -375,6 +408,116 @@ def built_families(draw):
     if build == "planar":
         return build_type_c((a, b))
     return build_type_e((a, b), 2)
+
+
+def sieve_goppa(delta, alpha) -> int:
+    """The estimate as first written: the quadratic kind's bounds through
+    QuadExt arithmetic, and for every multiple j a fresh members_below sieve
+    for the least member at or above the bound and for chi, the number of
+    members below that member."""
+    rep = represent(delta, alpha)
+
+    def chi(star, value):
+        return len(members_below(star, value)) - 1
+
+    def least_member_at_least(star, w_min):
+        if w_min <= 0:
+            return 0
+        return next(v for v in members_below(star, w_min + min(star)) if v >= w_min)
+
+    def minimum(star, above, b_top):
+        xi = gap_count_telescopic(validate_n(star))
+        return min((chi(star, above(j)) + 1 - xi) * (j + 1) for j in range(b_top + 1))
+
+    if isinstance(delta, DeltaN):
+        if delta.g < 1:
+            raise DomainError("the estimate needs at least two generators")
+        scale = delta.structure.d[delta.g - 1]
+        star = tuple(v // scale for v in delta.deltas[:-1])
+        last, a = delta.deltas[-1], int(alpha.value)
+        return minimum(
+            star,
+            lambda j: least_member_at_least(star, max((a - j * last) // scale + 1, 0)),
+            a // last + 1,
+        )
+    if isinstance(delta, DeltaZ2):
+        w, (lx, ly), (x, y) = delta.witness, delta.deltas[-1], (alpha.x, alpha.y)
+        return minimum(
+            w.head_c,
+            lambda j: least_member_at_least(
+                w.head_c, _least_scalar_above(w.u, (x - j * lx, y - j * ly))
+            ),
+            max(_least_scalar_above((lx, ly), (x, y)), 1),
+        )
+    if isinstance(delta, DeltaR):
+        star, tau = delta.witness.dstar.deltas, delta.tail
+        r, m = (alpha.value, 0) if isinstance(alpha, RatValue) else (alpha.r, alpha.m)
+        rational = QuadExt(r, Fraction(0), tau.d)
+        return minimum(
+            star,
+            lambda j: least_member_at_least(
+                star, max(((rational + tau * (m - j)) * star[1]).floor() + 1, 0)
+            ),
+            m + (rational / tau).floor() + 1,
+        )
+    stage = _engine(delta).covering_stage(alpha.value)
+    s_last = max((i for i, a in enumerate(rep.exponents) if a), default=0)
+    star = denormalize(normalize(stage)[: max(s_last, 1) + 1])
+    value = sum(a * v for a, v in zip(rep.exponents, star))
+    return chi(star, value) + 1 - gap_count_telescopic(validate_n(star))
+
+
+def goppa_outcome(estimate, delta, alpha):
+    """The estimate, or the DomainError text it raised."""
+    try:
+        return estimate(delta, alpha)
+    except DomainError as exc:
+        return str(exc)
+
+
+# The families of the reference tables.
+REFERENCE_FAMILIES = {
+    "DZ119": DZ119, "DR119": DR119, "CH119": CH119, "DZ427": DZ427, "DZ53": DZ53,
+    "DZ2029": DZ2029, "DZ_BIG": DZ_BIG, "DR_BIG_A": DR_BIG_A, "CH_BIG": CH_BIG,
+    "DZ75": DZ75, "DR75": DR75, "CH75": CH75,
+}
+
+
+def without_the_sieve():
+    """deltaseq's membership sieve, patched to raise whenever it is called."""
+    return mock.patch.object(
+        deltaseq, "_sieve", side_effect=AssertionError("the membership sieve was called")
+    )
+
+
+class TestWithoutTheSieve:
+    """The member walk, the scan and the Goppa estimate never call the
+    membership sieve, and give the sieve version's results without it."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_FAMILIES))
+    def test_reference_family_scans(self, name):
+        delta = REFERENCE_FAMILIES[name]
+        fam = build_approximates(delta, F7)
+        with without_the_sieve():
+            rows = scan_table(delta, fam, EV7, mode="full")
+        assert len(rows) > 1
+        assert [row.goppa for row in rows] == [sieve_goppa(delta, row.alpha) for row in rows]
+
+    def test_golden_table(self):
+        with without_the_sieve():
+            text = table_csv(scan_table(DZ119, FAM7, EV7))
+        assert text == (pathlib.Path(__file__).parent / "data" / "golden_table2.csv").read_text()
+
+    def test_estimates_along_walks(self):
+        """Chain stages grow geometrically: the sieve version spent seconds on
+        the first 61 members of the (13, 6) chain, so that walk is only run."""
+        chain = build_type_e((13, 6), 2)
+        for delta in GOPPA_FAMILIES + [chain]:
+            with without_the_sieve():
+                members = [v for v, _ in islice(walk(delta), 61)]
+                got = [goppa_distance(delta, v) for v in members]
+            if delta is not chain:
+                assert got == [sieve_goppa(delta, v) for v in members]
 
 
 class TestScanTable:

@@ -19,7 +19,9 @@ from deltacodes.deltaseq import (
     members_below,
     normalize,
     structure_of,
+    telescopic_count,
     telescopic_exponents,
+    telescopic_members,
     validate_n,
 )
 from deltacodes.errors import DomainError
@@ -294,3 +296,32 @@ def test_gcd_descent_decides_condition_2_like_the_sieve(seq):
     seq = tuple(seq)
     message = sieve_validate(seq)
     assert _outcome(seq) == (seq if message is None else message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_telescopic_count_equals_the_sieve(data):
+    """The number of members below w, from the bounded tails, equals the
+    sieve's count of members <= w - 1, for w at or below zero too; the
+    window listing over the same tails agrees with the sieve as well."""
+    seq = data.draw(st.one_of(st.sampled_from(VALID), near_telescopic()))
+    try:
+        delta = validate_n(seq)
+    except DomainError:
+        delta = validate_n(VALID[-1])
+    w = data.draw(st.integers(-20, 2 * delta.deltas[0] * delta.deltas[-1]))
+    assert telescopic_count(delta, w) == len(members_below(delta.deltas, w - 1))
+    lo = data.draw(st.integers(-20, w))
+    assert [v for v, _ in telescopic_members(delta, lo, w)] == [
+        v for v in members_below(delta.deltas, w) if v > lo
+    ]
+
+
+def test_telescopic_count_ignores_the_size_of_w():
+    """Past the conductor every integer is a member, and the count needs no
+    sieve up to w: at most delta_0 tails are summed."""
+    delta = validate_n((36, 24, 8, 18, 13))
+    w = 10**15
+    assert telescopic_count(delta, w) == w - gap_count_telescopic(delta)
+    assert telescopic_count(delta, 0) == 0
+    assert telescopic_count(delta, 1) == 1

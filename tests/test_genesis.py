@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from deltacodes.deltaseq import validate_n
+from deltacodes import deltaseq, genesis
+from deltacodes.deltaseq import contains, validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import (
     DeltaQ,
@@ -238,6 +240,24 @@ class TestTypeC:
         assert build_type_c((40, 12, 97)) == build_type_c((40, 12, 97))
 
 
+# The integer sequences and digits of the quadratic fixtures.
+TYPE_D_FIXTURES = [
+    ((11, 9), (80, 1, 2)),
+    ((36, 24, 8, 18, 13), (20, 5, 2)),
+    ((36, 24, 8, 18, 13), (15, 2, 1)),
+    ((7, 5), (28, 3, 1)),
+]
+TYPE_D_SEQUENCES = [(11, 9), (7, 5), (5, 3), (36, 24, 8, 18, 13), (20, 8, 29)]
+
+
+def type_d_outcome(seq, digits):
+    """The tail built, or the DomainError text."""
+    try:
+        return build_type_d(seq, digits).tail
+    except DomainError as exc:
+        return str(exc)
+
+
 class TestTypeD:
     def test_exact_tail_from_11_9(self):
         out = build_type_d((11, 9), (80, 1, 2))
@@ -284,6 +304,37 @@ class TestTypeD:
     def test_small_tail_digit_rejected(self):
         with pytest.raises(DomainError):
             build_type_d((11, 9), (80, 1, 2), b=quad(0, Fraction(1, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_membership_by_gcd_descent_equals_the_sieve(self, data):
+        """delta_bar^2 and delta_bar^3 are decided by gcd descent; deciding
+        them with the contains sieve gives the same tail or the same error.
+        The first digit stays below n_g * delta_g - 1, so the draws reach the
+        membership checks, and small later digits leave gaps to hit."""
+        seq = data.draw(st.sampled_from(TYPE_D_SEQUENCES))
+        delta = validate_n(seq)
+        first = data.draw(st.integers(1, delta.structure.n[-1] * seq[-1] - 2))
+        digits = (first, *data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)))
+
+        def sieve_membership(delta, value):
+            return () if contains(delta.deltas, value) else None
+
+        with mock.patch.object(genesis, "telescopic_exponents", side_effect=sieve_membership):
+            want = type_d_outcome(seq, digits)
+        assert type_d_outcome(seq, digits) == want
+
+    def test_fixtures_build_without_the_sieve(self):
+        built = [build_type_d(seq, digits) for seq, digits in TYPE_D_FIXTURES]
+        with mock.patch.object(deltaseq, "_sieve", side_effect=AssertionError("sieve")):
+            assert [build_type_d(seq, digits) for seq, digits in TYPE_D_FIXTURES] == built
+
+    def test_huge_digit_needs_no_sieve_up_to_it(self):
+        """The tail witnesses grow with the digits (here past 10**13); gcd
+        descent decides their membership in O(g) steps."""
+        out = build_type_d((7, 5), (28, 10**12, 1))
+        assert out.witness.digits == (28, 10**12, 1)
+        assert 1 < out.tail < Fraction(7)
 
     def test_longer_digit_lists_use_induction(self):
         out = build_type_d((11, 9), (80, 1, 2, 1))

@@ -396,6 +396,16 @@ WALK_KINDS = {
 }
 
 
+# Planar families of the reference tables; the one from (42, 30, 70, 77) has
+# its last vector below the x axis.
+PLANAR_FAMILIES = {
+    "DZ119": DZ2,
+    "DZ53": build_type_c((5, 3)),
+    "DZ427": build_type_c((42, 30, 70, 77)),
+    "DZ2029": build_type_c((20, 8, 29)),
+}
+
+
 def _padded(exps, width):
     assert not any(exps[width:])
     return exps[:width] + (0,) * (width - len(exps))
@@ -430,6 +440,23 @@ class TestOrderedWalk:
         later = [v for v in members if compare(v, value) > 0]
         expected = later[0] if compare(value, members[0]) >= 0 else members[0]
         assert successor(delta, value) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PLANAR_FAMILIES)),
+        x=st.integers(-3, 90),
+        y=st.integers(-40, 40),
+    )
+    def test_planar_walk_equals_the_tuple_walk(self, name, x, y):
+        """Head members along u plus copies of the last vector, against an
+        exhaustive walk over all bounded tuples of the generators."""
+        delta = PLANAR_FAMILIES[name]
+        bound = LexValue(x, y)
+        assert enumerate_upto(delta, bound) == reference_enumerate(delta, bound)
+        # some multiple of the first generator lies between the bound and this
+        reach = LexValue(max(x, 0) + 2 * delta.deltas[0][0], 0)
+        members = [v for v, _ in reference_enumerate(delta, reach)]
+        assert successor(delta, bound) == next(v for v in members if compare(v, bound) > 0)
 
     def test_chain_bound_decides_the_representation_length(self):
         chain = build_type_e((11, 9), 0)
