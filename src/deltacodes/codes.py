@@ -39,7 +39,7 @@ from .deltaseq import (
 )
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
-from .gf import FieldElement, FieldSpec, _tables, rank_nullspace_ints
+from .gf import FieldElement, FieldSpec, rank_nullspace_ints
 from .minweight import min_dependent_columns
 from .semigroup import (
     LexValue,
@@ -130,7 +130,7 @@ class TableRow:
 def evaluation_matrix(ev: EvalMap, basis) -> tuple[tuple[FieldElement, ...], ...]:
     """Every basis element evaluated at every point, in basis order, by
     multiplying out its polynomial (the reference for the scan's rows)."""
-    by_val = _tables(ev.spec).by_val
+    by_val = ev.spec._t.by_val
     return tuple(
         tuple(by_val[v] for v in ev.row(element)) for element in basis
     )
@@ -149,7 +149,7 @@ class _PointwiseRows:
     """
 
     def __init__(self, fam: ApproximateFamily, ev: EvalMap) -> None:
-        t = _tables(ev.spec)
+        t = ev.spec._t
         self.q, self.mul = t.q, t.mul
         self.ones = [1] * ev.n
         self.powers: list[list[list[int]]] = []
@@ -240,7 +240,7 @@ class Scan:
                 "field mismatch: the family and the points use different fields"
             )
         n = ev.n
-        t = _tables(ev.spec)
+        t = ev.spec._t
         evaluate = _PointwiseRows(fam, ev)
         tables = _kernel_tables(t, backend)
         basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
@@ -340,7 +340,7 @@ class Scan:
         represent(self.delta, alpha)
         idx = self._index(alpha)
         enc = self._parity_rows(self.omega_index if idx is None else idx)
-        by_val = _tables(self.spec).by_val
+        by_val = self.spec._t.by_val
         gen_e = tuple(tuple(by_val[v] for v in row) for row in enc)
         _, kernel = rank_nullspace_ints([list(row) for row in enc], self.n, self.spec)
         gen_c = tuple(tuple(by_val[v] for v in row) for row in kernel)
@@ -382,7 +382,7 @@ def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None, wmin=1) -
     r = len(enc_rows)
     if r == 0:
         return 1
-    t = _tables(spec)
+    t = spec._t
     cols = [0] * (r * n)
     for i, row in enumerate(enc_rows):
         for j, v in enumerate(row):
@@ -414,13 +414,12 @@ def goppa_distance(delta, alpha) -> int:
 
     Every kind but the chain is an integer telescopic head plus one free
     generator: delta_g over the prefix divided by its gcd, the planar last
-    vector, or tau.  For j = 0, 1, ... copies of that generator, up to and
-    including the first j whose copies alone exceed alpha, it counts the
-    head members whose member with j copies is <= alpha; the estimate is
-    the least (count + 1 - gaps of the head) * (j + 1).  The chain kind
-    counts the members below alpha in the stage prefix its representation
-    uses.  The estimate can be negative, in which case it carries no
-    information.
+    vector, or tau.  For j = 0, 1, ..., J copies of that generator, J the
+    least number whose copies alone exceed alpha, let c_j count the head
+    members whose member with j copies is <= alpha; the estimate is the
+    least (c_j + 1 - gaps of the head) * (j + 1).  The chain kind counts the
+    members below alpha in the stage prefix its representation uses.  The
+    estimate can be negative, in which case it carries no information.
     """
     rep = represent(delta, alpha)
 
@@ -437,17 +436,26 @@ def goppa_distance(delta, alpha) -> int:
             raise DomainError("the estimate needs at least two generators")
         scale = delta.structure.d[delta.g - 1]
         head = validate_n(tuple(v // scale for v in delta.deltas[:-1]))
-        last, a = delta.deltas[-1], int(alpha.value)
-        tops = ((a - j * last) // scale for j in range(a // last + 2))
+        a = int(alpha.value)
+        copies, top = a // delta.deltas[-1] + 1, a // scale
     elif isinstance(delta, (DeltaZ2, DeltaR)):
         eng = _engine(delta)
-        head, tops = eng.head, eng.tops(eng.lift(alpha))
+        value = eng.lift(alpha)
+        head, copies, top = eng.head, eng.copies(value), eng.top(value, 0)
     else:
         raise DomainError("unsupported sequence kind")
+    # The minimum in closed form.  c_j >= 0 and c_J = 0 (no head member fits
+    # below alpha minus J copies).  With xi >= 1 gaps every term is at least
+    # (1 - xi)(j + 1) >= (1 - xi)(J + 1), the term at J.  With no gaps the
+    # head is all of N, c_j = top_j + 1, and each term (top_j + 2)(j + 1)
+    # with 0 < j < J is at least 2(j + 1) and above (t_j + 1)(j + 1), t_j the
+    # real number of head units below alpha minus j copies: a concave
+    # function of j that is t_0 + 1 >= top_0 + 1 at 0 and at least J at
+    # J - 1.  So the least term is at j = 0, top_0 + 2, or at j = J, J + 1.
     xi = gap_count_telescopic(head)
-    return min(
-        (telescopic_count(head, top + 1) + 1 - xi) * (j + 1) for j, top in enumerate(tops)
-    )
+    if xi:
+        return (1 - xi) * (copies + 1)
+    return min(top + 2, copies + 1)
 
 
 # --- scans and rendering ----------------------------------------------------

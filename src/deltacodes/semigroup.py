@@ -152,23 +152,16 @@ class _Engine:
 class _HeadEngine(_Engine):
     """A kind whose members are a member s of the integer semigroup ``head``
     plus m times one free generator.  ``top(value, m)`` is the largest s
-    whose member with m copies is <= value, negative when there is none."""
-
-    def tops(self, value):
-        """top(value, m) for m = 0, 1, ... up to and including the first
-        negative one."""
-        top, m = 0, 0
-        while top >= 0:
-            top = self.top(value, m)
-            yield top
-            m += 1
+    whose member with m copies is <= value, negative when there is none;
+    ``copies(value)`` is the least m whose m copies alone exceed value, so
+    top(value, m) >= 0 exactly for m < copies(value)."""
 
     def runs(self, lo, hi):
         """(m, head rows) for each m: the rows (s, exps) of the head members
         whose member with m copies lies in the window (lo, hi], by s."""
-        for m, top in enumerate(self.tops(hi)):
-            if top >= 0:
-                yield m, telescopic_members(self.head, -1 if lo is None else self.top(lo, m), top)
+        for m in range(self.copies(hi)):
+            bottom = -1 if lo is None else self.top(lo, m)
+            yield m, telescopic_members(self.head, bottom, self.top(hi, m))
 
 
 class _RationalEngine(_Engine):
@@ -295,12 +288,9 @@ class _PlanarEngine(_HeadEngine):
         lx, ly = self.last
         return _least_scalar_above(self.u, (value.x - m * lx, value.y - m * ly)) - 1
 
-    def tops(self, value: LexValue):
-        # with the free generator on the y axis, value - m * last never
-        # drops below zero once value.x > 0
-        if self.last[0] == 0 and value.x > 0:
-            raise DomainError("no scalar multiple exceeds the bound")
-        return super().tops(value)
+    def copies(self, value: LexValue) -> int:
+        # raises when the free generator is on the y axis and value.x > 0
+        return _least_scalar_above(self.last, (value.x, value.y))
 
     def between(self, lo, hi: LexValue):
         if any(gx == 0 for gx, _ in self.delta.deltas):
@@ -375,6 +365,13 @@ class _QuadraticEngine(_HeadEngine):
         """floor((value - m * tau) * scale)."""
         k, tau = value.m - m, self.tau
         return floor_of((value.r + k * tau.a) * self.scale, k * tau.b * self.scale, tau.d)
+
+    def copies(self, value: QuadValue) -> int:
+        """value.m + floor(value.r / tau) + 1, with r / tau = r * (a - b sqrt(d))
+        / (a^2 - b^2 d)."""
+        tau = self.tau
+        norm = tau.a * tau.a - tau.b * tau.b * tau.d
+        return value.m + floor_of(value.r * tau.a / norm, -value.r * tau.b / norm, tau.d) + 1
 
     def between(self, lo, hi: QuadValue):
         """The head members for each multiple m of tau, sorted on the exact

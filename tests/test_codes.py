@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import pathlib
 import random
+import time
 import weakref
 from fractions import Fraction
 from itertools import islice
@@ -42,11 +43,12 @@ from deltacodes.deltaseq import (
     gaps,
     members_below,
     normalize,
+    telescopic_count,
     validate_n,
 )
 from deltacodes.errors import DomainError
-from deltacodes.genesis import DeltaR, DeltaZ2, build_type_c, build_type_e
-from deltacodes.gf import _tables, rank_nullspace_ints
+from deltacodes.genesis import DeltaQ, DeltaR, DeltaZ2, build_type_c, build_type_e
+from deltacodes.gf import rank_nullspace_ints
 from deltacodes.minweight import available_backends
 from deltacodes.quadratics import QuadExt
 from deltacodes.semigroup import (
@@ -387,6 +389,30 @@ class TestGoppaDistance:
         assert goppa_distance(plane, LexValue(0, 0)) == 2
         assert goppa_distance(plane, LexValue(0, 3)) == 2
 
+    def test_closed_form_equals_the_loop(self):
+        """Along the first members of every fixture family and at random
+        members up to about 10^4."""
+        rng = random.Random(4242)
+        for delta in GOPPA_FAMILIES:
+            if isinstance(delta, DeltaQ):
+                continue
+            members = [v for v, _ in islice(walk(delta), 40)]
+            members += [random_member(delta, rng, 10**4) for _ in range(3)]
+            for value in members:
+                assert goppa_distance(delta, value) == loop_goppa(delta, value), value
+
+    @pytest.mark.parametrize(
+        "delta, bound, estimate",
+        [(DN119, 10**6, 90911), (DR119, 10**4, -192075), (validate_n(UNDER_BIG), 10**6, -846175)],
+        ids=["11-9", "DR119", "36-24-8-18-13"],
+    )
+    def test_large_bounds_take_no_loop(self, delta, bound, estimate):
+        """The loop over the copies took 0.09 s to 1.35 s on these calls."""
+        value = RatValue(Fraction(bound))
+        start = time.perf_counter()
+        assert goppa_distance(delta, value) == estimate
+        assert time.perf_counter() - start < 0.01
+
 
 # Families of all four kinds for the gap-count check; the quadratic kind needs
 # tail digits fitted to its sequence, so it comes from the shared fixtures only.
@@ -465,6 +491,42 @@ def sieve_goppa(delta, alpha) -> int:
     star = denormalize(normalize(stage)[: max(s_last, 1) + 1])
     value = sum(a * v for a, v in zip(rep.exponents, star))
     return chi(star, value) + 1 - gap_count_telescopic(validate_n(star))
+
+
+def loop_goppa(delta, alpha) -> int:
+    """The estimate as a loop over j = 0, 1, ..., J copies of the free
+    generator, the form it had before the closed form; not for chains."""
+    represent(delta, alpha)
+    if isinstance(delta, DeltaN):
+        scale = delta.structure.d[delta.g - 1]
+        head = validate_n(tuple(v // scale for v in delta.deltas[:-1]))
+        last, a = delta.deltas[-1], int(alpha.value)
+        tops = [(a - j * last) // scale for j in range(a // last + 2)]
+    else:
+        eng = _engine(delta)
+        value, head, tops = eng.lift(alpha), eng.head, []
+        while not tops or tops[-1] >= 0:
+            tops.append(eng.top(value, len(tops)))
+    xi = gap_count_telescopic(head)
+    return min((telescopic_count(head, top + 1) + 1 - xi) * (j + 1) for j, top in enumerate(tops))
+
+
+def random_member(delta, rng, bound):
+    """A sum of random multiples of the generators, each multiple about
+    bound / (number of generators) at most."""
+    eng = _engine(delta)
+    gens = eng.generators()
+    value = eng.zero()
+    for g in gens:
+        if isinstance(g, LexValue):
+            size = g.x
+        elif isinstance(g, RatValue):
+            size = g.value
+        else:
+            size = g.r + g.m * (float(g.tau.a) + float(g.tau.b) * g.tau.d**0.5)
+        for _ in range(rng.randrange(int(bound / len(gens) / max(size, 1)) + 1)):
+            value = eng.add(value, g)
+    return value
 
 
 def goppa_outcome(estimate, delta, alpha):
@@ -594,7 +656,7 @@ def row_at_a_time_scan(delta, fam, ev, horizon):
     """The scan as it was before the block walk: one member at a time,
     eliminated against a dict of pivot rows, with pair counts found by
     subtracting semigroup values."""
-    n, q, t = ev.n, ev.spec.q, _tables(ev.spec)
+    n, q, t = ev.n, ev.spec.q, ev.spec._t
     evaluate = _PointwiseRows(fam, ev)
     members, exponents, rows, jump, rank_after = [], [], [], [], []
     pivots = {}

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+import deltacodes
 from deltacodes.errors import DomainError
 from deltacodes.gf import (
+    MAX_FIELD_SIZE,
     FieldElement,
     FieldSpec,
     Matrix,
+    _is_prime,
     _poly_mul,
     _poly_rem,
     _Tables,
-    _tables,
     field_arith,
     mat_rank_kernel,
 )
@@ -91,6 +100,56 @@ def test_nonprimitive_irreducible_modulus_detected():
     spec = FieldSpec(2, 4, (1, 1, 1, 1, 1))
     assert not spec.is_primitive
     assert F16.is_primitive
+
+
+def test_is_primitive_builds_no_tables():
+    with mock.patch.object(_Tables, "__init__", side_effect=AssertionError("tables built")):
+        assert FieldSpec(2, 10).is_primitive
+        assert FieldSpec(31, 2).is_primitive
+        assert not FieldSpec(2, 4, (1, 1, 1, 1, 1)).is_primitive
+        assert not FieldSpec(7).is_primitive
+
+
+# The smallest monic primitive polynomial of each extension field with
+# q <= 1024, little-endian: a field's encoding depends on its modulus, so a
+# change to the search must not change which one it finds.
+DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (2, 1, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 1, 1),
+    (5, 3): (2, 3, 0, 1),
+    (5, 4): (2, 2, 1, 0, 1),
+    (7, 2): (3, 1, 1),
+    (7, 3): (2, 3, 0, 1),
+    (11, 2): (7, 1, 1),
+    (13, 2): (2, 1, 1),
+    (17, 2): (3, 1, 1),
+    (19, 2): (2, 1, 1),
+    (23, 2): (7, 1, 1),
+    (29, 2): (3, 1, 1),
+    (31, 2): (12, 1, 1),
+}
+
+
+def test_default_moduli_of_every_extension_field():
+    extensions = {
+        (p, m) for p in range(2, MAX_FIELD_SIZE) if _is_prime(p)
+        for m in range(2, MAX_FIELD_SIZE.bit_length()) if p**m <= MAX_FIELD_SIZE
+    }
+    assert set(DEFAULT_MODULI) == extensions
+    assert {(p, m): FieldSpec(p, m).modulus for p, m in DEFAULT_MODULI} == DEFAULT_MODULI
 
 
 SMALL_FIELDS = [
@@ -175,16 +234,62 @@ def test_stored_encoding_leaves_identity_unchanged():
 
 
 
-def test_spec_keeps_the_shared_tables_without_changing_identity():
+def test_spec_owns_its_tables_without_changing_identity():
     twin = FieldSpec(2, 5)
     assert twin is not F32
-    assert twin._t is F32._t is _tables(F32)
     assert twin == F32
     assert hash(twin) == hash(F32) == hash((2, 5, F32.modulus))
     assert repr(twin) == f"FieldSpec(p=2, m=5, modulus={F32.modulus!r})"
-    assert FieldSpec(7)._t is not F32._t
-    # elements of equal specs combine through the one table set
-    assert (twin.element(3) * F32.element(5)).encoded == _tables(F32).mul[3 * 32 + 5]
+    # elements of equal specs combine through the left operand's tables
+    assert (twin.element(3) * F32.element(5)).encoded == F32._t.mul[3 * 32 + 5]
+
+
+def test_tables_are_freed_with_their_spec():
+    spec = FieldSpec(2, 6)
+    assert spec.element(5) * spec.element(9) == spec.element(9) * spec.element(5)
+    tables = weakref.ref(spec._t)
+    del spec
+    gc.collect()
+    assert tables() is None
+
+
+def test_field_size_limit():
+    with pytest.raises(DomainError, match=r"field size 2\^11 exceeds 1024"):
+        FieldSpec(2, 11)
+    with pytest.raises(DomainError, match=r"field size 1031\^1 exceeds 1024"):
+        FieldSpec(1031)
+
+
+BUILD = """
+import sys, time
+from deltacodes.gf import FieldSpec
+spec = FieldSpec(*map(int, sys.argv[1:]))
+start = time.perf_counter()
+spec._t.kernel_tables
+seconds = time.perf_counter() - start
+status = open("/proc/self/status").read().split("VmHWM:")[1]
+print(seconds, int(status.split()[0]) / 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("args", [(1021,), (2, 10)], ids=["1021", "2^10"])
+def test_largest_fields_build_within_the_budget(args):
+    """The largest accepted fields build their tables, the lists and the
+    kernel's arrays, within 5 s and 160 MB peak resident in a fresh
+    interpreter.  About 2 s and 95 MB (p = 1021) on a 2-vCPU VM; the next
+    sizes up, 2^11 (230 MB) and p = 2039 (8.6 s), would not fit."""
+    root = str(pathlib.Path(deltacodes.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", BUILD, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    seconds, peak_mb = map(float, result.stdout.split())
+    assert seconds < 5 and peak_mb < 160, (seconds, peak_mb)
 
 def test_kernel_tables_are_made_once_per_field():
     t = _Tables(F32)

@@ -10,7 +10,7 @@ from array import array
 
 import pytest
 
-from deltacodes.gf import FieldSpec, _tables, rank_nullspace_ints
+from deltacodes.gf import FieldSpec, rank_nullspace_ints
 from deltacodes.minweight import (
     _int_array,
     available_backends,
@@ -32,7 +32,7 @@ def kernel_args(spec, rows, n=None):
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             cols[j * r + i] = v
-    t = _tables(spec)
+    t = spec._t
     return cols, r, n, spec.q, t.mul, t.sub, t.inv
 
 
@@ -259,7 +259,7 @@ class TestBackends:
 
 def mixed_rows(spec, rng, n, count):
     """Random rows with every kind of dependency on the rows before them."""
-    t, q = _tables(spec), spec.q
+    t, q = spec._t, spec.q
     rows = []
     for _ in range(count):
         kind = rng.randrange(5) if rows else 4
@@ -295,7 +295,7 @@ class EchelonCase:
         the given sizes; ``guard`` entries after the room for n rows and n
         pivots must stay untouched."""
         spec, n = self.spec, self.n
-        t = _tables(spec)
+        t = spec._t
         basis = array("i", [0] * (n * n) + [guard] * n)
         pivots = array("i", [0] * n + [guard])
         flags, rank, at = [], 0, 0
