@@ -14,10 +14,10 @@ space below any semigroup element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 
+from ._value import Value, _set
 from .deltaseq import DeltaN, telescopic_exponents, validate_n
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
@@ -41,16 +41,20 @@ def _term_order(item):
     return (-(ex + ey), -ey, -ex)
 
 
-@dataclass(frozen=True)
-class BivarPoly:
+class BivarPoly(Value):
     """An exact sparse polynomial in x and y over one finite field.
 
     Terms are stored sorted by decreasing total degree then decreasing
     y-degree, with no zero coefficients.
     """
 
-    spec: FieldSpec
-    terms: tuple[tuple[tuple[int, int], FieldElement], ...]
+    __slots__ = _fields = ("spec", "terms")
+
+    def __init__(
+        self, spec: FieldSpec, terms: tuple[tuple[tuple[int, int], FieldElement], ...]
+    ) -> None:
+        _set(self, "spec", spec)
+        _set(self, "terms", terms)
 
     @classmethod
     def from_coeffs(cls, spec: FieldSpec, mapping) -> BivarPoly:
@@ -148,31 +152,47 @@ def poly_eval(p: BivarPoly, point) -> FieldElement:
     return p.evaluate(point)
 
 
-@dataclass(frozen=True)
-class ExpansionStep:
+class ExpansionStep(Value):
     """One recurrence step: the n_i used and the prefix exponent row a_{ij}."""
 
-    n: int
-    exponents: tuple[int, ...]
+    __slots__ = _fields = ("n", "exponents")
+
+    def __init__(self, n: int, exponents: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "exponents", exponents)
 
 
-@dataclass(frozen=True)
-class ApproximateFamily:
+class ApproximateFamily(Value):
     """Approximates q_0..q_r with their weights and recurrence rows."""
 
-    spec: FieldSpec
-    polys: tuple[BivarPoly, ...]
-    weights: tuple
-    expansion: tuple[ExpansionStep, ...]
+    __slots__ = _fields = ("spec", "polys", "weights", "expansion")
+
+    def __init__(
+        self,
+        spec: FieldSpec,
+        polys: tuple[BivarPoly, ...],
+        weights: tuple,
+        expansion: tuple[ExpansionStep, ...],
+    ) -> None:
+        _set(self, "spec", spec)
+        _set(self, "polys", polys)
+        _set(self, "weights", weights)
+        _set(self, "expansion", expansion)
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """A product of approximates with its exponents and semigroup weight."""
+class BasisElement(Value):
+    """A product of approximates with its exponents and semigroup weight;
+    the family it came from takes no part in equality, hashing or the repr."""
 
-    exponents: tuple[int, ...]
-    weight: object
-    family: ApproximateFamily = field(compare=False, repr=False)
+    __slots__ = ("exponents", "weight", "family")
+    _fields = ("exponents", "weight")
+
+    def __init__(
+        self, exponents: tuple[int, ...], weight: object, family: ApproximateFamily
+    ) -> None:
+        _set(self, "exponents", exponents)
+        _set(self, "weight", weight)
+        _set(self, "family", family)
 
     @property
     def expanded(self) -> BivarPoly:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from ._value import Value, _set
 from .approximants import build_approximates
 from .codes import EvalMap, render_ratio, render_value, scan_table, table_csv
 from .errors import ConfigError, DomainError
@@ -41,23 +41,48 @@ _TYPE_KEYS = {
 COMMANDS = ("validate", "construct", "approximates", "semigroup", "table")
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(Value):
     """A fully parsed configuration, ready to run."""
 
-    spec: FieldSpec
-    delta_type: str
-    under: tuple[int, ...]
-    digits: tuple[int, ...] | None
-    radicand: int
-    steps: int
-    choices: tuple[tuple[int, int], ...] | None
-    points: tuple[tuple[FieldElement, FieldElement], ...]
-    mode: str
-    limit: int | None
-    bound: str | None
-    depth: int | None
-    command: str | None = None
+    __slots__ = _fields = (
+        "spec", "delta_type", "under", "digits", "radicand", "steps", "choices",
+        "points", "mode", "limit", "bound", "depth", "command",
+    )
+
+    def __init__(
+        self,
+        spec: FieldSpec,
+        delta_type: str,
+        under: tuple[int, ...],
+        digits: tuple[int, ...] | None,
+        radicand: int,
+        steps: int,
+        choices: tuple[tuple[int, int], ...] | None,
+        points: tuple[tuple[FieldElement, FieldElement], ...],
+        mode: str,
+        limit: int | None,
+        bound: str | None,
+        depth: int | None,
+        command: str | None = None,
+    ) -> None:
+        _set(self, "spec", spec)
+        _set(self, "delta_type", delta_type)
+        _set(self, "under", under)
+        _set(self, "digits", digits)
+        _set(self, "radicand", radicand)
+        _set(self, "steps", steps)
+        _set(self, "choices", choices)
+        _set(self, "points", points)
+        _set(self, "mode", mode)
+        _set(self, "limit", limit)
+        _set(self, "bound", bound)
+        _set(self, "depth", depth)
+        _set(self, "command", command)
+
+    def replace(self, **changes) -> JobConfig:
+        """A copy with the named fields changed."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        return JobConfig(**{**fields, **changes})
 
 
 def _split_sections(text: str):
@@ -433,9 +458,8 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(text)
-        config = replace(config, command=args.command)
-        if getattr(args, "mode", None):
-            config = replace(config, mode=args.mode)
+        mode = getattr(args, "mode", None) or config.mode
+        config = config.replace(command=args.command, mode=mode)
         output = run(config)
     except ConfigError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)

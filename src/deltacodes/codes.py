@@ -23,11 +23,11 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd, lcm
 
 from . import minweight
+from ._value import Value, _set
 from .approximants import ApproximateFamily, BasisElement, _fit_exponents
 from .deltaseq import (
     DeltaN,
@@ -57,7 +57,6 @@ __all__ = [
     "EvalMap",
     "Scan",
     "TableRow",
-    "evaluation_matrix",
     "goppa_distance",
     "min_distance",
     "render_exponents",
@@ -97,8 +96,7 @@ class EvalMap:
         return tuple(int(poly.evaluate(pt)) for pt in self.points)
 
 
-@dataclass(frozen=True)
-class CodePair:
+class CodePair(Value):
     """An evaluation space and its dual code at one bound.
 
     ``gen_e`` holds independent evaluated rows spanning E_alpha (a parity
@@ -106,34 +104,49 @@ class CodePair:
     and ``k = n - dim_e`` the dual dimension.
     """
 
-    alpha: object
-    gen_e: tuple[tuple[FieldElement, ...], ...]
-    dim_e: int
-    gen_c: tuple[tuple[FieldElement, ...], ...]
-    k: int
+    __slots__ = _fields = ("alpha", "gen_e", "dim_e", "gen_c", "k")
+
+    def __init__(
+        self,
+        alpha: object,
+        gen_e: tuple[tuple[FieldElement, ...], ...],
+        dim_e: int,
+        gen_c: tuple[tuple[FieldElement, ...], ...],
+        k: int,
+    ) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "gen_e", gen_e)
+        _set(self, "dim_e", dim_e)
+        _set(self, "gen_c", gen_c)
+        _set(self, "k", k)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Value):
     """One scan row: a bound with its code parameters and distance bounds."""
 
-    alpha: object
-    exponents: tuple[int, ...]
-    k: int
-    d: int | None
-    d_ev: int | None
-    d_fr: int
-    fr_product_bound: int
-    goppa: int
-
-
-def evaluation_matrix(ev: EvalMap, basis) -> tuple[tuple[FieldElement, ...], ...]:
-    """Every basis element evaluated at every point, in basis order, by
-    multiplying out its polynomial (the reference for the scan's rows)."""
-    by_val = ev.spec._t.by_val
-    return tuple(
-        tuple(by_val[v] for v in ev.row(element)) for element in basis
+    __slots__ = _fields = (
+        "alpha", "exponents", "k", "d", "d_ev", "d_fr", "fr_product_bound", "goppa"
     )
+
+    def __init__(
+        self,
+        alpha: object,
+        exponents: tuple[int, ...],
+        k: int,
+        d: int | None,
+        d_ev: int | None,
+        d_fr: int,
+        fr_product_bound: int,
+        goppa: int,
+    ) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "exponents", exponents)
+        _set(self, "k", k)
+        _set(self, "d", d)
+        _set(self, "d_ev", d_ev)
+        _set(self, "d_fr", d_fr)
+        _set(self, "fr_product_bound", fr_product_bound)
+        _set(self, "goppa", goppa)
 
 
 # --- the rank scan ----------------------------------------------------------
@@ -452,6 +465,8 @@ def goppa_distance(delta, alpha) -> int:
     # real number of head units below alpha minus j copies: a concave
     # function of j that is t_0 + 1 >= top_0 + 1 at 0 and at least J at
     # J - 1.  So the least term is at j = 0, top_0 + 2, or at j = J, J + 1.
+    # Either can be smaller: the integer family (4, 2, 3), whose head (2, 1)
+    # has no gaps, gives 5 and 4 at alpha = 6.
     xi = gap_count_telescopic(head)
     if xi:
         return (1 - xi) * (copies + 1)

@@ -11,11 +11,11 @@ segments, and the continued fraction of the last slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
+from ._value import Value, _set
 from .errors import DomainError
 
 __all__ = [
@@ -24,11 +24,8 @@ __all__ = [
     "Rational",
     "canonical_cf",
     "cf_of",
-    "contains",
     "denormalize",
     "gap_count_telescopic",
-    "gaps",
-    "members_below",
     "normalize",
     "structure_of",
     "telescopic_count",
@@ -40,8 +37,7 @@ __all__ = [
 Rational = Fraction
 
 
-@dataclass(frozen=True)
-class DeltaStructure:
+class DeltaStructure(Value):
     """Derived data of a valid sequence.
 
     ``d`` is the gcd chain (d_1, ..., d_{g+1}); ``n`` the quotients
@@ -51,19 +47,31 @@ class DeltaStructure:
     merges the first two slopes.
     """
 
-    d: tuple[int, ...]
-    n: tuple[int, ...]
-    newton: tuple[tuple[int, int], ...]
-    cf: tuple[int, ...] | None
-    divisible: bool
+    __slots__ = _fields = ("d", "n", "newton", "cf", "divisible")
+
+    def __init__(
+        self,
+        d: tuple[int, ...],
+        n: tuple[int, ...],
+        newton: tuple[tuple[int, int], ...],
+        cf: tuple[int, ...] | None,
+        divisible: bool,
+    ) -> None:
+        _set(self, "d", d)
+        _set(self, "n", n)
+        _set(self, "newton", newton)
+        _set(self, "cf", cf)
+        _set(self, "divisible", divisible)
 
 
-@dataclass(frozen=True)
-class DeltaN:
+class DeltaN(Value):
     """A validated sequence of positive integers with its derived structure."""
 
-    deltas: tuple[int, ...]
-    structure: DeltaStructure
+    __slots__ = _fields = ("deltas", "structure")
+
+    def __init__(self, deltas: tuple[int, ...], structure: DeltaStructure) -> None:
+        _set(self, "deltas", deltas)
+        _set(self, "structure", structure)
 
     @property
     def g(self) -> int:
@@ -178,50 +186,6 @@ def denormalize(values) -> tuple[int, ...]:
     for f in fracs:
         lcm = lcm * f.denominator // gcd(lcm, f.denominator)
     return tuple(int(f * lcm) for f in fracs)
-
-
-def _sieve(gens, bound: int) -> bytearray:
-    """reach[v] = 1 exactly for the members v <= bound (bound >= 0) of the
-    semigroup of gens."""
-    reach = bytearray(bound + 1)
-    reach[0] = 1
-    gs = sorted({int(v) for v in gens if v > 0})
-    for v in range(1, bound + 1):
-        for d in gs:
-            if d > v:
-                break
-            if reach[v - d]:
-                reach[v] = 1
-                break
-    return reach
-
-
-def contains(gens, value: int) -> bool:
-    """Whether value lies in the numerical semigroup generated by gens."""
-    return value >= 0 and bool(_sieve(gens, value)[value])
-
-
-def members_below(gens, bound: int) -> list[int]:
-    """Sorted members of the semigroup of gens that are <= bound."""
-    if bound < 0:
-        return []
-    reach = _sieve(gens, bound)
-    return [v for v in range(bound + 1) if reach[v]]
-
-
-def gaps(gens) -> list[int]:
-    """All positive integers outside the semigroup of gens (gcd must be 1)."""
-    gs = sorted({int(v) for v in gens if v > 0})
-    if not gs:
-        raise DomainError("gap computation needs positive generators")
-    acc = 0
-    for v in gs:
-        acc = gcd(acc, v)
-    if acc != 1:
-        raise DomainError("gap set is infinite unless the gcd of generators is 1")
-    bound = gs[0] * gs[-1] + 1
-    reach = _sieve(gs, bound)
-    return [v for v in range(1, bound + 1) if not reach[v]]
 
 
 def gap_count_telescopic(delta: DeltaN) -> int:

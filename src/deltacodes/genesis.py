@@ -15,10 +15,10 @@ witnesses reproduce equal sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._value import Value, _set
 from .deltaseq import DeltaN, normalize, telescopic_exponents, validate_n
 from .errors import DomainError
 from .quadratics import QuadExt, sqrt_of
@@ -38,12 +38,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CFValue:
+class CFValue(Value):
     """A folded continued fraction with its convergents (h_j, k_j)."""
 
-    value: Fraction | QuadExt
-    convergents: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("value", "convergents")
+
+    def __init__(
+        self, value: Fraction | QuadExt, convergents: tuple[tuple[int, int], ...]
+    ) -> None:
+        _set(self, "value", value)
+        _set(self, "convergents", convergents)
 
 
 def cf_eval(digits, tail: QuadExt | None = None) -> CFValue:
@@ -93,8 +97,7 @@ def extend_n(delta: DeltaN, choice: tuple[int, int] | None = None) -> DeltaN:
 # --- planar sequences -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CWitness:
+class CWitness(Value):
     """Everything used to expand an integer sequence into the plane.
 
     ``ys`` is the convergent-vector table (y_{-1}, y_0, ..., y_{t-1});
@@ -103,23 +106,39 @@ class CWitness:
     deltas[g] = cg * u - off with det(u, off) = +-1.
     """
 
-    dstar: DeltaN
-    cf: tuple[int, ...]
-    ab: tuple[int, int]
-    abp: tuple[int, int]
-    ys: tuple[tuple[int, int], ...]
-    u: tuple[int, int]
-    head_c: tuple[int, ...]
-    cg: int
-    off: tuple[int, int]
+    __slots__ = _fields = ("dstar", "cf", "ab", "abp", "ys", "u", "head_c", "cg", "off")
+
+    def __init__(
+        self,
+        dstar: DeltaN,
+        cf: tuple[int, ...],
+        ab: tuple[int, int],
+        abp: tuple[int, int],
+        ys: tuple[tuple[int, int], ...],
+        u: tuple[int, int],
+        head_c: tuple[int, ...],
+        cg: int,
+        off: tuple[int, int],
+    ) -> None:
+        _set(self, "dstar", dstar)
+        _set(self, "cf", cf)
+        _set(self, "ab", ab)
+        _set(self, "abp", abp)
+        _set(self, "ys", ys)
+        _set(self, "u", u)
+        _set(self, "head_c", head_c)
+        _set(self, "cg", cg)
+        _set(self, "off", off)
 
 
-@dataclass(frozen=True)
-class DeltaZ2:
+class DeltaZ2(Value):
     """A delta-sequence of lexicographically ordered plane vectors."""
 
-    deltas: tuple[tuple[int, int], ...]
-    witness: CWitness
+    __slots__ = _fields = ("deltas", "witness")
+
+    def __init__(self, deltas: tuple[tuple[int, int], ...], witness: CWitness) -> None:
+        _set(self, "deltas", deltas)
+        _set(self, "witness", witness)
 
     @property
     def g(self) -> int:
@@ -186,22 +205,26 @@ def build_type_c(dstar) -> DeltaZ2:
 # --- quadratic-irrational sequences ----------------------------------------
 
 
-@dataclass(frozen=True)
-class DWitness:
+class DWitness(Value):
     """Integer sequence, digits, and irrational final digit behind a tail."""
 
-    dstar: DeltaN
-    digits: tuple[int, ...]
-    b: QuadExt
+    __slots__ = _fields = ("dstar", "digits", "b")
+
+    def __init__(self, dstar: DeltaN, digits: tuple[int, ...], b: QuadExt) -> None:
+        _set(self, "dstar", dstar)
+        _set(self, "digits", digits)
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True)
-class DeltaR:
+class DeltaR(Value):
     """A finite sequence of rationals followed by one quadratic-irrational tail."""
 
-    head: tuple[Fraction, ...]
-    tail: QuadExt
-    witness: DWitness
+    __slots__ = _fields = ("head", "tail", "witness")
+
+    def __init__(self, head: tuple[Fraction, ...], tail: QuadExt, witness: DWitness) -> None:
+        _set(self, "head", head)
+        _set(self, "tail", tail)
+        _set(self, "witness", witness)
 
 
 def build_type_d(dstar, digits, b: QuadExt | int = 3) -> DeltaR:
@@ -243,16 +266,20 @@ def build_type_d(dstar, digits, b: QuadExt | int = 3) -> DeltaR:
 # --- rational sequences of unbounded length ---------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaQ:
+class DeltaQ(Value):
     """A rational sequence built by repeated scale-and-append extension.
 
     ``stages`` holds every integer sequence along the way (the first being the
     starting sequence); extension never mutates, it returns a new value.
     """
 
-    stages: tuple[DeltaN, ...]
-    choices: tuple[tuple[int, int] | None, ...]
+    __slots__ = _fields = ("stages", "choices")
+
+    def __init__(
+        self, stages: tuple[DeltaN, ...], choices: tuple[tuple[int, int] | None, ...]
+    ) -> None:
+        _set(self, "stages", stages)
+        _set(self, "choices", choices)
 
     def generators(self) -> tuple[Fraction, ...]:
         """Current normalized generators delta_i / delta_1."""

@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import functools
 from array import array
-from dataclasses import dataclass, field
 
+from ._value import Value, _set
 from .errors import DomainError
 
-__all__ = [
-    "FieldElement",
-    "FieldSpec",
-    "Matrix",
-    "field_arith",
-    "mat_rank_kernel",
-]
+__all__ = ["FieldElement", "FieldSpec", "rank_nullspace_ints"]
 
 # The q^2 tables (lists plus the kernel's arrays) take about 0.3 s and 70 MB
 # at 2^10; 2^12 took 5 s and 890 MB.
@@ -101,36 +95,40 @@ def _powers(root: int, p: int, mod: tuple[int, ...]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """A finite field GF(p^m); ``modulus`` is little-endian, monic, length m+1."""
+class FieldSpec(Value):
+    """A finite field GF(p^m); ``modulus`` is little-endian, monic, length m+1.
+    Its tables ``_t`` live in its ``__dict__``, outside the value."""
 
-    p: int
-    m: int = 1
-    modulus: tuple[int, ...] | None = None
+    _fields = ("p", "m", "modulus")
 
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise DomainError(f"p = {self.p} is not prime")
-        if self.m < 1:
+    def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None) -> None:
+        if not _is_prime(p):
+            raise DomainError(f"p = {p} is not prime")
+        if m < 1:
             raise DomainError("m must be >= 1")
-        if self.p**self.m > MAX_FIELD_SIZE:
-            raise DomainError(f"field size {self.p}^{self.m} exceeds {MAX_FIELD_SIZE}")
-        if self.m == 1:
-            if self.modulus is not None:
+        if p**m > MAX_FIELD_SIZE:
+            raise DomainError(f"field size {p}^{m} exceeds {MAX_FIELD_SIZE}")
+        if m == 1:
+            if modulus is not None:
                 raise DomainError("modulus applies only to extension fields (m > 1)")
-            return
-        if self.modulus is None:
-            object.__setattr__(self, "modulus", _default_modulus(self.p, self.m))
-            return
-        mod = tuple(int(c) % self.p for c in self.modulus)
-        if len(mod) != self.m + 1:
-            raise DomainError(f"modulus must have {self.m + 1} coefficients")
-        if mod[-1] != 1:
-            raise DomainError("modulus must be monic")
-        if not _is_irreducible(mod, self.p):
-            raise DomainError("modulus is reducible")
-        object.__setattr__(self, "modulus", mod)
+        elif modulus is None:
+            modulus = _default_modulus(p, m)
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != m + 1:
+                raise DomainError(f"modulus must have {m + 1} coefficients")
+            if modulus[-1] != 1:
+                raise DomainError("modulus must be monic")
+            if not _is_irreducible(modulus, p):
+                raise DomainError("modulus is reducible")
+        _set(self, "p", p)
+        _set(self, "m", m)
+        _set(self, "modulus", modulus)
+        # every element's hash hashes its spec, so the spec's is kept
+        _set(self, "_hash", hash((p, m, modulus)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def q(self) -> int:
@@ -180,8 +178,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise DomainError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Value):
     """An element of a finite field, as little-endian coefficients in g.
 
     ``encoded`` is the coefficients read as base-p digits, the index into the
@@ -189,12 +186,13 @@ class FieldElement:
     or the repr.
     """
 
-    field: FieldSpec
-    coeffs: tuple[int, ...]
-    encoded: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("field", "coeffs", "encoded")
+    _fields = ("field", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "encoded", _encode(self.coeffs, self.field.p))
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]) -> None:
+        _set(self, "field", field)
+        _set(self, "coeffs", coeffs)
+        _set(self, "encoded", _encode(coeffs, field.p))
 
     def __int__(self) -> int:
         return self.encoded
@@ -264,27 +262,6 @@ class FieldElement:
         ).replace("g^0", "1")
 
 
-@dataclass
-class Matrix:
-    """Row-major matrix of field elements."""
-
-    rows: int
-    cols: int
-    entries: list[FieldElement] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise DomainError(
-                f"matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        specs = {e.field for e in self.entries}
-        if len(specs) > 1:
-            raise DomainError("field mismatch")
-
-    def at(self, i: int, j: int) -> FieldElement:
-        return self.entries[i * self.cols + j]
-
-
 def _digitwise(p: int, m: int, op) -> list[int]:
     """Flat table of a coefficient-wise operation mod p on encoded values,
     grown one base-p digit at a time: for a = a_low + P * a_top (a_low < P)
@@ -351,38 +328,12 @@ def _tables(spec: FieldSpec) -> _Tables:
     return spec._t
 
 
-def field_arith(
-    spec: FieldSpec, op: str, operands: list[FieldElement | int | tuple[int, ...]]
-) -> FieldElement:
-    """Apply add/sub/mul/inv/pow to operands coerced into the field."""
-    if op == "pow":
-        if len(operands) != 2 or not isinstance(operands[1], int):
-            raise DomainError("pow needs a field element and an integer exponent")
-        return spec.element(operands[0]) ** operands[1]
-    args = [spec.element(v) for v in operands]
-    if op == "inv":
-        if len(args) != 1:
-            raise DomainError("inv takes one operand")
-        return args[0].inverse()
-    if len(args) != 2:
-        raise DomainError(f"{op} takes two operands")
-    a, b = args
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise DomainError(f"unknown operation {op!r}")
-
-
 def rank_nullspace_ints(
     int_rows: list[list[int]], cols: int, spec: FieldSpec
 ) -> tuple[int, list[list[int]]]:
     """Rank and right-nullspace basis of an encoded-integer matrix.
 
-    Operates on encoded values to keep the inner loops cheap; used directly by
-    the code-scanning layer and wrapped by :func:`mat_rank_kernel`.
+    Operates on encoded values to keep the inner loops cheap.
     """
     t = spec._t
     q = t.q
@@ -418,16 +369,3 @@ def rank_nullspace_ints(
             vec[c] = t.neg[work[r][free]]
         basis.append(vec)
     return rank, basis
-
-
-def mat_rank_kernel(matrix: Matrix) -> tuple[int, list[list[FieldElement]]]:
-    """Rank and a basis of the right kernel; rank + len(kernel) == cols."""
-    if not matrix.entries:
-        raise DomainError("matrix has no entries")
-    spec = matrix.entries[0].field
-    int_rows = [
-        [int(matrix.at(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)
-    ]
-    rank, basis = rank_nullspace_ints(int_rows, matrix.cols, spec)
-    t = spec._t
-    return rank, [[t.by_val[v] for v in vec] for vec in basis]

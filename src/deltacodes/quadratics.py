@@ -7,10 +7,10 @@ never through floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
+from ._value import Value, _set
 from .errors import DomainError
 
 __all__ = ["QuadExt", "floor_of", "sign_of", "sqrt_of"]
@@ -58,19 +58,22 @@ def floor_of(a: Fraction, b: Fraction, d: int) -> int:
     return (whole - t - 1) // den
 
 
-@dataclass(frozen=True)
-class QuadExt:
-    """The real number a + b*sqrt(d); d is 0 exactly when the value is rational."""
+class QuadExt(Value):
+    """The real number a + b*sqrt(d); d is 0 exactly when the value is rational.
+    Unlike other values, a rational one also equals the int or Fraction."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = _fields = ("a", "b", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, d: int) -> None:
+        _set(self, "a", Fraction(a))
+        _set(self, "b", Fraction(b))
+        _set(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        """The radicand check of a value built from outside."""
         if self.b == 0:
-            object.__setattr__(self, "d", 0)
+            _set(self, "d", 0)
             return
         if self.d < 2 or not _is_squarefree(self.d):
             raise DomainError(f"radicand must be squarefree and >= 2, got {self.d}")
@@ -80,9 +83,9 @@ class QuadExt:
         """An arithmetic result: a and b are already fractions and d comes
         from a validated operand, so the radicand check is skipped."""
         out = object.__new__(cls)
-        object.__setattr__(out, "a", a)
-        object.__setattr__(out, "b", b)
-        object.__setattr__(out, "d", d if b else 0)
+        _set(out, "a", a)
+        _set(out, "b", b)
+        _set(out, "d", d if b else 0)
         return out
 
     @property

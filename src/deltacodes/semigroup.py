@@ -19,13 +19,13 @@ exponent is free depends on the kind.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import groupby
 from math import isqrt, lcm
 from operator import itemgetter
 
+from ._value import Value, _set
 from .deltaseq import (
     DeltaN,
     telescopic_exponents,
@@ -53,43 +53,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LexValue:
+class LexValue(Value):
     """A plane vector compared lexicographically."""
 
-    x: int
-    y: int
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: int, y: int) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
 
 
-@dataclass(frozen=True)
-class RatValue:
+class RatValue(Value):
     """A rational value."""
 
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class QuadValue:
+class QuadValue(Value):
     """The value r + m * tau in a real quadratic extension."""
 
-    r: Fraction
-    m: int
-    tau: QuadExt
+    __slots__ = _fields = ("r", "m", "tau")
+
+    def __init__(self, r: Fraction, m: int, tau: QuadExt) -> None:
+        _set(self, "r", r)
+        _set(self, "m", m)
+        _set(self, "tau", tau)
 
     def exact(self) -> QuadExt:
         return self.tau * self.m + self.r
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Value):
     """Exponents over the generators, with the uniqueness bound pattern.
 
     ``bounds[i]`` is ``None`` when the i-th exponent is unbounded, otherwise
     the exclusive upper bound it must stay below.
     """
 
-    exponents: tuple[int, ...]
-    bounds: tuple[int | None, ...]
+    __slots__ = _fields = ("exponents", "bounds")
+
+    def __init__(self, exponents: tuple[int, ...], bounds: tuple[int | None, ...]) -> None:
+        _set(self, "exponents", exponents)
+        _set(self, "bounds", bounds)
 
 
 def _quad_sign(r: Fraction, m: int, tau: QuadExt) -> int:
@@ -385,7 +393,11 @@ class _QuadraticEngine(_HeadEngine):
         for m, run in self.runs(lo, hi):
             # floor(m * b_den * sqrt(d) * 2**shift): the root is irrational
             # unless m = 0, so below zero it is one less than -isqrt.  Adding
-            # the integer part and dividing by den keep the floor exact.
+            # the integer part and dividing by den keep the floor exact.  The
+            # order needs only keys that never fall as values rise: ceil here
+            # would raise the numerator of each m > 0 row by one, and that
+            # keeps them below every larger m = 0 row, whose numerator is an
+            # integer, so it would change keys but no order.
             irr = m * b_den
             root = isqrt(irr * irr * d << 2 * shift)
             base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)

@@ -28,11 +28,10 @@ from deltacodes.codes import (
     CodePair,
     EvalMap,
     Scan,
-    evaluation_matrix,
     min_distance,
     scan_table,
 )
-from deltacodes.deltaseq import gap_count_telescopic, gaps
+from deltacodes.deltaseq import gap_count_telescopic
 from deltacodes.genesis import build_type_c, build_type_d, build_type_e
 from deltacodes.gf import rank_nullspace_ints
 from deltacodes.quadratics import QuadExt, sqrt_of
@@ -70,6 +69,7 @@ from helpers import (
     POINTS_F7,
     xi_points,
 )
+from oracles import evaluation_matrix, gaps
 
 # --- reference columns ------------------------------------------------------
 
@@ -701,7 +701,7 @@ class TestPropertySuite:
         if sieved != 40:
             failures.append(f"sieved gap count {sieved} != 40")
         if len(gaps(seq)) != sieved:
-            failures.append(f"library gap count {len(gaps(seq))} != {sieved}")
+            failures.append(f"oracle gap count {len(gaps(seq))} != {sieved}")
         if gap_count_telescopic(DN119) != sieved:
             failures.append(
                 f"telescopic count {gap_count_telescopic(DN119)} != {sieved}"

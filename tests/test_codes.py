@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from deltacodes import codes, deltaseq
+from deltacodes import codes
 from deltacodes.approximants import (
     _fit_exponents,
     basis_element,
@@ -29,7 +29,6 @@ from deltacodes.codes import (
     EvalMap,
     Scan,
     _PointwiseRows,
-    evaluation_matrix,
     goppa_distance,
     min_distance,
     render_value,
@@ -40,8 +39,6 @@ from deltacodes.deltaseq import (
     DeltaN,
     denormalize,
     gap_count_telescopic,
-    gaps,
-    members_below,
     normalize,
     telescopic_count,
     validate_n,
@@ -68,6 +65,8 @@ from helpers import (
     CH119, CH75, CH_BIG, DN119, DR119, DR75, DR_BIG_A, DR_BIG_B, DZ119, DZ2029, DZ427, DZ53,
     DZ75, DZ_BIG, EV32_B, EV7, F7, F32, PAIRS_F32_B, UNDER_2029, UNDER_BIG, xi_points,
 )
+import oracles
+from oracles import evaluation_matrix, gaps, members_below
 
 FAM7 = build_approximates(DZ119, F7)
 SCAN7 = Scan(DZ119, FAM7, EV7)
@@ -343,6 +342,20 @@ class TestGoppaDistance:
         with pytest.raises(DomainError, match="not a member"):
             goppa_distance(DZ119, LexValue(7, 2))
 
+    def test_gap_free_head_can_take_the_least_term_at_j_copies(self):
+        """(4, 2, 3): the head (2, 1) has no gaps, and the generator 3 exceeds
+        its unit 2, so the term at J = alpha // 3 + 1 copies can undercut the
+        term at none, top_0 + 2 = alpha // 2 + 2."""
+        delta = validate_n((4, 2, 3))
+        assert gap_count_telescopic(validate_n((2, 1))) == 0
+        values = [RatValue(Fraction(a)) for a in (0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12)]
+        got = [goppa_distance(delta, v) for v in values]
+        assert got == [2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 6]
+        assert got == [loop_goppa(delta, v) for v in values]
+        assert got == [sieve_goppa(delta, v) for v in values]
+        # at 5 and 6 the estimate is the term at J, J + 1, below top_0 + 2
+        assert [(a // 3 + 2, a // 2 + 2) for a in (5, 6)] == [(3, 4), (4, 5)]
+
     def test_genus_zero_family_is_rejected(self):
         with pytest.raises(DomainError):
             goppa_distance(validate_n((1,)), RatValue(Fraction(3)))
@@ -417,8 +430,8 @@ class TestGoppaDistance:
 # Families of all four kinds for the gap-count check; the quadratic kind needs
 # tail digits fitted to its sequence, so it comes from the shared fixtures only.
 GOPPA_FAMILIES = [
-    DN119, validate_n(UNDER_BIG), validate_n(UNDER_2029), DZ119, DZ_BIG, DZ2029, DZ427,
-    DR119, DR75, DR_BIG_A, DR_BIG_B, CH119, CH75, CH_BIG,
+    DN119, validate_n(UNDER_BIG), validate_n(UNDER_2029), validate_n((4, 2, 3)), DZ119,
+    DZ_BIG, DZ2029, DZ427, DR119, DR75, DR_BIG_A, DR_BIG_B, CH119, CH75, CH_BIG,
 ]
 
 
@@ -546,9 +559,9 @@ REFERENCE_FAMILIES = {
 
 
 def without_the_sieve():
-    """deltaseq's membership sieve, patched to raise whenever it is called."""
+    """The membership sieve, patched to raise whenever it is called."""
     return mock.patch.object(
-        deltaseq, "_sieve", side_effect=AssertionError("the membership sieve was called")
+        oracles, "_sieve", side_effect=AssertionError("the membership sieve was called")
     )
 
 

@@ -12,11 +12,8 @@ from deltacodes.deltaseq import (
     DeltaN,
     canonical_cf,
     cf_of,
-    contains,
     denormalize,
     gap_count_telescopic,
-    gaps,
-    members_below,
     normalize,
     structure_of,
     telescopic_count,
@@ -25,6 +22,8 @@ from deltacodes.deltaseq import (
     validate_n,
 )
 from deltacodes.errors import DomainError
+
+from oracles import contains, gaps, members_below
 
 VALID = [
     (1,),

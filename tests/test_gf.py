@@ -20,14 +20,12 @@ from deltacodes.gf import (
     MAX_FIELD_SIZE,
     FieldElement,
     FieldSpec,
-    Matrix,
     _is_prime,
     _poly_mul,
     _poly_rem,
     _Tables,
-    field_arith,
-    mat_rank_kernel,
 )
+from oracles import Matrix, field_arith, mat_rank_kernel
 
 F7 = FieldSpec(7)
 F32 = FieldSpec(2, 5)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
@@ -16,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from deltacodes import semigroup as semigroup_module
 from deltacodes.cli import _build_delta as cli_build_delta, parse_config, run
 from deltacodes.codes import render_value
-from deltacodes.deltaseq import DeltaN, members_below, telescopic_exponents, validate_n
+from deltacodes.deltaseq import DeltaN, telescopic_exponents, validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import (
     DeltaR,
@@ -39,6 +38,8 @@ from deltacodes.semigroup import (
     successor,
     walk,
 )
+
+from oracles import members_below
 
 DZ2 = build_type_c((11, 9))
 DZ2_BIG = build_type_c((36, 24, 8, 18, 13))
@@ -489,7 +490,7 @@ def _bound_text(value):
 
 def cli_listing(kind, bound):
     text = f"[field]\np = 7\n[delta]\n{CLI_DELTAS[kind]}[job]\nbound = {_bound_text(bound)}\n"
-    return run(replace(parse_config(text), command="semigroup"))
+    return run(parse_config(text).replace(command="semigroup"))
 
 
 def object_listing(delta, bound):
@@ -553,6 +554,22 @@ class TestRowListing:
         scale, rows = semigroup_module.rows_upto(DR_BIG, bound)
         assert len(rows) == 790
         assert len({(Fraction(v, scale) + exps[-1] * DR_BIG.tail).floor() for v, exps in rows}) == 6
+        assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
+        assert cli_listing("quadratic", bound) == text
+
+    def test_a_single_repeated_key_is_ordered_exactly(self, monkeypatch):
+        """With 5 key bits exactly one key repeats among the 15 members up to
+        3/4 + tau, and the two members are listed against the order they are
+        found in (by copies of tau), so one repeat already needs the exact
+        sort."""
+        bound = QuadValue(Fraction(3, 4), 1, DR_BIG.tail)
+        text = cli_listing("quadratic", bound)
+        monkeypatch.setattr(semigroup_module, "_KEY_BITS", 5)
+        scale, rows = semigroup_module.rows_upto(DR_BIG, bound)
+        keys = [((Fraction(v, scale) + exps[-1] * DR_BIG.tail) * 32).floor() for v, exps in rows]
+        assert len(rows) == 15 and len(keys) - len(set(keys)) == 1
+        tied = [exps[-1] for key, (_, exps) in zip(keys, rows) if keys.count(key) == 2]
+        assert tied == [4, 1]
         assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
         assert cli_listing("quadratic", bound) == text
 
