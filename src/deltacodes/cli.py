@@ -27,57 +27,89 @@ __all__ = ["JobConfig", "main", "parse_config", "run"]
 
 
 _SECTIONS = ("field", "delta", "points", "job")
-_KEYS = {
-    "field": ("p", "m", "modulus"),
-    "delta": ("type", "under", "digits", "radicand", "steps", "choices"),
-    "job": ("mode", "limit", "bound", "depth"),
-}
-_TYPE_KEYS = {
-    "N": (),
-    "C": (),
-    "D": ("digits", "radicand"),
-    "E": ("steps", "choices"),
-}
+_TYPES = ("N", "C", "D", "E")
 COMMANDS = ("validate", "construct", "approximates", "semigroup", "table")
 
 
+def _int(value: str, key: str, no: int, base: int = 10) -> int:
+    try:
+        return int(value, base)
+    except ValueError:
+        raise ConfigError(f"bad integer for {key!r} at line {no}: {value!r}") from None
+
+
+def _ints(value: str, key: str, no: int) -> tuple[int, ...]:
+    parts = value.split()
+    if not parts:
+        raise ConfigError(f"empty value for {key!r} at line {no}")
+    return tuple(_int(part, key, no) for part in parts)
+
+
+def _choices(value: str, key: str, no: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    for part in value.split(","):
+        pair = _ints(part, key, no)
+        if len(pair) != 2:
+            raise ConfigError(f"choices need 'z new' pairs at line {no}")
+        out.append((pair[0], pair[1]))
+    return tuple(out)
+
+
+def _one_of(options: tuple[str, ...], what: str):
+    def read(value: str, key: str, no: int) -> str:
+        if value not in options:
+            raise ConfigError(f"unknown {what} {value!r} at line {no}")
+        return value
+
+    return read
+
+
+_REQUIRED = object()
+
+# The config keys of each section, in reading order: key -> (reader, default,
+# the delta types it applies to).  A reader takes (value, key, line); a
+# _REQUIRED key has no default, and a typed one is required only for its types.
+# The [field] keys are FieldSpec's arguments; the others are JobConfig fields.
+_SCHEMA = {
+    "field": {
+        "p": (_int, _REQUIRED, _TYPES),
+        "m": (_int, 1, _TYPES),
+        # an encoded polynomial, read as FieldSpec reads it: 0x25 is g^5+g^2+1
+        "modulus": (lambda value, key, no: _int(value, key, no, base=0), None, _TYPES),
+    },
+    "delta": {
+        "type": (_one_of(_TYPES, "delta type"), _REQUIRED, _TYPES),
+        "under": (_ints, _REQUIRED, _TYPES),
+        "digits": (_ints, _REQUIRED, ("D",)),
+        "radicand": (_int, 3, ("D",)),
+        "steps": (_int, 0, ("E",)),
+        "choices": (_choices, None, ("E",)),
+    },
+    "job": {
+        "mode": (_one_of(("jumps", "full"), "mode"), "jumps", _TYPES),
+        "limit": (_int, None, _TYPES),
+        "bound": (lambda value, key, no: value, None, _TYPES),
+        "depth": (_int, None, _TYPES),
+    },
+}
+
+
 class JobConfig(Value):
-    """A fully parsed configuration, ready to run."""
+    """A fully parsed configuration, ready to run: the field, the points,
+    one field per [delta] and [job] key (``type`` as ``delta_type``) and the
+    command."""
 
     __slots__ = _fields = (
         "spec", "delta_type", "under", "digits", "radicand", "steps", "choices",
         "points", "mode", "limit", "bound", "depth", "command",
     )
 
-    def __init__(
-        self,
-        spec: FieldSpec,
-        delta_type: str,
-        under: tuple[int, ...],
-        digits: tuple[int, ...] | None,
-        radicand: int,
-        steps: int,
-        choices: tuple[tuple[int, int], ...] | None,
-        points: tuple[tuple[FieldElement, FieldElement], ...],
-        mode: str,
-        limit: int | None,
-        bound: str | None,
-        depth: int | None,
-        command: str | None = None,
-    ) -> None:
-        _set(self, "spec", spec)
-        _set(self, "delta_type", delta_type)
-        _set(self, "under", under)
-        _set(self, "digits", digits)
-        _set(self, "radicand", radicand)
-        _set(self, "steps", steps)
-        _set(self, "choices", choices)
-        _set(self, "points", points)
-        _set(self, "mode", mode)
-        _set(self, "limit", limit)
-        _set(self, "bound", bound)
-        _set(self, "depth", depth)
-        _set(self, "command", command)
+    def __init__(self, *args, **kwargs) -> None:
+        values = {"command": None, **dict(zip(self._fields, args)), **kwargs}
+        if len(args) > len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"JobConfig takes the fields {self._fields}")
+        for name in self._fields:
+            _set(self, name, values[name])
 
     def replace(self, **changes) -> JobConfig:
         """A copy with the named fields changed."""
@@ -121,7 +153,7 @@ def _key_values(name: str, lines: list[tuple[int, str]]):
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"expected 'key = value' at line {no}")
-        if key not in _KEYS[name]:
+        if key not in _SCHEMA[name]:
             raise ConfigError(f"unknown key {key!r} in [{name}] at line {no}")
         if key in out:
             raise ConfigError(f"duplicate key {key!r} at line {no}")
@@ -129,49 +161,32 @@ def _key_values(name: str, lines: list[tuple[int, str]]):
     return out
 
 
-def _int(value: str, key: str, no: int, base: int = 10) -> int:
-    try:
-        return int(value, base)
-    except ValueError:
-        raise ConfigError(f"bad integer for {key!r} at line {no}: {value!r}") from None
-
-
-def _ints(value: str, key: str, no: int) -> tuple[int, ...]:
-    parts = value.split()
-    if not parts:
-        raise ConfigError(f"empty value for {key!r} at line {no}")
-    return tuple(_int(part, key, no) for part in parts)
-
-
-def _choices(value: str, no: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    for part in value.split(","):
-        pair = _ints(part, "choices", no)
-        if len(pair) != 2:
-            raise ConfigError(f"choices need 'z new' pairs at line {no}")
-        out.append((pair[0], pair[1]))
-    return tuple(out)
-
-
-def _field_spec(keys: dict[str, tuple[int, str]]) -> FieldSpec:
-    if "p" not in keys:
-        raise ConfigError("missing key 'p' in [field]")
-    no, value = keys["p"]
-    p = _int(value, "p", no)
-    m = 1
-    if "m" in keys:
-        no, value = keys["m"]
-        m = _int(value, "m", no)
-    modulus = None
-    if "modulus" in keys:
-        no, value = keys["modulus"]
-        modulus = _int(value, "modulus", no, base=0)
-    try:
-        if modulus is None:
-            return FieldSpec(p, m)
-        return FieldSpec(p, m, modulus)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+def _read(name: str, keys: dict[str, tuple[int, str]]) -> dict:
+    """One section's values in schema order: a present key through its
+    reader, an absent one as its default.  Before the first typed key is
+    read, every present key is checked to apply to the delta type."""
+    schema = _SCHEMA[name]
+    out: dict = {}
+    checked = False
+    for key, (reader, default, types) in schema.items():
+        if types is not _TYPES and not checked:
+            checked, kind = True, out["type"]
+            for other in schema:
+                if other in keys and kind not in schema[other][2]:
+                    no = keys[other][0]
+                    raise ConfigError(f"key {other!r} does not apply to type {kind} at line {no}")
+        if key in keys:
+            no, value = keys[key]
+            out[key] = reader(value, key, no)
+        elif default is not _REQUIRED:
+            out[key] = default
+        elif types is _TYPES:
+            raise ConfigError(f"missing key {key!r} in [{name}]")
+        elif kind in types:
+            raise ConfigError(f"type {kind} needs a {key!r} key in [{name}]")
+        else:
+            out[key] = None
+    return out
 
 
 def _coordinate(token: str, spec: FieldSpec, no: int) -> FieldElement:
@@ -213,77 +228,15 @@ def parse_config(text: str) -> JobConfig:
     """Parse a config file into a ``JobConfig``; raise ``ConfigError`` on any
     malformed, unknown, or missing entry."""
     sections = _split_sections(text)
-    field_keys = _key_values("field", sections["field"])
-    delta_keys = _key_values("delta", sections["delta"])
-    job_keys = _key_values("job", sections.get("job", []))
-
-    spec = _field_spec(field_keys)
+    keys = {name: _key_values(name, sections.get(name, [])) for name in _SCHEMA}
+    try:
+        spec = FieldSpec(**_read("field", keys["field"]))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     points = _points(sections.get("points", []), spec)
-
-    if "type" not in delta_keys:
-        raise ConfigError("missing key 'type' in [delta]")
-    no, delta_type = delta_keys["type"]
-    if delta_type not in _TYPE_KEYS:
-        raise ConfigError(f"unknown delta type {delta_type!r} at line {no}")
-    if "under" not in delta_keys:
-        raise ConfigError("missing key 'under' in [delta]")
-    no, value = delta_keys["under"]
-    under = _ints(value, "under", no)
-    for key in ("digits", "radicand", "steps", "choices"):
-        if key in delta_keys and key not in _TYPE_KEYS[delta_type]:
-            no, _ = delta_keys[key]
-            raise ConfigError(
-                f"key {key!r} does not apply to type {delta_type} at line {no}"
-            )
-
-    digits = None
-    if "digits" in delta_keys:
-        no, value = delta_keys["digits"]
-        digits = _ints(value, "digits", no)
-    if delta_type == "D" and digits is None:
-        raise ConfigError("type D needs a 'digits' key in [delta]")
-    radicand = 3
-    if "radicand" in delta_keys:
-        no, value = delta_keys["radicand"]
-        radicand = _int(value, "radicand", no)
-    steps = 0
-    if "steps" in delta_keys:
-        no, value = delta_keys["steps"]
-        steps = _int(value, "steps", no)
-    choices = None
-    if "choices" in delta_keys:
-        no, value = delta_keys["choices"]
-        choices = _choices(value, no)
-
-    mode = "jumps"
-    if "mode" in job_keys:
-        no, mode = job_keys["mode"]
-        if mode not in ("jumps", "full"):
-            raise ConfigError(f"unknown mode {mode!r} at line {no}")
-    limit = None
-    if "limit" in job_keys:
-        no, value = job_keys["limit"]
-        limit = _int(value, "limit", no)
-    bound = job_keys.get("bound", (0, None))[1]
-    depth = None
-    if "depth" in job_keys:
-        no, value = job_keys["depth"]
-        depth = _int(value, "depth", no)
-
-    return JobConfig(
-        spec=spec,
-        delta_type=delta_type,
-        under=under,
-        digits=digits,
-        radicand=radicand,
-        steps=steps,
-        choices=choices,
-        points=points,
-        mode=mode,
-        limit=limit,
-        bound=bound,
-        depth=depth,
-    )
+    delta = _read("delta", keys["delta"])
+    job = _read("job", keys["job"])
+    return JobConfig(spec=spec, delta_type=delta.pop("type"), points=points, **delta, **job)
 
 
 def _build_delta(config: JobConfig):

@@ -489,6 +489,8 @@ def scan_table(
     between zero and the rank bound; ``full`` reports every member below the
     rank bound, zero included.  ``limit`` caps the number of rows.
     """
+    if limit is not None and limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
     scan = Scan(delta, fam, ev)
     if mode == "jumps":
         indices = [i for i in range(1, scan.omega_index) if scan.jump[i]]

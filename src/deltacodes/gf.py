@@ -96,17 +96,20 @@ def _powers(root: int, p: int, mod: tuple[int, ...]) -> list[int]:
 
 
 class FieldSpec(Value):
-    """A finite field GF(p^m); ``modulus`` is little-endian, monic, length m+1.
+    """A finite field GF(p^m); ``modulus`` is little-endian, monic, length m+1,
+    given as coefficients or as their base-p encoding (0x25 is g^5+g^2+1).
     Its tables ``_t`` live in its ``__dict__``, outside the value."""
 
     _fields = ("p", "m", "modulus")
 
-    def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None) -> None:
-        if not _is_prime(p):
+    def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | int | None = None) -> None:
+        # Neither trial division nor p**m may grow with the input: a p above
+        # the bound is not tried, and 2^m exceeds it once m reaches its bits.
+        if p <= MAX_FIELD_SIZE and not _is_prime(p):
             raise DomainError(f"p = {p} is not prime")
         if m < 1:
             raise DomainError("m must be >= 1")
-        if p**m > MAX_FIELD_SIZE:
+        if p > MAX_FIELD_SIZE or m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE:
             raise DomainError(f"field size {p}^{m} exceeds {MAX_FIELD_SIZE}")
         if m == 1:
             if modulus is not None:
@@ -114,6 +117,10 @@ class FieldSpec(Value):
         elif modulus is None:
             modulus = _default_modulus(p, m)
         else:
+            if isinstance(modulus, int):
+                if not 0 <= modulus < p ** (m + 1):
+                    raise DomainError(f"modulus {modulus} is not a polynomial of degree <= {m}")
+                modulus = _digits(modulus, p, m + 1)
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1:
                 raise DomainError(f"modulus must have {m + 1} coefficients")

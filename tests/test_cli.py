@@ -1,12 +1,17 @@
 """Config parsing, subcommand output, and exit codes of the command line."""
 
+import io
+import math
 import pathlib
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from deltacodes.cli import main, parse_config, run
+from deltacodes.cli import _SCHEMA, COMMANDS, JobConfig, main, parse_config, run
 from deltacodes.errors import ConfigError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -130,6 +135,58 @@ class TestParseConfig:
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n" + FIELD_7 + DELTA_N + "[job]\nlimit = 3  # cap\n"
         assert parse_config(text).limit == 3
+
+    def test_inapplicable_key_is_reported_before_any_typed_value(self):
+        text = FIELD_7 + "[delta]\ntype = D\nunder = 11 9\ndigits = x\nsteps = 2\n"
+        assert parse_error(text) == "key 'steps' does not apply to type D at line 7"
+
+    def test_job_config_fields_are_the_schema_keys(self):
+        """[field] becomes ``spec``; every [delta] and [job] key is a field,
+        ``type`` as ``delta_type``."""
+        keys = [*_SCHEMA["delta"], *_SCHEMA["job"]]
+        named = ["delta_type" if key == "type" else key for key in keys]
+        assert sorted(JobConfig._fields) == sorted(named + ["spec", "points", "command"])
+        assert set(_SCHEMA["field"]) == {"p", "m", "modulus"}
+
+
+F32_POINTS = "[points]\n1 1\ng g^2\ng^3 g^4\ng^5 g^6\n0 g^7\ng^8 0\n"
+F32_C = "[delta]\ntype = C\nunder = 11 9\n" + F32_POINTS
+
+
+class TestModulus:
+    """``modulus`` is the encoded polynomial: its base-p digits, lowest first."""
+
+    def table(self, tmp_path, capsys, field):
+        path = tmp_path / "m.cfg"
+        path.write_text(field + F32_C)
+        code = main(["table", "--config", str(path)])
+        return code, capsys.readouterr()
+
+    def test_encoded_default_equals_the_default(self, tmp_path, capsys):
+        field = "[field]\np = 2\nm = 5\n"
+        with_key = parse_config(field + "modulus = 0x25\n" + F32_C)
+        assert with_key.spec == parse_config(field + F32_C).spec
+        assert self.table(tmp_path, capsys, field + "modulus = 0x25\n") == self.table(
+            tmp_path, capsys, field
+        )
+        code, captured = self.table(tmp_path, capsys, field + "modulus = 37\n")
+        assert code == 0 and captured.out.count("\n") > 1
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("p = 2\nm = 5\nmodulus = 0x23", "modulus is reducible"),
+            ("p = 2\nm = 5\nmodulus = 0x65", "not a polynomial of degree <= 5"),
+            ("p = 2\nm = 5\nmodulus = -0x25", "not a polynomial of degree <= 5"),
+            ("p = 2\nm = 5\nmodulus = 0x5", "modulus must be monic"),
+            ("p = 7\nmodulus = 0x25", "modulus applies only to extension fields"),
+            ("p = 2\nm = 5\nmodulus = 25h", "bad integer for 'modulus' at line 4"),
+        ],
+    )
+    def test_bad_modulus_exits_2(self, tmp_path, capsys, field, message):
+        code, captured = self.table(tmp_path, capsys, f"[field]\n{field}\n")
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error[parse]:") and message in captured.err
 
 
 class TestCommands:
@@ -314,6 +371,14 @@ class TestTable:
         assert len(captured.out.splitlines()) == 5
         assert "note: table limited to 4 rows" in captured.err
 
+    def test_negative_limit_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "negative.cfg"
+        path.write_text(PLANAR.read_text() + "\n[job]\nlimit = -1\n")
+        assert main(["table", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[domain]: limit must be >= 0, got -1\n"
+
     def test_table_without_points_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "nopoints.cfg"
         path.write_text(FIELD_7 + "[delta]\ntype = C\nunder = 11 9\n")
@@ -371,3 +436,112 @@ class TestEntryPoint:
         config = parse_config(FIELD_7 + DELTA_N)
         with pytest.raises(Exception, match="unknown command"):
             run(config)
+
+
+# --- fuzzing ----------------------------------------------------------------
+#
+# Random configs and mutations of the ones above.  The sizes stay small (p at
+# most 13, bounds at most 20, at most 4 steps and 12 points), so no input
+# reaches the distance search or the semigroup listing in the ranges where
+# they have no bound.
+
+FUZZ_BOUNDS = {"N": "20", "C": "10 2", "D": "3 2", "E": "6"}
+FUZZ_BASES = [PLANAR.read_text()] + [
+    FIELD_7 + delta + "[points]" + PLANAR.read_text().partition("[points]")[2]
+    + f"\n[job]\nbound = {FUZZ_BOUNDS[kind]}\n"
+    for kind, (delta, _) in KIND_DELTAS.items()
+]
+TOKENS = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["", "x", "0x25", "1 2", "3 2", "2 5, 2 19", "g", "g^2", "g^x"]),
+    st.sampled_from(["N", "D", "E", "full", "[job]"]),
+)
+
+
+@st.composite
+def random_configs(draw):
+    p, m = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1)]))
+    kind = draw(st.sampled_from("NCDE"))
+    small = st.integers(1, 20)
+    lines = ["[field]", f"p = {p}", f"m = {m}", "[delta]", f"type = {kind}"]
+    # any coprime pair a > b is a delta-sequence; a random list seldom is
+    pairs = st.tuples(small, small).filter(lambda ab: ab[0] > ab[1] and math.gcd(*ab) == 1)
+    under = draw(st.one_of(pairs, st.lists(small, min_size=1, max_size=3)))
+    lines.append("under = " + " ".join(map(str, under)))
+    if kind == "D":
+        digits = draw(st.lists(st.integers(0, 5), min_size=2, max_size=4))
+        lines.append("digits = " + " ".join(map(str, digits)))
+    if kind == "E":
+        lines.append(f"steps = {draw(st.integers(0, 4))}")
+        choices = draw(st.lists(st.tuples(st.integers(1, 5), small), max_size=2))
+        if choices:
+            lines.append("choices = " + ", ".join(f"{z} {new}" for z, new in choices))
+    points = draw(st.lists(st.tuples(*[st.integers(0, p**m - 1)] * 2), max_size=12, unique=True))
+    lines += ["[points]"] + [f"{x} {y}" for x, y in points]
+    lines += ["[job]", f"mode = {draw(st.sampled_from(['jumps', 'full']))}"]
+    bound = {"C": "{} {}", "D": "{} 1"}.get(kind, "{}")
+    lines.append("bound = " + bound.format(*draw(st.lists(small, min_size=2, max_size=2))))
+    if draw(st.booleans()):
+        lines.append(f"limit = {draw(st.integers(0, 12))}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A random config or a base one, with up to three lines dropped,
+    duplicated, swapped, or given a random value."""
+    lines = draw(st.one_of(st.sampled_from(FUZZ_BASES), random_configs())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]))
+        if action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(j, lines[i])
+        elif action == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            key, sep, _ = lines[i].partition("=")
+            lines[i] = key + sep + " " + draw(TOKENS) if sep else draw(TOKENS)
+    return "\n".join(lines) + "\n"
+
+
+def run_every_command(path):
+    """Each command's exit code, stdout and stderr; any other exception
+    escapes."""
+    out = []
+    for command in COMMANDS:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([command, "--config", path])
+        out.append((code, stdout.getvalue(), stderr.getvalue()))
+    return out
+
+
+MODULUS_CFG = "[field]\np = 2\nm = 5\nmodulus = 0x25\n" + F32_C
+HUGE_PRIME_CFG = "[field]\np = 2305843009213693951\n" + DELTA_N
+HUGE_EXPONENT_CFG = "[field]\np = 2\nm = 100000000\n" + DELTA_N
+NEGATIVE_LIMIT_CFG = PLANAR.read_text() + "[job]\nlimit = -1\n"
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(fuzz_configs())
+@example(MODULUS_CFG)
+@example(HUGE_PRIME_CFG)
+@example(HUGE_EXPONENT_CFG)
+@example(NEGATIVE_LIMIT_CFG)
+def test_fuzzed_configs_exit_cleanly_and_repeat(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "fuzz.cfg")
+        pathlib.Path(path).write_text(text)
+        first = run_every_command(path)
+        assert all(code in (0, 1, 2) for code, _, _ in first)
+        assert run_every_command(path) == first

@@ -258,6 +258,31 @@ def test_field_size_limit():
         FieldSpec(1031)
 
 
+def test_field_size_is_checked_before_trial_division():
+    """A prime far above the bound (2^61 - 1) and an exponent far above it
+    are rejected without trial division or building p**m."""
+    tried = []
+
+    def spy(n):
+        tried.append(n)
+        return _is_prime(n)
+
+    with mock.patch("deltacodes.gf._is_prime", spy):
+        for p, m in ((2**61 - 1, 1), (2, 100_000_000)):
+            with pytest.raises(DomainError, match=rf"field size {p}\^{m} exceeds 1024"):
+                FieldSpec(p, m)
+    assert tried == [2]
+
+
+def test_encoded_modulus_is_its_base_p_digits():
+    assert FieldSpec(2, 5, 0x25) == F32
+    assert FieldSpec(2, 8, 0x11D) == FieldSpec(2, 8)
+    assert FieldSpec(3, 2, 2 + 1 * 3 + 1 * 9).modulus == (2, 1, 1)
+    for bad in (-0x25, 0x45, 2**6 + 0x25):
+        with pytest.raises(DomainError, match="not a polynomial of degree <= 5"):
+            FieldSpec(2, 5, bad)
+
+
 BUILD = """
 import sys, time
 from deltacodes.gf import FieldSpec
