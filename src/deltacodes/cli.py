@@ -64,11 +64,41 @@ def _one_of(options: tuple[str, ...], what: str):
     return read
 
 
+def _rational(token: str) -> Fraction:
+    """An integer, ``p/q`` or a decimal.  No exponent: ``Fraction`` would
+    build 10**exp, so ``1e999999999`` would take minutes and gigabytes."""
+    if "e" in token.lower():
+        raise ValueError(token)
+    return Fraction(token)
+
+
+def _bound(kind: str):
+    """The reader of the [job] bound for a delta type, in the notation of its
+    values: ``x y`` (two integers) for C, ``r [m]`` (a rational and the
+    multiple of tau, 0 when left out) for D, one rational for N and E."""
+
+    def read(value: str, key: str, no: int) -> tuple:
+        tokens = value.split()
+        try:
+            if kind == "C" and len(tokens) == 2:
+                return int(tokens[0]), int(tokens[1])
+            if kind == "D" and len(tokens) in (1, 2):
+                return _rational(tokens[0]), int(tokens[1]) if len(tokens) == 2 else 0
+            if kind in ("N", "E") and len(tokens) == 1:
+                return (_rational(tokens[0]),)
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise ConfigError(f"bad bound {value!r} for type {kind} at line {no}")
+
+    return read
+
+
 _REQUIRED = object()
 
 # The config keys of each section, in reading order: key -> (reader, default,
-# the delta types it applies to).  A reader takes (value, key, line); a
-# _REQUIRED key has no default, and a typed one is required only for its types.
+# the delta types it applies to).  A reader takes (value, key, line), or is a
+# mapping from the delta type to one; a _REQUIRED key has no default, and a
+# typed one is required only for its types.
 # The [field] keys are FieldSpec's arguments; the others are JobConfig fields.
 _SCHEMA = {
     "field": {
@@ -88,7 +118,7 @@ _SCHEMA = {
     "job": {
         "mode": (_one_of(("jumps", "full"), "mode"), "jumps", _TYPES),
         "limit": (_int, None, _TYPES),
-        "bound": (lambda value, key, no: value, None, _TYPES),
+        "bound": ({kind: _bound(kind) for kind in _TYPES}, None, _TYPES),
         "depth": (_int, None, _TYPES),
     },
 }
@@ -161,10 +191,11 @@ def _key_values(name: str, lines: list[tuple[int, str]]):
     return out
 
 
-def _read(name: str, keys: dict[str, tuple[int, str]]) -> dict:
+def _read(name: str, keys: dict[str, tuple[int, str]], kind: str | None = None) -> dict:
     """One section's values in schema order: a present key through its
     reader, an absent one as its default.  Before the first typed key is
-    read, every present key is checked to apply to the delta type."""
+    read, every present key is checked to apply to the delta type ``kind``,
+    which [delta] reads from its own ``type``."""
     schema = _SCHEMA[name]
     out: dict = {}
     checked = False
@@ -177,6 +208,8 @@ def _read(name: str, keys: dict[str, tuple[int, str]]) -> dict:
                     raise ConfigError(f"key {other!r} does not apply to type {kind} at line {no}")
         if key in keys:
             no, value = keys[key]
+            if isinstance(reader, dict):
+                reader = reader[kind]
             out[key] = reader(value, key, no)
         elif default is not _REQUIRED:
             out[key] = default
@@ -235,7 +268,7 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError(str(exc)) from None
     points = _points(sections.get("points", []), spec)
     delta = _read("delta", keys["delta"])
-    job = _read("job", keys["job"])
+    job = _read("job", keys["job"], delta["type"])
     return JobConfig(spec=spec, delta_type=delta.pop("type"), points=points, **delta, **job)
 
 
@@ -249,27 +282,16 @@ def _build_delta(config: JobConfig):
     return build_type_e(config.under, config.steps, config.choices)
 
 
-def _parse_bound(config: JobConfig, delta):
-    """Read the [job] bound in the notation of the sequence's value kind."""
-    text = config.bound
-    if text is None:
+def _bound_value(config: JobConfig, delta):
+    """The [job] bound as a value of the sequence's kind; a type D value
+    needs the sequence's tau."""
+    if config.bound is None:
         raise ConfigError("semigroup job needs a 'bound' key in [job]")
-    tokens = text.split()
-    try:
-        if config.delta_type == "C":
-            if len(tokens) != 2:
-                raise ValueError
-            return LexValue(int(tokens[0]), int(tokens[1]))
-        if config.delta_type == "D":
-            if len(tokens) not in (1, 2):
-                raise ValueError
-            m = int(tokens[1]) if len(tokens) == 2 else 0
-            return QuadValue(Fraction(tokens[0]), m, zero_of(delta).tau)
-        if len(tokens) != 1:
-            raise ValueError
-        return RatValue(Fraction(tokens[0]))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad bound {text!r} for type {config.delta_type}") from None
+    if config.delta_type == "C":
+        return LexValue(*config.bound)
+    if config.delta_type == "D":
+        return QuadValue(*config.bound, zero_of(delta).tau)
+    return RatValue(*config.bound)
 
 
 def _run_validate(config: JobConfig) -> str:
@@ -332,7 +354,7 @@ def _run_semigroup(config: JobConfig) -> str:
     semigroup's integer rows: the value as ``render_value`` prints it, then
     the exponents."""
     delta = _build_delta(config)
-    scale, rows = rows_upto(delta, _parse_bound(config, delta))
+    scale, rows = rows_upto(delta, _bound_value(config, delta))
     kind = config.delta_type
     # exps[1:] -> its text; interior exponents are bounded, so tails repeat
     tails: dict[tuple[int, ...], str] = {}
@@ -357,6 +379,8 @@ def _run_table(config: JobConfig) -> str:
     fam = build_approximates(delta, config.spec, config.depth)
     ev = EvalMap(config.spec, config.points)
     rows = scan_table(delta, fam, ev, mode=config.mode, limit=config.limit)
+    if rows.dropped:
+        print(f"note: table limited to {config.limit} rows", file=sys.stderr)
     return table_csv(rows)
 
 
@@ -370,7 +394,8 @@ _RUNNERS = {
 
 
 def run(config: JobConfig) -> str:
-    """Execute the configured command and return its output text."""
+    """Execute the configured command and return its output text.  A table
+    whose limit left rows out says so on stderr."""
     if config.command not in _RUNNERS:
         raise DomainError(f"unknown command: {config.command!r}")
     return _RUNNERS[config.command](config)
@@ -424,8 +449,6 @@ def main(argv=None) -> int:
         pathlib.Path(args.out).write_text(output, encoding="utf-8")
     else:
         sys.stdout.write(output)
-    if args.command == "table" and config.limit is not None:
-        print(f"note: table limited to {config.limit} rows", file=sys.stderr)
     return 0
 
 

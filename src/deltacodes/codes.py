@@ -56,6 +56,7 @@ __all__ = [
     "DEFAULT_HORIZON",
     "EvalMap",
     "Scan",
+    "Table",
     "TableRow",
     "goppa_distance",
     "min_distance",
@@ -147,6 +148,17 @@ class TableRow(Value):
         _set(self, "d_fr", d_fr)
         _set(self, "fr_product_bound", fr_product_bound)
         _set(self, "goppa", goppa)
+
+
+class Table(list):
+    """The rows of a table scan, and ``dropped``, the number of rows that
+    its limit left out."""
+
+    __slots__ = ("dropped",)
+
+    def __init__(self, rows, dropped: int) -> None:
+        super().__init__(rows)
+        self.dropped = dropped
 
 
 # --- the rank scan ----------------------------------------------------------
@@ -482,12 +494,13 @@ def scan_table(
     ev: EvalMap,
     mode: str = "jumps",
     limit: int | None = None,
-) -> list[TableRow]:
+) -> Table:
     """Code parameters along the member chain below the rank bound.
 
     ``jumps`` keeps one row per strict step of the dual chain strictly
     between zero and the rank bound; ``full`` reports every member below the
-    rank bound, zero included.  ``limit`` caps the number of rows.
+    rank bound, zero included.  ``limit`` caps the number of rows; the
+    table's ``dropped`` counts the rows it left out.
     """
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
@@ -498,7 +511,9 @@ def scan_table(
         indices = list(range(scan.omega_index))
     else:
         raise DomainError(f"unknown mode: {mode!r}")
+    dropped = 0
     if limit is not None:
+        dropped = max(len(indices) - limit, 0)
         indices = indices[:limit]
 
     # The parity rows of a later row extend those of an earlier one, so its
@@ -507,7 +522,7 @@ def scan_table(
     # checked against d).
     distances: dict[int, int] = {}
     floor = 1
-    out = []
+    out = Table((), dropped)
     for i in indices:
         rank = scan.rank_after[i]
         if rank == ev.n:

@@ -1,0 +1,138 @@
+"""The in-place build: the kernel and the package's checked-hash bytecode.
+
+Each test works on a copy of ``setup.py``, ``pyproject.toml`` and ``src/``
+built with ``python setup.py build_ext --inplace``, never on the tree
+itself.  Fresh interpreters run with ``-B`` (no bytecode written), as a
+process does under ``PYTHONDONTWRITEBYTECODE=1``, and record every module
+that the import system compiles from source.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = pathlib.Path(__file__).parent / "data"
+
+# Imports the benchmark worker's three modules and prints, as JSON, the
+# package's location and every source file compiled on the way.
+PROBE = """
+import importlib._bootstrap_external as bootstrap
+import json
+
+compiled = []
+source_to_code = bootstrap.SourceLoader.source_to_code
+
+
+def record(self, data, path, *args, **kwargs):
+    compiled.append(path)
+    return source_to_code(self, data, path, *args, **kwargs)
+
+
+bootstrap.SourceLoader.source_to_code = record
+import deltacodes.cli, deltacodes.minweight, deltacodes.semigroup
+
+print(json.dumps({
+    "package": deltacodes.__file__,
+    "compiled": compiled,
+    "edited": getattr(deltacodes.errors, "EDITED", False),
+}))
+"""
+
+
+def build(tree: pathlib.Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext", "--inplace"],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+    )
+
+
+def start(tree: pathlib.Path, *args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from ``tree`` and
+    writes no bytecode."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run(
+        [sys.executable, "-B", *args], cwd=tree, env=env, capture_output=True, check=True
+    )
+
+
+def probe(tree: pathlib.Path) -> dict:
+    report = json.loads(start(tree, "-c", PROBE).stdout)
+    package = tree / "src" / "deltacodes"
+    assert pathlib.Path(report["package"]).parent == package
+    report["compiled"] = [
+        pathlib.Path(path).name for path in report["compiled"]
+        if pathlib.Path(path).parent == package
+    ]
+    return report
+
+
+def bytecode(package: pathlib.Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in (package / "__pycache__").iterdir()}
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory) -> pathlib.Path:
+    tree = tmp_path_factory.mktemp("tree")
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy2(ROOT / name, tree / name)
+    shutil.copytree(
+        ROOT / "src", tree / "src",
+        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd", "*.egg-info"),
+    )
+    proc = build(tree)
+    assert proc.returncode == 0, proc.stderr
+    return tree
+
+
+def test_every_module_has_checked_hash_bytecode(built):
+    package = built / "src" / "deltacodes"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    for source in sources:
+        data = pathlib.Path(importlib.util.cache_from_source(str(source))).read_bytes()
+        assert data[:4] == importlib.util.MAGIC_NUMBER, source.name
+        # PEP 552 flags: bit 0 hash-based, bit 1 check the source
+        assert int.from_bytes(data[4:8], "little") == 0b11, source.name
+        assert data[8:16] == importlib.util.source_hash(source.read_bytes()), source.name
+    # nothing outside the package is byte-compiled
+    assert {p.parent for p in built.rglob("*.pyc")} == {package / "__pycache__"}
+
+
+def test_a_fresh_start_compiles_no_module(built):
+    assert probe(built)["compiled"] == []
+
+
+def test_an_edited_module_is_compiled_from_source(built, tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(built, tree)
+    package = tree / "src" / "deltacodes"
+    before = bytecode(package)
+    with open(package / "errors.py", "a", encoding="utf-8") as module:
+        module.write("\nEDITED = True\n")
+    report = probe(tree)
+    assert report["compiled"] == ["errors.py"]
+    assert report["edited"] is True
+    assert bytecode(package) == before
+
+
+def test_the_built_copy_prints_the_golden_table(built):
+    out = start(built, "-m", "deltacodes.cli", "table", "--config", str(DATA / "planar119.cfg"))
+    assert out.stdout == (DATA / "golden_table2.csv").read_bytes()
+
+
+def test_a_module_that_does_not_compile_fails_the_build(built, tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(built, tree)
+    (tree / "src" / "deltacodes" / "broken.py").write_text("def broken(:\n", encoding="utf-8")
+    assert build(tree).returncode != 0

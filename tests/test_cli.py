@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -20,8 +21,10 @@ GOLDEN = DATA / "golden_table2.csv"
 
 FIELD_7 = "[field]\np = 7\n"
 DELTA_N = "[delta]\ntype = N\nunder = 11 9\n"
+DELTA_C = "[delta]\ntype = C\nunder = 11 9\n"
 DELTA_D = "[delta]\ntype = D\nunder = 11 9\ndigits = 80 1 2\n"
 DELTA_E = "[delta]\ntype = E\nunder = 3 1\nsteps = 2\nchoices = 2 5, 2 19\n"
+DELTAS = {"N": DELTA_N, "C": DELTA_C, "D": DELTA_D, "E": DELTA_E}
 
 
 def parse_error(text):
@@ -139,6 +142,43 @@ class TestParseConfig:
     def test_inapplicable_key_is_reported_before_any_typed_value(self):
         text = FIELD_7 + "[delta]\ntype = D\nunder = 11 9\ndigits = x\nsteps = 2\n"
         assert parse_error(text) == "key 'steps' does not apply to type D at line 7"
+
+    @pytest.mark.parametrize(
+        "kind, bound, value",
+        [
+            ("N", "40", (Fraction(40),)),
+            ("C", "10 2", (10, 2)),
+            ("D", "3/2", (Fraction(3, 2), 0)),
+            ("D", "3 2", (Fraction(3), 2)),
+            ("D", "2.25", (Fraction(9, 4), 0)),
+            ("E", "-1/2", (Fraction(-1, 2),)),
+        ],
+    )
+    def test_bound_is_read_in_the_notation_of_the_type(self, kind, bound, value):
+        text = FIELD_7 + DELTAS[kind] + f"[job]\nbound = {bound}\n"
+        assert parse_config(text).bound == value
+
+    @pytest.mark.parametrize(
+        "kind, bound",
+        [
+            ("N", "1 2"),
+            ("N", "x"),
+            ("C", "x y"),
+            ("C", "10"),
+            ("C", "1/2 1"),
+            ("D", "1 2 3"),
+            ("D", "1 1/2"),
+            ("E", "1/0"),
+            ("E", ""),
+            # would take minutes and gigabytes to expand
+            ("E", "1e999999999"),
+            ("D", "2.5E99999999 1"),
+        ],
+    )
+    def test_bad_bound_names_its_line(self, kind, bound):
+        text = FIELD_7 + DELTAS[kind] + f"[job]\nmode = full\nbound = {bound}\n"
+        no = text.count("\n")
+        assert parse_error(text) == f"bad bound {bound!r} for type {kind} at line {no}"
 
     def test_job_config_fields_are_the_schema_keys(self):
         """[field] becomes ``spec``; every [delta] and [job] key is a field,
@@ -335,12 +375,15 @@ class TestCommands:
         assert "needs a 'bound' key" in capsys.readouterr().err
 
     def test_bad_bound(self, tmp_path, capsys):
+        """Every command rejects a malformed bound, not only ``semigroup``."""
+        text = PLANAR.read_text() + "[job]\nbound = x y\n"
         path = tmp_path / "c.cfg"
-        path.write_text(
-            FIELD_7 + "[delta]\ntype = C\nunder = 11 9\n[job]\nbound = x y\n"
-        )
-        assert main(["semigroup", "--config", str(path)]) == 2
-        assert "bad bound" in capsys.readouterr().err
+        path.write_text(text)
+        no = text.count("\n")
+        error = f"error[parse]: bad bound 'x y' for type C at line {no}\n"
+        for command in COMMANDS:
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr() == ("", error)
 
 
 class TestTable:
@@ -371,6 +414,13 @@ class TestTable:
         assert len(captured.out.splitlines()) == 5
         assert "note: table limited to 4 rows" in captured.err
 
+    @pytest.mark.parametrize("limit", [10, 100])
+    def test_limit_that_drops_no_row_prints_no_notice(self, tmp_path, capsys, limit):
+        path = tmp_path / "uncapped.cfg"
+        path.write_text(PLANAR.read_text() + f"\n[job]\nlimit = {limit}\n")
+        assert main(["table", "--config", str(path)]) == 0
+        assert capsys.readouterr() == (GOLDEN.read_text(), "")
+
     def test_negative_limit_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "negative.cfg"
         path.write_text(PLANAR.read_text() + "\n[job]\nlimit = -1\n")
@@ -390,7 +440,7 @@ class TestTable:
 # with a semigroup bound for each.
 KIND_DELTAS = {
     "N": (DELTA_N, "40"),
-    "C": ("[delta]\ntype = C\nunder = 11 9\n", "10 2"),
+    "C": (DELTA_C, "10 2"),
     "D": (DELTA_D, "3 2"),
     "E": (DELTA_E, "6"),
 }

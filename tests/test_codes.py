@@ -627,6 +627,9 @@ class TestScanTable:
     def test_row_limit(self):
         rows = scan_table(DZ119, FAM7, EV7, limit=4)
         assert [r.k for r in rows] == [10, 9, 8, 7]
+        assert rows.dropped == 6
+        assert scan_table(DZ119, FAM7, EV7).dropped == 0
+        assert scan_table(DZ119, FAM7, EV7, limit=10).dropped == 0
 
     def test_single_point_scan(self):
         ev = EvalMap(F7, [(1, 1)])
