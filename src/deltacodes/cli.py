@@ -5,12 +5,13 @@ field, ``[delta]`` describes the delta-sequence to build, ``[points]`` lists
 evaluation points one per line, and ``[job]`` holds run options.  Keys are
 strict: anything unknown, missing, or malformed is reported with its line
 number and exits with status 2; domain failures (a sequence that fails a
-condition, an impossible construction) exit with status 1.
+condition, an impossible construction) exit with status 1.  A bad command
+line, an unreadable config and an unwritable output file exit with status 2
+too.
 """
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ __all__ = ["JobConfig", "main", "parse_config", "run"]
 
 _SECTIONS = ("field", "delta", "points", "job")
 _TYPES = ("N", "C", "D", "E")
+_MODES = ("jumps", "full")
 COMMANDS = ("validate", "construct", "approximates", "semigroup", "table")
 
 
@@ -116,7 +118,7 @@ _SCHEMA = {
         "choices": (_choices, None, ("E",)),
     },
     "job": {
-        "mode": (_one_of(("jumps", "full"), "mode"), "jumps", _TYPES),
+        "mode": (_one_of(_MODES, "mode"), "jumps", _TYPES),
         "limit": (_int, None, _TYPES),
         "bound": ({kind: _bound(kind) for kind in _TYPES}, None, _TYPES),
         "depth": (_int, None, _TYPES),
@@ -401,43 +403,110 @@ def run(config: JobConfig) -> str:
     return _RUNNERS[config.command](config)
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="deltacodes",
-        description="Build delta-sequences and evaluation codes from a config file.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "validate": "check the conditions on an integer sequence",
-        "construct": "build the configured delta-sequence and print it",
-        "approximates": "print the approximate polynomials and their weights",
-        "semigroup": "list semigroup members up to the configured bound",
-        "table": "emit the code table as CSV",
-    }
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
-        cmd.add_argument("--config", required=True, help="path to the config file")
-        cmd.add_argument("--out", help="write output to this file instead of stdout")
-        if name == "table":
-            cmd.add_argument(
-                "--mode",
-                choices=("jumps", "full"),
-                help="row selection, overriding the config",
-            )
-    return parser
+# The options after the command; --mode only after ``table``.
+_OPTIONS = ("--help", "--config", "--out", "--mode")
+
+_USAGE = (
+    "usage: deltacodes {validate,construct,approximates,semigroup,table}"
+    " --config PATH [--out PATH] [--mode jumps|full]\n"
+)
+_HELP = _USAGE + """
+Build delta-sequences and evaluation codes from a config file.
+
+commands:
+  validate      check the conditions on an integer sequence
+  construct     build the configured delta-sequence and print it
+  approximates  print the approximate polynomials and their weights
+  semigroup     list semigroup members up to the configured bound
+  table         emit the code table as CSV
+
+options:
+  --config PATH  path to the config file (required)
+  --out PATH     write output to this file instead of stdout
+  --mode MODE    jumps or full, overriding the config (table only)
+  -h, --help     show this help and exit
+"""
+
+
+def _fail(message: str):
+    sys.stderr.write(f"{_USAGE}deltacodes: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str, names: tuple[str, ...]) -> tuple[str | None, str | None]:
+    """The option among ``names`` that ``token`` names, and its value when
+    given with ``=``: a long option or any unique prefix of it (``--conf``,
+    ``--conf=x``), or ``-h``.  (None, None) for anything else."""
+    if token.startswith("-h"):
+        return "--help", token[2:] or None
+    name, eq, value = token.partition("=")
+    if name.startswith("--") and len(name) > 2:
+        # the names differ in their first letter, so a prefix names at most one
+        for option in names:
+            if option.startswith(name):
+                return option, value if eq else None
+    return None, None
+
+
+def _command_line(argv: list[str] | None) -> tuple[str, str, str | None, str | None]:
+    """``(command, config, out, mode)`` from ``COMMAND --config PATH [--out
+    PATH] [--mode jumps|full]``, with ``--mode`` for ``table`` only.
+
+    A value follows its option as the next argument, or after ``=`` in the
+    same one; a value that begins with ``-`` needs the ``=`` form.  An option
+    may be shortened to any unique prefix, and a repeated one keeps its last
+    value.  ``-h``/``--help`` prints the help to stdout and exits 0; a bad
+    command line prints the usage and the error to stderr and exits 2.  As
+    with argparse, an unknown option or a stray argument is reported only
+    once the whole line is read, so a ``-h`` after it still prints the help."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    command, names, values, unknown = None, ("--help",), {}, []
+    i = 0
+    while i < len(args):
+        token = args[i]
+        i += 1
+        option, value = _option(token, names)
+        if option == "--help":
+            if value is not None:
+                _fail(f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if option is not None:
+            if value is None:
+                if i == len(args) or args[i].startswith("-"):
+                    _fail(f"argument {option}: expected one argument")
+                value = args[i]
+                i += 1
+            if option == "--mode" and value not in _MODES:
+                choices = ", ".join(_MODES)
+                _fail(f"argument --mode: invalid choice: {value!r} (choose from {choices})")
+            values[option] = value
+        elif command is None and not token.startswith("-"):
+            if token not in COMMANDS:
+                _fail(f"invalid command {token!r} (choose from {', '.join(COMMANDS)})")
+            command = token
+            names = _OPTIONS if command == "table" else _OPTIONS[:3]
+        else:
+            unknown.append(token)
+    if command is None:
+        _fail("the following arguments are required: command")
+    if "--config" not in values:
+        _fail("the following arguments are required: --config")
+    if unknown:
+        _fail(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, values["--config"], values.get("--out"), values.get("--mode")
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    command, config_path, out, mode = _command_line(argv)
     try:
-        text = pathlib.Path(args.config).read_text(encoding="utf-8")
+        text = pathlib.Path(config_path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error[parse]: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
         config = parse_config(text)
-        mode = getattr(args, "mode", None) or config.mode
-        config = config.replace(command=args.command, mode=mode)
+        config = config.replace(command=command, mode=mode or config.mode)
         output = run(config)
     except ConfigError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
@@ -445,10 +514,14 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error[domain]: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        pathlib.Path(args.out).write_text(output, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(output)
+        return 0
+    try:
+        pathlib.Path(out).write_text(output, encoding="utf-8")
+    except OSError as exc:
+        print(f"error[parse]: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -3,16 +3,19 @@
 Each one is the plain, slow way to get what the library computes another way:
 field arithmetic one named operation at a time, the rank and kernel of a
 matrix of field elements, evaluation rows by multiplying out each basis
-polynomial, and semigroup membership by a sieve over every integer up to the
-bound.  They live outside the package, so the library neither ships nor
-imports them, and a test that compares the two compares independent code.
+polynomial, semigroup membership by a sieve over every integer up to the
+bound, and the command line read by ``argparse``.  They live outside the
+package, so the library neither ships nor imports them, and a test that
+compares the two compares independent code.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
 from math import gcd
 
+from deltacodes.cli import COMMANDS
 from deltacodes.codes import EvalMap
 from deltacodes.errors import DomainError
 from deltacodes.gf import FieldElement, FieldSpec, rank_nullspace_ints
@@ -136,3 +139,32 @@ def gaps(gens) -> list[int]:
     bound = gs[0] * gs[-1] + 1
     reach = _sieve(gs, bound)
     return [v for v in range(1, bound + 1) if not reach[v]]
+
+
+# --- command line ------------------------------------------------------------
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="deltacodes",
+        description="Build delta-sequences and evaluation codes from a config file.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    helps = {
+        "validate": "check the conditions on an integer sequence",
+        "construct": "build the configured delta-sequence and print it",
+        "approximates": "print the approximate polynomials and their weights",
+        "semigroup": "list semigroup members up to the configured bound",
+        "table": "emit the code table as CSV",
+    }
+    for name in COMMANDS:
+        cmd = sub.add_parser(name, help=helps[name])
+        cmd.add_argument("--config", required=True, help="path to the config file")
+        cmd.add_argument("--out", help="write output to this file instead of stdout")
+        if name == "table":
+            cmd.add_argument(
+                "--mode",
+                choices=("jumps", "full"),
+                help="row selection, overriding the config",
+            )
+    return parser

@@ -2,9 +2,11 @@
 
 Each test works on a copy of ``setup.py``, ``pyproject.toml`` and ``src/``
 built with ``python setup.py build_ext --inplace``, never on the tree
-itself.  Fresh interpreters run with ``-B`` (no bytecode written), as a
-process does under ``PYTHONDONTWRITEBYTECODE=1``, and record every module
-that the import system compiles from source.
+itself; two of them check the test session's own rebuild rule
+(``conftest.needs_build``) on such a copy.  Fresh interpreters run with
+``-B`` (no bytecode written), as a process does under
+``PYTHONDONTWRITEBYTECODE=1``, and record every module that the import
+system compiles from source.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import importlib.util
 import json
 import os
 import pathlib
+import py_compile
 import shutil
 import subprocess
 import sys
 
 import pytest
+from conftest import needs_build, stale_bytecode
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = pathlib.Path(__file__).parent / "data"
@@ -97,16 +101,38 @@ def built(tmp_path_factory) -> pathlib.Path:
 
 def test_every_module_has_checked_hash_bytecode(built):
     package = built / "src" / "deltacodes"
-    sources = sorted(package.glob("*.py"))
-    assert len(sources) > 10
-    for source in sources:
-        data = pathlib.Path(importlib.util.cache_from_source(str(source))).read_bytes()
-        assert data[:4] == importlib.util.MAGIC_NUMBER, source.name
-        # PEP 552 flags: bit 0 hash-based, bit 1 check the source
-        assert int.from_bytes(data[4:8], "little") == 0b11, source.name
-        assert data[8:16] == importlib.util.source_hash(source.read_bytes()), source.name
+    assert len(list(package.glob("*.py"))) > 10
+    assert stale_bytecode(package) == []
     # nothing outside the package is byte-compiled
     assert {p.parent for p in built.rglob("*.pyc")} == {package / "__pycache__"}
+
+
+def test_a_session_rebuilds_a_tree_whose_bytecode_is_stale(built, tmp_path):
+    """The test session's check: a module with no bytecode, with bytecode
+    of an older source, or with timestamp bytecode asks for a build, and
+    the build makes the tree current."""
+    tree = tmp_path / "tree"
+    shutil.copytree(built, tree)
+    package = tree / "src" / "deltacodes"
+    assert not needs_build(package)
+    pathlib.Path(importlib.util.cache_from_source(str(package / "gf.py"))).unlink()
+    with open(package / "errors.py", "a", encoding="utf-8") as module:
+        module.write("\nEDITED = True\n")
+    py_compile.compile(str(package / "codes.py"), doraise=True)
+    assert stale_bytecode(package) == ["codes.py", "errors.py", "gf.py"]
+    assert needs_build(package)
+    assert build(tree).returncode == 0
+    assert not needs_build(package)
+
+
+def test_a_session_rebuilds_a_tree_without_a_kernel(built, tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(built, tree)
+    package = tree / "src" / "deltacodes"
+    for kernel in package.glob("_minweight.*"):
+        if kernel.suffix != ".c":
+            kernel.unlink()
+    assert stale_bytecode(package) == [] and needs_build(package)
 
 
 def test_a_fresh_start_compiles_no_module(built):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from deltacodes.cli import _SCHEMA, COMMANDS, JobConfig, main, parse_config, run
+import deltacodes
+import oracles
+from deltacodes.cli import _SCHEMA, COMMANDS, JobConfig, _command_line, main, parse_config, run
 from deltacodes.errors import ConfigError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -429,6 +432,14 @@ class TestTable:
         assert captured.out == ""
         assert captured.err == "error[domain]: limit must be >= 0, got -1\n"
 
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["table", "--config", str(PLANAR), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.parent.exists()
+        assert captured.err.startswith("error[parse]: cannot write output: ")
+        assert str(out) in captured.err
+
     def test_table_without_points_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "nopoints.cfg"
         path.write_text(FIELD_7 + "[delta]\ntype = C\nunder = 11 9\n")
@@ -486,6 +497,179 @@ class TestEntryPoint:
         config = parse_config(FIELD_7 + DELTA_N)
         with pytest.raises(Exception, match="unknown command"):
             run(config)
+
+    def test_a_table_job_loads_no_argparse(self):
+        """Neither importing the command line nor running a table job, in a
+        fresh interpreter, loads argparse or what it imports."""
+        root = str(pathlib.Path(deltacodes.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "FORBIDDEN = ('argparse', 'gettext', 'locale')\n"
+            "before = set(sys.modules)\n"
+            "def loaded():\n"
+            "    return [m for m in FORBIDDEN if m in set(sys.modules) - before]\n"
+            "import deltacodes.cli\n"
+            "on_import = loaded()\n"
+            f"code = deltacodes.cli.main(['table', '--config', {str(PLANAR)!r}])\n"
+            "sys.stderr.write(f'{code} {on_import} {loaded()}')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.stderr == "0 [] []"
+        assert result.stdout == GOLDEN.read_text()
+
+
+# --- the command line ---------------------------------------------------------
+
+
+def read_argv(argv):
+    """What ``cli._command_line`` makes of argv: its tuple, or the exit code
+    with stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            return _command_line(argv)
+    except SystemExit as exc:
+        return exc.code, stdout.getvalue(), stderr.getvalue()
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["table", "--config", "a"], ("table", "a", None, None)),
+            (["table", "--config=a", "--out=b", "--mode=full"], ("table", "a", "b", "full")),
+            (["table", "--c", "a", "--o", "b", "--m", "full"], ("table", "a", "b", "full")),
+            (["table", "--conf=a", "--mo=jumps"], ("table", "a", None, "jumps")),
+            (["semigroup", "--out", "b", "--config", "a"], ("semigroup", "a", "b", None)),
+            (["table", "--config", "a", "--config", "b", "--mode", "full", "--mode", "jumps"],
+             ("table", "b", None, "jumps")),
+            (["validate", "--config=-a", "--out="], ("validate", "-a", "", None)),
+            (["construct", "--config", "table"], ("construct", "table", None, None)),
+        ],
+    )
+    def test_grammar(self, argv, expected):
+        assert read_argv(argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["--he"], ["table", "-h"], ["semigroup", "--stray", "--help"]]
+    )
+    def test_help_prints_to_stdout_and_exits_0(self, argv):
+        code, out, err = read_argv(argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: deltacodes ") and "--mode MODE" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["tables", "--config", "a"], "invalid command 'tables'"),
+            (["table"], "the following arguments are required: --config"),
+            (["table", "--config"], "argument --config: expected one argument"),
+            (["table", "--config", "-a"], "argument --config: expected one argument"),
+            (["table", "--config", "a", "--mode", "all"],
+             "argument --mode: invalid choice: 'all'"),
+            (["validate", "--config", "a", "--mode", "full"],
+             "unrecognized arguments: --mode full"),
+            (["--config", "a", "table"], "invalid command 'a'"),
+            (["table", "--config", "a", "--", "b"], "unrecognized arguments: -- b"),
+            (["table", "--config", "a", "--help=x"], "ignored explicit argument 'x'"),
+            # an error before -h in reading order stops first
+            (["table", "--mode", "all", "-h"], "invalid choice: 'all'"),
+        ],
+    )
+    def test_bad_command_line_exits_2(self, argv, message):
+        code, out, err = read_argv(argv)
+        assert code == 2 and out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: deltacodes ")
+        assert error.startswith("deltacodes: error: ") and message in error
+
+    def test_main_exits_2_on_a_bad_command_line(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--mode", "full"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith("required: --config\n")
+
+
+# The parts an argv of the differential test is drawn from.
+NAMES = ("--config", "--out", "--mode")
+SPELLINGS = {name: [name[:k] for k in range(3, len(name) + 1)] for name in NAMES}
+HELPS = ["-h", "--h", "--he", "--hel", "--help"]
+WORDS = list(COMMANDS) + ["frobnicate", "jumps", "full", "sideways"]
+PATHS = st.text("abcxyz019._/", min_size=1, max_size=8)
+VALUES = st.one_of(st.sampled_from(WORDS), PATHS)
+
+
+@st.composite
+def option_with_value(draw):
+    """One option spelled in full or as a prefix, with its value as the
+    next argument or after "="."""
+    name = draw(st.sampled_from(NAMES))
+    spelling = draw(st.sampled_from(SPELLINGS[name]))
+    value = draw(st.sampled_from(["jumps", "full", "sideways"]) if name == "--mode" else VALUES)
+    return [f"{spelling}={value}"] if draw(st.booleans()) else [spelling, value]
+
+
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(WORDS + HELPS + [s for name in NAMES for s in SPELLINGS[name]]),
+    option_with_value().map(lambda parts: parts[0]),
+    PATHS,
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command followed by options, at times with up to two loose tokens
+    put anywhere; or any short list of tokens."""
+    if draw(st.booleans()):
+        return draw(st.lists(ARGV_TOKENS, max_size=8))
+    argv = [draw(st.sampled_from(list(COMMANDS) + ["frobnicate"]))]
+    for parts in draw(st.lists(option_with_value(), min_size=1, max_size=4)):
+        argv += parts
+    for token in draw(st.lists(ARGV_TOKENS, max_size=2)) if draw(st.booleans()) else ():
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def argparse_outcome(argv):
+    """What the argparse reader the command line replaced makes of argv: the
+    same tuple, or the exit code."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = oracles._parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return args.command, args.config, args.out, getattr(args, "mode", None)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+@example(["table", "--conf=a", "--m", "full", "--config", "b"])
+@example(["--config", "a", "-h"])
+@example(["validate", "--config", "a", "--mode", "full"])
+@example(["table", "--mode", "sideways", "--help"])
+def test_the_reader_agrees_with_argparse(argv):
+    """The same (command, config, out, mode) or the same exit code as the
+    argparse parser.  Values that begin with "-" and the "--" separator are
+    left out: the reader takes such a token for an option (a value that
+    begins with "-" needs the "=" form), where argparse also reads negative
+    numbers, "-" and anything after "--" as values."""
+    ours = read_argv(argv)
+    if isinstance(ours[0], str):
+        assert ours == argparse_outcome(argv)
+        return
+    code, out, err = ours
+    assert code == argparse_outcome(argv)
+    if code == 0:
+        assert out.startswith("usage: deltacodes ") and err == ""
+    else:
+        assert out == "" and err.startswith("usage: deltacodes ") and "deltacodes: error: " in err
 
 
 # --- fuzzing ----------------------------------------------------------------
