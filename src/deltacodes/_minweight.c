@@ -7,7 +7,9 @@
    starts at a floor wmin, and the last two columns of a subset are closed by
    hashing (see pairs).  extend_echelon is the rank step of a scan: it reduces
    a block of rows against a normalized echelon basis the caller keeps, with
-   the same reduce and lead_one.  _minweight_py.py is the same in Python. */
+   the same reduce and lead_one.  field_tables fills a field's q*q addition,
+   subtraction and multiplication tables.  _minweight_py.py is the same in
+   Python. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -269,15 +271,117 @@ static PyObject *extend_echelon(PyObject *Py_UNUSED(self), PyObject *args)
     return result;
 }
 
+/* out[a * q + b] = a + sign * b, digit by digit mod p: the low digits
+   combine mod p, and the rest is p times the entry at (a / p, b / p), which
+   comes earlier in the table (out[0] is set first, as it reads itself). */
+static void digitwise(int *out, const int *low, const int *high, int p, int q, int sign)
+{
+    out[0] = 0;
+    for (int a = 0; a < q; a++) {
+        int *row = out + (size_t)a * q;
+        const int *rest = out + (size_t)high[a] * q;
+        for (int b = 0; b < q; b++) {
+            int d = low[a] + sign * low[b];
+            d = d < 0 ? d + p : d >= p ? d - p : d;
+            row[b] = d + p * rest[high[b]];
+        }
+    }
+}
+
+/* Fill the tables from the q - 1 powers, each in [0, q); 0, or -1 with
+   ValueError when a power is zero or repeats one before it, written before
+   any table, or with MemoryError. */
+static int fill(const int *powers, int p, int q, int *add, int *sub, int *mul)
+{
+    int order = q - 1;
+    /* the logarithms, the powers twice over, and each value's low digit and
+       the rest of its digits */
+    int *logs = PyMem_Malloc(sizeof(int) * ((size_t)q * 3 + 2 * (size_t)order));
+    if (logs == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int *cycle = logs + q, *low = cycle + 2 * (size_t)order, *high = low + q;
+    for (int v = 0; v < q; v++) {
+        logs[v] = -1;
+        low[v] = v % p;
+        high[v] = v / p;
+    }
+    for (int k = 0; k < order; k++) {
+        if (powers[k] == 0 || logs[powers[k]] >= 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "powers[%d] = %d is zero or repeats an earlier power", k, powers[k]);
+            PyMem_Free(logs);
+            return -1;
+        }
+        logs[powers[k]] = k;
+        cycle[k] = cycle[k + order] = powers[k];
+    }
+    digitwise(add, low, high, p, q, 1);
+    if (sub != add)
+        digitwise(sub, low, high, p, q, -1);
+    memset(mul, 0, sizeof(int) * (size_t)q); /* 0 * b */
+    for (int a = 1; a < q; a++) {
+        int *row = mul + (size_t)a * q;
+        const int *from = cycle + logs[a];
+        row[0] = 0;
+        for (int b = 1; b < q; b++)
+            row[b] = from[logs[b]];
+    }
+    PyMem_Free(logs);
+    return 0;
+}
+
+PyDoc_STRVAR(field_tables_doc,
+"field_tables(powers, p, m, add, sub, mul)\n--\n\n"
+"Fill the flat q*q addition, subtraction and multiplication tables of\n"
+"GF(p^m), q = p^m, on encoded values (base-p digits, little-endian).\n\n"
+"``powers`` holds the q - 1 distinct encoded powers g^0, g^1, ... of a\n"
+"primitive element g; ``mul`` goes through their logarithms.  ``add`` and\n"
+"``sub`` work digit by digit mod p and need no powers.  The outputs are\n"
+"writable array('i') with room for q*q ints; when p = 2, ``sub`` may be\n"
+"``add`` itself, which is then filled once.");
+
+static PyObject *field_tables(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer powers, add, sub, mul;
+    int p, m, q = 1, *a, *s, *x;
+    const int *pw;
+    PyObject *result = NULL;
+    if (!PyArg_ParseTuple(args, "y*iiy*y*y*", &powers, &p, &m, &add, &sub, &mul))
+        return NULL;
+    for (int i = 0; i < m && p >= 2 && p <= MAX_Q && q <= MAX_Q; i++)
+        q *= p; /* at most MAX_Q * MAX_Q, which fits in an int */
+    if (p < 2 || m < 1 || p > MAX_Q || q > MAX_Q)
+        PyErr_Format(PyExc_ValueError,
+                     "p must be at least 2, m at least 1 and p^m at most %d", MAX_Q);
+    else if (powers.len != (Py_ssize_t)sizeof(int) * (q - 1))
+        PyErr_Format(PyExc_ValueError, "powers must hold q - 1 = %d ints", q - 1);
+    else if (add.buf == sub.buf && p != 2)
+        PyErr_SetString(PyExc_ValueError, "sub may be add only when p = 2");
+    else if ((pw = check(&powers, q - 1, q, "powers"))
+             && (a = check_out(&add, (Py_ssize_t)q * q, 0, q, "add"))
+             && (s = check_out(&sub, (Py_ssize_t)q * q, 0, q, "sub"))
+             && (x = check_out(&mul, (Py_ssize_t)q * q, 0, q, "mul"))
+             && fill(pw, p, q, a, s, x) == 0)
+        result = Py_NewRef(Py_None);
+    PyBuffer_Release(&powers);
+    PyBuffer_Release(&add);
+    PyBuffer_Release(&sub);
+    PyBuffer_Release(&mul);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"min_dependent_columns", min_dependent_columns, METH_VARARGS, min_dependent_columns_doc},
     {"extend_echelon", extend_echelon, METH_VARARGS, extend_echelon_doc},
+    {"field_tables", field_tables, METH_VARARGS, field_tables_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, .m_name = "_minweight", .m_size = -1, .m_methods = methods,
-    .m_doc = "Compiled column search and echelon extension over a finite field.",
+    .m_doc = "Compiled column search, echelon extension and field tables.",
 };
 
 PyMODINIT_FUNC PyInit__minweight(void)

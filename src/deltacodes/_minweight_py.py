@@ -7,12 +7,20 @@ floor ``wmin`` on, with the chosen columns kept as a normalized incremental
 echelon basis, and the last two columns of a subset closed by hashing their
 reduced, normalized images.  ``extend_echelon`` is the rank step of a scan:
 it reduces a block of rows against an echelon basis the caller keeps.  Both
-share one reduction and one normalization.
+share one reduction and one normalization.  ``field_tables`` fills a field's
+q*q arithmetic tables.
 """
 
 from __future__ import annotations
 
-__all__ = ["extend_echelon", "min_dependent_columns"]
+import struct
+from array import array
+from operator import itemgetter
+
+__all__ = ["MAX_Q", "extend_echelon", "field_tables", "min_dependent_columns"]
+
+# Largest q whose flat q*q table indices fit in a C int, as in the C kernel.
+MAX_Q = 46340
 
 
 def _reduce(v, tails, pivots, q, mul, sub):
@@ -134,3 +142,75 @@ def extend_echelon(rows, m, n, q, mul, sub, inv, basis, pivots, rank):
             flags[i] = 1
             rank += 1
     return bytes(flags)
+
+
+def _digitwise(p, m, sign):
+    """Flat array('i') of a + sign * b digit by digit mod p on encoded values,
+    grown one base-p digit at a time: for a = a_low + P * a_top (a_low < P)
+    the entry at (a, b) is the entry at (a_low, b_low) plus
+    P * ((a_top + sign * b_top) mod p).  So the grown row of (a_low, a_top)
+    is the row of (a_low, 0) rotated by sign * a_top blocks of P, and each
+    row is copied in two slices."""
+    table, size = array("i", [0]), 1
+    for _ in range(m):
+        rows = [
+            array("i", [v + sign * k % p * size for k in range(p) for v in table[a : a + size]])
+            for a in range(0, size * size, size)
+        ]
+        grown = array("i")
+        for a_top in range(p):
+            cut = sign * a_top % p * size
+            for row in rows:
+                grown += row[cut:]
+                grown += row[:cut]
+        table, size = grown, size * p
+    return table
+
+
+def _out(buf, room, name):
+    """A writable memoryview of the array('i') ``buf``, which must hold at
+    least ``room`` ints; ValueError otherwise."""
+    view = memoryview(buf)
+    if view.readonly:
+        raise ValueError(f"{name} must be writable")
+    if view.format != "i" or view.ndim != 1:
+        raise ValueError(f"{name} must be an array('i')")
+    if len(view) < room:
+        raise ValueError(f"{name} holds {len(view)} entries, needs {room}")
+    return view
+
+
+def field_tables(powers, p, m, add, sub, mul):
+    """Fill the flat q*q addition, subtraction and multiplication tables of
+    GF(p^m), q = p^m, on encoded values (base-p digits, little-endian).
+
+    ``powers`` holds the q - 1 distinct encoded powers g^0, g^1, ... of a
+    primitive element g; ``mul`` goes through their logarithms.  ``add`` and
+    ``sub`` work digit by digit mod p and need no powers.  The outputs are
+    writable array('i') with room for q*q ints; when p = 2, ``sub`` may be
+    ``add`` itself, which is then filled once.
+    """
+    if p < 2 or m < 1 or p > MAX_Q or m >= MAX_Q.bit_length() or p**m > MAX_Q:
+        raise ValueError(f"p must be at least 2, m at least 1 and p^m at most {MAX_Q}")
+    q, order = p**m, p**m - 1
+    if len(powers) != order:
+        raise ValueError(f"powers must hold q - 1 = {order} ints")
+    same = sub is add
+    if same and p != 2:
+        raise ValueError("sub may be add only when p = 2")
+    if not all(0 < v < q for v in powers) or len(set(powers)) != order:
+        raise ValueError("powers must be distinct and in [1, q)")
+    add, sub, mul = (_out(add, q * q, "add"), _out(sub, q * q, "sub"), _out(mul, q * q, "mul"))
+    add[: q * q] = _digitwise(p, m, 1)
+    if not same:
+        sub[: q * q] = _digitwise(p, m, -1)
+    # Row a > 0 reads the powers from g^(log a) on at the logarithms of
+    # 1, ..., q - 1, after a 0 for column 0, which is put at the end.
+    powers, log = list(powers), [0] * q
+    for k, v in enumerate(powers):
+        log[v] = k
+    pick, row = itemgetter(order, *log[1:]), struct.Struct(f"{q}i")
+    row.pack_into(mul, 0, *[0] * q)
+    for a in range(1, q):
+        la = log[a]
+        row.pack_into(mul, a * row.size, *pick(powers[la:] + powers[:la] + [0]))

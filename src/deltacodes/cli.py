@@ -236,7 +236,7 @@ def _coordinate(token: str, spec: FieldSpec, no: int) -> FieldElement:
             if not tail.isdigit():
                 raise ConfigError(f"malformed power coordinate {token!r} at line {no}")
             power = int(tail)
-        return spec.element(2) ** power
+        return spec.element(spec.p) ** power  # p encodes the class of x
     value = _int(token, "point", no)
     try:
         return spec.element(value)

@@ -204,13 +204,6 @@ class _PointwiseRows:
         return acc
 
 
-def _kernel_tables(t, backend: str | None):
-    """``mul``, ``sub`` and ``inv`` in the form the backend reads fastest."""
-    if (backend or minweight.BACKEND) == "pure":
-        return t.mul, t.sub, t.inv  # the pure loops index lists faster
-    return t.kernel_tables
-
-
 def _pair_counts(members) -> list[int]:
     """omega of every member: how many earlier-or-equal members it exceeds by
     a member.  Members are compared on integer keys that add like the
@@ -267,7 +260,7 @@ class Scan:
         n = ev.n
         t = ev.spec._t
         evaluate = _PointwiseRows(fam, ev)
-        tables = _kernel_tables(t, backend)
+        tables = t.kernel_tables(backend)
         basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
 
         members = []
@@ -413,7 +406,7 @@ def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None, wmin=1) -
         for j, v in enumerate(row):
             cols[j * r + i] = v
     w = min_dependent_columns(
-        cols, r, n, spec.q, *_kernel_tables(t, backend), r + 1, wmin, backend=backend
+        cols, r, n, spec.q, *t.kernel_tables(backend), r + 1, wmin, backend=backend
     )
     if w == 0:
         raise DomainError("distance search exhausted without a dependency")

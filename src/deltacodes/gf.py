@@ -1,9 +1,10 @@
 """Exact arithmetic in small finite fields GF(p^m) and linear algebra over them.
 
 Elements are coefficient tuples over the prime field (little-endian in the
-generator g); all arithmetic goes through precomputed tables, so everything is
-integer-exact.  For extension fields the modulus is configurable; the default
-is the smallest primitive monic polynomial, which for GF(2^5) is g^5+g^2+1.
+generator g); all arithmetic goes through precomputed tables, which the kernel
+fills, so everything is integer-exact.  For extension fields the modulus is
+configurable; the default is the smallest primitive monic polynomial, which
+for GF(2^5) is g^5+g^2+1, read from a table.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from __future__ import annotations
 import functools
 from array import array
 
+from . import minweight
 from ._value import Value, _set
 from .errors import DomainError
 
 __all__ = ["FieldElement", "FieldSpec", "rank_nullspace_ints"]
 
-# The q^2 tables (lists plus the kernel's arrays) take about 0.3 s and 70 MB
-# at 2^10; 2^12 took 5 s and 890 MB.
+# The q^2 tables of the largest fields, p = 1021 and 2^10, take about 0.02 s
+# and 26 MB peak with the compiled kernel, and 0.6 s and 62 MB with the pure
+# one, whose lists hold 8 bytes an entry where the arrays hold 4.
 MAX_FIELD_SIZE = 1 << 10
 
 
@@ -49,15 +52,6 @@ def _encode(coeffs, p: int) -> int:
     return v
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return tuple(out)
-
-
 def _poly_rem(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Remainder of a by a monic modulus, truncated to len(mod) - 1 residues."""
     m = len(mod) - 1
@@ -80,19 +74,77 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     )
 
 
+def _axpy(u: int, c: int, v: int, p: int) -> int:
+    """The encoded u + c * v, digit by digit mod p."""
+    if p == 2:  # digits add without carries, and c is 0 or 1
+        return u ^ v if c else u
+    out, place = 0, 1
+    while u or v:
+        u, a = divmod(u, p)
+        v, b = divmod(v, p)
+        out += (a + c * b) % p * place
+        place *= p
+    return out
+
+
 def _powers(root: int, p: int, mod: tuple[int, ...]) -> list[int]:
     """Encoded powers 1, root, root^2, ... of a residue modulo ``mod``, up to
     the first return to 1 and at most p^deg(mod) of them.  For a nonzero
     residue of a field the length is its multiplicative order, so the root
     is primitive exactly when the length is q - 1 (Lidl & Niederreiter,
-    *Finite Fields*, ch. 3)."""
+    *Finite Fields*, ch. 3).
+
+    A step adds c * acc * g^j over the root's digits c_j.  Multiplying by g
+    shifts the digits up one place, and a digit c that leaves the top comes
+    back as c * g^m = -c * (mod_0 + mod_1 g + ... + mod_{m-1} g^{m-1})."""
     m = len(mod) - 1
-    cap, one, step = p**m, _digits(1, p, m), _digits(root, p, m)
-    out, acc = [1], step
-    while acc != one and len(out) < cap:
-        out.append(_encode(acc, p))
-        acc = _poly_rem(_poly_mul(acc, step, p), mod, p)
+    cap, top = p**m, p ** (m - 1)
+    g_m = _encode([-c % p for c in mod[:m]], p)
+    terms = [(j, c) for j, c in enumerate(_digits(root, p, m)) if c]
+    out, acc = [1], root
+    while acc != 1 and len(out) < cap:
+        out.append(acc)
+        total, shifted, at = 0, acc, 0
+        for j, c in terms:
+            for _ in range(at, j):
+                high, low = divmod(shifted, top)
+                shifted = _axpy(low * p, high, g_m, p)
+            total, at = _axpy(total, c, shifted, p), j
+        acc = total
     return out
+
+
+# The smallest (by encoded value) monic primitive polynomial of each
+# extension field with q <= MAX_FIELD_SIZE, little-endian; a test checks
+# each against a search.  A field's encoding depends on its modulus.
+_DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (2, 1, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 1, 1),
+    (5, 3): (2, 3, 0, 1),
+    (5, 4): (2, 2, 1, 0, 1),
+    (7, 2): (3, 1, 1),
+    (7, 3): (2, 3, 0, 1),
+    (11, 2): (7, 1, 1),
+    (13, 2): (2, 1, 1),
+    (17, 2): (3, 1, 1),
+    (19, 2): (2, 1, 1),
+    (23, 2): (7, 1, 1),
+    (29, 2): (3, 1, 1),
+    (31, 2): (12, 1, 1),
+}
 
 
 class FieldSpec(Value):
@@ -115,7 +167,7 @@ class FieldSpec(Value):
             if modulus is not None:
                 raise DomainError("modulus applies only to extension fields (m > 1)")
         elif modulus is None:
-            modulus = _default_modulus(p, m)
+            modulus = _DEFAULT_MODULI[p, m]
         else:
             if isinstance(modulus, int):
                 if not 0 <= modulus < p ** (m + 1):
@@ -173,16 +225,6 @@ class FieldSpec(Value):
         if len(coeffs) != self.m or any(not 0 <= c < self.p for c in coeffs):
             raise DomainError(f"coefficients must be {self.m} residues mod {self.p}")
         return FieldElement(self, coeffs)
-
-
-def _default_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Smallest (by encoded value) monic primitive polynomial of degree m."""
-    for code in range(1, p**m):
-        mod = _digits(code, p, m) + (1,)
-        # the irreducibility filter first: it is cheaper than the walk
-        if _is_irreducible(mod, p) and len(_powers(p, p, mod)) == p**m - 1:
-            return mod
-    raise DomainError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
 class FieldElement(Value):
@@ -269,65 +311,61 @@ class FieldElement(Value):
         ).replace("g^0", "1")
 
 
-def _digitwise(p: int, m: int, op) -> list[int]:
-    """Flat table of a coefficient-wise operation mod p on encoded values,
-    grown one base-p digit at a time: for a = a_low + P * a_top (a_low < P)
-    the entry at (a, b) is the entry at (a_low, b_low) plus
-    P * (op(a_top, b_top) mod p)."""
-    table, size = [0], 1
-    for _ in range(m):
-        width = size * p
-        grown = [0] * (width * width)
-        at = 0
-        for a_top in range(p):
-            for a_low in range(size):
-                row = table[a_low * size : (a_low + 1) * size]
-                for b_top in range(p):
-                    shift = op(a_top, b_top) % p * size
-                    grown[at : at + size] = [v + shift for v in row]
-                    at += size
-        table, size = grown, width
-    return table
+def _primitive_powers(spec: FieldSpec) -> tuple[int, list[int]]:
+    """A primitive element, found by trial, and its q - 1 encoded powers.
+    The class of g comes first, so a primitive modulus keeps g as the
+    logarithm base."""
+    p, q = spec.p, spec.q
+    mod = spec.modulus or (0, 1)  # GF(p) is F_p[x] / (x)
+    for root in sorted(range(1, q), key=lambda c: c != p):
+        powers = _powers(root, p, mod)
+        if len(powers) == q - 1:
+            return root, powers
+    raise DomainError(f"GF({p}^{spec.m}) has no primitive element")
 
 
 class _Tables:
-    """Flat arithmetic tables for one field, indexed by encoded values."""
+    """Arithmetic tables for one field, indexed by encoded values: ``add``,
+    ``sub`` and ``mul`` are flat q*q array('i') that the kernel fills, and
+    ``neg``, ``inv``, ``by_val`` and ``dlog`` are q-sized lists."""
 
     def __init__(self, spec: FieldSpec) -> None:
         p, m, q = spec.p, spec.m, spec.q
         self.q = q
         self.by_val = [FieldElement(spec, _digits(v, p, m)) for v in range(q)]
-        self.add = _digitwise(p, m, lambda x, y: x + y)
-        # in characteristic 2, a - b = a + b: one table serves both
-        self.sub = self.add if p == 2 else _digitwise(p, m, lambda x, y: x - y)
-        self.neg = self.sub[:q]
 
-        # Powers of a primitive element, found by trial (the class of g first,
-        # so a primitive modulus keeps g as the logarithm base).  Every
-        # nonzero product and inverse then follows from the logarithms.
-        order, mod = q - 1, spec.modulus or (0, 1)  # GF(p) is F_p[x] / (x)
-        for root in sorted(range(1, q), key=lambda c: c != p):
-            powers = _powers(root, p, mod)
-            if len(powers) == order:
-                break
-        log = [0] * q
+        # Every nonzero product and inverse follows from the logarithms.
+        root, powers = _primitive_powers(spec)
+        order, log = q - 1, [0] * q
         for k, v in enumerate(powers):
             log[v] = k
-        cycle = powers + powers
-        logs = log[1:]
-        self.mul = [0] * (q * q)
-        for a in range(1, q):
-            la = log[a]
-            self.mul[a * q + 1 : (a + 1) * q] = [cycle[la + lb] for lb in logs]
-        self.inv = [0] + [powers[-la % order] for la in logs]
+        self.inv = [0] + [powers[-log[a] % order] for a in range(1, q)]
         # the logarithms to base g, when g is primitive
         self.dlog = log if m > 1 and root == p else None
 
+        self.add, self.mul = array("i", [0]) * (q * q), array("i", [0]) * (q * q)
+        # in characteristic 2, a - b = a + b: one table serves both
+        self.sub = self.add if p == 2 else array("i", [0]) * (q * q)
+        minweight.field_tables(powers, p, m, self.add, self.sub, self.mul)
+        self.neg = self.sub[:q].tolist()
+
+    def kernel_tables(self, backend: str | None = None) -> tuple:
+        """``mul``, ``sub`` and ``inv`` in the form the backend reads fastest:
+        the arrays themselves for the compiled kernel, lists for the pure
+        one; each form is made once, on its first use."""
+        if (backend or minweight.BACKEND) == "pure":
+            return self._lists
+        return self._arrays
+
     @functools.cached_property
-    def kernel_tables(self) -> tuple[array, array, array]:
-        """``mul``, ``sub`` and ``inv`` as array('i'), the form the compiled
-        column-search kernel reads, made once per field."""
-        return array("i", self.mul), array("i", self.sub), array("i", self.inv)
+    def _arrays(self) -> tuple[array, array, array]:
+        return self.mul, self.sub, array("i", self.inv)
+
+    @functools.cached_property
+    def _lists(self) -> tuple[list[int], list[int], list[int]]:
+        # entries share the q int objects: above 256 each would be its own
+        values = list(range(self.q))
+        return [values[v] for v in self.mul], [values[v] for v in self.sub], self.inv
 
 
 def _tables(spec: FieldSpec) -> _Tables:

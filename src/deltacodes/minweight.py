@@ -1,5 +1,6 @@
-"""Backend selection for the kernel: the minimum-dependent-columns search
-and the echelon extension behind the scan's rank step.
+"""Backend selection for the kernel: the minimum-dependent-columns search,
+the echelon extension behind the scan's rank step, and the fill of a field's
+q*q arithmetic tables.
 
 The compiled kernel (the C extension ``_minweight``) is preferred when it is
 built; setting the environment variable ``DELTACODES_PURE=1`` forces the
@@ -16,7 +17,13 @@ from types import ModuleType
 
 from . import _minweight_py
 
-__all__ = ["BACKEND", "available_backends", "extend_echelon", "min_dependent_columns"]
+__all__ = [
+    "BACKEND",
+    "available_backends",
+    "extend_echelon",
+    "field_tables",
+    "min_dependent_columns",
+]
 
 _BACKENDS: dict[str, ModuleType] = {"pure": _minweight_py}
 try:
@@ -106,6 +113,33 @@ def extend_echelon(
     if kernel is not _minweight_py:
         rows, mul, sub, inv = map(_int_array, (rows, mul, sub, inv))
     return kernel.extend_echelon(rows, m, n, q, mul, sub, inv, basis, pivots, rank)
+
+
+def field_tables(
+    powers: Sequence[int],
+    p: int,
+    m: int,
+    add: MutableSequence[int],
+    sub: MutableSequence[int],
+    mul: MutableSequence[int],
+    backend: str | None = None,
+) -> None:
+    """Fill the flat q*q addition, subtraction and multiplication tables of
+    GF(p^m), q = p^m, on encoded values (base-p digits, little-endian).
+
+    ``powers`` holds the q - 1 distinct encoded powers g^0, g^1, ... of a
+    primitive element g, and ``mul`` goes through their logarithms; ``add``
+    and ``sub`` work digit by digit mod p.  The caller allocates the outputs
+    as writable array('i') with room for q*q entries; when p = 2, ``sub`` may
+    be ``add`` itself, which is then filled once.  Both backends raise
+    ``ValueError`` when q exceeds the kernel's bound, the powers are not
+    q - 1 distinct values in [1, q), or an output is read-only or too short;
+    also when ``backend`` names a backend that is not built.
+    """
+    kernel = _built(backend)
+    if kernel is not _minweight_py:
+        powers = _int_array(powers)
+    kernel.field_tables(powers, p, m, add, sub, mul)
 
 
 def _built(backend: str | None) -> ModuleType:

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
 Each one is the plain, slow way to get what the library computes another way:
-field arithmetic one named operation at a time, the rank and kernel of a
-matrix of field elements, evaluation rows by multiplying out each basis
+field arithmetic one named operation at a time, polynomial products, the
+search for a default modulus, the rank and kernel of a matrix of field
+elements, evaluation rows by multiplying out each basis
 polynomial, semigroup membership by a sieve over every integer up to the
 bound, and the command line read by ``argparse``.  They live outside the
 package, so the library neither ships nor imports them, and a test that
@@ -18,9 +19,37 @@ from math import gcd
 from deltacodes.cli import COMMANDS
 from deltacodes.codes import EvalMap
 from deltacodes.errors import DomainError
-from deltacodes.gf import FieldElement, FieldSpec, rank_nullspace_ints
+from deltacodes.gf import (
+    FieldElement,
+    FieldSpec,
+    _digits,
+    _is_irreducible,
+    _powers,
+    rank_nullspace_ints,
+)
 
 # --- finite fields -----------------------------------------------------------
+
+
+def poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The product of two little-endian coefficient tuples over GF(p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return tuple(out)
+
+
+def default_modulus(p: int, m: int) -> tuple[int, ...]:
+    """Smallest (by encoded value) monic primitive polynomial of degree m,
+    by search: the reference for the library's table of default moduli."""
+    for code in range(1, p**m):
+        mod = _digits(code, p, m) + (1,)
+        # the irreducibility filter first: it is cheaper than the walk
+        if _is_irreducible(mod, p) and len(_powers(p, p, mod)) == p**m - 1:
+            return mod
+    raise DomainError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
 @dataclass

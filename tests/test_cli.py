@@ -126,6 +126,19 @@ class TestParseConfig:
         assert config.points[0] == (xi**5, xi**3)
         assert config.points[1] == (xi, config.spec.element(1))
 
+    @pytest.mark.parametrize(
+        "p, m",
+        [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for m in range(2, 11)
+         if p**m <= 1024],
+    )
+    def test_power_tokens_name_the_powers_of_g(self, p, m):
+        """``g^k`` is the k-th power of the class of x in every extension
+        field, so it prints as itself (x is primitive under the default
+        modulus); the encoded value 2 is x only when p = 2."""
+        for k in (1, 2, p**m - 2):
+            text = f"[field]\np = {p}\nm = {m}\n" + DELTA_N + f"[points]\ng^{k} 1\n"
+            assert str(parse_config(text).points[0][0]) == ("g" if k == 1 else f"g^{k}")
+
     def test_power_needs_extension(self):
         text = FIELD_7 + DELTA_N + "[points]\ng^2 1\n"
         assert "needs an extension field at line 7" in parse_error(text)

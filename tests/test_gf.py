@@ -15,17 +15,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import deltacodes
+from deltacodes import cli, minweight
 from deltacodes.errors import DomainError
 from deltacodes.gf import (
+    _DEFAULT_MODULI,
     MAX_FIELD_SIZE,
     FieldElement,
     FieldSpec,
     _is_prime,
-    _poly_mul,
     _poly_rem,
     _Tables,
 )
-from oracles import Matrix, field_arith, mat_rank_kernel
+from oracles import Matrix, default_modulus, field_arith, mat_rank_kernel, poly_mul
 
 F7 = FieldSpec(7)
 F32 = FieldSpec(2, 5)
@@ -109,8 +110,8 @@ def test_is_primitive_builds_no_tables():
 
 
 # The smallest monic primitive polynomial of each extension field with
-# q <= 1024, little-endian: a field's encoding depends on its modulus, so a
-# change to the search must not change which one it finds.
+# q <= 1024, little-endian: a field's encoding depends on its modulus, so
+# neither the library's table nor the search may change.
 DEFAULT_MODULI = {
     (2, 2): (1, 1, 1),
     (2, 3): (1, 1, 0, 1),
@@ -147,7 +148,18 @@ def test_default_moduli_of_every_extension_field():
         for m in range(2, MAX_FIELD_SIZE.bit_length()) if p**m <= MAX_FIELD_SIZE
     }
     assert set(DEFAULT_MODULI) == extensions
+    assert {(p, m): default_modulus(p, m) for p, m in DEFAULT_MODULI} == DEFAULT_MODULI
+    assert _DEFAULT_MODULI == DEFAULT_MODULI
     assert {(p, m): FieldSpec(p, m).modulus for p, m in DEFAULT_MODULI} == DEFAULT_MODULI
+
+
+def test_a_default_modulus_is_looked_up_not_searched():
+    searched = AssertionError("a polynomial was tested")
+    with mock.patch("deltacodes.gf._is_irreducible", side_effect=searched), mock.patch(
+        "deltacodes.gf._powers", side_effect=searched
+    ):
+        for p, m in DEFAULT_MODULI:
+            assert FieldSpec(p, m).modulus == DEFAULT_MODULI[p, m]
 
 
 SMALL_FIELDS = [
@@ -172,7 +184,7 @@ def test_tables_match_polynomial_arithmetic(spec):
             if spec.m == 1:
                 product = (ca[0] * cb[0] % p,)
             else:
-                product = _poly_rem(_poly_mul(ca, cb, p), spec.modulus, p)
+                product = _poly_rem(poly_mul(ca, cb, p), spec.modulus, p)
             total = tuple((x + y) % p for x, y in zip(ca, cb))
             difference = tuple((x - y) % p for x, y in zip(ca, cb))
             assert t.mul[a * q + b] == int(spec.element(product))
@@ -191,7 +203,7 @@ def test_gf256_add_and_sub_tables_every_entry():
         for b in range(q):
             difference = tuple((x - y) % 2 for x, y in zip(ca, coeffs[b]))
             assert t.sub[a * q + b] == int(spec.element(difference))
-    assert t.add == t.sub
+    assert t.sub is t.add
     assert t.neg == list(range(q))
 
 
@@ -288,7 +300,7 @@ import sys, time
 from deltacodes.gf import FieldSpec
 spec = FieldSpec(*map(int, sys.argv[1:]))
 start = time.perf_counter()
-spec._t.kernel_tables
+spec._t.kernel_tables()
 seconds = time.perf_counter() - start
 status = open("/proc/self/status").read().split("VmHWM:")[1]
 print(seconds, int(status.split()[0]) / 1024)
@@ -298,10 +310,11 @@ print(seconds, int(status.split()[0]) / 1024)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("args", [(1021,), (2, 10)], ids=["1021", "2^10"])
 def test_largest_fields_build_within_the_budget(args):
-    """The largest accepted fields build their tables, the lists and the
-    kernel's arrays, within 5 s and 160 MB peak resident in a fresh
-    interpreter.  About 2 s and 95 MB (p = 1021) on a 2-vCPU VM; the next
-    sizes up, 2^11 (230 MB) and p = 2039 (8.6 s), would not fit."""
+    """The largest accepted fields build their tables, in the form the
+    selected kernel reads, within 5 s and 160 MB peak resident in a fresh
+    interpreter.  On a 2-vCPU VM, p = 1021 takes about 0.02 s and 26 MB with
+    the compiled kernel and 0.6 s and 62 MB with the pure one (whose lists
+    set the bound), and 2^10 0.01 s and 22 MB, or 0.2 s and 62 MB."""
     root = str(pathlib.Path(deltacodes.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -314,12 +327,36 @@ def test_largest_fields_build_within_the_budget(args):
     seconds, peak_mb = map(float, result.stdout.split())
     assert seconds < 5 and peak_mb < 160, (seconds, peak_mb)
 
-def test_kernel_tables_are_made_once_per_field():
-    t = _Tables(F32)
-    mul, sub, inv = t.kernel_tables
-    assert t.kernel_tables[0] is mul
-    assert (mul.typecode, sub.typecode, inv.typecode) == ("i", "i", "i")
-    assert (list(mul), list(sub), list(inv)) == (t.mul, t.sub, t.inv)
+def test_kernel_tables_are_made_once_per_field(capsys):
+    """A compiled scan reads the tables' own arrays and makes no q*q list;
+    the pure kernel gets lists, made once."""
+    made = []
+    init = _Tables.__init__
+
+    def keep(self, spec):
+        init(self, spec)
+        made.append(self)
+
+    config = str(pathlib.Path(__file__).parent / "data" / "planar119.cfg")
+    for backend in ("compiled", "pure"):
+        if backend not in minweight.available_backends():
+            continue
+        with mock.patch.object(_Tables, "__init__", keep), mock.patch.object(
+            minweight, "BACKEND", backend
+        ):
+            assert cli.main(["table", "--config", config]) == 0
+        t = made.pop()
+        table = t.kernel_tables(backend)
+        assert t.kernel_tables(backend) is table
+        if backend == "compiled":
+            assert table[0] is t.mul and table[1] is t.sub
+            assert table[2].typecode == "i" and list(table[2]) == t.inv
+            squares = [v for v in vars(t).values() if isinstance(v, list) and len(v) == t.q**2]
+            assert squares == [] and "_lists" not in vars(t)
+        else:
+            assert table == (t.mul.tolist(), t.sub.tolist(), t.inv)
+            assert all(type(v) is list for v in table)
+    assert capsys.readouterr().err == ""
 
 
 def test_rendering():

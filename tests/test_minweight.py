@@ -10,11 +10,18 @@ from array import array
 
 import pytest
 
-from deltacodes.gf import FieldSpec, rank_nullspace_ints
+from deltacodes.gf import (
+    MAX_FIELD_SIZE,
+    FieldSpec,
+    _is_prime,
+    _primitive_powers,
+    rank_nullspace_ints,
+)
 from deltacodes.minweight import (
     _int_array,
     available_backends,
     extend_echelon,
+    field_tables,
     min_dependent_columns,
 )
 
@@ -54,6 +61,10 @@ class SlowField:
 
     def encode(self, digits):
         return sum(c * self.p**i for i, c in enumerate(digits))
+
+    def add(self, a, b):
+        pairs = zip(self.digits(a), self.digits(b))
+        return self.encode([(x + y) % self.p for x, y in pairs])
 
     def sub(self, a, b):
         pairs = zip(self.digits(a), self.digits(b))
@@ -448,6 +459,110 @@ class TestFloorAndPairs:
         assert least == 2 + extra
         for wmin in range(1, n + 2):
             self.expect(spec, rows, n, n, wmin, floored(least, wmin, n, n))
+
+
+# Every field FieldSpec accepts, with its default modulus, and three
+# irreducible moduli whose g is not primitive.
+EVERY_FIELD = [
+    FieldSpec(p, m)
+    for p in range(2, MAX_FIELD_SIZE + 1) if _is_prime(p)
+    for m in range(1, MAX_FIELD_SIZE.bit_length()) if p**m <= MAX_FIELD_SIZE
+] + [
+    FieldSpec(2, 4, (1, 1, 1, 1, 1)),
+    FieldSpec(3, 2, (1, 0, 1)),
+    FieldSpec(2, 6, (1, 0, 0, 1, 0, 0, 1)),
+]
+
+
+def filled_tables(spec, powers, backend):
+    """``add``, ``sub`` and ``mul`` of the spec as one backend fills them,
+    from the given powers; ``sub`` is ``add`` when p = 2."""
+    q = spec.q
+    add, mul = array("i", [0]) * (q * q), array("i", [0]) * (q * q)
+    sub = add if spec.p == 2 else array("i", [0]) * (q * q)
+    field_tables(powers, spec.p, spec.m, add, sub, mul, backend=backend)
+    return add, sub, mul
+
+
+class TestFieldTables:
+    """The third kernel entry point: a field's q*q arithmetic tables."""
+
+    def test_backends_agree_on_every_field(self):
+        if "compiled" not in available_backends():
+            pytest.skip("the compiled kernel is not built")
+        assert len(EVERY_FIELD) == 198 + 3
+        for spec in EVERY_FIELD:
+            powers = _primitive_powers(spec)[1]
+            pure = filled_tables(spec, powers, "pure")
+            assert filled_tables(spec, powers, "compiled") == pure, spec
+
+    @pytest.mark.parametrize(
+        "spec", [F5, FieldSpec(3, 2), FieldSpec(3, 2, (1, 0, 1)), F32], ids=str
+    )
+    def test_tables_are_the_field_operations(self, spec):
+        field = slow_field(spec)
+        powers = _primitive_powers(spec)[1]
+        for backend in available_backends():
+            # the powers as a list and as an array('i')
+            for given in (powers, array("i", powers)):
+                add, sub, mul = filled_tables(spec, given, backend)
+                for a in range(spec.q):
+                    for b in range(spec.q):
+                        at = a * spec.q + b
+                        assert (add[at], sub[at]) == (field.add(a, b), field.sub(a, b))
+                        assert mul[at] == field.mul(a, b)
+
+    def test_a_separate_sub_is_filled_when_p_is_2(self):
+        q = 16
+        add, sub, mul = (array("i", [-1]) * (q * q) for _ in range(3))
+        field_tables(_primitive_powers(FieldSpec(2, 4))[1], 2, 4, add, sub, mul)
+        assert sub == add and -1 not in mul
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_bad_input_is_rejected(self, backend):
+        if backend not in available_backends():
+            pytest.skip("the compiled kernel is not built")
+        spec = FieldSpec(3, 2)
+        q, powers = spec.q, _primitive_powers(spec)[1]
+
+        def out(size=q * q):
+            return array("i", [0]) * size
+
+        good = [powers, 3, 2, out(), out(), out()]
+        field_tables(*good, backend=backend)
+        add = good[3]
+        bad = [
+            (0, powers[:-1]),  # short
+            (0, powers + [powers[0]]),  # long
+            (0, powers[:-1] + [powers[0]]),  # a power repeated
+            (0, [0] + powers[1:]),  # zero
+            (0, powers[:-1] + [q]),  # outside [1, q)
+            (0, powers[:-1] + [-1]),
+            (1, 46349),  # q above MAX_Q, with every other argument as for p = 3
+            (1, 1),
+            (1, -50000),  # p below 2, whose square would overflow an int
+            (2, 0),
+            (2, 16),  # 3^16 is above MAX_Q
+            (3, out(q * q - 1)),  # short outputs
+            (4, out(q * q - 1)),
+            (5, out(q * q - 1)),
+            (3, memoryview(out()).toreadonly()),  # read-only outputs
+            (4, memoryview(out()).toreadonly()),
+            (5, memoryview(out()).toreadonly()),
+            (3, array("b", bytes(4 * q * q))),  # item size 1
+        ]
+        for index, value in bad:
+            args = list(good)
+            args[index] = value
+            with pytest.raises(ValueError):
+                field_tables(*args, backend=backend)
+        with pytest.raises(ValueError, match="sub may be add only when p = 2"):
+            field_tables(powers, 3, 2, add, add, out(), backend=backend)
+
+    def test_a_backend_that_is_not_built_is_rejected(self):
+        with pytest.raises(ValueError, match="is not built"):
+            field_tables([1], 2, 1, array("i", [0] * 4), array("i", [0] * 4),
+                         array("i", [0] * 4), backend="missing")
 
 
 class TestKnownInstances:
