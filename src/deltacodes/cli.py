@@ -15,10 +15,11 @@ from __future__ import annotations
 import pathlib
 import sys
 from fractions import Fraction
+from math import gcd
 
 from ._value import Value, _set
 from .approximants import build_approximates
-from .codes import EvalMap, render_ratio, render_value, scan_table, table_csv
+from .codes import EvalMap, render_value, scan_table, table_csv
 from .errors import ConfigError, DomainError
 from .genesis import build_type_c, build_type_d, build_type_e, validate_n
 from .gf import FieldElement, FieldSpec
@@ -233,9 +234,10 @@ def _coordinate(token: str, spec: FieldSpec, no: int) -> FieldElement:
         power = 1
         if token != "g":
             tail = token[2:]
-            if not tail.isdigit():
+            # ASCII digits only: str.isdigit also takes digits such as '²'
+            if not (tail.isascii() and tail.isdigit()):
                 raise ConfigError(f"malformed power coordinate {token!r} at line {no}")
-            power = int(tail)
+            power = _int(tail, "point", no)
         return spec.element(spec.p) ** power  # p encodes the class of x
     value = _int(token, "point", no)
     try:
@@ -351,29 +353,30 @@ def _run_approximates(config: JobConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_semigroup(config: JobConfig) -> str:
+def _run_semigroup(config: JobConfig):
     """One line per member up to the bound, rendered straight from the
     semigroup's integer rows: the value as ``render_value`` prints it, then
-    the exponents."""
+    the exponents.  Each exponent tail is rendered once, and the text comes
+    one block of rows at a time; every error is raised before the first."""
     delta = _build_delta(config)
-    scale, rows = rows_upto(delta, _bound_value(config, delta))
-    kind = config.delta_type
-    # exps[1:] -> its text; interior exponents are bounded, so tails repeat
-    tails: dict[tuple[int, ...], str] = {}
-    lines = []
-    for v, exps in rows:
-        tail = exps[1:]
-        text = tails.get(tail)
-        if text is None:
-            text = tails[tail] = "".join(f" {a}" for a in tail)
-        if kind == "C":
-            value = f"({v[0]},{v[1]})"
-        elif kind == "D":
-            value = f"{render_ratio(v, scale)} + {exps[-1]}*tau"
-        else:
-            value = render_ratio(v, scale)
-        lines.append(f"{value} : {exps[0]}{text}\n")
-    return "".join(lines)
+    quadratic = config.delta_type == "D"
+
+    def label(tail):  # the text between the value and c, and after c
+        mid = f" + {tail[-1]}*tau : " if quadratic else " : "
+        return mid, " %d" * len(tail) % tail + "\n"
+
+    scale, blocks = rows_upto(delta, _bound_value(config, delta), label)
+    if config.delta_type == "C":
+        return ("".join([f"({x},{y}){mid}{c}{t}" for (x, y), c, (mid, t) in b]) for b in blocks)
+    # the ratio in lowest terms, as render_ratio writes it
+    return (
+        "".join([
+            f"{v // g}{mid}{c}{t}" if (g := gcd(v, scale)) == scale
+            else f"{v // g}/{scale // g}{mid}{c}{t}"
+            for v, c, (mid, t) in b
+        ])
+        for b in blocks
+    )
 
 
 def _run_table(config: JobConfig) -> str:
@@ -395,12 +398,20 @@ _RUNNERS = {
 }
 
 
+def _output(config: JobConfig):
+    """The configured command's output as pieces of text: the ``semigroup``
+    listing block by block, any other output whole.  Every error is raised
+    before the first piece."""
+    if config.command not in _RUNNERS:
+        raise DomainError(f"unknown command: {config.command!r}")
+    out = _RUNNERS[config.command](config)
+    return (out,) if isinstance(out, str) else out
+
+
 def run(config: JobConfig) -> str:
     """Execute the configured command and return its output text.  A table
     whose limit left rows out says so on stderr."""
-    if config.command not in _RUNNERS:
-        raise DomainError(f"unknown command: {config.command!r}")
-    return _RUNNERS[config.command](config)
+    return "".join(_output(config))
 
 
 # The options after the command; --mode only after ``table``.
@@ -507,7 +518,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         config = config.replace(command=command, mode=mode or config.mode)
-        output = run(config)
+        output = _output(config)
     except ConfigError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
         return 2
@@ -515,10 +526,13 @@ def main(argv=None) -> int:
         print(f"error[domain]: {exc}", file=sys.stderr)
         return 1
     if not out:
-        sys.stdout.write(output)
+        for piece in output:
+            sys.stdout.write(piece)
         return 0
     try:
-        pathlib.Path(out).write_text(output, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            for piece in output:
+                fh.write(piece)
     except OSError as exc:
         print(f"error[parse]: cannot write output: {exc}", file=sys.stderr)
         return 2

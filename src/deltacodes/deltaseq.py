@@ -11,9 +11,9 @@ segments, and the continued fraction of the last slope.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 
 from ._value import Value, _set
 from .errors import DomainError
@@ -251,25 +251,36 @@ def _tails(delta: DeltaN, hi: int) -> list[tuple[int, tuple[int, ...]]]:
     return tails
 
 
-def telescopic_members(
-    delta: DeltaN, lo: int, hi: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Members v with lo < v <= hi in increasing order, each with its
-    telescopic exponents.
+def telescopic_members(delta: DeltaN, lo: int, hi: int, label=None):
+    """Members v with lo < v <= hi in increasing order, one list of rows per
+    block [k delta_0, (k + 1) delta_0) of the window.
 
-    Every member is sum gamma_i delta_i with gamma_i < n_i for i >= 1, so the
-    bounded tails whose sum stays <= hi are enumerated and each is completed by
-    the multiples of delta_0 that land in the window.  The work is the number
-    of such tails plus the output, not the width of the window.
+    A row is (v, c, tail): v = c * delta_0 + sum gamma_i delta_i, with the
+    bounded tail (gamma_1, ..., gamma_g), or ``label(tail)`` when a label is
+    given, one object shared by every member with that tail.  A tail with
+    sum s = q delta_0 + r gives the member r + k delta_0 of block k with
+    c = k - q whenever k >= q, and distinct tails have distinct residues r,
+    so sorting the tails by r once puts every block in order: the work is
+    the at most min(hi + 1, delta_0) tails plus the output, whatever the
+    width of the window.  The tails are found and labelled before the first
+    block is asked for.
     """
     first = delta.deltas[0]
-    out = [
-        (s + c * first, (c,) + tail)
+    order = sorted(
+        (s % first, s // first, tail if label is None else label(tail))
         for s, tail in _tails(delta, hi)
-        for c in range(max(0, (lo - s) // first + 1), (hi - s) // first + 1)
-    ]
-    out.sort(key=itemgetter(0))  # values are distinct
-    return out
+    )  # residues are distinct, so no two tails are compared
+    return _sweep(first, order, max(lo + 1, 0), hi)
+
+
+def _sweep(first: int, order: list, lo: int, hi: int):
+    """The blocks of the members lo <= v <= hi, from the tails (r, q, tail)
+    sorted by residue."""
+    residues = [r for r, _, _ in order]
+    for k in range(lo // first, hi // first + 1):
+        base = k * first
+        start, stop = bisect_left(residues, lo - base), bisect_right(residues, hi - base)
+        yield [(base + r, k - q, tail) for r, q, tail in order[start:stop] if q <= k]
 
 
 def telescopic_count(delta: DeltaN, w: int) -> int:

@@ -175,9 +175,6 @@ class QuadExt(Value):
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.d))
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * float(self.d) ** 0.5
-
     def __str__(self) -> str:
         def frac(f: Fraction) -> str:
             return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

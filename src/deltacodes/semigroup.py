@@ -137,16 +137,24 @@ def _floor(value: Fraction) -> int:
 class _Engine:
     """The ordered walk shared by every kind.
 
-    An engine supplies ``between(lo, hi)``: the members in the window
+    An engine supplies ``blocks(lo, hi, label)``: the members in the window
     (lo, hi] (from zero on when lo is None) in increasing order, as a pair
-    (scale, rows).  A row is ``(v, exps)``: ``v`` is the integer numerator
-    over ``scale`` of the member's rational part, or the plane vector (x, y)
-    for the planar kind (scale 1), and ``exps`` are its exponents; for the
-    quadratic kind the member is v / scale + exps[-1] * tau.  ``values``
-    turns one window's rows into (value, Representation) pairs.  The walk
-    strings windows together, doubling the upper end, so every member is
-    yielded once and in order.
+    (scale, blocks), each block a list of rows.  A row is ``(v, c, tail)``:
+    ``v`` is the integer numerator over ``scale`` of the member's rational
+    part, or the plane vector (x, y) for the planar kind (scale 1), and its
+    exponents are c followed by the tuple ``tail``, one object shared by
+    the rows with the same tail (``label(tail)`` in its place when a label
+    is given); for the quadratic kind the member is v / scale + tail[-1] *
+    tau.  The integer and chain kinds give one block per multiple of their
+    first generator, the others one block for the window.  ``between``
+    joins the blocks, and ``values`` turns one window's rows into (value,
+    Representation) pairs.  The walk strings windows together, doubling
+    the upper end, so every member is yielded once and in order.
     """
+
+    def between(self, lo, hi):
+        scale, blocks = self.blocks(lo, hi)
+        return scale, [row for block in blocks for row in block]
 
     def walk(self, after=None):
         """Every member above ``after`` (from zero on when None), unbounded."""
@@ -164,12 +172,18 @@ class _HeadEngine(_Engine):
     ``copies(value)`` is the least m whose m copies alone exceed value, so
     top(value, m) >= 0 exactly for m < copies(value)."""
 
-    def runs(self, lo, hi):
-        """(m, head rows) for each m: the rows (s, exps) of the head members
-        whose member with m copies lies in the window (lo, hi], by s."""
+    def runs(self, lo, hi, label=None):
+        """(m, head rows) for each m: the rows (s, c, tail) of the head
+        members whose member with m copies lies in the window (lo, hi], by
+        s, with m appended to each tail (and the label applied to that)."""
         for m in range(self.copies(hi)):
             bottom = -1 if lo is None else self.top(lo, m)
-            yield m, telescopic_members(self.head, bottom, self.top(hi, m))
+
+            def with_m(tail):  # called for every tail before the call below returns
+                return tail + (m,) if label is None else label(tail + (m,))
+
+            blocks = telescopic_members(self.head, bottom, self.top(hi, m), with_m)
+            yield m, [row for block in blocks for row in block]
 
 
 class _RationalEngine(_Engine):
@@ -210,13 +224,15 @@ class _IntegerEngine(_RationalEngine):
             raise DomainError("not a member")
         return Representation(exps, self.bounds)
 
-    def between(self, lo, hi: RatValue):
+    def blocks(self, lo, hi: RatValue, label=None):
         bottom = -1 if lo is None else _floor(lo.value)
-        return 1, telescopic_members(self.delta, bottom, _floor(hi.value))
+        return 1, telescopic_members(self.delta, bottom, _floor(hi.value), label)
 
     def values(self, scale: int, rows):
         bounds = self.bounds
-        return [(RatValue(Fraction(v)), Representation(exps, bounds)) for v, exps in rows]
+        return [
+            (RatValue(Fraction(v)), Representation((c,) + tail, bounds)) for v, c, tail in rows
+        ]
 
 
 def _least_scalar_above(u: tuple[int, int], t: tuple[int, int]) -> int:
@@ -300,21 +316,23 @@ class _PlanarEngine(_HeadEngine):
         # raises when the free generator is on the y axis and value.x > 0
         return _least_scalar_above(self.last, (value.x, value.y))
 
-    def between(self, lo, hi: LexValue):
+    def blocks(self, lo, hi: LexValue, label=None):
         if any(gx == 0 for gx, _ in self.delta.deltas):
             raise DomainError(
                 "enumeration is infinite: a generator has first component zero"
             )
         (ux, uy), (lx, ly) = self.u, self.last
         found = []
-        for m, run in self.runs(lo, hi):
-            found += [((s * ux + m * lx, s * uy + m * ly), exps + (m,)) for s, exps in run]
+        for m, run in self.runs(lo, hi, label):
+            found += [((s * ux + m * lx, s * uy + m * ly), c, tail) for s, c, tail in run]
         found.sort(key=itemgetter(0))
-        return 1, found
+        return 1, [found]
 
     def values(self, scale: int, rows):
         bounds = self.bounds
-        return [(LexValue(x, y), Representation(acc, bounds)) for (x, y), acc in rows]
+        return [
+            (LexValue(x, y), Representation((c,) + tail, bounds)) for (x, y), c, tail in rows
+        ]
 
 
 # Bits below the point kept by the quadratic kind's integer sort key.
@@ -381,7 +399,7 @@ class _QuadraticEngine(_HeadEngine):
         norm = tau.a * tau.a - tau.b * tau.b * tau.d
         return value.m + floor_of(value.r * tau.a / norm, -value.r * tau.b / norm, tau.d) + 1
 
-    def between(self, lo, hi: QuadValue):
+    def blocks(self, lo, hi: QuadValue, label=None):
         """The head members for each multiple m of tau, sorted on the exact
         integer key floor(value * 2**_KEY_BITS).  floor is monotone, so only
         rows with equal keys need the exact comparison of
@@ -390,7 +408,7 @@ class _QuadraticEngine(_HeadEngine):
         step, a_den, b_den = den // scale, int(tau.a * den), int(tau.b * den)
         shift = _KEY_BITS
         keyed = []
-        for m, run in self.runs(lo, hi):
+        for m, run in self.runs(lo, hi, label):
             # floor(m * b_den * sqrt(d) * 2**shift): the root is irrational
             # unless m = 0, so below zero it is one less than -isqrt.  Adding
             # the integer part and dividing by den keep the floor exact.  The
@@ -401,13 +419,13 @@ class _QuadraticEngine(_HeadEngine):
             irr = m * b_den
             root = isqrt(irr * irr * d << 2 * shift)
             base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
-            keyed += [(((v * step << shift) + base) // den, v, exps + (m,)) for v, exps in run]
+            keyed += [(((v * step << shift) + base) // den, v, m, c, tail) for v, c, tail in run]
         first = itemgetter(0)
         keyed.sort(key=first)
         if len(set(map(first, keyed))) < len(keyed):
 
             def exact(p, q):
-                dm = p[2][-1] - q[2][-1]
+                dm = p[2] - q[2]
                 return sign_of((p[1] - q[1]) * step + dm * a_den, dm * b_den, d)
 
             keyed = [
@@ -415,13 +433,13 @@ class _QuadraticEngine(_HeadEngine):
                 for _, tied in groupby(keyed, first)
                 for row in sorted(tied, key=cmp_to_key(exact))
             ]
-        return scale, [(v, exps) for _, v, exps in keyed]
+        return scale, [[(v, c, tail) for _, v, _, c, tail in keyed]]
 
     def values(self, scale: int, rows):
         tau, bounds = self.tau, self.bounds
         return [
-            (QuadValue(Fraction(v, scale), exps[-1], tau), Representation(exps, bounds))
-            for v, exps in rows
+            (QuadValue(Fraction(v, scale), tail[-1], tau), Representation((c,) + tail, bounds))
+            for v, c, tail in rows
         ]
 
 
@@ -458,19 +476,22 @@ class _ChainEngine(_RationalEngine):
             raise DomainError("not a member")
         return Representation(exps, (None,) + tuple(stage.structure.n))
 
-    def between(self, lo, hi: RatValue):
+    def blocks(self, lo, hi: RatValue, label=None):
         stage = self.covering_stage(hi.value)
         scale = stage.deltas[1]
         bottom = -1 if lo is None else _floor(lo.value * scale)
-        return scale, telescopic_members(stage, bottom, _floor(hi.value * scale))
+        return scale, telescopic_members(stage, bottom, _floor(hi.value * scale), label)
 
     def values(self, scale: int, rows):
         if not rows:
             return []
         # every ladder step appends one generator, so the row width names the stage
-        stage = self.ladder[len(rows[0][1]) - len(self.ladder[0].deltas)]
+        stage = self.ladder[len(rows[0][2]) + 1 - len(self.ladder[0].deltas)]
         bounds = (None,) + tuple(stage.structure.n)
-        return [(RatValue(Fraction(v, scale)), Representation(exps, bounds)) for v, exps in rows]
+        return [
+            (RatValue(Fraction(v, scale)), Representation((c,) + tail, bounds))
+            for v, c, tail in rows
+        ]
 
 
 # Bounded: an engine keeps the chain's stage ladder, and one that is evicted
@@ -516,16 +537,20 @@ def walk(delta):
     return _engine(delta).walk()
 
 
-def rows_upto(delta, bound):
+def rows_upto(delta, bound, label=None):
     """All members up to the bound in increasing order as integer rows: a
-    pair (scale, rows) with rows ``(v, exps)``, read as in ``_Engine``."""
+    pair (scale, blocks), the blocks a lazy sequence of lists of rows
+    ``(v, c, tail)``, read as in ``_Engine``, with ``label(tail)`` in place
+    of each tail when a label is given (called once per tail).  Every error
+    is raised here, before the first block is asked for."""
     eng = _engine(delta)
-    return eng.between(None, eng.lift(bound))
+    return eng.blocks(None, eng.lift(bound), label)
 
 
 def enumerate_upto(delta, bound):
     """All members up to the bound in increasing order, with representations."""
-    return _engine(delta).values(*rows_upto(delta, bound))
+    eng = _engine(delta)
+    return eng.values(*eng.between(None, eng.lift(bound)))
 
 
 def successor(delta, value):

@@ -5,9 +5,10 @@ field arithmetic one named operation at a time, polynomial products, the
 search for a default modulus, the rank and kernel of a matrix of field
 elements, evaluation rows by multiplying out each basis
 polynomial, semigroup membership by a sieve over every integer up to the
-bound, and the command line read by ``argparse``.  They live outside the
-package, so the library neither ships nor imports them, and a test that
-compares the two compares independent code.
+bound, a window of members by sorting every member found, a quadratic value
+in floating point, and the command line read by ``argparse``.  They live
+outside the package, so the library neither ships nor imports them, and a
+test that compares the two compares independent code.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 
 from deltacodes.cli import COMMANDS
 from deltacodes.codes import EvalMap
+from deltacodes.deltaseq import DeltaN, _tails
 from deltacodes.errors import DomainError
 from deltacodes.gf import (
     FieldElement,
@@ -27,6 +30,7 @@ from deltacodes.gf import (
     _powers,
     rank_nullspace_ints,
 )
+from deltacodes.quadratics import QuadExt
 
 # --- finite fields -----------------------------------------------------------
 
@@ -168,6 +172,31 @@ def gaps(gens) -> list[int]:
     bound = gs[0] * gs[-1] + 1
     reach = _sieve(gs, bound)
     return [v for v in range(1, bound + 1) if not reach[v]]
+
+
+def telescopic_members_sorted(
+    delta: DeltaN, lo: int, hi: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Members v with lo < v <= hi in increasing order as (v, exponents):
+    every bounded tail completed by each multiple of delta_0 that lands in
+    the window, all of them sorted by value (values are distinct)."""
+    first = delta.deltas[0]
+    out = [
+        (s + c * first, (c,) + tail)
+        for s, tail in _tails(delta, hi)
+        for c in range(max(0, (lo - s) // first + 1), (hi - s) // first + 1)
+    ]
+    out.sort(key=itemgetter(0))
+    return out
+
+
+# --- quadratic values --------------------------------------------------------
+
+
+def approx(value: QuadExt) -> float:
+    """a + b sqrt(d) in floating point, for tolerance checks against printed
+    decimals; the library itself never leaves exact arithmetic."""
+    return float(value.a) + float(value.b) * float(value.d) ** 0.5
 
 
 # --- command line ------------------------------------------------------------

@@ -69,7 +69,7 @@ from helpers import (
     POINTS_F7,
     xi_points,
 )
-from oracles import evaluation_matrix, gaps
+from oracles import approx, evaluation_matrix, gaps
 
 # --- reference columns ------------------------------------------------------
 
@@ -343,20 +343,20 @@ class TestReferenceConstructions:
             ("{7,5} tail decimal", DR75, 1.344964, 1e-5),
         ]
         for label, delta, printed, tol in decimals:
-            diff = abs(float(delta.tail) - printed)
+            diff = abs(approx(delta.tail) - printed)
             if diff >= tol:
-                failures.append(f"{label}: |{float(delta.tail)} - {printed}|"
+                failures.append(f"{label}: |{approx(delta.tail)} - {printed}|"
                                 f" = {diff:.2e} not below {tol}")
         discrepancies = [
             ("{11,9} tail decimal", DR119, 2.031105),
             ("{36,...,13} alternate tail decimal", DR_BIG_B, 0.441666),
         ]
         for label, delta, printed in discrepancies:
-            diff = abs(float(delta.tail) - printed)
+            diff = abs(approx(delta.tail) - printed)
             if diff <= 1e-6:
                 failures.append(
                     f"{label}: documented discrepancy vanished --"
-                    f" |{float(delta.tail)} - {printed}| = {diff:.2e}"
+                    f" |{approx(delta.tail)} - {printed}| = {diff:.2e}"
                 )
         verdict("quadratic-tail constructions", failures)
 

@@ -22,8 +22,10 @@ from deltacodes.deltaseq import (
     validate_n,
 )
 from deltacodes.errors import DomainError
+from deltacodes.genesis import build_type_e
+from deltacodes.semigroup import _engine
 
-from oracles import contains, gaps, members_below
+from oracles import contains, gaps, members_below, telescopic_members_sorted
 
 VALID = [
     (1,),
@@ -311,9 +313,79 @@ def test_telescopic_count_equals_the_sieve(data):
     w = data.draw(st.integers(-20, 2 * delta.deltas[0] * delta.deltas[-1]))
     assert telescopic_count(delta, w) == len(members_below(delta.deltas, w - 1))
     lo = data.draw(st.integers(-20, w))
-    assert [v for v, _ in telescopic_members(delta, lo, w)] == [
+    assert [v for block in telescopic_members(delta, lo, w) for v, _, _ in block] == [
         v for v in members_below(delta.deltas, w) if v > lo
     ]
+
+
+def _chain_stages():
+    """The stages that the chain engine's covering_stage picks for a few
+    chains and bounds."""
+    out = []
+    chains = (((3, 1), 2, (1, 4, 9)), ((7, 5), 1, (2, 5)), ((11, 9), 6, (1, 40)))
+    for under, steps, bounds in chains:
+        engine = _engine(build_type_e(under, steps))
+        out += [engine.covering_stage(Fraction(b)) for b in bounds]
+    return out
+
+
+CHAIN_STAGES = _chain_stages()
+
+
+@st.composite
+def sweep_windows(draw):
+    """A sequence (valid, near-telescopic or a chain's covering stage) and a
+    window (lo, hi] of one of five shapes, in units of delta_0."""
+    seq = draw(st.one_of(st.sampled_from(VALID), near_telescopic()))
+    try:
+        delta = validate_n(seq)
+    except DomainError:
+        delta = validate_n(VALID[-2])
+    delta = draw(st.one_of(st.just(delta), st.sampled_from(CHAIN_STAGES)))
+    first = delta.deltas[0]
+    shapes = ["hi below zero", "empty", "one block", "many blocks", "from zero"]
+    shape = draw(st.sampled_from(shapes))
+    if shape == "hi below zero":
+        hi = draw(st.integers(-3 * first, -1))
+        lo = draw(st.integers(hi - 2 * first, hi + 2 * first))
+    elif shape == "empty":
+        lo = draw(st.integers(-1, 4 * first))
+        hi = draw(st.integers(lo - first, lo))
+    elif shape == "one block":
+        k = draw(st.integers(0, 4))
+        lo = draw(st.integers(k * first - 1, (k + 1) * first - 1))
+        hi = draw(st.integers(lo, (k + 1) * first - 1))
+    elif shape == "many blocks":
+        lo = draw(st.integers(-2 * first, 2 * first))
+        hi = lo + draw(st.integers(2 * first, 6 * first))
+    else:
+        lo, hi = -1, draw(st.integers(0, 4 * first))
+    return delta, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_windows())
+def test_residue_sweep_equals_the_sorted_listing(case):
+    """The sweep lists the same members with the same exponents as sorting
+    every member found, one block of delta_0 values per list, and each tail
+    is labelled once and shared by the rows that carry it."""
+    delta, lo, hi = case
+    first = delta.deltas[0]
+    labelled = []
+
+    def label(tail):
+        labelled.append(tail)
+        return [tail]
+
+    blocks = list(telescopic_members(delta, lo, hi, label))
+    rows = [(v, (c,) + boxed[0]) for block in blocks for v, c, boxed in block]
+    assert rows == telescopic_members_sorted(delta, lo, hi)
+    plain = telescopic_members(delta, lo, hi)
+    assert [(v, (c,) + tail) for block in plain for v, c, tail in block] == rows
+    assert all(len({v // first for v, _, _ in block}) == 1 for block in blocks if block)
+    assert len(labelled) == len(set(labelled))
+    boxes = [boxed for block in blocks for _, _, boxed in block]
+    assert len({id(boxed) for boxed in boxes}) == len({boxed[0] for boxed in boxes})
 
 
 def test_telescopic_count_ignores_the_size_of_w():

@@ -493,6 +493,12 @@ def cli_listing(kind, bound):
     return run(parse_config(text).replace(command="semigroup"))
 
 
+def listed_rows(delta, bound):
+    """``rows_upto`` with its blocks joined: (scale, rows)."""
+    scale, blocks = semigroup_module.rows_upto(delta, bound)
+    return scale, [row for block in blocks for row in block]
+
+
 def object_listing(delta, bound):
     return "".join(
         f"{render_value(v)} : {' '.join(map(str, rep.exponents))}\n"
@@ -551,9 +557,10 @@ class TestRowListing:
         text = cli_listing("quadratic", bound)
         monkeypatch.setattr(semigroup_module, "_KEY_BITS", 0)
         # floor(value) is the key now: the 790 members share 6 keys
-        scale, rows = semigroup_module.rows_upto(DR_BIG, bound)
+        scale, rows = listed_rows(DR_BIG, bound)
         assert len(rows) == 790
-        assert len({(Fraction(v, scale) + exps[-1] * DR_BIG.tail).floor() for v, exps in rows}) == 6
+        floors = {(Fraction(v, scale) + tail[-1] * DR_BIG.tail).floor() for v, _, tail in rows}
+        assert len(floors) == 6
         assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
         assert cli_listing("quadratic", bound) == text
 
@@ -565,10 +572,10 @@ class TestRowListing:
         bound = QuadValue(Fraction(3, 4), 1, DR_BIG.tail)
         text = cli_listing("quadratic", bound)
         monkeypatch.setattr(semigroup_module, "_KEY_BITS", 5)
-        scale, rows = semigroup_module.rows_upto(DR_BIG, bound)
-        keys = [((Fraction(v, scale) + exps[-1] * DR_BIG.tail) * 32).floor() for v, exps in rows]
+        scale, rows = listed_rows(DR_BIG, bound)
+        keys = [((Fraction(v, scale) + tail[-1] * DR_BIG.tail) * 32).floor() for v, _, tail in rows]
         assert len(rows) == 15 and len(keys) - len(set(keys)) == 1
-        tied = [exps[-1] for key, (_, exps) in zip(keys, rows) if keys.count(key) == 2]
+        tied = [tail[-1] for key, (_, _, tail) in zip(keys, rows) if keys.count(key) == 2]
         assert tied == [4, 1]
         assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
         assert cli_listing("quadratic", bound) == text
