@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._value import Value, _set
-from .approximants import build_approximates
+from .approximants import build_approximates, expand_family
 from .codes import EvalMap, render_value, scan_table, table_csv
 from .errors import ConfigError, DomainError
 from .genesis import build_type_c, build_type_d, build_type_e, validate_n
@@ -34,11 +34,19 @@ _MODES = ("jumps", "full")
 COMMANDS = ("validate", "construct", "approximates", "semigroup", "table")
 
 
+# The longest value a message quotes whole; a longer one is cut to this many
+# characters and its length is given instead.
+_QUOTED = 40
+
+
 def _int(value: str, key: str, no: int, base: int = 10) -> int:
     try:
         return int(value, base)
     except ValueError:
-        raise ConfigError(f"bad integer for {key!r} at line {no}: {value!r}") from None
+        quoted = repr(value) if len(value) <= _QUOTED else (
+            f"{value[:_QUOTED]!r}... ({len(value)} characters)"
+        )
+        raise ConfigError(f"bad integer for {key!r} at line {no}: {quoted}") from None
 
 
 def _ints(value: str, key: str, no: int) -> tuple[int, ...]:
@@ -238,7 +246,8 @@ def _coordinate(token: str, spec: FieldSpec, no: int) -> FieldElement:
             if not (tail.isascii() and tail.isdigit()):
                 raise ConfigError(f"malformed power coordinate {token!r} at line {no}")
             power = _int(tail, "point", no)
-        return spec.element(spec.p) ** power  # p encodes the class of x
+        t = spec._t
+        return t.by_val[t.gpow[power % len(t.gpow)]]
     value = _int(token, "point", no)
     try:
         return spec.element(value)
@@ -348,7 +357,7 @@ def _run_construct(config: JobConfig) -> str:
 def _run_approximates(config: JobConfig) -> str:
     delta = _build_delta(config)
     fam = build_approximates(delta, config.spec, config.depth)
-    lines = [f"q_{i} = {poly}" for i, poly in enumerate(fam.polys)]
+    lines = [f"q_{i} = {poly}" for i, poly in enumerate(expand_family(fam))]
     lines.append("weights: " + " ".join(render_value(w) for w in fam.weights))
     return "\n".join(lines) + "\n"
 

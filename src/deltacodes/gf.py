@@ -327,7 +327,9 @@ def _primitive_powers(spec: FieldSpec) -> tuple[int, list[int]]:
 class _Tables:
     """Arithmetic tables for one field, indexed by encoded values: ``add``,
     ``sub`` and ``mul`` are flat q*q array('i') that the kernel fills, and
-    ``neg``, ``inv``, ``by_val`` and ``dlog`` are q-sized lists."""
+    ``neg``, ``inv``, ``by_val`` and ``dlog`` are q-sized lists.  ``gpow``
+    lists the encoded powers 1, g, g^2, ... of the class of g (encoded p) up
+    to its order, so g^k is gpow[k % len(gpow)]; None for a prime field."""
 
     def __init__(self, spec: FieldSpec) -> None:
         p, m, q = spec.p, spec.m, spec.q
@@ -342,6 +344,10 @@ class _Tables:
         self.inv = [0] + [powers[-log[a] % order] for a in range(1, q)]
         # the logarithms to base g, when g is primitive
         self.dlog = log if m > 1 and root == p else None
+        if m == 1:
+            self.gpow = None
+        else:
+            self.gpow = powers if root == p else _powers(p, p, spec.modulus)
 
         self.add, self.mul = array("i", [0]) * (q * q), array("i", [0]) * (q * q)
         # in characteristic 2, a - b = a + b: one table serves both

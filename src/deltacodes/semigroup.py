@@ -147,9 +147,10 @@ class _Engine:
     is given); for the quadratic kind the member is v / scale + tail[-1] *
     tau.  The integer and chain kinds give one block per multiple of their
     first generator, the others one block for the window.  ``between``
-    joins the blocks, and ``values`` turns one window's rows into (value,
-    Representation) pairs.  The walk strings windows together, doubling
-    the upper end, so every member is yielded once and in order.
+    joins the blocks, and ``values`` turns rows of one window into (value,
+    Representation) pairs as they are read.  The walk strings windows
+    together, doubling the upper end, so every member is yielded once and
+    in order; it builds a member's pair only when the member is consumed.
     """
 
     def between(self, lo, hi):
@@ -161,7 +162,9 @@ class _Engine:
         lo = after
         hi = self.add(self.zero() if after is None else after, self.generators()[0])
         while True:
-            yield from self.values(*self.between(lo, hi))
+            scale, blocks = self.blocks(lo, hi)
+            for block in blocks:
+                yield from self.values(scale, block)
             lo, hi = hi, self.add(hi, hi)
 
 
@@ -230,9 +233,9 @@ class _IntegerEngine(_RationalEngine):
 
     def values(self, scale: int, rows):
         bounds = self.bounds
-        return [
+        return (
             (RatValue(Fraction(v)), Representation((c,) + tail, bounds)) for v, c, tail in rows
-        ]
+        )
 
 
 def _least_scalar_above(u: tuple[int, int], t: tuple[int, int]) -> int:
@@ -330,9 +333,9 @@ class _PlanarEngine(_HeadEngine):
 
     def values(self, scale: int, rows):
         bounds = self.bounds
-        return [
+        return (
             (LexValue(x, y), Representation((c,) + tail, bounds)) for (x, y), c, tail in rows
-        ]
+        )
 
 
 # Bits below the point kept by the quadratic kind's integer sort key.
@@ -437,10 +440,10 @@ class _QuadraticEngine(_HeadEngine):
 
     def values(self, scale: int, rows):
         tau, bounds = self.tau, self.bounds
-        return [
+        return (
             (QuadValue(Fraction(v, scale), tail[-1], tau), Representation((c,) + tail, bounds))
             for v, c, tail in rows
-        ]
+        )
 
 
 class _ChainEngine(_RationalEngine):
@@ -484,14 +487,14 @@ class _ChainEngine(_RationalEngine):
 
     def values(self, scale: int, rows):
         if not rows:
-            return []
+            return ()
         # every ladder step appends one generator, so the row width names the stage
         stage = self.ladder[len(rows[0][2]) + 1 - len(self.ladder[0].deltas)]
         bounds = (None,) + tuple(stage.structure.n)
-        return [
+        return (
             (RatValue(Fraction(v, scale)), Representation((c,) + tail, bounds))
             for v, c, tail in rows
-        ]
+        )
 
 
 # Bounded: an engine keeps the chain's stage ladder, and one that is evicted
@@ -550,7 +553,7 @@ def rows_upto(delta, bound, label=None):
 def enumerate_upto(delta, bound):
     """All members up to the bound in increasing order, with representations."""
     eng = _engine(delta)
-    return eng.values(*eng.between(None, eng.lift(bound)))
+    return list(eng.values(*eng.between(None, eng.lift(bound))))
 
 
 def successor(delta, value):

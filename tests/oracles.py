@@ -5,8 +5,9 @@ field arithmetic one named operation at a time, polynomial products, the
 search for a default modulus, the rank and kernel of a matrix of field
 elements, evaluation rows by multiplying out each basis
 polynomial, semigroup membership by a sieve over every integer up to the
-bound, a window of members by sorting every member found, a quadratic value
-in floating point, and the command line read by ``argparse``.  They live
+bound, a window of members by sorting every member found, the member walk
+with each window's values built whole, a quadratic value in floating point,
+and the command line read by ``argparse``.  They live
 outside the package, so the library neither ships nor imports them, and a
 test that compares the two compares independent code.
 """
@@ -31,6 +32,7 @@ from deltacodes.gf import (
     rank_nullspace_ints,
 )
 from deltacodes.quadratics import QuadExt
+from deltacodes.semigroup import _engine
 
 # --- finite fields -----------------------------------------------------------
 
@@ -188,6 +190,17 @@ def telescopic_members_sorted(
     ]
     out.sort(key=itemgetter(0))
     return out
+
+
+def walk_eager(delta):
+    """The ordered member walk with each window built whole: its blocks are
+    joined, and the (value, Representation) pair of every member in the
+    window is built before the first is yielded."""
+    eng = _engine(delta)
+    lo, hi = None, eng.add(eng.zero(), eng.generators()[0])
+    while True:
+        yield from list(eng.values(*eng.between(lo, hi)))
+        lo, hi = hi, eng.add(hi, hi)
 
 
 # --- quadratic values --------------------------------------------------------

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -16,8 +17,20 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import deltacodes
 import oracles
-from deltacodes.cli import _SCHEMA, COMMANDS, JobConfig, _command_line, main, parse_config, run
+from deltacodes.approximants import BivarPoly
+from deltacodes.cli import (
+    _SCHEMA,
+    COMMANDS,
+    JobConfig,
+    _command_line,
+    _coordinate,
+    main,
+    parse_config,
+    run,
+)
 from deltacodes.errors import ConfigError
+from deltacodes.gf import _DEFAULT_MODULI, FieldSpec
+from helpers import PAIRS_F32_A, PAIRS_F32_B, POINTS_F7
 
 DATA = pathlib.Path(__file__).parent / "data"
 PLANAR = DATA / "planar119.cfg"
@@ -284,6 +297,26 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error[parse]: ") and message in captured.err
 
+    @pytest.mark.parametrize(
+        "text, length",
+        [
+            (POWER_CFG.format(power="9" * 5000), 5000),
+            ("[field]\np = " + "7" * 999 + "x\n" + DELTA_N, 1000),
+        ],
+        ids=["5000-digit-power", "1000-character-prime"],
+    )
+    def test_a_long_bad_integer_is_quoted_in_part(self, tmp_path, capsys, text, length):
+        """The message quotes a bounded prefix of the value and its length,
+        so one bad token cannot fill the terminal."""
+        path = tmp_path / "long.cfg"
+        path.write_text(text)
+        assert main(["table", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[parse]: bad integer for ")
+        assert captured.err.endswith(f"... ({length} characters)\n")
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[field]\np = 6\n" + DELTA_N)
@@ -337,6 +370,23 @@ class TestCommands:
         assert out[0] == "q_0 = x"
         assert out[1] == "q_1 = y"
         assert out[2] == "weights: (5,1) (4,1)"
+
+    def test_approximates_over_the_term_limit_is_rejected_before_any_product(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The chain (7, 5) with 9 steps takes 8 s or more to expand; its
+        estimate is over the limit, and no polynomial product runs."""
+        products = []
+        monkeypatch.setattr(BivarPoly, "__mul__", lambda *args: products.append(args))
+        path = tmp_path / "e.cfg"
+        path.write_text("[field]\np = 2\nm = 5\n[delta]\ntype = E\nunder = 7 5\nsteps = 9\n")
+        assert main(["approximates", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error[domain]: expanding the approximates: an estimated 2146215 terms"
+            " exceed the limit of 300000\n",
+        )
+        assert products == []
 
     def test_semigroup_n(self, tmp_path, capsys):
         path = tmp_path / "n.cfg"
@@ -486,6 +536,94 @@ class TestTable:
         path.write_text(FIELD_7 + "[delta]\ntype = C\nunder = 11 9\n")
         assert main(["table", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error[domain]:")
+
+
+# The reference scans of the acceptance suite besides the golden table, as
+# configs: the [delta] section, the field, the points and the [job] section.
+# The digests are the first 16 hex digits of the sha256 of each table as the
+# library printed it while it still multiplied every approximant out.
+_F7_SCAN = ("p = 7", [f"{x} {y}" for x, y in POINTS_F7], "")
+_F32_SCAN_A = ("p = 2\nm = 5", [f"g^{a} g^{b}" for a, b in PAIRS_F32_A], "limit = 9")
+_F32_SCAN_B = ("p = 2\nm = 5", [f"g^{a} g^{b}" for a, b in PAIRS_F32_B], "limit = 9")
+REFERENCE_SCANS = {
+    "f7 quadratic": ("type = D\nunder = 11 9\ndigits = 80 1 2", _F7_SCAN, "7cf5a6cc11e80327"),
+    "f7 chain": ("type = E\nunder = 11 9\nsteps = 4", _F7_SCAN, "c2a7ef0eedf252d1"),
+    "first-extension plane-vector": (
+        "type = C\nunder = 42 30 70 77", _F32_SCAN_A, "68ba2e1b3ebcb5a2"
+    ),
+    "second-extension pair": ("type = C\nunder = 5 3", _F32_SCAN_A, "9a92f1e90127f505"),
+    "second-extension triple": ("type = C\nunder = 20 8 29", _F32_SCAN_A, "42a1acebadf1c8b7"),
+    "large plane-vector": ("type = C\nunder = 36 24 8 18 13", _F32_SCAN_A, "edf17c503b345f21"),
+    "large quadratic": (
+        "type = D\nunder = 36 24 8 18 13\ndigits = 20 5 2", _F32_SCAN_A, "8cc0b9a6491b5688"
+    ),
+    "large chain": (
+        "type = E\nunder = 36 24 8 18 13\nsteps = 3", _F32_SCAN_A, "ae004caacbd50e2e"
+    ),
+    "small plane-vector": ("type = C\nunder = 7 5", _F32_SCAN_B, "4d99460784397f0b"),
+    "small quadratic": ("type = D\nunder = 7 5\ndigits = 28 3 1", _F32_SCAN_B, "8c8265eaac5739c9"),
+    "small chain": ("type = E\nunder = 7 5\nsteps = 4", _F32_SCAN_B, "11c3da8cdaa0cb03"),
+}
+
+
+def reference_config(name: str) -> JobConfig:
+    delta, (field, points, job), _ = REFERENCE_SCANS[name]
+    text = f"[field]\n{field}\n[delta]\n{delta}\n[points]\n" + "\n".join(points)
+    return parse_config(text + f"\n[job]\n{job}\n").replace(command="table")
+
+
+class TestTableFromTheRecurrence:
+    """A table job reads the family's recurrence and the values at the
+    points; it multiplies no polynomial out."""
+
+    @pytest.fixture(autouse=True)
+    def no_products(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table job multiplied a polynomial")
+
+        monkeypatch.setattr(BivarPoly, "__mul__", refuse)
+        monkeypatch.setattr(BivarPoly, "__pow__", refuse)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCANS))
+    def test_reference_scan_is_unchanged(self, name):
+        out = run(reference_config(name))
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == REFERENCE_SCANS[name][2]
+
+    def test_golden_table_is_unchanged(self):
+        config = parse_config(PLANAR.read_text()).replace(command="table")
+        assert run(config) == GOLDEN.read_text()
+
+    def test_forty_chain_steps(self):
+        """No expansion, so 40 steps of the chain (7, 5) take about 0.1 s
+        (they did not finish in 40 s when every q_i was multiplied out)."""
+        points = "".join(f"g^{a} g^{a + 1}\n" for a in range(1, 17, 2))
+        config = parse_config(
+            "[field]\np = 2\nm = 5\n[delta]\ntype = E\nunder = 7 5\nsteps = 40\n"
+            "[points]\n" + points
+        ).replace(command="table")
+        start = time.perf_counter()
+        lines = run(config).splitlines()
+        assert time.perf_counter() - start < 5
+        assert lines[1] == "1,010000000000000000000000000000000000000000,6,3,2,2,0,-10"
+        assert len(lines) == 7
+
+
+def _extension_fields():
+    """Every extension field with q <= 256 under its default modulus, and
+    GF(2^4) under x^4+x^3+x^2+x+1, in which g has order 5."""
+    specs = [FieldSpec(p, m) for p, m in sorted(_DEFAULT_MODULI) if p**m <= 256]
+    return specs + [FieldSpec(2, 4, 0x1F)]
+
+
+@pytest.mark.parametrize("spec", _extension_fields(), ids=repr)
+def test_power_points_come_from_the_power_table(spec):
+    """g^k as a point coordinate is g raised to the power k, for k up to 2q
+    (past the order of g) and for one k of 1,000 digits."""
+    g = spec.element(spec.p)
+    assert len(spec._t.gpow) == (spec.q - 1 if spec.is_primitive else 5)
+    for k in [*range(2 * spec.q + 1), int("7" * 1000)]:
+        assert _coordinate(f"g^{k}", spec, 1) == g**k
+    assert _coordinate("g", spec, 1) == g
 
 
 # One config per sequence kind over the twelve points of the golden table,

@@ -39,7 +39,8 @@ from deltacodes.semigroup import (
     walk,
 )
 
-from oracles import members_below
+import helpers
+from oracles import members_below, walk_eager
 
 DZ2 = build_type_c((11, 9))
 DZ2_BIG = build_type_c((36, 24, 8, 18, 13))
@@ -407,6 +408,26 @@ PLANAR_FAMILIES = {
 }
 
 
+# Every fixture family of the four kinds, the chain's among them: its walk
+# carries trailing zero exponents of generators beyond a member's own stage.
+FIXTURE_FAMILIES = {
+    **{
+        name: getattr(helpers, name)
+        for name in dir(helpers)
+        if name.startswith(("DN", "DZ", "DR", "CH"))
+    },
+    "DZ2": DZ2,
+    "DZ2_BIG": DZ2_BIG,
+    "DR": DR,
+    "DR_BIG": DR_BIG,
+    "DQ31": DQ31,
+    "DQ119": DQ119,
+    "DN": DN,
+    "chain (11, 9), 2 steps": WALK_KINDS["chain"][0],
+    "integer (36, 24, 8, 18, 13)": WALK_KINDS["integer"][0],
+}
+
+
 def _padded(exps, width):
     assert not any(exps[width:])
     return exps[:width] + (0,) * (width - len(exps))
@@ -431,6 +452,13 @@ class TestOrderedWalk:
                 assert _padded(rep.exponents, len(want.exponents)) == want.exponents
             else:
                 assert rep == want
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_FAMILIES))
+    def test_lazy_walk_equals_the_eager_walk(self, name):
+        """The first 300 members and their representations, trailing zeros
+        and bounds included, as the walk that built each window whole."""
+        delta = FIXTURE_FAMILIES[name]
+        assert list(islice(walk(delta), 300)) == list(islice(walk_eager(delta), 300))
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(sorted(WALK_KINDS)), k=st.integers(-3, 80))

@@ -55,7 +55,7 @@ CASES = {
     Representation: ((1, 0, 2), (None, 2, None)),
     BivarPoly: (F7, (((1, 0), "c"),)),
     ExpansionStep: (2, (1, 1)),
-    ApproximateFamily: (F7, ("q0", "q1"), (1, 2), ()),
+    ApproximateFamily: (F7, (1, 2), ()),
     BasisElement: ((1, 2), 5, "family"),
     CodePair: (RatValue(Fraction(4)), ((1, 2),), 1, ((2, 1),), 1),
     TableRow: ("alpha", (1, 0), 3, 2, None, 1, 0, -4),
