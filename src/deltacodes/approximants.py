@@ -27,19 +27,15 @@ from .deltaseq import DeltaN, telescopic_exponents, validate_n
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
 from .gf import FieldElement, FieldSpec
-from .semigroup import Representation, enumerate_upto, generators, represent
+from .semigroup import generators
 
 __all__ = [
     "ApproximateFamily",
-    "BasisElement",
     "BivarPoly",
     "ExpansionStep",
-    "basis_element",
-    "basis_for",
     "build_approximates",
     "expand_family",
     "expansion_terms",
-    "poly_eval",
 ]
 
 
@@ -126,17 +122,6 @@ class BivarPoly(Value):
             power >>= 1
         return result
 
-    def deg_y(self) -> int:
-        return max(ey for (_, ey), _ in self.terms) if self.terms else -1
-
-    def evaluate(self, point) -> FieldElement:
-        px = self.spec.element(point[0])
-        py = self.spec.element(point[1])
-        total = self.spec.element(0)
-        for (ex, ey), coeff in self.terms:
-            total = total + coeff * px**ex * py**ey
-        return total
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -152,11 +137,6 @@ class BivarPoly(Value):
                 factors.append("y" if ey == 1 else f"y^{ey}")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def poly_eval(p: BivarPoly, point) -> FieldElement:
-    """Evaluate a polynomial at a point given as a pair of field elements."""
-    return p.evaluate(point)
 
 
 class ExpansionStep(Value):
@@ -182,27 +162,6 @@ class ApproximateFamily(Value):
         _set(self, "spec", spec)
         _set(self, "weights", weights)
         _set(self, "expansion", expansion)
-
-
-class BasisElement(Value):
-    """A product of approximates with its exponents and semigroup weight;
-    the family it came from takes no part in equality, hashing or the repr."""
-
-    __slots__ = ("exponents", "weight", "family")
-    _fields = ("exponents", "weight")
-
-    def __init__(
-        self, exponents: tuple[int, ...], weight: object, family: ApproximateFamily
-    ) -> None:
-        _set(self, "exponents", exponents)
-        _set(self, "weight", weight)
-        _set(self, "family", family)
-
-    @property
-    def expanded(self) -> BivarPoly:
-        """The product multiplied out, computed on each access."""
-        fam = self.family
-        return _product_of(fam.spec, expand_family(fam), self.exponents)
 
 
 def _base_sequence(delta) -> DeltaN:
@@ -313,18 +272,3 @@ def _fit_exponents(fam: ApproximateFamily, exps: tuple[int, ...]) -> tuple[int, 
             )
         return exps[:width]
     return exps + (0,) * (width - len(exps))
-
-
-def basis_for(delta, fam: ApproximateFamily, alpha) -> tuple[BasisElement, ...]:
-    """One basis element per semigroup member up to alpha, in semigroup order."""
-    out = []
-    for value, rep in enumerate_upto(delta, alpha):
-        exps = _fit_exponents(fam, rep.exponents)
-        out.append(BasisElement(exps, value, fam))
-    return tuple(out)
-
-
-def basis_element(delta, fam: ApproximateFamily, alpha) -> BasisElement:
-    """The single basis element attached to one semigroup member."""
-    exps = _fit_exponents(fam, represent(delta, alpha).exponents)
-    return BasisElement(exps, alpha, fam)

@@ -246,8 +246,8 @@ def _coordinate(token: str, spec: FieldSpec, no: int) -> FieldElement:
             if not (tail.isascii() and tail.isdigit()):
                 raise ConfigError(f"malformed power coordinate {token!r} at line {no}")
             power = _int(tail, "point", no)
-        t = spec._t
-        return t.by_val[t.gpow[power % len(t.gpow)]]
+        gpow = spec._t.gpow
+        return spec.element(gpow[power % len(gpow)])
     value = _int(token, "point", no)
     try:
         return spec.element(value)

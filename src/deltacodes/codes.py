@@ -28,7 +28,7 @@ from math import gcd, lcm
 
 from . import minweight
 from ._value import Value, _set
-from .approximants import ApproximateFamily, BasisElement, _fit_exponents
+from .approximants import ApproximateFamily, _fit_exponents
 from .deltaseq import (
     DeltaN,
     denormalize,
@@ -85,16 +85,6 @@ class EvalMap:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def row(self, element: BasisElement) -> tuple[int, ...]:
-        """The element's expanded polynomial evaluated at every point, as
-        encoded field values."""
-        poly = element.expanded
-        if poly.spec != self.spec:
-            raise DomainError(
-                "field mismatch: the family and the points use different fields"
-            )
-        return tuple(int(poly.evaluate(pt)) for pt in self.points)
 
 
 class CodePair(Value):
@@ -258,6 +248,12 @@ class Scan:
                 "field mismatch: the family and the points use different fields"
             )
         n = ev.n
+        if n > horizon:
+            # the rank cannot exceed the number of members walked
+            raise DomainError(
+                f"rank ceiling: rank {n} needs at least {n} members, above the"
+                f" horizon of {horizon}"
+            )
         t = ev.spec._t
         evaluate = _PointwiseRows(fam, ev)
         tables = t.kernel_tables(backend)

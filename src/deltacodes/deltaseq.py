@@ -65,9 +65,11 @@ class DeltaStructure(Value):
 
 
 class DeltaN(Value):
-    """A validated sequence of positive integers with its derived structure."""
+    """A validated sequence of positive integers with its derived structure.
+    Its semigroup engine ``_engine`` is kept outside the value."""
 
-    __slots__ = _fields = ("deltas", "structure")
+    __slots__ = ("deltas", "structure", "_engine")
+    _fields = ("deltas", "structure")
 
     def __init__(self, deltas: tuple[int, ...], structure: DeltaStructure) -> None:
         _set(self, "deltas", deltas)

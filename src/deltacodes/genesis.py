@@ -132,9 +132,11 @@ class CWitness(Value):
 
 
 class DeltaZ2(Value):
-    """A delta-sequence of lexicographically ordered plane vectors."""
+    """A delta-sequence of lexicographically ordered plane vectors.  Its
+    semigroup engine ``_engine`` is kept outside the value."""
 
-    __slots__ = _fields = ("deltas", "witness")
+    __slots__ = ("deltas", "witness", "_engine")
+    _fields = ("deltas", "witness")
 
     def __init__(self, deltas: tuple[tuple[int, int], ...], witness: CWitness) -> None:
         _set(self, "deltas", deltas)
@@ -217,9 +219,11 @@ class DWitness(Value):
 
 
 class DeltaR(Value):
-    """A finite sequence of rationals followed by one quadratic-irrational tail."""
+    """A finite sequence of rationals followed by one quadratic-irrational
+    tail.  Its semigroup engine ``_engine`` is kept outside the value."""
 
-    __slots__ = _fields = ("head", "tail", "witness")
+    __slots__ = ("head", "tail", "witness", "_engine")
+    _fields = ("head", "tail", "witness")
 
     def __init__(self, head: tuple[Fraction, ...], tail: QuadExt, witness: DWitness) -> None:
         _set(self, "head", head)
@@ -270,10 +274,13 @@ class DeltaQ(Value):
     """A rational sequence built by repeated scale-and-append extension.
 
     ``stages`` holds every integer sequence along the way (the first being the
-    starting sequence); extension never mutates, it returns a new value.
+    starting sequence); extension never mutates, it returns a new value.  Its
+    semigroup engine ``_engine``, with the stages grown beyond these, is kept
+    outside the value.
     """
 
-    __slots__ = _fields = ("stages", "choices")
+    __slots__ = ("stages", "choices", "_engine")
+    _fields = ("stages", "choices")
 
     def __init__(
         self, stages: tuple[DeltaN, ...], choices: tuple[tuple[int, int] | None, ...]

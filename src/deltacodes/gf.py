@@ -327,14 +327,15 @@ def _primitive_powers(spec: FieldSpec) -> tuple[int, list[int]]:
 class _Tables:
     """Arithmetic tables for one field, indexed by encoded values: ``add``,
     ``sub`` and ``mul`` are flat q*q array('i') that the kernel fills, and
-    ``neg``, ``inv``, ``by_val`` and ``dlog`` are q-sized lists.  ``gpow``
-    lists the encoded powers 1, g, g^2, ... of the class of g (encoded p) up
-    to its order, so g^k is gpow[k % len(gpow)]; None for a prime field."""
+    ``neg``, ``inv``, ``by_val`` and ``dlog`` are q-sized lists, ``by_val``
+    built on its first use.  ``gpow`` lists the encoded powers 1, g, g^2, ...
+    of the class of g (encoded p) up to its order, so g^k is
+    gpow[k % len(gpow)]; None for a prime field."""
 
     def __init__(self, spec: FieldSpec) -> None:
         p, m, q = spec.p, spec.m, spec.q
         self.q = q
-        self.by_val = [FieldElement(spec, _digits(v, p, m)) for v in range(q)]
+        self._spec = spec
 
         # Every nonzero product and inverse follows from the logarithms.
         root, powers = _primitive_powers(spec)
@@ -354,6 +355,12 @@ class _Tables:
         self.sub = self.add if p == 2 else array("i", [0]) * (q * q)
         minweight.field_tables(powers, p, m, self.add, self.sub, self.mul)
         self.neg = self.sub[:q].tolist()
+
+    @functools.cached_property
+    def by_val(self) -> list[FieldElement]:
+        """Every element, indexed by its encoded value."""
+        spec = self._spec
+        return [FieldElement(spec, _digits(v, spec.p, spec.m)) for v in range(self.q)]
 
     def kernel_tables(self, backend: str | None = None) -> tuple:
         """``mul``, ``sub`` and ``inv`` in the form the backend reads fastest:

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from itertools import groupby
 from math import isqrt, lcm
 from operator import itemgetter
 
@@ -146,16 +144,12 @@ class _Engine:
     the rows with the same tail (``label(tail)`` in its place when a label
     is given); for the quadratic kind the member is v / scale + tail[-1] *
     tau.  The integer and chain kinds give one block per multiple of their
-    first generator, the others one block for the window.  ``between``
-    joins the blocks, and ``values`` turns rows of one window into (value,
-    Representation) pairs as they are read.  The walk strings windows
-    together, doubling the upper end, so every member is yielded once and
-    in order; it builds a member's pair only when the member is consumed.
+    first generator, the others one block for the window.  ``values`` turns
+    rows of one window into (value, Representation) pairs as they are read.
+    The walk strings windows together, doubling the upper end, so every
+    member is yielded once and in order; it builds a member's pair only when
+    the member is consumed.
     """
-
-    def between(self, lo, hi):
-        scale, blocks = self.blocks(lo, hi)
-        return scale, [row for block in blocks for row in block]
 
     def walk(self, after=None):
         """Every member above ``after`` (from zero on when None), unbounded."""
@@ -338,10 +332,6 @@ class _PlanarEngine(_HeadEngine):
         )
 
 
-# Bits below the point kept by the quadratic kind's integer sort key.
-_KEY_BITS = 32
-
-
 class _QuadraticEngine(_HeadEngine):
     """Rational head s / scale, s in the integer sequence's semigroup, plus
     m times one irrational tail generator tau."""
@@ -403,40 +393,37 @@ class _QuadraticEngine(_HeadEngine):
         return value.m + floor_of(value.r * tau.a / norm, -value.r * tau.b / norm, tau.d) + 1
 
     def blocks(self, lo, hi: QuadValue, label=None):
-        """The head members for each multiple m of tau, sorted on the exact
-        integer key floor(value * 2**_KEY_BITS).  floor is monotone, so only
-        rows with equal keys need the exact comparison of
-        den * value = v * step + m * a_den + m * b_den * sqrt(d)."""
+        """The head members for each multiple m of tau, sorted on the integer
+        key floor(value * 2**shift), which no two members of the window share.
+
+        den * value = A + B sqrt(d) with integers A = v * step + m * a_den and
+        B = m * b_den.  For two distinct members let dA, dB be the differences.
+        If dB = 0 then |dA| >= 1.  Otherwise dA^2 - dB^2 d is a nonzero integer
+        (d is squarefree), so |dA + dB sqrt(d)| >= 1 / |dA - dB sqrt(d)| >=
+        1 / (|dA| + |dB| sqrt(d)).  In the window |A| <= a_max and |B| <= b_max,
+        so |dA| + |dB| sqrt(d) <= 2 (a_max + b_max (isqrt(d) + 1)), and with
+        2**shift above den times that, two members differ by at least
+        2**-shift and their keys differ: the sort is exact on its own."""
         tau, scale, den, d = self.tau, self.scale, self.den, self.tau.d
         step, a_den, b_den = den // scale, int(tau.a * den), int(tau.b * den)
-        shift = _KEY_BITS
+        runs = list(self.runs(lo, hi, label))
+        top_m = len(runs) - 1
+        top_v = max((run[-1][0] for _, run in runs if run), default=0)
+        a_max = top_v * step + top_m * abs(a_den)
+        b_max = top_m * abs(b_den)
+        shift = (2 * den * (a_max + b_max * (isqrt(d) + 1))).bit_length()
         keyed = []
-        for m, run in self.runs(lo, hi, label):
+        while runs:  # last first, each freed once keyed: the keys are distinct
+            m, run = runs.pop()
             # floor(m * b_den * sqrt(d) * 2**shift): the root is irrational
             # unless m = 0, so below zero it is one less than -isqrt.  Adding
-            # the integer part and dividing by den keep the floor exact.  The
-            # order needs only keys that never fall as values rise: ceil here
-            # would raise the numerator of each m > 0 row by one, and that
-            # keeps them below every larger m = 0 row, whose numerator is an
-            # integer, so it would change keys but no order.
+            # the integer part and dividing by den keep the floor exact.
             irr = m * b_den
             root = isqrt(irr * irr * d << 2 * shift)
             base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
-            keyed += [(((v * step << shift) + base) // den, v, m, c, tail) for v, c, tail in run]
-        first = itemgetter(0)
-        keyed.sort(key=first)
-        if len(set(map(first, keyed))) < len(keyed):
-
-            def exact(p, q):
-                dm = p[2] - q[2]
-                return sign_of((p[1] - q[1]) * step + dm * a_den, dm * b_den, d)
-
-            keyed = [
-                row
-                for _, tied in groupby(keyed, first)
-                for row in sorted(tied, key=cmp_to_key(exact))
-            ]
-        return scale, [[(v, c, tail) for _, v, _, c, tail in keyed]]
+            keyed += [(((v * step << shift) + base) // den, v, c, tail) for v, c, tail in run]
+        keyed.sort(key=itemgetter(0))
+        return scale, [[(v, c, tail) for _, v, c, tail in keyed]]
 
     def values(self, scale: int, rows):
         tau, bounds = self.tau, self.bounds
@@ -497,19 +484,26 @@ class _ChainEngine(_RationalEngine):
         )
 
 
-# Bounded: an engine keeps the chain's stage ladder, and one that is evicted
-# is rebuilt with the same results.
-@lru_cache(maxsize=16)
+_ENGINES = {
+    DeltaN: _IntegerEngine,
+    DeltaZ2: _PlanarEngine,
+    DeltaR: _QuadraticEngine,
+    DeltaQ: _ChainEngine,
+}
+
+
 def _engine(delta):
-    if isinstance(delta, DeltaN):
-        return _IntegerEngine(delta)
-    if isinstance(delta, DeltaZ2):
-        return _PlanarEngine(delta)
-    if isinstance(delta, DeltaR):
-        return _QuadraticEngine(delta)
-    if isinstance(delta, DeltaQ):
-        return _ChainEngine(delta)
-    raise DomainError("unsupported sequence kind")
+    """The sequence's own engine, built on its first use and kept in its
+    ``_engine`` slot, so the engine (and the chain's stage ladder) is freed
+    with the sequence."""
+    engine = getattr(delta, "_engine", None)
+    if engine is None:
+        kind = _ENGINES.get(type(delta))
+        if kind is None:
+            raise DomainError("unsupported sequence kind")
+        engine = kind(delta)
+        _set(delta, "_engine", engine)
+    return engine
 
 
 # --- public operations ------------------------------------------------------
@@ -553,7 +547,8 @@ def rows_upto(delta, bound, label=None):
 def enumerate_upto(delta, bound):
     """All members up to the bound in increasing order, with representations."""
     eng = _engine(delta)
-    return list(eng.values(*eng.between(None, eng.lift(bound))))
+    scale, blocks = eng.blocks(None, eng.lift(bound))
+    return list(eng.values(scale, [row for block in blocks for row in block]))
 
 
 def successor(delta, value):

@@ -3,11 +3,12 @@
 Each one is the plain, slow way to get what the library computes another way:
 field arithmetic one named operation at a time, polynomial products, the
 search for a default modulus, the rank and kernel of a matrix of field
-elements, evaluation rows by multiplying out each basis
-polynomial, semigroup membership by a sieve over every integer up to the
-bound, a window of members by sorting every member found, the member walk
-with each window's values built whole, a quadratic value in floating point,
-and the command line read by ``argparse``.  They live
+elements, basis elements as products of approximates, evaluation rows by
+multiplying out each basis polynomial and evaluating it term by term,
+semigroup membership by a sieve over every integer up to the bound, a window
+of members by sorting every member found, the member walk with each window's
+values built whole, a quadratic value in floating point, and the command
+line read by ``argparse``.  They live
 outside the package, so the library neither ships nor imports them, and a
 test that compares the two compares independent code.
 """
@@ -19,6 +20,13 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 
+from deltacodes.approximants import (
+    ApproximateFamily,
+    BivarPoly,
+    _fit_exponents,
+    _product_of,
+    expand_family,
+)
 from deltacodes.cli import COMMANDS
 from deltacodes.codes import EvalMap
 from deltacodes.deltaseq import DeltaN, _tails
@@ -32,7 +40,7 @@ from deltacodes.gf import (
     rank_nullspace_ints,
 )
 from deltacodes.quadratics import QuadExt
-from deltacodes.semigroup import _engine
+from deltacodes.semigroup import _engine, enumerate_upto, represent
 
 # --- finite fields -----------------------------------------------------------
 
@@ -120,12 +128,63 @@ def mat_rank_kernel(matrix: Matrix) -> tuple[int, list[list[FieldElement]]]:
 # --- evaluation codes --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class BasisElement:
+    """A product of approximates: its exponents over the family and its
+    semigroup weight; the family takes no part in equality or the repr."""
+
+    exponents: tuple[int, ...]
+    weight: object
+    family: ApproximateFamily = field(compare=False, repr=False)
+
+    @property
+    def expanded(self) -> BivarPoly:
+        """The product multiplied out, computed on each access."""
+        fam = self.family
+        return _product_of(fam.spec, expand_family(fam), self.exponents)
+
+
+def basis_for(delta, fam: ApproximateFamily, alpha) -> tuple[BasisElement, ...]:
+    """One basis element per semigroup member up to alpha, in semigroup order."""
+    return tuple(
+        BasisElement(_fit_exponents(fam, rep.exponents), value, fam)
+        for value, rep in enumerate_upto(delta, alpha)
+    )
+
+
+def basis_element(delta, fam: ApproximateFamily, alpha) -> BasisElement:
+    """The single basis element attached to one semigroup member."""
+    return BasisElement(_fit_exponents(fam, represent(delta, alpha).exponents), alpha, fam)
+
+
+def poly_eval(poly: BivarPoly, point) -> FieldElement:
+    """A polynomial at a point given as a pair of field elements, term by term."""
+    spec = poly.spec
+    px, py = spec.element(point[0]), spec.element(point[1])
+    total = spec.zero
+    for (ex, ey), coeff in poly.terms:
+        total = total + coeff * px**ex * py**ey
+    return total
+
+
+def deg_y(poly: BivarPoly) -> int:
+    """The largest y-exponent of a polynomial, -1 for zero."""
+    return max((ey for (_, ey), _ in poly.terms), default=-1)
+
+
 def evaluation_matrix(ev: EvalMap, basis) -> tuple[tuple[FieldElement, ...], ...]:
     """Every basis element evaluated at every point, in basis order, by
-    multiplying out its polynomial (the reference for the scan's rows)."""
-    by_val = ev.spec._t.by_val
+    multiplying out its polynomial (the reference for the scan's rows).  The
+    family is expanded once per call."""
+    if not basis:
+        return ()
+    fam = basis[0].family
+    if fam.spec != ev.spec:
+        raise DomainError("field mismatch: the family and the points use different fields")
+    polys = expand_family(fam)
     return tuple(
-        tuple(by_val[v] for v in ev.row(element)) for element in basis
+        tuple(poly_eval(_product_of(fam.spec, polys, element.exponents), pt) for pt in ev.points)
+        for element in basis
     )
 
 
@@ -199,7 +258,8 @@ def walk_eager(delta):
     eng = _engine(delta)
     lo, hi = None, eng.add(eng.zero(), eng.generators()[0])
     while True:
-        yield from list(eng.values(*eng.between(lo, hi)))
+        scale, blocks = eng.blocks(lo, hi)
+        yield from list(eng.values(scale, [row for block in blocks for row in block]))
         lo, hi = hi, eng.add(hi, hi)
 
 

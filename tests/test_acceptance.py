@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltacodes.approximants import basis_for, build_approximates
+from deltacodes.approximants import build_approximates
 from deltacodes.codes import (
     CodePair,
     EvalMap,
@@ -69,7 +69,7 @@ from helpers import (
     POINTS_F7,
     xi_points,
 )
-from oracles import approx, evaluation_matrix, gaps
+from oracles import approx, basis_for, evaluation_matrix, gaps
 
 # --- reference columns ------------------------------------------------------
 

@@ -626,6 +626,20 @@ def test_power_points_come_from_the_power_table(spec):
     assert _coordinate("g", spec, 1) == g
 
 
+def test_a_power_point_table_job_builds_no_element_list():
+    """A table job over F_256 with g^k points builds the field's tables but
+    not the list of its 256 elements, and each coordinate still prints as
+    the power it was written as."""
+    tokens = [(f"g^{a}", f"g^{3 * a + 1}") for a in range(2, 40, 3)]
+    points = "".join(f"{x} {y}\n" for x, y in tokens)
+    config = parse_config(
+        "[field]\np = 2\nm = 8\n" + DELTA_C + "[points]\n" + points
+    ).replace(command="table")
+    assert run(config).startswith("alpha,exp,k,d,d_ev,d_fr,fr_bound,goppa\n")
+    assert "_t" in vars(config.spec) and "by_val" not in vars(config.spec._t)
+    assert [(str(x), str(y)) for x, y in config.points] == tokens
+
+
 # One config per sequence kind over the twelve points of the golden table,
 # with a semigroup bound for each.
 KIND_DELTAS = {

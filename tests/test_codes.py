@@ -17,12 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deltacodes import codes
-from deltacodes.approximants import (
-    _fit_exponents,
-    basis_element,
-    basis_for,
-    build_approximates,
-)
+from deltacodes.approximants import _fit_exponents, build_approximates
 from deltacodes.codes import (
     DEFAULT_HORIZON,
     CodePair,
@@ -45,7 +40,7 @@ from deltacodes.deltaseq import (
 )
 from deltacodes.errors import DomainError
 from deltacodes.genesis import DeltaQ, DeltaR, DeltaZ2, build_type_c, build_type_e
-from deltacodes.gf import rank_nullspace_ints
+from deltacodes.gf import FieldSpec, rank_nullspace_ints
 from deltacodes.minweight import available_backends
 from deltacodes.quadratics import QuadExt
 from deltacodes.semigroup import (
@@ -66,7 +61,7 @@ from helpers import (
     DZ75, DZ_BIG, EV32_B, EV7, F7, F32, PAIRS_F32_B, UNDER_2029, UNDER_BIG, xi_points,
 )
 import oracles
-from oracles import evaluation_matrix, gaps, members_below
+from oracles import basis_element, basis_for, evaluation_matrix, gaps, members_below
 
 FAM7 = build_approximates(DZ119, F7)
 SCAN7 = Scan(DZ119, FAM7, EV7)
@@ -164,7 +159,8 @@ class TestPointwiseRows:
         members = enumerate_upto(delta, bound)
         value, _ = members[data.draw(st.integers(0, len(members) - 1))]
         element = basis_element(delta, fam, value)
-        assert tuple(_PointwiseRows(fam, ev).row(element.exponents)) == ev.row(element)
+        expected = [int(v) for v in evaluation_matrix(ev, [element])[0]]
+        assert _PointwiseRows(fam, ev).row(element.exponents) == expected
 
     @pytest.mark.parametrize(
         "delta,spec,ev",
@@ -231,6 +227,19 @@ class TestOmegaBound:
     def test_horizon_cap_raises(self):
         with pytest.raises(DomainError, match="rank ceiling"):
             Scan(DZ119, FAM7, EV7, horizon=3)
+
+    def test_more_points_than_the_horizon_are_rejected_up_front(self):
+        """4,100 points over F_256 can never reach rank 4,100 within the
+        4,096 members of the default horizon: rejected before any member is
+        walked or any table is built."""
+        f256 = FieldSpec(2, 8)
+        ev = EvalMap(f256, [(x, y) for x in range(256) for y in range(17)][:4100])
+        fam = build_approximates(DZ119, f256)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="rank ceiling: rank 4100 needs at least 4100"):
+            Scan(DZ119, fam, ev)
+        assert time.perf_counter() - start < 0.1
+        assert "_t" not in vars(f256)
 
 
 class TestFengRao:
@@ -781,12 +790,18 @@ class TestBlockScan:
     @pytest.mark.parametrize("kind", sorted(SCAN_KINDS))
     @pytest.mark.parametrize("ev", [EV7, EV32_SMALL, EV1], ids=["F7", "F32", "F7-1"])
     def test_every_horizon_stops_where_the_row_at_a_time_scan_did(self, kind, ev):
+        """Below n members the scan is rejected before it walks any."""
         delta = SCAN_KINDS[kind]
         fam = build_approximates(delta, ev.spec)
         top = len(Scan(delta, fam, ev).members)
         for horizon in range(top + 2):
             expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, horizon)
             assert isinstance(expected, str) == (horizon < top)
+            if horizon < ev.n:
+                expected = (
+                    f"rank ceiling: rank {ev.n} needs at least {ev.n} members,"
+                    f" above the horizon of {horizon}"
+                )
             for backend in available_backends():
                 got = scan_outcome(Scan, delta, fam, ev, horizon, backend)
                 assert got == expected, (horizon, backend)

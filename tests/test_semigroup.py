@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
-from math import floor
+from math import floor, isqrt, lcm
 
 import mpmath
 import pytest
@@ -580,48 +582,105 @@ class TestRowListing:
         delta, _ = WALK_KINDS[kind]
         assert cli_listing(kind, bound) == object_listing(delta, bound)
 
-    def test_equal_quadratic_keys_are_ordered_exactly(self, monkeypatch):
-        bound = QuadValue(Fraction(5), 0, DR_BIG.tail)
-        text = cli_listing("quadratic", bound)
-        monkeypatch.setattr(semigroup_module, "_KEY_BITS", 0)
-        # floor(value) is the key now: the 790 members share 6 keys
+
+# --- the quadratic order on an exact key, and engines owned by their sequence --
+
+QUADRATIC_FAMILIES = {
+    name: delta for name, delta in FIXTURE_FAMILIES.items() if isinstance(delta, DeltaR)
+}
+
+
+def quadratic_windows(delta, count):
+    """The walk's windows (lo, hi] until they hold ``count`` members, each as
+    (hi, scale, rows)."""
+    lo, hi, total = None, generators(delta)[0], 0
+    while total < count:
+        scale, rows = listed_window(delta, lo, hi)
+        yield hi, scale, rows
+        total += len(rows)
+        lo, hi = hi, QuadValue(hi.r * 2, hi.m * 2, hi.tau)
+
+
+def listed_window(delta, lo, hi):
+    scale, blocks = semigroup_module._engine(delta).blocks(lo, hi)
+    return scale, [row for block in blocks for row in block]
+
+
+def exact_keys(delta, scale, rows):
+    """floor(value * 2**shift) of each row, computed in QuadExt arithmetic,
+    with shift taken from the rows as the bound in ``_QuadraticEngine.blocks``
+    states it: 2**shift > den * 2 (max |A| + max |B| (isqrt(d) + 1)), where
+    den * value = A + B sqrt(d)."""
+    tau = delta.tail
+    den = lcm(scale, tau.a.denominator, tau.b.denominator)
+    a_max = max(abs(v * (den // scale) + tail[-1] * tau.a * den) for v, _, tail in rows)
+    b_max = max(abs(tail[-1] * tau.b * den) for _, _, tail in rows)
+    shift = int(2 * den * (a_max + b_max * (isqrt(tau.d) + 1))).bit_length()
+    return [((tau * tail[-1] + Fraction(v, scale)) * 2**shift).floor() for v, _, tail in rows]
+
+
+class TestExactQuadraticKey:
+    @pytest.mark.parametrize("name", sorted(QUADRATIC_FAMILIES))
+    def test_window_keys_are_distinct_and_the_order_is_exact(self, name):
+        """Over the walk's windows holding the first 300 members, the keys the
+        bound allows rise strictly along each window, and the joined windows
+        list what the sorted reference lists."""
+        delta = QUADRATIC_FAMILIES[name]
+        listed = []
+        for hi, scale, rows in quadratic_windows(delta, 300):
+            keys = exact_keys(delta, scale, rows)
+            assert all(a < b for a, b in zip(keys, keys[1:])), hi
+            listed += [
+                (Fraction(v, scale), tail[-1], (c,) + tail) for v, c, tail in rows
+            ]
+        expected = reference_enumerate(delta, hi)
+        assert listed == [(v.r, v.m, rep.exponents) for v, rep in expected]
+
+    @pytest.mark.parametrize(
+        "bound",
+        [QuadValue(Fraction(5), 0, DR_BIG.tail), QuadValue(Fraction(3, 4), 1, DR_BIG.tail)],
+        ids=["790 members up to 5", "15 members up to 3/4 + tau"],
+    )
+    def test_listings_of_many_copies_of_tau_are_exact(self, bound):
+        """The two windows that once needed the tie repair: up to 5 (790
+        members with 6 integer parts) and up to 3/4 + tau, where a member
+        with 4 copies of tau lies just below one with 1 copy."""
         scale, rows = listed_rows(DR_BIG, bound)
-        assert len(rows) == 790
-        floors = {(Fraction(v, scale) + tail[-1] * DR_BIG.tail).floor() for v, _, tail in rows}
-        assert len(floors) == 6
+        keys = exact_keys(DR_BIG, scale, rows)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
         assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
-        assert cli_listing("quadratic", bound) == text
-
-    def test_a_single_repeated_key_is_ordered_exactly(self, monkeypatch):
-        """With 5 key bits exactly one key repeats among the 15 members up to
-        3/4 + tau, and the two members are listed against the order they are
-        found in (by copies of tau), so one repeat already needs the exact
-        sort."""
-        bound = QuadValue(Fraction(3, 4), 1, DR_BIG.tail)
-        text = cli_listing("quadratic", bound)
-        monkeypatch.setattr(semigroup_module, "_KEY_BITS", 5)
-        scale, rows = listed_rows(DR_BIG, bound)
-        keys = [((Fraction(v, scale) + tail[-1] * DR_BIG.tail) * 32).floor() for v, _, tail in rows]
-        assert len(rows) == 15 and len(keys) - len(set(keys)) == 1
-        tied = [tail[-1] for key, (_, _, tail) in zip(keys, rows) if keys.count(key) == 2]
-        assert tied == [4, 1]
-        assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
-        assert cli_listing("quadratic", bound) == text
+        assert cli_listing("quadratic", bound) == object_listing(DR_BIG, bound)
 
 
-class TestEngineCache:
-    def test_evicted_engine_is_rebuilt_with_the_same_results(self):
-        """The engine cache is bounded; an engine pushed out by other
-        sequences (the chain's with its stage ladder) comes back equal."""
-        for delta in (DN, DZ2, DR, DQ119):
-            engine = semigroup_module._engine(delta)
-            members = list(islice(walk(delta), 300))
-            listed = enumerate_upto(delta, members[-1][0])
-            reps = [represent(delta, v) for v, _ in members]
-            for k in range(2, 2 + semigroup_module._engine.cache_info().maxsize):
-                generators(validate_n((2 * k + 1, 2)))
-            assert semigroup_module._engine(delta) is not engine
-            # the rebuilt chain engine grows its ladder for the largest member first
-            assert [represent(delta, v) for v, _ in reversed(members)] == reps[::-1]
-            semigroup_module._engine.cache_clear()
-            assert enumerate_upto(delta, members[-1][0]) == listed
+def _sequences():
+    """A fresh sequence of each kind."""
+    return {
+        "integer": validate_n((11, 9)),
+        "planar": build_type_c((11, 9)),
+        "quadratic": build_type_d((11, 9), (80, 1, 2)),
+        "chain": build_type_e((11, 9), 0),
+    }
+
+
+class TestEngineOwnership:
+    @pytest.mark.parametrize("kind", ["integer", "planar", "quadratic", "chain"])
+    def test_an_engine_is_freed_with_its_sequence(self, kind):
+        """The engine lives in its sequence's slot, outside the value, and goes
+        when the sequence goes; the chain's after its stage ladder grew."""
+        delta = _sequences()[kind]
+        members = list(islice(walk(delta), 300))
+        engine = semigroup_module._engine(delta)
+        assert delta._engine is engine and semigroup_module._engine(delta) is engine
+        fresh = _sequences()[kind]
+        assert fresh == delta and hash(fresh) == hash(delta) and repr(fresh) == repr(delta)
+        assert not hasattr(fresh, "_engine")
+        if kind == "chain":
+            assert len(engine.ladder) > 1
+        gone = weakref.ref(engine)
+        del delta, engine, members
+        gc.collect()
+        assert gone() is None
+
+    def test_an_unsupported_kind_is_rejected(self):
+        with pytest.raises(DomainError, match="unsupported sequence kind"):
+            generators((11, 9))

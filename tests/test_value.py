@@ -21,11 +21,12 @@ from fractions import Fraction
 import pytest
 
 import deltacodes
+from deltacodes import semigroup
 from deltacodes._value import Value, _set
-from deltacodes.approximants import ApproximateFamily, BasisElement, BivarPoly, ExpansionStep
+from deltacodes.approximants import ApproximateFamily, BivarPoly, ExpansionStep
 from deltacodes.cli import JobConfig
 from deltacodes.codes import CodePair, TableRow
-from deltacodes.deltaseq import DeltaN, DeltaStructure
+from deltacodes.deltaseq import DeltaN, DeltaStructure, validate_n
 from deltacodes.genesis import CFValue, CWitness, DeltaQ, DeltaR, DeltaZ2, DWitness
 from deltacodes.gf import FieldElement, FieldSpec
 from deltacodes.quadratics import QuadExt
@@ -56,14 +57,17 @@ CASES = {
     BivarPoly: (F7, (((1, 0), "c"),)),
     ExpansionStep: (2, (1, 1)),
     ApproximateFamily: (F7, (1, 2), ()),
-    BasisElement: ((1, 2), 5, "family"),
     CodePair: (RatValue(Fraction(4)), ((1, 2),), 1, ((2, 1),), 1),
     TableRow: ("alpha", (1, 0), 3, 2, None, 1, 0, -4),
     JobConfig: (F7, "N", (3, 2), None, 3, 0, None, (), "jumps", None, "9", None, "semigroup"),
 }
 
 # Attributes that are kept on the object but are not part of its value.
-EXCLUDED = {FieldSpec: ("_t",), FieldElement: ("encoded",), BasisElement: ("family",)}
+EXCLUDED = {
+    FieldSpec: ("_t",),
+    FieldElement: ("encoded",),
+    **{cls: ("_engine",) for cls in (DeltaN, DeltaZ2, DeltaR, DeltaQ)},
+}
 
 
 def make(cls):
@@ -148,9 +152,10 @@ def test_fields_outside_the_value_take_no_part():
     assert e.encoded == 5 and "encoded" not in repr(e)
     assert hash(e) == hash((F8, (1, 0, 1)))
 
-    a, b = BasisElement((1, 2), 5, "one family"), BasisElement((1, 2), 5, "another")
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert repr(a) == "BasisElement(exponents=(1, 2), weight=5)"
+    delta, fresh = validate_n((11, 9)), validate_n((11, 9))
+    assert semigroup._engine(delta) is delta._engine and not hasattr(fresh, "_engine")
+    assert delta == fresh and hash(delta) == hash(fresh) and repr(delta) == repr(fresh)
+    assert "_engine" not in repr(delta)
 
 
 def test_pinned_reprs():
