@@ -3,13 +3,15 @@
    min_dependent_columns searches for the smallest number of linearly
    dependent columns: an iterative-deepening DFS over column subsets in
    increasing index order, with the chosen columns kept as a normalized
-   echelon basis so each candidate is reduced incrementally.  The deepening
+   echelon basis.  Each depth keeps the images of the later columns modulo
+   the basis so far, so going one depth down costs one row operation per
+   column, not one per column and basis row (see step).  The deepening
    starts at a floor wmin, and the last two columns of a subset are closed by
-   hashing (see pairs).  extend_echelon is the rank step of a scan: it reduces
-   a block of rows against a normalized echelon basis the caller keeps, with
-   the same reduce and lead_one.  field_tables fills a field's q*q addition,
-   subtraction and multiplication tables.  _minweight_py.py is the same in
-   Python. */
+   hashing (see pairs).  extend_echelon is the rank step of a scan: it
+   reduces a block of rows against a normalized echelon basis the caller
+   keeps, with reduce and the lead_one the search uses.  field_tables fills a
+   field's q*q addition, subtraction and multiplication tables.
+   _minweight_py.py is the same in Python. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -22,13 +24,13 @@ typedef struct {
     int r, n, q; /* r is the length of a basis row */
     int *basis;  /* one normalized row of length r per chosen column */
     int *pivots; /* the first nonzero index of each basis row */
-    int *seen;   /* the pair level's image of column j at seen + j * r */
+    int *images; /* level L >= 1 at images + (L - 1) * n * r (see image) */
     int *slots;  /* open-addressing table of column indices, -1 when free */
     size_t mask; /* slots has mask + 1 entries, a power of two >= 2n */
 } Search;
 
-/* Reduce v against the first nbasis basis rows in place; 1 if v became zero. */
-static int reduce(const Search *s, int *v, int nbasis)
+/* Reduce v against the first nbasis basis rows in place. */
+static void reduce(const Search *s, int *v, int nbasis)
 {
     int r = s->r, q = s->q;
     for (int b = 0; b < nbasis; b++) {
@@ -38,46 +40,82 @@ static int reduce(const Search *s, int *v, int nbasis)
             for (int k = p; k < r; k++)
                 v[k] = s->sub[v[k] * q + s->mul[f * q + row[k]]];
     }
-    for (int k = 0; k < r; k++)
-        if (v[k] != 0)
-            return 0;
-    return 1;
 }
 
-/* Scale the nonzero v in place so its first nonzero entry is 1; its index. */
+/* Scale v in place so its first nonzero entry is 1; the index of that entry,
+   r when v is zero. */
 static int lead_one(const Search *s, int *v)
 {
-    int p = 0;
-    while (v[p] == 0)
+    int p = 0, r = s->r;
+    while (p < r && v[p] == 0)
         p++;
+    if (p == r)
+        return r;
     const int *f = s->mul + s->inv[v[p]] * s->q;
-    for (int k = p; k < s->r; k++)
+    for (int k = p; k < r; k++)
         v[k] = f[v[k]];
     return p;
 }
 
+/* Where column j's image at level L >= 1 is kept. */
+static int *level(const Search *s, int L, int j)
+{
+    return s->images + ((size_t)(L - 1) * s->n + j) * s->r;
+}
+
+/* Column j's image modulo the first L basis rows: the column itself at
+   level 0. */
+static const int *image(const Search *s, int L, int j)
+{
+    return L ? level(s, L, j) : s->cols + (size_t)j * s->r;
+}
+
+/* Make column j's image at level L >= 1: its image at level L - 1 minus its
+   entry at the pivot p of basis row L - 1 times that row.  Each basis row is
+   zero at the pivots before its own, so this is what reduce makes of the
+   column against the first L rows, at one row operation instead of L. */
+static int *step(const Search *s, int L, int j)
+{
+    int r = s->r, q = s->q, p = s->pivots[L - 1];
+    const int *u = image(s, L - 1, j), *row = s->basis + (size_t)(L - 1) * r;
+    int *v = level(s, L, j);
+    if (u[p] == 0)
+        return memcpy(v, u, sizeof(int) * r);
+    memcpy(v, u, sizeof(int) * p);
+    const int *f = s->mul + u[p] * q;
+    for (int k = p; k < r; k++)
+        v[k] = s->sub[u[k] * q + f[row[k]]];
+    return v;
+}
+
 /* 1 if two columns, taken from index start on, complete a dependent set with
-   the nbasis columns already chosen.  Each column is reduced once and scaled
-   to a leading 1: the reduction is linear and its result is the unique
+   the nbasis columns already chosen.  Each column's image at level nbasis is
+   made and scaled to a leading 1 in place: the image is the unique
    representative of the column modulo the basis that is zero at the pivots,
-   so a zero image, or an image seen before, closes a dependent set. */
+   so a zero image, or an image seen before, closes a dependent set.  With no
+   basis the columns are copied to level 1, as the input is read-only. */
 static int pairs(const Search *s, int nbasis, int start)
 {
-    int r = s->r;
+    int r = s->r, at = nbasis ? nbasis : 1;
     for (size_t i = 0; i <= s->mask; i++)
         s->slots[i] = -1;
     for (int j = start; j < s->n; j++) {
-        int *v = s->seen + (size_t)j * r;
-        memcpy(v, s->cols + (size_t)j * r, sizeof(int) * r);
-        if (reduce(s, v, nbasis))
+        int *v = nbasis ? step(s, nbasis, j)
+                        : memcpy(level(s, 1, j), image(s, 0, j), sizeof(int) * r);
+        int p = 0; /* lead_one and an FNV-1a hash of p and v from p on, in one pass */
+        while (p < r && v[p] == 0)
+            p++;
+        if (p == r)
             return 1;
-        lead_one(s, v);
-        unsigned h = 2166136261u; /* FNV-1a over the entries */
-        for (int k = 0; k < r; k++)
+        const int *f = s->mul + s->inv[v[p]] * s->q;
+        unsigned h = 2166136261u ^ (unsigned)p;
+        for (int k = p; k < r; k++) {
+            v[k] = f[v[k]];
             h = (h ^ (unsigned)v[k]) * 16777619u;
+        }
         size_t i = h & s->mask;
         for (; s->slots[i] >= 0; i = (i + 1) & s->mask)
-            if (memcmp(s->seen + (size_t)s->slots[i] * r, v, sizeof(int) * r) == 0)
+            if (memcmp(level(s, at, s->slots[i]), v, sizeof(int) * r) == 0)
                 return 1;
         s->slots[i] = j;
     }
@@ -85,20 +123,21 @@ static int pairs(const Search *s, int nbasis, int start)
 }
 
 /* 1 if depth_left more columns, taken from index start on, complete a
-   dependent set with the nbasis columns already chosen. */
+   dependent set with the nbasis columns already chosen.  The level-nbasis
+   images of all the columns from start on are made first, as the next
+   depth makes its own from them. */
 static int dfs(const Search *s, int nbasis, int start, int depth_left)
 {
     if (depth_left == 2)
         return pairs(s, nbasis, start);
     int r = s->r, *row = s->basis + (size_t)nbasis * r;
+    for (int j = start; nbasis > 0 && j < s->n; j++)
+        step(s, nbasis, j);
     for (int j = start; j <= s->n - depth_left; j++) {
-        memcpy(row, s->cols + (size_t)j * r, sizeof(int) * r);
-        if (reduce(s, row, nbasis))
+        memcpy(row, image(s, nbasis, j), sizeof(int) * r);
+        if ((s->pivots[nbasis] = lead_one(s, row)) == r)
             return 1;
-        if (depth_left == 1)
-            continue;
-        s->pivots[nbasis] = lead_one(s, row);
-        if (dfs(s, nbasis + 1, j + 1, depth_left - 1))
+        if (depth_left > 1 && dfs(s, nbasis + 1, j + 1, depth_left - 1))
             return 1;
     }
     return 0;
@@ -142,28 +181,35 @@ static int *check_out(const Py_buffer *buf, Py_ssize_t room, Py_ssize_t need, in
     return check_room(buf, room, need, q, name);
 }
 
+/* Deepen from wmin to wmax.  Depth w keeps w - 2 basis rows, their pivots
+   and w - 2 levels of n images, or one of each at w <= 2.  Nothing carries
+   over from one depth to the next, so the buffer grows with w and holds only
+   what the depths searched so far need. */
 static PyObject *search(Search *s, int wmin, int wmax)
 {
     int found = 0;
-    size_t slots = 2;
+    size_t slots = 2, n = s->n, r = s->r;
+    void *buf = NULL;
     wmax = wmax < s->n ? wmax : s->n;
-    if (wmin > wmax)
-        return PyLong_FromLong(0);
-    while (slots < 2 * (size_t)s->n)
+    while (slots < 2 * n)
         slots *= 2;
-    /* basis rows, pivots, pair-level images, then the slots */
-    s->basis = PyMem_Malloc(sizeof(int) * ((size_t)wmax * (s->r + 1)
-                                           + (size_t)s->n * s->r + slots));
-    if (s->basis == NULL)
-        return PyErr_NoMemory();
-    s->pivots = s->basis + (size_t)wmax * s->r;
-    s->seen = s->pivots + wmax;
-    s->slots = s->seen + (size_t)s->n * s->r;
     s->mask = slots - 1;
-    for (int w = wmin; w <= wmax && !found; w++)
+    for (int w = wmin; w <= wmax && !found; w++) {
+        size_t depth = w > 2 ? w - 2 : 1;
+        /* the slots, the pivots, the basis rows, then the levels */
+        void *grown = PyMem_Realloc(buf, sizeof(int) * (slots + depth * (r + 1 + n * r)));
+        if (grown == NULL) {
+            PyMem_Free(buf);
+            return PyErr_NoMemory();
+        }
+        buf = s->slots = grown;
+        s->pivots = s->slots + slots;
+        s->basis = s->pivots + depth;
+        s->images = s->basis + depth * r;
         if (dfs(s, 0, 0, w))
             found = w;
-    PyMem_Free(s->basis);
+    }
+    PyMem_Free(buf);
     return PyLong_FromLong(found);
 }
 
@@ -175,8 +221,10 @@ PyDoc_STRVAR(min_dependent_columns_doc,
 "a dependent set is dependent; so a known lower bound on d as ``wmin``\n"
 "skips the depths below it.  ``cols`` is column-major (entry (i, j) at\n"
 "``cols[j * r + i]``); ``mul`` and ``sub`` are flat q*q tables, ``inv`` a\n"
-"length-q table, all array('i').  The last two columns of a subset are found\n"
-"by hashing the reduced, normalized columns instead of trying every pair.");
+"length-q table, all array('i').  Each depth of the search keeps the later\n"
+"columns reduced modulo the columns chosen so far, and the last two columns\n"
+"of a subset are found by hashing the reduced, normalized columns instead of\n"
+"trying every pair.");
 
 static PyObject *min_dependent_columns(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -221,8 +269,10 @@ static PyObject *extend(Search *s, const int *rows, int m, int rank)
         if (rank == n)
             continue;
         memcpy(row, rows + (size_t)i * n, sizeof(int) * n);
-        if (!reduce(s, row, rank)) {
-            s->pivots[rank++] = lead_one(s, row);
+        reduce(s, row, rank);
+        int p = lead_one(s, row);
+        if (p < n) {
+            s->pivots[rank++] = p;
             flag[i] = 1;
         }
     }

@@ -3,12 +3,13 @@
 Same algorithms and call signatures as the C kernel ``_minweight.c``, and the
 reference the tests compare it against.  ``min_dependent_columns`` is an
 iterative-deepening DFS over column subsets in increasing index order, from a
-floor ``wmin`` on, with the chosen columns kept as a normalized incremental
-echelon basis, and the last two columns of a subset closed by hashing their
-reduced, normalized images.  ``extend_echelon`` is the rank step of a scan:
-it reduces a block of rows against an echelon basis the caller keeps.  Both
-share one reduction and one normalization.  ``field_tables`` fills a field's
-q*q arithmetic tables.
+floor ``wmin`` on, with the chosen columns kept as a normalized echelon basis.
+Each depth keeps the images of the later columns modulo the basis so far, so
+going one depth down costs one row operation per column, and the last two
+columns of a subset are closed by hashing their normalized images.
+``extend_echelon`` is the rank step of a scan: it reduces a block of rows
+against an echelon basis the caller keeps.  Both share one normalization.
+``field_tables`` fills a field's q*q arithmetic tables.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def _lead_one(v, q, mul, inv):
     return p
 
 
+def _step(u, tail, p, q, mul, sub):
+    """The image u one level below: u minus its entry at the pivot p times
+    the basis row whose part from p on is ``tail``; u itself when that entry
+    is zero.  Neither input is changed."""
+    f = u[p]
+    if not f:
+        return u
+    fq = f * q
+    return u[:p] + [sub[a * q + mul[fq + b]] for a, b in zip(u[p:], tail)]
+
+
 def min_dependent_columns(cols, r, n, q, mul, sub, inv, wmax, wmin=1):
     """Smallest w with wmin <= w <= wmax such that some w columns are
     linearly dependent, or 0 when there is none.
@@ -56,11 +68,17 @@ def min_dependent_columns(cols, r, n, q, mul, sub, inv, wmax, wmin=1):
     ``cols[j * r + i]``); ``mul`` and ``sub`` are flat q*q tables, ``inv`` a
     length-q table.
 
-    With w - 2 columns in the basis, every later column is reduced once and
-    scaled to a leading 1.  The reduction is linear and its result is the
+    The search keeps, for each depth L, the images of the later columns
+    modulo the L columns chosen so far.  The column chosen at depth L gives
+    its image, scaled to a leading 1 at its pivot p, as basis row L, and a
+    later column's image at depth L + 1 is its image at depth L minus its
+    entry at p times that row: one row operation per column and depth.  Basis
+    rows are zero at the pivots before their own, so each image is the
     unique representative of the column modulo the basis that is zero at the
-    pivots, so a zero image, or an image seen before, closes a dependent set
-    of size at most w: about C(n, w - 1) reductions at that depth, not C(n, w).
+    pivots.  With w - 2 columns in the basis, the pair level makes every
+    later column's image and scales it to a leading 1, so a zero image, or
+    an image seen before, closes a dependent set of size at most w: about
+    C(n, w - 1) images at that depth, not C(n, w).
     """
     if wmin < 1:
         raise ValueError("wmin must be positive")
@@ -70,44 +88,46 @@ def min_dependent_columns(cols, r, n, q, mul, sub, inv, wmax, wmin=1):
     tails: list[list[int]] = []  # the basis rows from their pivots on
     pivots: list[int] = []
 
-    def reduce_col(j):
-        v = list(cols[j * r : (j + 1) * r])
-        _reduce(v, tails, pivots, q, mul, sub)
-        return v
-
-    def pairs(start):
+    def pairs(images, start):
         seen = set()
         for j in range(start, n):
-            v = reduce_col(j)
+            v = images[j]
+            if tails:
+                v = _step(v, tails[-1], pivots[-1], q, mul, sub)
             if not any(v):
                 return True
-            _lead_one(v, q, mul, inv)
-            image = tuple(v)
+            fq = inv[next(filter(None, v))] * q
+            image = tuple([mul[fq + y] for y in v])
             if image in seen:
                 return True
             seen.add(image)
         return False
 
-    def dfs(start, depth_left):
+    def dfs(images, start, depth_left):
         if depth_left == 2:
-            return pairs(start)
+            return pairs(images, start)
+        if tails:  # the images one level below, from start on
+            tail, p = tails[-1], pivots[-1]
+            images = [None] * start + [_step(u, tail, p, q, mul, sub) for u in images[start:]]
         for j in range(start, n - depth_left + 1):
-            v = reduce_col(j)
+            v = images[j]
             if not any(v):
                 return True
             if depth_left == 1:
                 continue
-            p = _lead_one(v, q, mul, inv)
-            tails.append(v[p:])
+            row = list(v)
+            p = _lead_one(row, q, mul, inv)
+            tails.append(row[p:])
             pivots.append(p)
-            if dfs(j + 1, depth_left - 1):
+            if dfs(images, j + 1, depth_left - 1):
                 return True
             tails.pop()
             pivots.pop()
         return False
 
+    columns = [list(cols[j * r : (j + 1) * r]) for j in range(n)]
     for w in range(wmin, min(wmax, n) + 1):
-        if dfs(0, w):
+        if dfs(columns, 0, w):
             return w
     return 0
 

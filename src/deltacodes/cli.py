@@ -233,7 +233,8 @@ def _read(name: str, keys: dict[str, tuple[int, str]], kind: str | None = None) 
     return out
 
 
-def _coordinate(token: str, spec: FieldSpec, no: int) -> FieldElement:
+def _coordinate(token: str, spec: FieldSpec, no: int) -> int:
+    """The encoded field value of one point coordinate."""
     if token == "g" or token.startswith("g^"):
         if spec.m == 1:
             raise ConfigError(
@@ -247,17 +248,20 @@ def _coordinate(token: str, spec: FieldSpec, no: int) -> FieldElement:
                 raise ConfigError(f"malformed power coordinate {token!r} at line {no}")
             power = _int(tail, "point", no)
         gpow = spec._t.gpow
-        return spec.element(gpow[power % len(gpow)])
+        return gpow[power % len(gpow)]
     value = _int(token, "point", no)
-    try:
-        return spec.element(value)
-    except DomainError as exc:
-        raise ConfigError(f"bad coordinate at line {no}: {exc}") from None
+    if not 0 <= value < spec.q:
+        raise ConfigError(
+            f"bad coordinate at line {no}: encoded value {value} outside [0, {spec.q})"
+        )
+    return value
 
 
 def _points(lines: list[tuple[int, str]], spec: FieldSpec):
-    out: list[tuple[FieldElement, FieldElement]] = []
-    seen = set()
+    """The points as pairs of field elements.  Points are told apart by their
+    encoded values, and one element is built per value that occurs."""
+    seen: set[tuple[int, int]] = set()
+    out: list[tuple[int, int]] = []
     for no, line in lines:
         tokens = line.split()
         if len(tokens) != 2:
@@ -267,7 +271,9 @@ def _points(lines: list[tuple[int, str]], spec: FieldSpec):
             raise ConfigError(f"duplicate point at line {no}")
         seen.add(point)
         out.append(point)
-    return tuple(out)
+    values = {v for point in out for v in point}
+    element = {v: FieldElement._of(spec, v) for v in values}
+    return tuple((element[x], element[y]) for x, y in out)
 
 
 def parse_config(text: str) -> JobConfig:

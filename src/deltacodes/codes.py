@@ -78,7 +78,8 @@ class EvalMap:
         coerced = tuple((spec.element(x), spec.element(y)) for x, y in points)
         if not coerced:
             raise DomainError("an evaluation map needs at least one point")
-        if len(set(coerced)) != len(coerced):
+        # elements of one field are equal exactly when their encodings are
+        if len({(x.encoded, y.encoded) for x, y in coerced}) != len(coerced):
             raise DomainError("evaluation points must be distinct")
         self.points = coerced
 
@@ -399,8 +400,7 @@ def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None, wmin=1) -
     t = spec._t
     cols = [0] * (r * n)
     for i, row in enumerate(enc_rows):
-        for j, v in enumerate(row):
-            cols[j * r + i] = v
+        cols[i::r] = row
     w = min_dependent_columns(
         cols, r, n, spec.q, *t.kernel_tables(backend), r + 1, wmin, backend=backend
     )

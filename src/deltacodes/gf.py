@@ -220,7 +220,7 @@ class FieldSpec(Value):
         if isinstance(value, int):
             if not 0 <= value < self.q:
                 raise DomainError(f"encoded value {value} outside [0, {self.q})")
-            return FieldElement(self, _digits(value, self.p, self.m))
+            return FieldElement._of(self, value)
         coeffs = tuple(int(c) for c in value)
         if len(coeffs) != self.m or any(not 0 <= c < self.p for c in coeffs):
             raise DomainError(f"coefficients must be {self.m} residues mod {self.p}")
@@ -242,6 +242,16 @@ class FieldElement(Value):
         _set(self, "field", field)
         _set(self, "coeffs", coeffs)
         _set(self, "encoded", _encode(coeffs, field.p))
+
+    @classmethod
+    def _of(cls, field: FieldSpec, encoded: int) -> FieldElement:
+        """The element whose encoded value is ``encoded``, in [0, q), which
+        is not checked; its digits are computed and not encoded again."""
+        self = object.__new__(cls)
+        _set(self, "field", field)
+        _set(self, "coeffs", _digits(encoded, field.p, field.m))
+        _set(self, "encoded", encoded)
+        return self
 
     def __int__(self) -> int:
         return self.encoded
@@ -360,7 +370,7 @@ class _Tables:
     def by_val(self) -> list[FieldElement]:
         """Every element, indexed by its encoded value."""
         spec = self._spec
-        return [FieldElement(spec, _digits(v, spec.p, spec.m)) for v in range(self.q)]
+        return [FieldElement._of(spec, v) for v in range(self.q)]
 
     def kernel_tables(self, backend: str | None = None) -> tuple:
         """``mul``, ``sub`` and ``inv`` in the form the backend reads fastest:

@@ -63,8 +63,12 @@ def min_dependent_columns(
     That is max(d, wmin) for the least dependent size d, because a superset
     of a dependent set is dependent: a caller that knows a lower bound on d
     passes it as ``wmin`` and the search skips the depths below it.  Both
-    backends close the last two columns of a subset by hashing the reduced,
-    normalized columns instead of trying every pair.
+    backends run the same depth-first search over column subsets: each depth
+    keeps the images of the later columns modulo the columns chosen so far,
+    made from the depth above by one row operation each, and the last two
+    columns of a subset are closed by hashing the normalized images instead
+    of trying every pair.  The images take w - 2 levels of n x r entries at
+    the depth w the search reaches, whatever ``wmax`` is.
 
     ``cols`` holds an r x n matrix column-major; ``mul``/``sub`` are flat q*q
     arithmetic tables and ``inv`` a length-q inverse table.  The compiled

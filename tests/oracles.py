@@ -5,7 +5,9 @@ field arithmetic one named operation at a time, polynomial products, the
 search for a default modulus, the rank and kernel of a matrix of field
 elements, basis elements as products of approximates, evaluation rows by
 multiplying out each basis polynomial and evaluating it term by term,
-semigroup membership by a sieve over every integer up to the bound, a window
+the column search with every candidate reduced from scratch against the
+whole basis, semigroup membership by a sieve over every integer up to the
+bound, a window
 of members by sorting every member found, the member walk with each window's
 values built whole, a quadratic value in floating point, and the command
 line read by ``argparse``.  They live
@@ -186,6 +188,67 @@ def evaluation_matrix(ev: EvalMap, basis) -> tuple[tuple[FieldElement, ...], ...
         tuple(poly_eval(_product_of(fam.spec, polys, element.exponents), pt) for pt in ev.points)
         for element in basis
     )
+
+
+# --- the column search -------------------------------------------------------
+
+
+def min_dependent_columns_from_scratch(cols, r, n, q, mul, sub, inv, wmax, wmin=1):
+    """The kernel's column search as it was before it kept each depth's
+    column images: the same depth-first order, floor and pair level, but
+    every candidate column is reduced from scratch against all the basis
+    rows chosen so far.  Same arguments and result as
+    ``min_dependent_columns``."""
+    if wmin < 1:
+        raise ValueError("wmin must be positive")
+    if r == 0:  # every column is zero
+        return wmin if wmin <= min(wmax, n) else 0
+    basis: list[tuple[int, list[int]]] = []  # (pivot, normalized row)
+
+    def reduced(j):
+        v = list(cols[j * r : (j + 1) * r])
+        for p, row in basis:
+            f = v[p]
+            if f:
+                v = [sub[a * q + mul[f * q + b]] for a, b in zip(v, row)]
+        return v
+
+    def normalized(v):
+        p = next(k for k, x in enumerate(v) if x)
+        f = inv[v[p]]
+        return p, [mul[f * q + x] for x in v]
+
+    def pairs(start):
+        seen = set()
+        for j in range(start, n):
+            v = reduced(j)
+            if not any(v):
+                return True
+            image = tuple(normalized(v)[1])
+            if image in seen:
+                return True
+            seen.add(image)
+        return False
+
+    def dfs(start, depth_left):
+        if depth_left == 2:
+            return pairs(start)
+        for j in range(start, n - depth_left + 1):
+            v = reduced(j)
+            if not any(v):
+                return True
+            if depth_left == 1:
+                continue
+            basis.append(normalized(v))
+            if dfs(j + 1, depth_left - 1):
+                return True
+            basis.pop()
+        return False
+
+    for w in range(wmin, min(wmax, n) + 1):
+        if dfs(0, w):
+            return w
+    return 0
 
 
 # --- numerical semigroups ----------------------------------------------------

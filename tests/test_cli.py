@@ -131,6 +131,24 @@ class TestParseConfig:
         text = FIELD_7 + DELTA_N + "[points]\n1 1\n1 1\n"
         assert "duplicate point at line 8" in parse_error(text)
 
+    def test_one_point_written_two_ways_is_a_duplicate(self):
+        # g is encoded 2 in F_32, and g^36 is g^5, as g has order 31
+        text = "[field]\np = 2\nm = 5\n" + DELTA_N + "[points]\ng^5 g\n1 1\ng^36 2\n"
+        assert "duplicate point at line 10" in parse_error(text)
+
+    def test_coordinate_outside_the_field(self):
+        for token in ("7", "-1"):
+            text = FIELD_7 + DELTA_N + f"[points]\n1 {token}\n"
+            message = f"bad coordinate at line 7: encoded value {token} outside [0, 7)"
+            assert message in parse_error(text)
+
+    def test_points_are_the_elements_of_their_values(self):
+        text = "[field]\np = 2\nm = 5\n" + DELTA_N + "[points]\ng^5 3\n3 g^5\n0 31\n"
+        spec = FieldSpec(2, 5)
+        xi, three = spec.element(2), spec.element(3)
+        expected = ((xi**5, three), (three, xi**5), (spec.element(0), spec.element(31)))
+        assert parse_config(text).points == expected
+
     def test_point_arity(self):
         text = FIELD_7 + DELTA_N + "[points]\n1 2 3\n"
         assert "two coordinates at line 7" in parse_error(text)
@@ -617,13 +635,14 @@ def _extension_fields():
 
 @pytest.mark.parametrize("spec", _extension_fields(), ids=repr)
 def test_power_points_come_from_the_power_table(spec):
-    """g^k as a point coordinate is g raised to the power k, for k up to 2q
-    (past the order of g) and for one k of 1,000 digits."""
+    """g^k as a point coordinate is the encoded value of g raised to the
+    power k, for k up to 2q (past the order of g) and for one k of 1,000
+    digits."""
     g = spec.element(spec.p)
     assert len(spec._t.gpow) == (spec.q - 1 if spec.is_primitive else 5)
     for k in [*range(2 * spec.q + 1), int("7" * 1000)]:
-        assert _coordinate(f"g^{k}", spec, 1) == g**k
-    assert _coordinate("g", spec, 1) == g
+        assert _coordinate(f"g^{k}", spec, 1) == (g**k).encoded
+    assert _coordinate("g", spec, 1) == g.encoded
 
 
 def test_a_power_point_table_job_builds_no_element_list():

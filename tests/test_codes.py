@@ -112,6 +112,10 @@ class TestEvalMap:
         with pytest.raises(DomainError, match="distinct"):
             EvalMap(F7, [(1, 1), (2, 3), (1, 1)])
 
+    def test_a_point_as_values_and_as_elements_is_one_point(self):
+        with pytest.raises(DomainError, match="evaluation points must be distinct"):
+            EvalMap(F32, [(3, 5), (F32.element(3), F32.element(5))])
+
 
 class TestEvaluationMatrix:
     def test_monomial_rows_over_the_standard_points(self):
@@ -324,6 +328,14 @@ class TestMinDistance:
     def test_empty_evaluation_side_means_weight_one(self):
         code = CodePair(None, (), 0, (), 12)
         assert min_distance(code) == 1
+
+    def test_parity_rows_reach_the_search_column_major(self):
+        rng = random.Random(5)
+        r, n = 4, 9
+        rows = [tuple(rng.randrange(32) for _ in range(n)) for _ in range(r)]
+        with mock.patch.object(codes, "min_dependent_columns", return_value=3) as search:
+            assert codes._distance_of_rows(F32, rows, n) == 3
+        assert list(search.call_args.args[0]) == [rows[i][j] for j in range(n) for i in range(r)]
 
 
 class TestGoppaDistance:

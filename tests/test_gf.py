@@ -243,6 +243,17 @@ def test_stored_encoding_leaves_identity_unchanged():
             assert repr(e) == f"FieldElement(field={spec!r}, coeffs={e.coeffs!r})"
 
 
+def test_an_element_from_its_encoding_has_its_digits():
+    """An element built from an encoded value, as ``element`` and the table
+    of all elements build it, has that value's base-p digits."""
+    for spec in (F7, F32, FieldSpec(3, 2)):
+        p, m = spec.p, spec.m
+        for v in range(spec.q):
+            digits = tuple(v // p**i % p for i in range(m))
+            for e in (FieldElement._of(spec, v), spec.element(v), spec._t.by_val[v]):
+                assert (e.coeffs, e.encoded) == (digits, v)
+                assert e == FieldElement(spec, digits)
+
 
 def test_spec_owns_its_tables_without_changing_identity():
     twin = FieldSpec(2, 5)

@@ -1,4 +1,5 @@
-"""Both column-search backends agree with each other and with brute force."""
+"""Both column-search backends agree with each other, with the search that
+reduces every column from scratch, and with brute force."""
 
 import functools
 import itertools
@@ -6,10 +7,15 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from array import array
 
 import pytest
 
+from deltacodes import minweight
+from deltacodes.approximants import build_approximates
+from deltacodes.codes import EvalMap, scan_table
+from deltacodes.genesis import build_type_c
 from deltacodes.gf import (
     MAX_FIELD_SIZE,
     FieldSpec,
@@ -24,6 +30,7 @@ from deltacodes.minweight import (
     field_tables,
     min_dependent_columns,
 )
+from oracles import min_dependent_columns_from_scratch
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -433,14 +440,15 @@ class TestFloorAndPairs:
             self.expect(spec, rows, 5, 5, wmin, floored(2, wmin, 5, 5))
 
     @pytest.mark.parametrize("spec", [F5, F32, F256], ids=lambda s: str(s.q))
-    @pytest.mark.parametrize("extra", [1, 2])
+    @pytest.mark.parametrize("extra", [1, 2, 4, 5])
     def test_columns_parallel_only_modulo_the_basis(self, spec, extra):
         # a = c * b + (a combination of `extra` basis columns): no two
         # columns are parallel, but a and b are parallel modulo the basis,
-        # so the least dependent set has 2 + extra columns
+        # so the least dependent set has 2 + extra columns, found with a
+        # basis of depth `extra`
         rng = random.Random(10 * spec.q + extra)
         field = slow_field(spec)
-        r = 5
+        r = max(5, extra + 4)
         while True:
             independent = random_rows(rng, spec.q, 1 + extra, r)
             if field.rank(independent) == 1 + extra:
@@ -459,6 +467,112 @@ class TestFloorAndPairs:
         assert least == 2 + extra
         for wmin in range(1, n + 2):
             self.expect(spec, rows, n, n, wmin, floored(least, wmin, n, n))
+
+
+def planted_columns(spec, rng, r, n):
+    """n columns of length r, shuffled: random ones, and one or two that are
+    combinations of two to five of the random ones, so dependent sets of up
+    to six columns."""
+    field = slow_field(spec)
+    planted = rng.randrange(1, 3)
+    columns = random_rows(rng, spec.q, n - planted, r)
+    for _ in range(planted):
+        column = [0] * r
+        size = rng.randrange(2, min(6, n - planted + 1))
+        for other in rng.sample(columns[: n - planted], size):
+            c = rng.randrange(1, spec.q)
+            column = [field.add(a, field.mul(c, b)) for a, b in zip(column, other)]
+        columns.append(column)
+    rng.shuffle(columns)
+    return columns
+
+
+class TestDepthImages:
+    """The search keeps each depth's column images, each made from the depth
+    above by one row operation: it answers as the search that reduces every
+    column from scratch, and allocates only for the depths it reaches."""
+
+    def expect_every_floor(self, spec, columns, brute=True):
+        """Both backends agree with the search from scratch, and with brute
+        force, at every floor from 1 to d + 2, under two ceilings."""
+        rows = columns_to_rows(columns)
+        n = len(columns)
+        args = kernel_args(spec, rows, n)
+        least = min_dependent_columns_from_scratch(*args, n)
+        if brute:
+            assert brute_least_dependent(rows, spec, n) == least
+        for wmin in range(1, (least or n) + 3):
+            for wmax in {n, least}:
+                expected = min_dependent_columns_from_scratch(*args, wmax, wmin)
+                assert expected == floored(least, wmin, wmax, n)
+                for name in available_backends():
+                    got = min_dependent_columns(*args, wmax, wmin, backend=name)
+                    assert got == expected, (name, wmin, wmax)
+        return least
+
+    @pytest.mark.parametrize("spec", [F2, F5, F32, F256], ids=lambda s: str(s.q))
+    def test_planted_dependencies_at_every_floor(self, spec):
+        rng = random.Random(919293 + spec.q)
+        for _ in range(10):
+            r = rng.randrange(4, 8)
+            columns = planted_columns(spec, rng, r, rng.randrange(6, 10))
+            self.expect_every_floor(spec, columns)
+
+    @pytest.mark.parametrize("spec", [F2, F32], ids=lambda s: str(s.q))
+    def test_wide_random_matrices(self, spec):
+        # too many columns for brute force, deep enough for several levels
+        rng = random.Random(939495 + spec.q)
+        for r, n in [(6, 14), (7, 11)]:
+            columns = [[rng.randrange(spec.q) for _ in range(r)] for _ in range(n)]
+            self.expect_every_floor(spec, columns, brute=False)
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_memory_follows_the_depth_reached(self, backend):
+        """A search that stops at d = 3 allocates as much with wmax = n as
+        with wmax = 3: nothing is allocated for the depths it never reaches,
+        where w - 2 levels of n x r ints would take 72 KB at wmax = n."""
+        if backend not in available_backends():
+            pytest.skip("the compiled kernel is not built")
+        rng = random.Random(31)
+        r, n = 20, 31
+        columns = random_rows(rng, F32.q, n - 1, r)
+        field = slow_field(F32)
+        columns.append([field.add(a, b) for a, b in zip(columns[3], columns[17])])
+        args = kernel_args(F32, columns_to_rows(columns), n)
+        args = (array("i", args[0]), *args[1:4], *map(array, "iii", args[4:]))
+        assert min_dependent_columns_from_scratch(*args, n) == 3
+
+        def peak(wmax):
+            tracemalloc.start()
+            try:
+                assert min_dependent_columns(*args, wmax, backend=backend) == 3
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(n)  # a first call, so that nothing made once is counted
+        assert peak(n) <= peak(3) + n * r * 4 // 2
+
+
+# The jumps-mode scan of build_type_c((5, 3)) over 24 distinct points
+# (g^a, g^b) of F_32 squared drawn by random.Random(0): d at ranks 13 to 21,
+# the ranks whose searches take seconds when every column is reduced from
+# scratch.
+SCAN_24_D = {13: 10, 14: 12, 15: 13, 16: 14, 17: 14, 18: 15, 19: 17, 20: 18, 21: 20}
+
+
+def test_the_24_point_scan_keeps_its_distances(monkeypatch):
+    if "compiled" not in available_backends():
+        pytest.skip("the compiled kernel is not built")
+    monkeypatch.setattr(minweight, "BACKEND", "compiled")
+    spec = FieldSpec(2, 5)
+    gpow = spec._t.gpow
+    cells = random.Random(0).sample(range(31 * 31), 24)
+    points = [(gpow[a], gpow[b]) for a, b in (divmod(c, 31) for c in cells)]
+    delta = build_type_c((5, 3))
+    rows = scan_table(delta, build_approximates(delta, spec), EvalMap(spec, points))
+    d = {24 - row.k: row.d for row in rows}
+    assert {rank: d[rank] for rank in SCAN_24_D} == SCAN_24_D
 
 
 # Every field FieldSpec accepts, with its default modulus, and three
