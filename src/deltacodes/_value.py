@@ -1,12 +1,14 @@
 """The base of the library's immutable value classes.
 
-A subclass names the fields that make up its value in ``_fields`` and sets
-every attribute once in ``__init__`` through ``_set``.  Equality, hashing and
-the repr use exactly those fields: two values are equal only when they are
-of the same class, and the hash is the hash of the tuple of the fields.
-Attributes outside ``_fields`` (a cache, a back reference) take no part.
-The methods are written out once here rather than generated per class, so
-importing the library compiles no code at run time.
+A subclass names the fields that make up its value in ``_fields``.  The
+one constructor here takes their values positionally, in that order; a
+subclass whose constructor computes something (a validation, a coercion, a
+derived attribute) defines its own and sets every attribute once through
+``_set``.  Equality, hashing and the repr use exactly the fields: two values
+are equal only when they are of the same class, and the hash is the hash of
+the tuple of the fields.  Attributes outside ``_fields`` (a cache, a back
+reference) take no part.  The methods are written out once here rather than
+generated per class, so importing the library compiles no code at run time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,15 @@ class Value:
         get = attrgetter(*cls._fields)
         # attrgetter of one name gives the bare value, not a 1-tuple
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(self._fields)} values, "
+                f"got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import reduce
 from math import comb, gcd
 
-from ._value import Value, _set
+from ._value import Value
 from .deltaseq import DeltaN, telescopic_exponents, validate_n
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
@@ -52,12 +52,6 @@ class BivarPoly(Value):
     """
 
     __slots__ = _fields = ("spec", "terms")
-
-    def __init__(
-        self, spec: FieldSpec, terms: tuple[tuple[tuple[int, int], FieldElement], ...]
-    ) -> None:
-        _set(self, "spec", spec)
-        _set(self, "terms", terms)
 
     @classmethod
     def from_coeffs(cls, spec: FieldSpec, mapping) -> BivarPoly:
@@ -144,10 +138,6 @@ class ExpansionStep(Value):
 
     __slots__ = _fields = ("n", "exponents")
 
-    def __init__(self, n: int, exponents: tuple[int, ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "exponents", exponents)
-
 
 class ApproximateFamily(Value):
     """The recurrence of the approximates q_0..q_r: their field, their
@@ -155,13 +145,6 @@ class ApproximateFamily(Value):
     the number of approximates, is ``len(weights)``."""
 
     __slots__ = _fields = ("spec", "weights", "expansion")
-
-    def __init__(
-        self, spec: FieldSpec, weights: tuple, expansion: tuple[ExpansionStep, ...]
-    ) -> None:
-        _set(self, "spec", spec)
-        _set(self, "weights", weights)
-        _set(self, "expansion", expansion)
 
 
 def _base_sequence(delta) -> DeltaN:

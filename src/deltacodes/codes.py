@@ -27,7 +27,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from . import minweight
-from ._value import Value, _set
+from ._value import Value
 from .approximants import ApproximateFamily, _fit_exponents
 from .deltaseq import (
     DeltaN,
@@ -39,7 +39,7 @@ from .deltaseq import (
 )
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
-from .gf import FieldElement, FieldSpec, rank_nullspace_ints
+from .gf import FieldSpec, rank_nullspace_ints
 from .minweight import min_dependent_columns
 from .semigroup import (
     LexValue,
@@ -98,20 +98,6 @@ class CodePair(Value):
 
     __slots__ = _fields = ("alpha", "gen_e", "dim_e", "gen_c", "k")
 
-    def __init__(
-        self,
-        alpha: object,
-        gen_e: tuple[tuple[FieldElement, ...], ...],
-        dim_e: int,
-        gen_c: tuple[tuple[FieldElement, ...], ...],
-        k: int,
-    ) -> None:
-        _set(self, "alpha", alpha)
-        _set(self, "gen_e", gen_e)
-        _set(self, "dim_e", dim_e)
-        _set(self, "gen_c", gen_c)
-        _set(self, "k", k)
-
 
 class TableRow(Value):
     """One scan row: a bound with its code parameters and distance bounds."""
@@ -119,26 +105,6 @@ class TableRow(Value):
     __slots__ = _fields = (
         "alpha", "exponents", "k", "d", "d_ev", "d_fr", "fr_product_bound", "goppa"
     )
-
-    def __init__(
-        self,
-        alpha: object,
-        exponents: tuple[int, ...],
-        k: int,
-        d: int | None,
-        d_ev: int | None,
-        d_fr: int,
-        fr_product_bound: int,
-        goppa: int,
-    ) -> None:
-        _set(self, "alpha", alpha)
-        _set(self, "exponents", exponents)
-        _set(self, "k", k)
-        _set(self, "d", d)
-        _set(self, "d_ev", d_ev)
-        _set(self, "d_fr", d_fr)
-        _set(self, "fr_product_bound", fr_product_bound)
-        _set(self, "goppa", goppa)
 
 
 class Table(list):

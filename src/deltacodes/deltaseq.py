@@ -15,13 +15,12 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import DomainError
 
 __all__ = [
     "DeltaN",
     "DeltaStructure",
-    "Rational",
     "canonical_cf",
     "cf_of",
     "denormalize",
@@ -33,9 +32,6 @@ __all__ = [
     "telescopic_members",
     "validate_n",
 ]
-
-Rational = Fraction
-
 
 class DeltaStructure(Value):
     """Derived data of a valid sequence.
@@ -49,20 +45,6 @@ class DeltaStructure(Value):
 
     __slots__ = _fields = ("d", "n", "newton", "cf", "divisible")
 
-    def __init__(
-        self,
-        d: tuple[int, ...],
-        n: tuple[int, ...],
-        newton: tuple[tuple[int, int], ...],
-        cf: tuple[int, ...] | None,
-        divisible: bool,
-    ) -> None:
-        _set(self, "d", d)
-        _set(self, "n", n)
-        _set(self, "newton", newton)
-        _set(self, "cf", cf)
-        _set(self, "divisible", divisible)
-
 
 class DeltaN(Value):
     """A validated sequence of positive integers with its derived structure.
@@ -70,10 +52,6 @@ class DeltaN(Value):
 
     __slots__ = ("deltas", "structure", "_engine")
     _fields = ("deltas", "structure")
-
-    def __init__(self, deltas: tuple[int, ...], structure: DeltaStructure) -> None:
-        _set(self, "deltas", deltas)
-        _set(self, "structure", structure)
 
     @property
     def g(self) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._value import Value, _set
+from ._value import Value
 from .deltaseq import DeltaN, normalize, telescopic_exponents, validate_n
 from .errors import DomainError
 from .quadratics import QuadExt, sqrt_of
@@ -42,12 +42,6 @@ class CFValue(Value):
     """A folded continued fraction with its convergents (h_j, k_j)."""
 
     __slots__ = _fields = ("value", "convergents")
-
-    def __init__(
-        self, value: Fraction | QuadExt, convergents: tuple[tuple[int, int], ...]
-    ) -> None:
-        _set(self, "value", value)
-        _set(self, "convergents", convergents)
 
 
 def cf_eval(digits, tail: QuadExt | None = None) -> CFValue:
@@ -108,28 +102,6 @@ class CWitness(Value):
 
     __slots__ = _fields = ("dstar", "cf", "ab", "abp", "ys", "u", "head_c", "cg", "off")
 
-    def __init__(
-        self,
-        dstar: DeltaN,
-        cf: tuple[int, ...],
-        ab: tuple[int, int],
-        abp: tuple[int, int],
-        ys: tuple[tuple[int, int], ...],
-        u: tuple[int, int],
-        head_c: tuple[int, ...],
-        cg: int,
-        off: tuple[int, int],
-    ) -> None:
-        _set(self, "dstar", dstar)
-        _set(self, "cf", cf)
-        _set(self, "ab", ab)
-        _set(self, "abp", abp)
-        _set(self, "ys", ys)
-        _set(self, "u", u)
-        _set(self, "head_c", head_c)
-        _set(self, "cg", cg)
-        _set(self, "off", off)
-
 
 class DeltaZ2(Value):
     """A delta-sequence of lexicographically ordered plane vectors.  Its
@@ -137,10 +109,6 @@ class DeltaZ2(Value):
 
     __slots__ = ("deltas", "witness", "_engine")
     _fields = ("deltas", "witness")
-
-    def __init__(self, deltas: tuple[tuple[int, int], ...], witness: CWitness) -> None:
-        _set(self, "deltas", deltas)
-        _set(self, "witness", witness)
 
     @property
     def g(self) -> int:
@@ -212,11 +180,6 @@ class DWitness(Value):
 
     __slots__ = _fields = ("dstar", "digits", "b")
 
-    def __init__(self, dstar: DeltaN, digits: tuple[int, ...], b: QuadExt) -> None:
-        _set(self, "dstar", dstar)
-        _set(self, "digits", digits)
-        _set(self, "b", b)
-
 
 class DeltaR(Value):
     """A finite sequence of rationals followed by one quadratic-irrational
@@ -224,11 +187,6 @@ class DeltaR(Value):
 
     __slots__ = ("head", "tail", "witness", "_engine")
     _fields = ("head", "tail", "witness")
-
-    def __init__(self, head: tuple[Fraction, ...], tail: QuadExt, witness: DWitness) -> None:
-        _set(self, "head", head)
-        _set(self, "tail", tail)
-        _set(self, "witness", witness)
 
 
 def build_type_d(dstar, digits, b: QuadExt | int = 3) -> DeltaR:
@@ -282,12 +240,6 @@ class DeltaQ(Value):
     __slots__ = ("stages", "choices", "_engine")
     _fields = ("stages", "choices")
 
-    def __init__(
-        self, stages: tuple[DeltaN, ...], choices: tuple[tuple[int, int] | None, ...]
-    ) -> None:
-        _set(self, "stages", stages)
-        _set(self, "choices", choices)
-
     def generators(self) -> tuple[Fraction, ...]:
         """Current normalized generators delta_i / delta_1."""
         return normalize(self.stages[-1])
@@ -297,8 +249,23 @@ class DeltaQ(Value):
         return DeltaQ(self.stages + (new,), self.choices + (choice,))
 
 
+# A time budget of about 2 s for a command on a chain, as a step count.
+# Each extension validates a stage one entry longer, so the time grows about
+# as the fourth power of the steps, doubling every 25 or so.  The costliest
+# commands, ``table`` and ``approximates``, build the chain and then the
+# family's recurrence; at 150 steps they took 0.8 to 1.7 s (2 vCPUs) from
+# (7, 5), (11, 9), (3, 1) and (36, 24, 8, 18, 13) with the default choices,
+# and ``construct`` 0.4 to 0.9 s for about 490 KB.  Choices with longer
+# numbers than the default ones make every entry longer, and a longer start
+# every stage: either is slower.
+MAX_CHAIN_STEPS = 150
+
+
 def build_type_e(start, steps: int, choices=None) -> DeltaQ:
-    """Extend a starting integer sequence the given number of times."""
+    """Extend a starting integer sequence the given number of times, at most
+    ``MAX_CHAIN_STEPS``; more steps are rejected before any extension."""
+    if steps > MAX_CHAIN_STEPS:
+        raise DomainError(f"type E chain: {steps} steps exceed the limit of {MAX_CHAIN_STEPS}")
     delta = start if isinstance(start, DeltaN) else validate_n(start)
     picks: list[tuple[int, int] | None] = list(choices or [])
     if len(picks) > steps:

@@ -5,9 +5,9 @@ integers, plane vectors under lexicographic order, rationals, or a real
 quadratic extension.  This module provides the shared operations on those
 semigroups: exact comparison of values, the unique bounded representation
 of a member over the generators, and one ordered walk over the members with
-their representations.  Enumeration up to a bound, the successor of a value
-and the pair count omega (the number of ordered pairs of members summing to
-a given value) are views on that walk.  The engines yield integer rows;
+their representations.  Enumeration up to a bound and the pair count omega
+(the number of ordered pairs of members summing to a given value) are views
+on that walk.  The engines yield integer rows;
 value objects are built from them only where a caller asks for values.
 
 Representations are unique under the bound pattern reported alongside the
@@ -45,7 +45,6 @@ __all__ = [
     "omega",
     "represent",
     "rows_upto",
-    "successor",
     "walk",
     "zero_of",
 ]
@@ -56,29 +55,17 @@ class LexValue(Value):
 
     __slots__ = _fields = ("x", "y")
 
-    def __init__(self, x: int, y: int) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-
 
 class RatValue(Value):
     """A rational value."""
 
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: Fraction) -> None:
-        _set(self, "value", value)
-
 
 class QuadValue(Value):
     """The value r + m * tau in a real quadratic extension."""
 
     __slots__ = _fields = ("r", "m", "tau")
-
-    def __init__(self, r: Fraction, m: int, tau: QuadExt) -> None:
-        _set(self, "r", r)
-        _set(self, "m", m)
-        _set(self, "tau", tau)
 
     def exact(self) -> QuadExt:
         return self.tau * self.m + self.r
@@ -92,10 +79,6 @@ class Representation(Value):
     """
 
     __slots__ = _fields = ("exponents", "bounds")
-
-    def __init__(self, exponents: tuple[int, ...], bounds: tuple[int | None, ...]) -> None:
-        _set(self, "exponents", exponents)
-        _set(self, "bounds", bounds)
 
 
 def _quad_sign(r: Fraction, m: int, tau: QuadExt) -> int:
@@ -151,10 +134,9 @@ class _Engine:
     the member is consumed.
     """
 
-    def walk(self, after=None):
-        """Every member above ``after`` (from zero on when None), unbounded."""
-        lo = after
-        hi = self.add(self.zero() if after is None else after, self.generators()[0])
+    def walk(self):
+        """Every member from zero on, unbounded."""
+        lo, hi = None, self.generators()[0]
         while True:
             scale, blocks = self.blocks(lo, hi)
             for block in blocks:
@@ -549,17 +531,6 @@ def enumerate_upto(delta, bound):
     eng = _engine(delta)
     scale, blocks = eng.blocks(None, eng.lift(bound))
     return list(eng.values(scale, [row for block in blocks for row in block]))
-
-
-def successor(delta, value):
-    """The least member strictly greater than the given value."""
-    eng = _engine(delta)
-    value = eng.lift(value)
-    zero = eng.zero()
-    if compare(value, zero) < 0:
-        return zero
-    member, _ = next(eng.walk(after=value))
-    return member
 
 
 def omega(delta, value) -> int:

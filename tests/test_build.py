@@ -1,16 +1,18 @@
 """The in-place build: the kernel and the package's checked-hash bytecode.
 
-Each test works on a copy of ``setup.py``, ``pyproject.toml`` and ``src/``
-built with ``python setup.py build_ext --inplace``, never on the tree
-itself; two of them check the test session's own rebuild rule
+The build tests work on a copy of ``setup.py``, ``pyproject.toml`` and
+``src/`` built with ``python setup.py build_ext --inplace``, never on the
+tree itself; two of them check the test session's own rebuild rule
 (``conftest.needs_build``) on such a copy.  Fresh interpreters run with
 ``-B`` (no bytecode written), as a process does under
 ``PYTHONDONTWRITEBYTECODE=1``, and record every module that the import
-system compiles from source.
+system compiles from source.  A scan of the package's sources, with no
+build, checks that no module imports a name it never uses.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -162,3 +164,42 @@ def test_a_module_that_does_not_compile_fails_the_build(built, tmp_path):
     shutil.copytree(built, tree)
     (tree / "src" / "deltacodes" / "broken.py").write_text("def broken(:\n", encoding="utf-8")
     assert build(tree).returncode != 0
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads.  A name read only in an
+    annotation is read, and so is a name listed in ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_the_scan_for_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, sys as system\n"
+        "from a import b, c as d, e, f\n"
+        "__all__ = ['e']\n"
+        "def g(x: b) -> None:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == ["system", "d", "f"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (ROOT / "src" / "deltacodes").glob("*.py"))
+)
+def test_no_module_imports_a_name_it_does_not_use(module):
+    source = (ROOT / "src" / "deltacodes" / module).read_text(encoding="utf-8")
+    assert unused_imports(source) == []

@@ -29,6 +29,7 @@ from deltacodes.cli import (
     run,
 )
 from deltacodes.errors import ConfigError
+from deltacodes.genesis import MAX_CHAIN_STEPS
 from deltacodes.gf import _DEFAULT_MODULI, FieldSpec
 from helpers import PAIRS_F32_A, PAIRS_F32_B, POINTS_F7
 
@@ -406,6 +407,17 @@ class TestCommands:
         )
         assert products == []
 
+    def test_a_chain_over_the_step_limit_is_rejected_by_every_command(self, tmp_path, capsys):
+        path = tmp_path / "e.cfg"
+        path.write_text(OVER_STEPS_CFG)
+        for command in COMMANDS:
+            assert main([command, "--config", str(path)]) == 1
+            assert capsys.readouterr() == (
+                "",
+                f"error[domain]: type E chain: {MAX_CHAIN_STEPS + 1} steps exceed"
+                f" the limit of {MAX_CHAIN_STEPS}\n",
+            )
+
     def test_semigroup_n(self, tmp_path, capsys):
         path = tmp_path / "n.cfg"
         path.write_text(FIELD_7 + DELTA_N + "[job]\nbound = 40\n")
@@ -623,6 +635,19 @@ class TestTableFromTheRecurrence:
         lines = run(config).splitlines()
         assert time.perf_counter() - start < 5
         assert lines[1] == "1,010000000000000000000000000000000000000000,6,3,2,2,0,-10"
+        assert len(lines) == 7
+
+    def test_the_step_limit_keeps_its_time_budget(self):
+        """A table job, one of the costliest commands on a chain, at the
+        step limit: about 2 s, here allowed five times that."""
+        points = "".join(f"g^{a} g^{a + 1}\n" for a in range(1, 17, 2))
+        config = parse_config(
+            "[field]\np = 2\nm = 5\n[delta]\ntype = E\nunder = 7 5\n"
+            f"steps = {MAX_CHAIN_STEPS}\n[points]\n" + points
+        ).replace(command="table")
+        start = time.perf_counter()
+        lines = run(config).splitlines()
+        assert time.perf_counter() - start < 10
         assert len(lines) == 7
 
 
@@ -1012,6 +1037,10 @@ HUGE_EXPONENT_CFG = "[field]\np = 2\nm = 100000000\n" + DELTA_N
 NEGATIVE_LIMIT_CFG = PLANAR.read_text() + "[job]\nlimit = -1\n"
 SUPERSCRIPT_POWER_CFG = POWER_CFG.format(power="\u00b2")
 LONG_POWER_CFG = POWER_CFG.format(power="9" * 5000)
+OVER_STEPS_CFG = (
+    FIELD_7 + f"[delta]\ntype = E\nunder = 7 5\nsteps = {MAX_CHAIN_STEPS + 1}\n"
+    + "[job]\nbound = 6\n"
+)
 
 
 @settings(
@@ -1028,6 +1057,7 @@ LONG_POWER_CFG = POWER_CFG.format(power="9" * 5000)
 @example(NEGATIVE_LIMIT_CFG)
 @example(SUPERSCRIPT_POWER_CFG)
 @example(LONG_POWER_CFG)
+@example(OVER_STEPS_CFG)
 def test_fuzzed_configs_exit_cleanly_and_repeat(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(pathlib.Path(tmp) / "fuzz.cfg")

@@ -393,6 +393,16 @@ class TestTypeE:
         with pytest.raises(DomainError, match="normalized sequence not increasing"):
             build_type_e((3, 1), steps=1, choices=[(2, 1)])
 
+    def test_steps_over_the_limit_are_rejected_before_any_extension(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sequence was built")
+
+        monkeypatch.setattr(genesis, "extend_n", refuse)
+        monkeypatch.setattr(genesis, "validate_n", refuse)
+        limit = genesis.MAX_CHAIN_STEPS
+        with pytest.raises(DomainError, match=f"^type E chain: {limit + 1} steps exceed"):
+            build_type_e((7, 5), limit + 1)
+
     def test_extension_returns_new_value(self):
         base = build_type_e((11, 9), steps=0)
         ext = base.extended()

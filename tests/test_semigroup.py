@@ -37,7 +37,6 @@ from deltacodes.semigroup import (
     generators,
     omega,
     represent,
-    successor,
     walk,
 )
 
@@ -194,24 +193,6 @@ class TestEnumerate:
         vals = [v for v, _ in out]
         assert len(set(vals)) == len(vals)
         assert all(compare(a, b) == -1 for a, b in zip(vals, vals[1:]))
-
-
-class TestSuccessor:
-    def test_planar(self):
-        assert successor(DZ2, LexValue(4, 1)) == LexValue(5, 1)
-        assert successor(DZ2, LexValue(0, 0)) == LexValue(4, 1)
-        assert successor(DZ2, LexValue(-3, 0)) == LexValue(0, 0)
-        assert successor(DZ2, LexValue(20, 5)) == LexValue(21, 5)
-
-    def test_rational_chains(self):
-        assert successor(DQ31, RatValue(Fraction(1))).value == Fraction(3, 2)
-        assert successor(DQ119, RatValue(Fraction(1))).value == Fraction(11, 9)
-
-    def test_quadratic(self):
-        nxt = successor(DR, QuadValue(Fraction(0), 0, TAU))
-        assert nxt == QuadValue(Fraction(1), 0, TAU)
-        after_one = successor(DR, nxt)
-        assert after_one == QuadValue(Fraction(11, 9), 0, TAU)
 
 
 class TestOmega:
@@ -462,16 +443,6 @@ class TestOrderedWalk:
         delta = FIXTURE_FAMILIES[name]
         assert list(islice(walk(delta), 300)) == list(islice(walk_eager(delta), 300))
 
-    @settings(max_examples=30, deadline=None)
-    @given(kind=st.sampled_from(sorted(WALK_KINDS)), k=st.integers(-3, 80))
-    def test_successor_is_next_reference_member(self, kind, k):
-        delta, make = WALK_KINDS[kind]
-        value = make(k)
-        members = [v for v, _ in reference_enumerate(delta, make(k + 40))]
-        later = [v for v in members if compare(v, value) > 0]
-        expected = later[0] if compare(value, members[0]) >= 0 else members[0]
-        assert successor(delta, value) == expected
-
     @settings(max_examples=80, deadline=None)
     @given(
         name=st.sampled_from(sorted(PLANAR_FAMILIES)),
@@ -484,10 +455,6 @@ class TestOrderedWalk:
         delta = PLANAR_FAMILIES[name]
         bound = LexValue(x, y)
         assert enumerate_upto(delta, bound) == reference_enumerate(delta, bound)
-        # some multiple of the first generator lies between the bound and this
-        reach = LexValue(max(x, 0) + 2 * delta.deltas[0][0], 0)
-        members = [v for v, _ in reference_enumerate(delta, reach)]
-        assert successor(delta, bound) == next(v for v in members if compare(v, bound) > 0)
 
     def test_chain_bound_decides_the_representation_length(self):
         chain = build_type_e((11, 9), 0)

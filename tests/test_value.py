@@ -4,7 +4,9 @@ Every value class of the library is checked against a frozen dataclass with
 the same name and compared fields, built here: equal hashes (so set and dict
 order, and every output byte, stay the same), the same repr, equality only
 within one class, no assignment or deletion, and the fields outside the
-value (a cache, a back reference) left out of all of it.  A fresh interpreter
+value (a cache, a back reference) left out of all of it.  Only the classes
+whose constructor computes something write one; the others take exactly
+their fields, positionally, through ``Value.__init__``.  A fresh interpreter
 also checks that importing the library loads neither ``dataclasses`` nor
 ``inspect``.
 """
@@ -62,6 +64,12 @@ CASES = {
     JobConfig: (F7, "N", (3, 2), None, 3, 0, None, (), "jumps", None, "9", None, "semigroup"),
 }
 
+# The constructors that compute something (a validation, a coercion, a
+# derived attribute); every other class stores its values as they are given.
+COMPUTING = {FieldSpec, FieldElement, QuadExt, JobConfig}
+# The fewest values a constructor with defaults takes.
+FEWEST = {FieldSpec: 1, JobConfig: len(JobConfig._fields) - 1}
+
 # Attributes that are kept on the object but are not part of its value.
 EXCLUDED = {
     FieldSpec: ("_t",),
@@ -111,6 +119,10 @@ def test_every_value_class_has_a_case():
     assert found == set(CASES)
 
 
+def test_only_the_computing_constructors_are_written_out():
+    assert {cls for cls in CASES if "__init__" in vars(cls)} == COMPUTING
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 class TestValueContract:
     def test_hash_is_the_hash_of_the_compared_fields(self, cls):
@@ -137,6 +149,13 @@ class TestValueContract:
             with pytest.raises(AttributeError):
                 delattr(x, name)
         assert x == make(cls)
+
+    def test_a_wrong_count_of_values_is_a_type_error(self, cls):
+        values = CASES[cls]
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+            cls(*values, values[-1])
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+            cls(*values[: FEWEST.get(cls, len(values)) - 1])
 
     def test_no_instance_dict_except_for_the_field_tables(self, cls):
         assert hasattr(make(cls), "__dict__") == (cls is FieldSpec)
