@@ -11,6 +11,8 @@
    reduces a block of rows against a normalized echelon basis the caller
    keeps, with reduce and the lead_one the search uses.  field_tables fills a
    field's q*q addition, subtraction and multiplication tables.
+   multiply_rows forms a scan's evaluation rows: each new row is an earlier
+   row times one row of approximant values, entry by entry.
    _minweight_py.py is the same in Python. */
 
 #define PY_SSIZE_T_CLEAN
@@ -321,6 +323,70 @@ static PyObject *extend_echelon(PyObject *Py_UNUSED(self), PyObject *args)
     return result;
 }
 
+/* Row start + i of out = row parents[i] of out times row factors[i] of
+   values, for i < m; None, or NULL with ValueError when a parent is not
+   before its row or holds an entry outside [0, q).  Rows before the bad one
+   are written. */
+static PyObject *multiply(int *out, Py_ssize_t start, Py_ssize_t m, const int *parents,
+                          const int *factors, const int *values, int n, int q,
+                          const int *mul)
+{
+    for (Py_ssize_t i = 0; i < m; i++) {
+        if (parents[i] >= start + i)
+            return PyErr_Format(PyExc_ValueError, "parents[%zd] = %d is not before row %zd",
+                                i, parents[i], start + i);
+        const int *a = out + (size_t)parents[i] * n, *b = values + (size_t)factors[i] * n;
+        int *c = out + (size_t)(start + i) * n;
+        for (int k = 0; k < n; k++) {
+            if ((unsigned)a[k] >= (unsigned)q)
+                return PyErr_Format(PyExc_ValueError, "rows[%zd] = %d is not in [0, %d)",
+                                    (Py_ssize_t)parents[i] * n + k, a[k], q);
+            c[k] = mul[a[k] * q + b[k]];
+        }
+    }
+    Py_RETURN_NONE;
+}
+
+PyDoc_STRVAR(multiply_rows_doc,
+"multiply_rows(rows, start, parents, factors, values, n, q, mul)\n--\n\n"
+"Form rows start, start + 1, ... of ``rows`` (row-major, rows of length n):\n"
+"row start + i is row parents[i] of ``rows`` times row factors[i] of\n"
+"``values``, entry by entry through the flat q*q table ``mul``.  A parent\n"
+"must come before the row it makes, so a row made by the call can be the\n"
+"parent of a later one.  ``rows`` is a writable array('i') with room for\n"
+"the rows made; ``parents`` and ``factors`` are array('i') of one length,\n"
+"and ``values`` holds whole rows of length n.");
+
+static PyObject *multiply_rows(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer rows, parents, factors, values, mul;
+    int start, n, q, *out;
+    const int *par, *fac, *val, *table;
+    PyObject *result = NULL;
+    if (!PyArg_ParseTuple(args, "y*iy*y*y*iiy*", &rows, &start, &parents, &factors, &values,
+                          &n, &q, &mul))
+        return NULL;
+    Py_ssize_t m = parents.len / (Py_ssize_t)sizeof(int);
+    Py_ssize_t width = n > 0 ? values.len / (Py_ssize_t)sizeof(int) / n : 0;
+    if (start < 0 || n < 1 || q < 1 || q > MAX_Q || width > INT_MAX || start + m > INT_MAX)
+        PyErr_Format(PyExc_ValueError,
+                     "start must be non-negative, n positive and q in [1, %d]", MAX_Q);
+    else if (factors.len != parents.len)
+        PyErr_SetString(PyExc_ValueError, "parents and factors must have one length");
+    else if ((out = check_out(&rows, (start + m) * n, 0, q, "rows"))
+             && (par = check(&parents, m, (int)(start + m), "parents"))
+             && (fac = check(&factors, m, (int)width, "factors"))
+             && (val = check(&values, width * n, q, "values"))
+             && (table = check(&mul, (Py_ssize_t)q * q, q, "mul")))
+        result = multiply(out, start, m, par, fac, val, n, q, table);
+    PyBuffer_Release(&rows);
+    PyBuffer_Release(&parents);
+    PyBuffer_Release(&factors);
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&mul);
+    return result;
+}
+
 /* out[a * q + b] = a + sign * b, digit by digit mod p: the low digits
    combine mod p, and the rest is p times the entry at (a / p, b / p), which
    comes earlier in the table (out[0] is set first, as it reads itself). */
@@ -426,12 +492,13 @@ static PyMethodDef methods[] = {
     {"min_dependent_columns", min_dependent_columns, METH_VARARGS, min_dependent_columns_doc},
     {"extend_echelon", extend_echelon, METH_VARARGS, extend_echelon_doc},
     {"field_tables", field_tables, METH_VARARGS, field_tables_doc},
+    {"multiply_rows", multiply_rows, METH_VARARGS, multiply_rows_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, .m_name = "_minweight", .m_size = -1, .m_methods = methods,
-    .m_doc = "Compiled column search, echelon extension and field tables.",
+    .m_doc = "Compiled column search, echelon extension, field tables and row products.",
 };
 
 PyMODINIT_FUNC PyInit__minweight(void)

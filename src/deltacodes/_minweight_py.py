@@ -9,7 +9,8 @@ going one depth down costs one row operation per column, and the last two
 columns of a subset are closed by hashing their normalized images.
 ``extend_echelon`` is the rank step of a scan: it reduces a block of rows
 against an echelon basis the caller keeps.  Both share one normalization.
-``field_tables`` fills a field's q*q arithmetic tables.
+``field_tables`` fills a field's q*q arithmetic tables, and ``multiply_rows``
+forms a scan's evaluation rows, each an earlier row times a row of values.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import struct
 from array import array
 from operator import itemgetter
 
-__all__ = ["MAX_Q", "extend_echelon", "field_tables", "min_dependent_columns"]
+__all__ = ["MAX_Q", "extend_echelon", "field_tables", "min_dependent_columns", "multiply_rows"]
 
 # Largest q whose flat q*q table indices fit in a C int, as in the C kernel.
 MAX_Q = 46340
@@ -234,3 +235,30 @@ def field_tables(powers, p, m, add, sub, mul):
     for a in range(1, q):
         la = log[a]
         row.pack_into(mul, a * row.size, *pick(powers[la:] + powers[:la] + [0]))
+
+
+def multiply_rows(rows, start, parents, factors, values, n, q, mul):
+    """Form rows start, start + 1, ... of ``rows`` (row-major, rows of length
+    n): row start + i is row parents[i] of ``rows`` times row factors[i] of
+    ``values``, entry by entry through the flat q*q table ``mul``.  A parent
+    must come before the row it makes, so a row made by the call can be the
+    parent of a later one.  ``rows`` is a writable array('i') with room for
+    the rows made; ``parents`` and ``factors`` have one length, and
+    ``values`` holds whole rows of length n.  ValueError otherwise, with the
+    rows before a bad parent or factor written.  Unlike the compiled kernel
+    it does not check that the entries it reads lie in [0, q).
+    """
+    if start < 0 or n < 1 or not 1 <= q <= MAX_Q:
+        raise ValueError(f"start must be non-negative, n positive and q in [1, {MAX_Q}]")
+    if len(parents) != len(factors):
+        raise ValueError("parents and factors must have one length")
+    out, width = _out(rows, (start + len(parents)) * n, "rows"), len(values) // n
+    for i, (p, f) in enumerate(zip(parents, factors)):
+        if not 0 <= p < start + i:
+            raise ValueError(f"parents[{i}] = {p} is not before row {start + i}")
+        if not 0 <= f < width:
+            raise ValueError(f"factors[{i}] = {f} is not in [0, {width})")
+        row, value = out[p * n : (p + 1) * n], values[f * n : (f + 1) * n]
+        out[(start + i) * n : (start + i + 1) * n] = array(
+            "i", [mul[a * q + b] for a, b in zip(row, value)]
+        )

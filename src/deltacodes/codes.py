@@ -13,9 +13,12 @@ from the gap count of an integer scaling of the family prefix.
 
 A ``Scan`` holds the whole chain for one family and one point set; callers
 keep it and ask it for the code and bounds at each alpha.  It walks the
-members in blocks of n - rank and hands each block's rows to the kernel's
-``extend_echelon``, which keeps the echelon basis of the rows so far; the
-pair counts behind the order bounds are taken on integer keys.
+members in blocks of n - rank.  The kernel's ``multiply_rows`` forms each
+block's rows in one flat array, each row an earlier member's row times one
+approximant's values, and ``extend_echelon`` reduces them in place against
+the echelon basis of the rows so far.  The pair counts behind the order
+bounds are in closed form, (m + 1) times a count on the telescopic head,
+for every kind but the chain, which counts on integer keys.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 from array import array
+from collections.abc import Sequence
 from itertools import islice
 from math import gcd, lcm
 
@@ -35,6 +39,7 @@ from .deltaseq import (
     gap_count_telescopic,
     normalize,
     telescopic_count,
+    telescopic_members,
     validate_n,
 )
 from .errors import DomainError
@@ -121,70 +126,93 @@ class Table(list):
 # --- the rank scan ----------------------------------------------------------
 
 
-class _PointwiseRows:
-    """Basis rows at the points of one map, as encoded field values.
+class _Rows(Sequence):
+    """Rows of one length n kept flat in the array('i') ``flat``, row i at
+    ``flat[i * n:(i + 1) * n]``; each row reads as a tuple."""
 
-    Evaluation is a ring homomorphism, so the value of q_{i+1} = q_i^{n_i} -
-    prod q_j^{a_ij} at a point follows from the values of the earlier
-    approximants there, and a basis element's row is the pointwise product
-    of powers of approximant rows.  Powers are kept as they are first needed.
+    __slots__ = ("flat", "n")
+
+    def __init__(self, flat: array, n: int) -> None:
+        self.flat, self.n = flat, n
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.n
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i = range(len(self))[i]  # IndexError past the end, which iteration needs
+        return tuple(self.flat[i * self.n : (i + 1) * self.n])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
+def _approximant_rows(fam: ApproximateFamily, ev: EvalMap, mul, sub, backend) -> array:
+    """The values of the approximants at the points, row i for q_i, in one
+    array('i').
+
+    Evaluation is a ring homomorphism, so q_0 = x and q_1 = y give the
+    coordinates and q_{i+1} = q_i^{n_i} - prod q_j^{a_ij} follows from the
+    rows before it: both products are chains of row products from a row of
+    ones, made by one ``multiply_rows`` call.  The second chain is never
+    empty, as n_i delta_i > 0 has a nonzero representation.
     """
-
-    def __init__(self, fam: ApproximateFamily, ev: EvalMap) -> None:
-        t = ev.spec._t
-        self.q, self.mul = t.q, t.mul
-        self.ones = [1] * ev.n
-        self.powers: list[list[list[int]]] = []
-        for coords in zip(*ev.points):
-            self.powers.append([self.ones, [int(v) for v in coords]])
-        for i, step in enumerate(fam.expansion, start=1):
-            lead, rest = self.power(i, step.n), self.row(step.exponents)
-            value = [t.sub[a * self.q + b] for a, b in zip(lead, rest)]
-            self.powers.append([self.ones, value])
-
-    def power(self, i: int, k: int) -> list[int]:
-        known = self.powers[i]
-        q, mul, base = self.q, self.mul, known[1]
-        while len(known) <= k:
-            known.append([mul[a * q + b] for a, b in zip(known[-1], base)])
-        return known[k]
-
-    def row(self, exponents) -> list[int]:
-        q, mul = self.q, self.mul
-        acc = self.ones
-        for i, k in enumerate(exponents):
-            if k:
-                factor = self.power(i, k)
-                if acc is not self.ones:
-                    factor = [mul[a * q + b] for a, b in zip(acc, factor)]
-                acc = factor
-        return acc
+    n, q = ev.n, ev.spec.q
+    values = array("i", [int(v) for coords in zip(*ev.points) for v in coords])
+    for i, step in enumerate(fam.expansion, start=1):
+        factors = [i] * step.n + [j for j, a in enumerate(step.exponents) for _ in range(a)]
+        parents = list(range(len(factors)))
+        parents[step.n] = 0  # the product starts again from the ones
+        work = array("i", [1]) * n + array("i", [0]) * (len(factors) * n)
+        minweight.multiply_rows(work, 1, parents, factors, values, n, q, mul, backend=backend)
+        lead, rest = work[step.n * n : (step.n + 1) * n], work[-n:]
+        values += array("i", [sub[a * q + b] for a, b in zip(lead, rest)])
+    return values
 
 
-def _pair_counts(members) -> list[int]:
-    """omega of every member: how many earlier-or-equal members it exceeds by
-    a member.  Members are compared on integer keys that add like the
-    members: a rational value times the lcm L of the denominators, the pair
-    (r * L, m) for r + m * tau, and the plane vector itself."""
-    first = members[0]
-    if isinstance(first, LexValue):
-        keys = [(v.x, v.y) for v in members]
-    elif isinstance(first, RatValue):
-        den = lcm(*(v.value.denominator for v in members))
-        keys = [v.value.numerator * (den // v.value.denominator) for v in members]
-    else:
-        den = lcm(*(v.r.denominator for v in members))
-        keys = [(v.r.numerator * (den // v.r.denominator), v.m) for v in members]
+def _pair_count(delta):
+    """omega of a member, the number of members it exceeds by a member, as a
+    function of the member's exponents; None for the chain kind.
+
+    Every other kind is the telescopic head H plus m copies of one free
+    generator (none for the integer kind, whose head is itself), and a member
+    is s * u + m * L with s in H.  As u and L are independent, a - b is a
+    member exactly when m_a >= m_b and s_a - s_b lies in H, so omega is
+    (m + 1) * nu_H(s), nu_H(s) the number of head members h <= s with s - h
+    in H.  H is telescopic, so its conductor is c = 2g for g gaps, and for
+    s >= 2c - 1 the gaps and s minus the gaps are disjoint: nu_H(s) =
+    s + 1 - 2g (Kirfel and Pellikaan 1995).  Below that bound nu_H(s) is a
+    popcount of the head members' bits against their mirror image.
+    """
+    if isinstance(delta, DeltaQ):
+        return None
+    head = delta if isinstance(delta, DeltaN) else _engine(delta).head
+    free = head is not delta
+    g = gap_count_telescopic(head)
+    top = 4 * g - 2  # 2c - 2
+    below = [v for block in telescopic_members(head, -1, top) for v, _, _ in block]
+    bits = sum(1 << v for v in below)
+    mirror = sum(1 << (top - v) for v in below)
+    deltas = head.deltas
+
+    def count(exponents) -> int:
+        s = sum(a * v for a, v in zip(exponents, deltas))
+        nu = s + 1 - 2 * g if s > top else (bits & (mirror >> (top - s))).bit_count()
+        return (exponents[-1] + 1) * nu if free else nu
+
+    return count
+
+
+def _chain_pair_counts(members) -> list[int]:
+    """omega of every chain member, by counting: the earlier-or-equal
+    members that it exceeds by a member, on the integer keys that the
+    members times the lcm of their denominators are."""
+    den = lcm(*(v.value.denominator for v in members))
+    keys = [v.value.numerator * (den // v.value.denominator) for v in members]
     seen = set(keys)
     # keys are distinct, so are the differences from one key
-    if isinstance(keys[0], int):
-        return [
-            len(seen.intersection([key - k for k in keys[: i + 1]]))
-            for i, key in enumerate(keys)
-        ]
     return [
-        len(seen.intersection([(x - a, y - b) for a, b in keys[: i + 1]]))
-        for i, (x, y) in enumerate(keys)
+        len(seen.intersection([key - k for k in keys[: i + 1]]))
+        for i, key in enumerate(keys)
     ]
 
 
@@ -192,14 +220,21 @@ class Scan:
     """The chain of codes for one family at one set of points, up to the
     rank bound Omega_n.
 
-    The constructor walks the members with each member's row and rank step,
-    then takes the pair counts and the bounds built from them.  Members are
-    walked in blocks of n - rank (at least one), and each block's rows are
-    reduced by one ``minweight.extend_echelon`` call against the echelon
-    basis kept here: the rank can reach n only on the last row of a block,
-    so the walk stops at the rank bound as a row-at-a-time walk would.  Hold
-    one scan to ask it about many bounds; the library keeps no reference
-    to it.
+    The constructor walks the members with each member's row, rank step and
+    pair count (see ``_pair_count``), then takes the bounds built from the
+    counts.  Members are walked in blocks of n - rank (at least one).  One
+    ``minweight.multiply_rows`` call forms a block's rows in the flat array
+    behind ``rows``, and one ``minweight.extend_echelon`` call reduces them,
+    read in place, against the echelon basis kept here: the rank can reach
+    n only on the last row of a block, so the walk stops at the rank bound
+    as a row-at-a-time walk would.  Hold one scan to ask it about many
+    bounds; the library keeps no reference to it.
+
+    A member's row is the row of its parent, the member with its first
+    nonzero exponent lowered by one, times that approximant's values.
+    Lowering an exponent keeps every bound of the representation, so the
+    parent is the member minus a generator: a smaller member, which the
+    walk passed before.  Only zero has no parent; its row is all ones.
     """
 
     def __init__(
@@ -221,14 +256,16 @@ class Scan:
                 f"rank ceiling: rank {n} needs at least {n} members, above the"
                 f" horizon of {horizon}"
             )
-        t = ev.spec._t
-        evaluate = _PointwiseRows(fam, ev)
-        tables = t.kernel_tables(backend)
+        q, tables = ev.spec.q, ev.spec._t.kernel_tables(backend)
+        values = _approximant_rows(fam, ev, tables[0], tables[1], backend)
         basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
 
         members = []
         exponents = []
-        rows = []
+        rows = array("i", [1]) * n  # the zero member's row: every point gives 1
+        index = {}  # a member's index by its exponents
+        weights = []
+        pair_count = _pair_count(delta)
         jump = []
         rank_after = []
         rank = 0
@@ -239,17 +276,28 @@ class Scan:
                 raise DomainError(
                     f"rank ceiling: rank {rank} of {n} after {horizon} members"
                 )
-            start, block = len(members), []
+            start, parents, factors = len(members), array("i"), array("i")
             for current, rep in islice(walker, min(max(n - rank, 1), horizon - start)):
                 exps = _fit_exponents(fam, rep.exponents)
-                row = tuple(evaluate.row(exps))
+                if members:  # every member but zero has a parent
+                    i = 0
+                    while not exps[i]:
+                        i += 1
+                    parents.append(index[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]])
+                    factors.append(i)
+                index[exps] = len(members)
                 members.append(current)
                 exponents.append(exps)
-                rows.append(row)
-                block.extend(row)
-            flags = minweight.extend_echelon(
-                block, len(members) - start, n, ev.spec.q, *tables, basis, pivots, rank,
+                if pair_count is not None:
+                    weights.append(pair_count(rep.exponents))
+            rows += array("i", [0]) * (len(parents) * n)
+            minweight.multiply_rows(
+                rows, len(members) - len(parents), parents, factors, values, n, q, tables[0],
                 backend=backend,
+            )
+            flags = minweight.extend_echelon(
+                memoryview(rows)[start * n :], len(members) - start, n, q, *tables, basis,
+                pivots, rank, backend=backend,
             )
             for flag in flags:
                 rank += flag
@@ -257,7 +305,8 @@ class Scan:
                 rank_after.append(rank)
 
         omega_index = len(members) - 1
-        weights = _pair_counts(members)
+        if pair_count is None:
+            weights = _chain_pair_counts(members)
 
         suffix_all: list[int] = [0] * len(members)
         suffix_jump: list[int | None] = [None] * len(members)
@@ -284,7 +333,7 @@ class Scan:
         self.n = n
         self.members = tuple(members)          # ascending, members[0] = 0
         self.exponents = tuple(exponents)      # fitted representation per member
-        self.rows = tuple(rows)                # encoded evaluation row per member
+        self.rows = _Rows(rows, n)             # encoded evaluation row per member
         self.jump = tuple(jump)                # whether the rank grew at this member
         self.rank_after = tuple(rank_after)    # rank of the first i + 1 rows
         self.omega_index = omega_index         # index of the rank bound Omega_n
@@ -311,10 +360,11 @@ class Scan:
                 hi = mid
         return lo
 
-    def _parity_rows(self, i: int) -> list[tuple[int, ...]]:
-        """The encoded rows at rank steps up to members[i]: a basis of the
-        evaluation space there."""
-        return [self.rows[j] for j in range(i + 1) if self.jump[j]]
+    def _parity_rows(self, i: int) -> list[array]:
+        """The encoded rows at rank steps up to members[i], each an
+        array('i'): a basis of the evaluation space there."""
+        flat, n = self.rows.flat, self.n
+        return [flat[j * n : (j + 1) * n] for j in range(i + 1) if self.jump[j]]
 
     def code_at(self, alpha) -> CodePair:
         """The evaluation space and dual code at a semigroup member."""
@@ -364,9 +414,9 @@ def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None, wmin=1) -
     if r == 0:
         return 1
     t = spec._t
-    cols = [0] * (r * n)
+    cols = array("i", [0]) * (r * n)
     for i, row in enumerate(enc_rows):
-        cols[i::r] = row
+        cols[i::r] = array("i", row)
     w = min_dependent_columns(
         cols, r, n, spec.q, *t.kernel_tables(backend), r + 1, wmin, backend=backend
     )
@@ -402,26 +452,50 @@ def goppa_distance(delta, alpha) -> int:
     estimate can be negative, in which case it carries no information.
     """
     rep = represent(delta, alpha)
+    return _goppa(delta)(alpha, rep.exponents)
 
+
+def _goppa(delta):
+    """``goppa_distance`` on one sequence, as a function of a member and its
+    exponents.  What does not depend on the member is found once: the head
+    and its gap count, and for the chain each stage prefix, validated once
+    per stage and last nonzero exponent."""
     if isinstance(delta, DeltaQ):
-        # the stage the representation was taken in, from the engine's ladder
-        stage = _engine(delta).covering_stage(alpha.value)
-        s_last = max((i for i, a in enumerate(rep.exponents) if a), default=0)
-        star = validate_n(denormalize(normalize(stage)[: max(s_last, 1) + 1]))
-        value = sum(a * v for a, v in zip(rep.exponents, star.deltas))
-        return telescopic_count(star, value) + 1 - gap_count_telescopic(star)
+        eng, prefixes = _engine(delta), {}
+
+        def estimate(alpha, exponents) -> int:
+            # the stage the representation was taken in, from the engine's
+            # ladder, whose stages differ in length
+            stage = eng.covering_stage(alpha.value)
+            s_last = max((i for i, a in enumerate(exponents) if a), default=0)
+            key = (len(stage.deltas), s_last)
+            if key not in prefixes:
+                star = validate_n(denormalize(normalize(stage)[: max(s_last, 1) + 1]))
+                prefixes[key] = star, 1 - gap_count_telescopic(star)
+            star, offset = prefixes[key]
+            value = sum(a * v for a, v in zip(exponents, star.deltas))
+            return telescopic_count(star, value) + offset
+
+        return estimate
 
     if isinstance(delta, DeltaN):
         if delta.g < 1:
             raise DomainError("the estimate needs at least two generators")
-        scale = delta.structure.d[delta.g - 1]
+        scale, last = delta.structure.d[delta.g - 1], delta.deltas[-1]
         head = validate_n(tuple(v // scale for v in delta.deltas[:-1]))
-        a = int(alpha.value)
-        copies, top = a // delta.deltas[-1] + 1, a // scale
+
+        def place(alpha) -> tuple[int, int]:
+            a = int(alpha.value)
+            return a // last + 1, a // scale
+
     elif isinstance(delta, (DeltaZ2, DeltaR)):
         eng = _engine(delta)
-        value = eng.lift(alpha)
-        head, copies, top = eng.head, eng.copies(value), eng.top(value, 0)
+        head = eng.head
+
+        def place(alpha) -> tuple[int, int]:
+            value = eng.lift(alpha)
+            return eng.copies(value), eng.top(value, 0)
+
     else:
         raise DomainError("unsupported sequence kind")
     # The minimum in closed form.  c_j >= 0 and c_J = 0 (no head member fits
@@ -435,9 +509,12 @@ def goppa_distance(delta, alpha) -> int:
     # Either can be smaller: the integer family (4, 2, 3), whose head (2, 1)
     # has no gaps, gives 5 and 4 at alpha = 6.
     xi = gap_count_telescopic(head)
-    if xi:
-        return (1 - xi) * (copies + 1)
-    return min(top + 2, copies + 1)
+
+    def estimate(alpha, exponents) -> int:
+        copies, top = place(alpha)
+        return (1 - xi) * (copies + 1) if xi else min(top + 2, copies + 1)
+
+    return estimate
 
 
 # --- scans and rendering ----------------------------------------------------
@@ -477,6 +554,7 @@ def scan_table(
     # checked against d).
     distances: dict[int, int] = {}
     floor = 1
+    goppa = _goppa(delta) if indices else None
     out = Table((), dropped)
     for i in indices:
         rank = scan.rank_after[i]
@@ -497,7 +575,7 @@ def scan_table(
                 scan.suffix_jump[i + 1],
                 scan.suffix_all[i + 1],
                 scan.suffix_prod[i],
-                goppa_distance(delta, scan.members[i]),
+                goppa(scan.members[i], scan.exponents[i]),
             )
         )
     return out

@@ -1,6 +1,6 @@
 """Backend selection for the kernel: the minimum-dependent-columns search,
-the echelon extension behind the scan's rank step, and the fill of a field's
-q*q arithmetic tables.
+the echelon extension behind the scan's rank step, the fill of a field's
+q*q arithmetic tables, and the row products that form a scan's rows.
 
 The compiled kernel (the C extension ``_minweight``) is preferred when it is
 built; setting the environment variable ``DELTACODES_PURE=1`` forces the
@@ -23,6 +23,7 @@ __all__ = [
     "extend_echelon",
     "field_tables",
     "min_dependent_columns",
+    "multiply_rows",
 ]
 
 _BACKENDS: dict[str, ModuleType] = {"pure": _minweight_py}
@@ -108,8 +109,9 @@ def extend_echelon(
 
     ``rows`` is row-major; ``mul``/``sub`` are flat q*q arithmetic tables and
     ``inv`` a length-q inverse table.  The compiled backend takes everything
-    as array('i'): ``rows`` and the tables are copied when they are not one
-    already, while ``basis`` and ``pivots`` must be writable array('i')
+    as array('i'): ``rows`` and the tables are copied when they are neither
+    one nor a memoryview of one (a scan passes a slice of its rows), while
+    ``basis`` and ``pivots`` must be writable array('i')
     (``ValueError`` otherwise), since the caller reads them back.  Raises
     ``ValueError`` when ``backend`` names a backend that is not built.
     """
@@ -146,6 +148,36 @@ def field_tables(
     kernel.field_tables(powers, p, m, add, sub, mul)
 
 
+def multiply_rows(
+    rows: MutableSequence[int],
+    start: int,
+    parents: Sequence[int],
+    factors: Sequence[int],
+    values: Sequence[int],
+    n: int,
+    q: int,
+    mul: Sequence[int],
+    backend: str | None = None,
+) -> None:
+    """Form rows start, start + 1, ... of ``rows`` (row-major, rows of length
+    n): row start + i is row parents[i] of ``rows`` times row factors[i] of
+    ``values``, entry by entry through the flat q*q table ``mul``.
+
+    A parent must come before the row it makes, so a row made by the call can
+    be the parent of a later one.  ``rows`` must be a writable array('i')
+    with room for the rows made; ``parents`` and ``factors`` have one length,
+    and ``values`` holds whole rows of length n.  The compiled backend copies
+    the inputs that are not array('i') already.  Both backends raise
+    ``ValueError`` on a parent at or after its row, a factor outside
+    ``values``, or ``rows`` of another item size or read-only; also when
+    ``backend`` names a backend that is not built.
+    """
+    kernel = _built(backend)
+    if kernel is not _minweight_py:
+        parents, factors, values, mul = map(_int_array, (parents, factors, values, mul))
+    kernel.multiply_rows(rows, start, parents, factors, values, n, q, mul)
+
+
 def _built(backend: str | None) -> ModuleType:
     """The kernel module of the named backend (``BACKEND`` for None);
     ValueError when it is not built."""
@@ -158,8 +190,11 @@ def _built(backend: str | None) -> ModuleType:
     return _BACKENDS[name]
 
 
-def _int_array(values: Sequence[int]) -> array:
-    """``values`` as an array('i'), copied only when it is not one already."""
+def _int_array(values: Sequence[int]) -> array | memoryview:
+    """``values`` as an array('i'), copied only when it is not one already or
+    a memoryview of one."""
     if isinstance(values, array) and values.typecode == "i":
+        return values
+    if isinstance(values, memoryview) and values.format == "i":
         return values
     return array("i", values)

@@ -13,7 +13,7 @@ from math import isqrt, lcm
 from ._value import Value, _set
 from .errors import DomainError
 
-__all__ = ["QuadExt", "floor_of", "sign_of", "sqrt_of"]
+__all__ = ["QuadExt", "floor_of", "floor_surd", "sign_of", "sqrt_of"]
 
 
 def _is_squarefree(d: int) -> bool:
@@ -50,10 +50,16 @@ def floor_of(a: Fraction, b: Fraction, d: int) -> int:
     den = lcm(a.denominator, b.denominator)
     whole = a.numerator * (den // a.denominator)
     root = b.numerator * (den // b.denominator)
-    # root**2 * d is never a perfect square (d squarefree, root nonzero),
-    # so sqrt(root**2 * d) lies strictly between t and t + 1.
+    return floor_surd(whole, root, den, d)
+
+
+def floor_surd(whole: int, root: int, den: int, d: int) -> int:
+    """Largest integer <= (whole + root*sqrt(d)) / den for integers whole and
+    root, den > 0 and squarefree d >= 2."""
+    # For root nonzero, root**2 * d is never a perfect square (d squarefree),
+    # so sqrt(root**2 * d) lies strictly between t and t + 1; t = 0 for root 0.
     t = isqrt(root * root * d)
-    if root > 0:
+    if root >= 0:
         return (whole + t) // den
     return (whole - t - 1) // den
 

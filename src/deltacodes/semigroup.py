@@ -32,7 +32,7 @@ from .deltaseq import (
 )
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2, extend_n
-from .quadratics import QuadExt, floor_of, sign_of
+from .quadratics import QuadExt, floor_surd, sign_of
 
 __all__ = [
     "LexValue",
@@ -326,6 +326,15 @@ class _QuadraticEngine(_HeadEngine):
         self.bounds = (None,) + tuple(self.head.structure.n) + (None,)
         # Common denominator that makes v / scale + m * tau an integer pair.
         self.den = lcm(self.scale, self.tau.a.denominator, self.tau.b.denominator)
+        # Integers for top and copies, which take floors without Fractions:
+        # tau = (a + b sqrt(d)) / e, and 1 / tau = e (a - b sqrt(d)) / norm
+        # with norm = a^2 - b^2 d, both signs flipped when norm < 0.
+        e = lcm(self.tau.a.denominator, self.tau.b.denominator)
+        a, b = int(self.tau.a * e), int(self.tau.b * e)
+        norm = a * a - b * b * self.tau.d
+        sign = 1 if norm > 0 else -1
+        self.top_ints = (self.scale * e, self.scale * a, self.scale * b, e)
+        self.copies_ints = (sign * e * a, -sign * e * b, sign * norm)
 
     def lift(self, value) -> QuadValue:
         if isinstance(value, QuadValue):
@@ -363,16 +372,18 @@ class _QuadraticEngine(_HeadEngine):
         return Representation(exps + (value.m,), self.bounds)
 
     def top(self, value: QuadValue, m: int) -> int:
-        """floor((value - m * tau) * scale)."""
-        k, tau = value.m - m, self.tau
-        return floor_of((value.r + k * tau.a) * self.scale, k * tau.b * self.scale, tau.d)
+        """floor((value - m * tau) * scale): with value.r = p / r and k = value.m
+        - m, (p e + k a r + k b r sqrt(d)) * scale / (r e)."""
+        k, p, r = value.m - m, value.r.numerator, value.r.denominator
+        se, sa, sb, e = self.top_ints
+        return floor_surd(p * se + k * sa * r, k * sb * r, r * e, self.tau.d)
 
     def copies(self, value: QuadValue) -> int:
-        """value.m + floor(value.r / tau) + 1, with r / tau = r * (a - b sqrt(d))
-        / (a^2 - b^2 d)."""
-        tau = self.tau
-        norm = tau.a * tau.a - tau.b * tau.b * tau.d
-        return value.m + floor_of(value.r * tau.a / norm, -value.r * tau.b / norm, tau.d) + 1
+        """value.m + floor(value.r / tau) + 1, with value.r / tau = p (c0 + c1
+        sqrt(d)) / (r norm) for value.r = p / r."""
+        p, r = value.r.numerator, value.r.denominator
+        c0, c1, norm = self.copies_ints
+        return value.m + floor_surd(p * c0, p * c1, r * norm, self.tau.d) + 1
 
     def blocks(self, lo, hi: QuadValue, label=None):
         """The head members for each multiple m of tau, sorted on the integer

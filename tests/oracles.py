@@ -5,6 +5,8 @@ field arithmetic one named operation at a time, polynomial products, the
 search for a default modulus, the rank and kernel of a matrix of field
 elements, basis elements as products of approximates, evaluation rows by
 multiplying out each basis polynomial and evaluating it term by term,
+the scan's evaluation rows as pointwise products of approximant powers
+and its pair counts by set intersection over all earlier members,
 the column search with every candidate reduced from scratch against the
 whole basis, semigroup membership by a sieve over every integer up to the
 bound, a window
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from deltacodes.approximants import (
@@ -42,7 +44,7 @@ from deltacodes.gf import (
     rank_nullspace_ints,
 )
 from deltacodes.quadratics import QuadExt
-from deltacodes.semigroup import _engine, enumerate_upto, represent
+from deltacodes.semigroup import LexValue, RatValue, _engine, enumerate_upto, represent
 
 # --- finite fields -----------------------------------------------------------
 
@@ -188,6 +190,72 @@ def evaluation_matrix(ev: EvalMap, basis) -> tuple[tuple[FieldElement, ...], ...
         tuple(poly_eval(_product_of(fam.spec, polys, element.exponents), pt) for pt in ev.points)
         for element in basis
     )
+
+
+class PointwiseRows:
+    """Basis rows at the points of one map, as encoded field values.
+
+    Evaluation is a ring homomorphism, so the value of q_{i+1} = q_i^{n_i} -
+    prod q_j^{a_ij} at a point follows from the values of the earlier
+    approximants there, and a basis element's row is the pointwise product
+    of powers of approximant rows.  Powers are kept as they are first needed.
+    """
+
+    def __init__(self, fam: ApproximateFamily, ev: EvalMap) -> None:
+        t = ev.spec._t
+        self.q, self.mul = t.q, t.mul
+        self.ones = [1] * ev.n
+        self.powers: list[list[list[int]]] = []
+        for coords in zip(*ev.points):
+            self.powers.append([self.ones, [int(v) for v in coords]])
+        for i, step in enumerate(fam.expansion, start=1):
+            lead, rest = self.power(i, step.n), self.row(step.exponents)
+            value = [t.sub[a * self.q + b] for a, b in zip(lead, rest)]
+            self.powers.append([self.ones, value])
+
+    def power(self, i: int, k: int) -> list[int]:
+        known = self.powers[i]
+        q, mul, base = self.q, self.mul, known[1]
+        while len(known) <= k:
+            known.append([mul[a * q + b] for a, b in zip(known[-1], base)])
+        return known[k]
+
+    def row(self, exponents) -> list[int]:
+        q, mul = self.q, self.mul
+        acc = self.ones
+        for i, k in enumerate(exponents):
+            if k:
+                factor = self.power(i, k)
+                if acc is not self.ones:
+                    factor = [mul[a * q + b] for a, b in zip(acc, factor)]
+                acc = factor
+        return acc
+
+
+def pair_counts(members, at=None) -> list[int]:
+    """omega of the members at the indices ``at`` (of every member when
+    None): how many earlier-or-equal members each exceeds by a member.
+    Members are compared on integer keys that add like the members: a
+    rational value times the lcm L of the denominators, the pair (r * L, m)
+    for r + m * tau, and the plane vector itself."""
+    first = members[0]
+    if isinstance(first, LexValue):
+        keys = [(v.x, v.y) for v in members]
+    elif isinstance(first, RatValue):
+        den = lcm(*(v.value.denominator for v in members))
+        keys = [v.value.numerator * (den // v.value.denominator) for v in members]
+    else:
+        den = lcm(*(v.r.denominator for v in members))
+        keys = [(v.r.numerator * (den // v.r.denominator), v.m) for v in members]
+    seen = set(keys)
+    at = range(len(keys)) if at is None else at
+    # keys are distinct, so are the differences from one key
+    if isinstance(keys[0], int):
+        return [len(seen.intersection([keys[i] - k for k in keys[: i + 1]])) for i in at]
+    return [
+        len(seen.intersection([(keys[i][0] - a, keys[i][1] - b) for a, b in keys[: i + 1]]))
+        for i in at
+    ]
 
 
 # --- the column search -------------------------------------------------------

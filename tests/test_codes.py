@@ -23,7 +23,6 @@ from deltacodes.codes import (
     CodePair,
     EvalMap,
     Scan,
-    _PointwiseRows,
     goppa_distance,
     min_distance,
     render_value,
@@ -61,6 +60,7 @@ from helpers import (
 )
 import oracles
 from oracles import basis_element, basis_for, evaluation_matrix, gaps, members_below
+from oracles import PointwiseRows as _PointwiseRows
 
 FAM7 = build_approximates(DZ119, F7)
 SCAN7 = Scan(DZ119, FAM7, EV7)

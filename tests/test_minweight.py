@@ -9,12 +9,14 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
 
-from deltacodes import minweight
-from deltacodes.approximants import build_approximates
-from deltacodes.codes import EvalMap, scan_table
+from deltacodes import codes, minweight
+from deltacodes.approximants import _fit_exponents, build_approximates
+from deltacodes.codes import EvalMap, Scan, scan_table
+from deltacodes.deltaseq import validate_n
 from deltacodes.genesis import build_type_c
 from deltacodes.gf import (
     MAX_FIELD_SIZE,
@@ -29,8 +31,12 @@ from deltacodes.minweight import (
     extend_echelon,
     field_tables,
     min_dependent_columns,
+    multiply_rows,
 )
-from oracles import min_dependent_columns_from_scratch
+from deltacodes.semigroup import walk
+
+import helpers
+from oracles import PointwiseRows, min_dependent_columns_from_scratch, pair_counts
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -703,3 +709,186 @@ class TestKnownInstances:
 
     def test_zero_rows(self):
         assert min_dependent_columns([], 0, 3, 5, [], [], [], 2) == 1
+
+
+# --- the scan's rows and pair counts -----------------------------------------
+
+SCAN_FAMILIES = {
+    name: getattr(helpers, name)
+    for name in (
+        "DN119", "DZ119", "DZ_BIG", "DZ75", "DZ53", "DZ2029", "DZ427",
+        "DR119", "DR_BIG_A", "DR_BIG_B", "DR75", "CH119", "CH_BIG", "CH75",
+    )
+}
+# Over the 31 points of EV32_B the integer kind never reaches full rank.
+SCAN_CASES = [
+    (name, ev)
+    for name in SCAN_FAMILIES
+    for ev in ("EV7", "EV32_B")
+    if (name, ev) != ("DN119", "EV32_B")
+]
+
+
+def scan_rows_by_rule(delta, fam, ev, count, backend):
+    """The rows of the first ``count`` members, each formed as the scan forms
+    it: the row of the member with the first nonzero exponent lowered by one,
+    times that approximant's values, in one ``multiply_rows`` call."""
+    n, q, t = ev.n, ev.spec.q, ev.spec._t
+    mul, sub, _ = t.kernel_tables(backend)
+    values = codes._approximant_rows(fam, ev, mul, sub, backend)
+    index, parents, factors = {}, [], []
+    for k, (_, rep) in enumerate(itertools.islice(walk(delta), count)):
+        exps = _fit_exponents(fam, rep.exponents)
+        if k:
+            i = next(i for i, a in enumerate(exps) if a)
+            parents.append(index[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]])
+            factors.append(i)
+        index[exps] = k
+    rows = array("i", [1] * n + [0] * (len(parents) * n))
+    multiply_rows(rows, 1, parents, factors, values, n, q, mul, backend=backend)
+    return list(index), rows
+
+
+class TestMultiplyRows:
+    """The scan's rows, each an earlier member's row times one approximant
+    row, against the pointwise products of approximant powers."""
+
+    @pytest.mark.parametrize("name,ev", SCAN_CASES)
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_scan_rows_equal_pointwise_products(self, name, ev, backend):
+        delta, ev = SCAN_FAMILIES[name], getattr(helpers, ev)
+        fam = build_approximates(delta, ev.spec)
+        scan = Scan(delta, fam, ev, backend=backend)
+        oracle = PointwiseRows(fam, ev)
+        expected = array("i", [v for exps in scan.exponents for v in oracle.row(exps)])
+        assert scan.rows.flat.tobytes() == expected.tobytes()
+        assert list(scan.rows) == [tuple(oracle.row(exps)) for exps in scan.exponents]
+
+    @pytest.mark.parametrize("name", ["DN119", "DZ_BIG", "DR75", "CH75"])
+    def test_random_point_sets_up_to_2048_points(self, name):
+        delta, rng = SCAN_FAMILIES[name], random.Random(2048 + len(name))
+        fam = build_approximates(delta, F256)
+        for n in (1, 2, rng.randrange(3, 300), 2048):
+            cells = rng.sample(range(F256.q * F256.q), n)
+            ev = EvalMap(F256, [divmod(c, F256.q) for c in cells])
+            oracle = PointwiseRows(fam, ev)
+            for backend in available_backends():
+                exponents, rows = scan_rows_by_rule(delta, fam, ev, 60, backend)
+                expected = array("i", [v for exps in exponents for v in oracle.row(exps)])
+                assert rows.tobytes() == expected.tobytes(), (n, backend)
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_bad_input_is_rejected(self, backend):
+        n, q, mul = 3, 5, F5._t.kernel_tables(backend)[0]
+        values = array("i", [1, 2, 3, 4, 0, 1])  # two rows of values
+
+        def call(rows=None, parents=(0, 1), factors=(0, 1)):
+            rows = array("i", [1] * n + [0] * (2 * n)) if rows is None else rows
+            multiply_rows(rows, 1, array("i", parents), array("i", factors), values, n, q, mul,
+                          backend=backend)
+            return rows
+
+        assert list(call()) == [1, 1, 1, 1, 2, 3, 4, 0, 3]
+        bad = [
+            {"parents": (1, 1)},  # a parent at its own row
+            {"parents": (0, 3)},  # a parent after its row
+            {"parents": (-1, 0)},
+            {"factors": (0, 2)},  # no third row of values
+            {"factors": (-1, 0)},
+            {"factors": (0,)},  # shorter than the parents
+            {"rows": array("l", [1] * (3 * n))},  # item size 8
+            {"rows": array("h", [1] * (3 * n))},  # item size 2
+            {"rows": memoryview(array("i", [1] * (3 * n))).toreadonly()},
+            {"rows": array("i", [1] * (3 * n - 1))},  # no room for the rows made
+        ]
+        for case in bad:
+            with pytest.raises(ValueError):
+                call(**case)
+        with pytest.raises(ValueError):
+            multiply_rows(array("i", [1] * 9), -1, [0], [0], values, n, q, mul, backend=backend)
+
+    def test_compiled_checks_every_buffer(self):
+        """The C entry point, called directly, checks the item size of each
+        input and the entries it reads."""
+        compiled = pytest.importorskip("deltacodes._minweight").multiply_rows
+        mul = array("i", F5._t.kernel_tables("compiled")[0])
+        good = [array("i", [1, 1, 1, 0, 0, 0]), 1, array("i", [0]), array("i", [1]),
+                array("i", [1, 2, 3, 4, 0, 1]), 3, 5, mul]
+        compiled(*good)
+        assert list(good[0]) == [1, 1, 1, 4, 0, 1]
+        bad = [
+            (2, array("b", [0] * 4)),  # item size 1
+            (3, array("h", [1, 0])),  # item size 2
+            (4, array("b", bytes(24))),
+            (7, array("i", mul[:-1])),  # shorter than q * q
+            (0, array("i", [1, 7, 1, 0, 0, 0])),  # a parent entry outside [0, q)
+            (4, array("i", [1, 2, 3, 4, 0, 5])),  # a value outside [0, q)
+            (5, 0), (6, 0),  # n and q below 1
+        ]
+        for index, value in bad:
+            args = list(good)
+            args[0] = array("i", [1, 1, 1, 0, 0, 0]) if index else value
+            args[index] = value
+            with pytest.raises(ValueError):
+                compiled(*args)
+
+    def test_the_scan_hands_the_kernel_its_arrays_uncopied(self):
+        """The scan's row blocks reach the rank step as memoryview slices of
+        its flat rows, and the search gets its columns as an array('i'):
+        the compiled wrapper copies neither."""
+        if "compiled" not in available_backends():
+            pytest.skip("the compiled kernel is not built")
+        real, seen = minweight._int_array, []
+
+        def spy(values):
+            got = real(values)
+            seen.append((type(values), got is values))
+            return got
+
+        fam = build_approximates(helpers.DZ75, F32)
+        with mock.patch.object(minweight, "BACKEND", "compiled"), \
+                mock.patch.object(minweight, "_int_array", spy):
+            rows = scan_table(helpers.DZ75, fam, helpers.EV32_B, limit=3)
+        assert [row.d for row in rows] == [2, 3, 4]
+        assert {kind for kind, _ in seen} == {array, memoryview}
+        assert all(same for _, same in seen)
+
+
+
+class TestClosedFormPairCounts:
+    """omega = (m + 1) * nu_H(s), against counting pairs by set intersection."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+    def test_scan_weights_equal_the_oracle(self, name):
+        delta = SCAN_FAMILIES[name]
+        scan = Scan(delta, build_approximates(delta, helpers.F7), helpers.EV7)
+        assert scan.weights == tuple(pair_counts(scan.members))
+
+    # The member lists on which the closed form was first checked: the
+    # 961-point scan of the planar (5, 3) family walks 2,086 members.
+    @pytest.mark.parametrize(
+        "delta,count",
+        [
+            (build_type_c((5, 3)), 2086),
+            (build_type_c((5, 3)), 10100),
+            (helpers.DZ_BIG, 6118),
+            (helpers.DR_BIG_A, 1225),
+            (validate_n(helpers.UNDER_BIG), 571),
+        ],
+        ids=["planar-2086", "planar-10100", "planar-big-6118", "quadratic-1225", "integer-571"],
+    )
+    def test_baseline_member_lists(self, delta, count):
+        """Every member of the lists up to 2,086 members; of the longer ones,
+        the first and last 100 and 200 drawn in between (the oracle's set work
+        is quadratic)."""
+        walked = list(itertools.islice(walk(delta), count))
+        members = [value for value, _ in walked]
+        pair_count = codes._pair_count(delta)
+        at = range(count)
+        if count > 2086:
+            inner = random.Random(count).sample(range(100, count - 100), 200)
+            at = [*range(100), *sorted(inner), *range(count - 100, count)]
+        assert [pair_count(walked[i][1].exponents) for i in at] == pair_counts(members, at)
+
+    def test_the_chain_keeps_its_count(self):
+        assert codes._pair_count(helpers.CH75) is None

@@ -27,6 +27,7 @@ from deltacodes.genesis import (
     build_type_e,
     extend_n,
 )
+from deltacodes.quadratics import QuadExt, floor_of
 from deltacodes.semigroup import (
     LexValue,
     QuadValue,
@@ -617,6 +618,33 @@ class TestExactQuadraticKey:
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
         assert cli_listing("quadratic", bound) == object_listing(DR_BIG, bound)
+
+
+class TestQuadraticFloors:
+    """The quadratic engine's top and copies, on integers precomputed once per
+    engine, against the formulas in Fractions they replace."""
+
+    @pytest.mark.parametrize("name", [*sorted(QUADRATIC_FAMILIES), "negative-norm"])
+    def test_top_and_copies_equal_the_fraction_formulas(self, name):
+        if name == "negative-norm":
+            # tau = sqrt(2) - 1, whose conjugate is negative: no family here
+            # has one, and the engine's arithmetic needs only tau itself
+            delta = DeltaR(DR.head, QuadExt(Fraction(-1), Fraction(1), 2), DR.witness)
+        else:
+            delta = QUADRATIC_FAMILIES[name]
+        eng = semigroup_module._engine(delta)
+        tau, scale = eng.tau, eng.scale
+        norm = tau.a * tau.a - tau.b * tau.b * tau.d
+        rng = random.Random(2718)
+        for _ in range(400):
+            r = Fraction(rng.randrange(-5000, 5000), rng.choice([1, 2, 3, 7, scale, 97]))
+            value = QuadValue(r, rng.randrange(-6, 7), tau)
+            m = rng.randrange(-6, 7)  # k = value.m - m of either sign
+            k = value.m - m
+            top = floor_of((value.r + k * tau.a) * scale, k * tau.b * scale, tau.d)
+            assert eng.top(value, m) == top, (value, m)
+            copies = value.m + floor_of(r * tau.a / norm, -r * tau.b / norm, tau.d) + 1
+            assert eng.copies(value) == copies, value
 
 
 def _sequences():
