@@ -19,11 +19,10 @@ print or compare the polynomials themselves.
 
 from __future__ import annotations
 
-from functools import reduce
-from math import comb, gcd
+from math import comb
 
 from ._value import Value
-from .deltaseq import DeltaN, telescopic_exponents, validate_n
+from .deltaseq import DeltaN
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
 from .gf import FieldElement, FieldSpec
@@ -157,33 +156,19 @@ def _base_sequence(delta) -> DeltaN:
     raise DomainError("unsupported sequence kind")
 
 
-def _prefix_row(base: DeltaN, i: int) -> tuple[int, ...]:
-    """Bounded exponents of n_i * delta_i over delta_0..delta_{i-1}."""
-    n_i = base.structure.n[i - 1]
-    target = n_i * base.deltas[i]
-    prefix = base.deltas[:i]
-    d = reduce(gcd, prefix)
-    if target % d:
-        raise DomainError("inconsistent δ-sequence")
-    scaled = validate_n(tuple(v // d for v in prefix))
-    exps = telescopic_exponents(scaled, target // d)
-    if exps is None:
-        raise DomainError("inconsistent δ-sequence")
-    return exps
-
-
 def build_approximates(delta, spec: FieldSpec, depth: int | None = None) -> ApproximateFamily:
     """The recurrence of the family of approximates for a delta-sequence over
     a field; no polynomial is multiplied out.
 
-    A row that ``_prefix_row`` accepts always gives a nonzero q_{i+1}, so
-    no expansion is needed to check it.  By induction q_i is monic in y of
-    degree D_i = n_1 ... n_{i-1} (q_0 = x has y-degree 0, q_1 = y has 1).
-    The row is bounded, a_ij < n_j for j >= 1, so the product has y-degree
-    sum_j a_ij D_j <= sum_j (n_j - 1) D_j = D_i - 1 (the sum telescopes,
-    D_{j+1} = n_j D_j), below the degree n_i D_i of q_i^{n_i}.  So q_{i+1}
-    keeps the leading term y^{n_i D_i} of q_i^{n_i}: it is monic of
-    degree D_{i+1}, and in particular not zero.
+    The exponent rows are those ``validate_n`` found when it checked the
+    base sequence, kept in its structure.  Such a row always gives a nonzero
+    q_{i+1}, so no expansion is needed to check it.  By induction q_i is
+    monic in y of degree D_i = n_1 ... n_{i-1} (q_0 = x has y-degree 0,
+    q_1 = y has 1).  The row is bounded, a_ij < n_j for j >= 1, so the
+    product has y-degree sum_j a_ij D_j <= sum_j (n_j - 1) D_j = D_i - 1
+    (the sum telescopes, D_{j+1} = n_j D_j), below the degree n_i D_i of
+    q_i^{n_i}.  So q_{i+1} keeps the leading term y^{n_i D_i} of q_i^{n_i}:
+    it is monic of degree D_{i+1}, and in particular not zero.
     """
     weights = generators(delta)
     max_depth = len(weights) - 1
@@ -193,10 +178,8 @@ def build_approximates(delta, spec: FieldSpec, depth: int | None = None) -> Appr
         raise DomainError("depth must be at least 1")
     if depth > max_depth:
         raise DomainError("depth exceeds the generator count")
-    base = _base_sequence(delta)
-    steps = tuple(
-        ExpansionStep(base.structure.n[i - 1], _prefix_row(base, i)) for i in range(1, depth)
-    )
+    structure = _base_sequence(delta).structure
+    steps = tuple(map(ExpansionStep, structure.n, structure.rows[: depth - 1]))
     return ApproximateFamily(spec, tuple(weights[: depth + 1]), steps)
 
 

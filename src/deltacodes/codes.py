@@ -17,8 +17,7 @@ members in blocks of n - rank.  The kernel's ``multiply_rows`` forms each
 block's rows in one flat array, each row an earlier member's row times one
 approximant's values, and ``extend_echelon`` reduces them in place against
 the echelon basis of the rows so far.  The pair counts behind the order
-bounds are in closed form, (m + 1) times a count on the telescopic head,
-for every kind but the chain, which counts on integer keys.
+bounds come from ``semigroup``, which owns them.
 """
 
 from __future__ import annotations
@@ -28,20 +27,12 @@ import io
 from array import array
 from collections.abc import Sequence
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 
 from . import minweight
 from ._value import Value
 from .approximants import ApproximateFamily, _fit_exponents
-from .deltaseq import (
-    DeltaN,
-    denormalize,
-    gap_count_telescopic,
-    normalize,
-    telescopic_count,
-    telescopic_members,
-    validate_n,
-)
+from .deltaseq import DeltaN, gap_count_telescopic, telescopic_count, validate_n
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
 from .gf import FieldSpec, rank_nullspace_ints
@@ -51,6 +42,7 @@ from .semigroup import (
     QuadValue,
     RatValue,
     _engine,
+    _pair_counts,
     compare,
     represent,
     walk,
@@ -128,7 +120,8 @@ class Table(list):
 
 class _Rows(Sequence):
     """Rows of one length n kept flat in the array('i') ``flat``, row i at
-    ``flat[i * n:(i + 1) * n]``; each row reads as a tuple."""
+    ``flat[i * n:(i + 1) * n]``; each row reads as a tuple, and a slice as a
+    tuple of them."""
 
     __slots__ = ("flat", "n")
 
@@ -138,7 +131,9 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return len(self.flat) // self.n
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
         i = range(len(self))[i]  # IndexError past the end, which iteration needs
         return tuple(self.flat[i * self.n : (i + 1) * self.n])
 
@@ -169,65 +164,18 @@ def _approximant_rows(fam: ApproximateFamily, ev: EvalMap, mul, sub, backend) ->
     return values
 
 
-def _pair_count(delta):
-    """omega of a member, the number of members it exceeds by a member, as a
-    function of the member's exponents; None for the chain kind.
-
-    Every other kind is the telescopic head H plus m copies of one free
-    generator (none for the integer kind, whose head is itself), and a member
-    is s * u + m * L with s in H.  As u and L are independent, a - b is a
-    member exactly when m_a >= m_b and s_a - s_b lies in H, so omega is
-    (m + 1) * nu_H(s), nu_H(s) the number of head members h <= s with s - h
-    in H.  H is telescopic, so its conductor is c = 2g for g gaps, and for
-    s >= 2c - 1 the gaps and s minus the gaps are disjoint: nu_H(s) =
-    s + 1 - 2g (Kirfel and Pellikaan 1995).  Below that bound nu_H(s) is a
-    popcount of the head members' bits against their mirror image.
-    """
-    if isinstance(delta, DeltaQ):
-        return None
-    head = delta if isinstance(delta, DeltaN) else _engine(delta).head
-    free = head is not delta
-    g = gap_count_telescopic(head)
-    top = 4 * g - 2  # 2c - 2
-    below = [v for block in telescopic_members(head, -1, top) for v, _, _ in block]
-    bits = sum(1 << v for v in below)
-    mirror = sum(1 << (top - v) for v in below)
-    deltas = head.deltas
-
-    def count(exponents) -> int:
-        s = sum(a * v for a, v in zip(exponents, deltas))
-        nu = s + 1 - 2 * g if s > top else (bits & (mirror >> (top - s))).bit_count()
-        return (exponents[-1] + 1) * nu if free else nu
-
-    return count
-
-
-def _chain_pair_counts(members) -> list[int]:
-    """omega of every chain member, by counting: the earlier-or-equal
-    members that it exceeds by a member, on the integer keys that the
-    members times the lcm of their denominators are."""
-    den = lcm(*(v.value.denominator for v in members))
-    keys = [v.value.numerator * (den // v.value.denominator) for v in members]
-    seen = set(keys)
-    # keys are distinct, so are the differences from one key
-    return [
-        len(seen.intersection([key - k for k in keys[: i + 1]]))
-        for i, key in enumerate(keys)
-    ]
-
-
 class Scan:
     """The chain of codes for one family at one set of points, up to the
     rank bound Omega_n.
 
-    The constructor walks the members with each member's row, rank step and
-    pair count (see ``_pair_count``), then takes the bounds built from the
-    counts.  Members are walked in blocks of n - rank (at least one).  One
-    ``minweight.multiply_rows`` call forms a block's rows in the flat array
-    behind ``rows``, and one ``minweight.extend_echelon`` call reduces them,
-    read in place, against the echelon basis kept here: the rank can reach
-    n only on the last row of a block, so the walk stops at the rank bound
-    as a row-at-a-time walk would.  Hold one scan to ask it about many
+    The constructor walks the members with each member's row and rank step,
+    then takes the pair counts (``semigroup._pair_counts``) and the bounds
+    built from them.  Members are walked in blocks of n - rank (at least
+    one).  One ``minweight.multiply_rows`` call forms a block's rows in the
+    flat array behind ``rows``, and one ``minweight.extend_echelon`` call
+    reduces them, read in place, against the echelon basis kept here: the
+    rank can reach n only on the last row of a block, so the walk stops at
+    the rank bound as a row-at-a-time walk would.  Hold one scan to ask it about many
     bounds; the library keeps no reference to it.
 
     A member's row is the row of its parent, the member with its first
@@ -260,43 +208,39 @@ class Scan:
         values = _approximant_rows(fam, ev, tables[0], tables[1], backend)
         basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
 
-        members = []
+        walked = []  # (member, Representation) pairs
         exponents = []
         rows = array("i", [1]) * n  # the zero member's row: every point gives 1
         index = {}  # a member's index by its exponents
-        weights = []
-        pair_count = _pair_count(delta)
         jump = []
         rank_after = []
         rank = 0
         walker = walk(delta)
-        # Only positive members can be the rank bound; members[0] is zero.
-        while rank < n or len(members) == 1:
-            if len(members) >= horizon:
+        # Only positive members can be the rank bound; the first is zero.
+        while rank < n or len(walked) == 1:
+            if len(walked) >= horizon:
                 raise DomainError(
                     f"rank ceiling: rank {rank} of {n} after {horizon} members"
                 )
-            start, parents, factors = len(members), array("i"), array("i")
-            for current, rep in islice(walker, min(max(n - rank, 1), horizon - start)):
-                exps = _fit_exponents(fam, rep.exponents)
-                if members:  # every member but zero has a parent
+            start, parents, factors = len(walked), array("i"), array("i")
+            for pair in islice(walker, min(max(n - rank, 1), horizon - start)):
+                exps = _fit_exponents(fam, pair[1].exponents)
+                if walked:  # every member but zero has a parent
                     i = 0
                     while not exps[i]:
                         i += 1
                     parents.append(index[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]])
                     factors.append(i)
-                index[exps] = len(members)
-                members.append(current)
+                index[exps] = len(walked)
+                walked.append(pair)
                 exponents.append(exps)
-                if pair_count is not None:
-                    weights.append(pair_count(rep.exponents))
             rows += array("i", [0]) * (len(parents) * n)
             minweight.multiply_rows(
-                rows, len(members) - len(parents), parents, factors, values, n, q, tables[0],
+                rows, len(walked) - len(parents), parents, factors, values, n, q, tables[0],
                 backend=backend,
             )
             flags = minweight.extend_echelon(
-                memoryview(rows)[start * n :], len(members) - start, n, q, *tables, basis,
+                memoryview(rows)[start * n :], len(walked) - start, n, q, *tables, basis,
                 pivots, rank, backend=backend,
             )
             for flag in flags:
@@ -304,9 +248,9 @@ class Scan:
                 jump.append(flag == 1)
                 rank_after.append(rank)
 
+        members = [value for value, _ in walked]
         omega_index = len(members) - 1
-        if pair_count is None:
-            weights = _chain_pair_counts(members)
+        weights = _pair_counts(delta, walked)
 
         suffix_all: list[int] = [0] * len(members)
         suffix_jump: list[int | None] = [None] * len(members)
@@ -470,7 +414,9 @@ def _goppa(delta):
             s_last = max((i for i, a in enumerate(exponents) if a), default=0)
             key = (len(stage.deltas), s_last)
             if key not in prefixes:
-                star = validate_n(denormalize(normalize(stage)[: max(s_last, 1) + 1]))
+                k = max(s_last, 1) + 1
+                d = stage.structure.d[k - 1]
+                star = validate_n(tuple(v // d for v in stage.deltas[:k]))
                 prefixes[key] = star, 1 - gap_count_telescopic(star)
             star, offset = prefixes[key]
             value = sum(a * v for a, v in zip(exponents, star.deltas))

@@ -40,10 +40,12 @@ class DeltaStructure(Value):
     (n_1, ..., n_g); ``newton`` the slope pairs (e_j, m_j); ``cf`` the
     continued-fraction digits of the last slope m/e (None when there are no
     slopes); ``divisible`` whether delta_0 - delta_1 divides delta_0, which
-    merges the first two slopes.
+    merges the first two slopes; ``rows`` the bounded exponents of each
+    n_i * delta_i over delta_0, ..., delta_{i-1}, i = 1, ..., g, the rows that
+    condition (2) found.
     """
 
-    __slots__ = _fields = ("d", "n", "newton", "cf", "divisible")
+    __slots__ = _fields = ("d", "n", "newton", "cf", "divisible", "rows")
 
 
 class DeltaN(Value):
@@ -81,6 +83,7 @@ def validate_n(deltas) -> DeltaN:
     n = tuple(d[i] // d[i + 1] for i in range(g))
     if any(v == 1 for v in n):
         raise DomainError("condition (1): every n_i must exceed 1")
+    rows = []
     for i in range(1, g + 1):
         # The prefix divided by its gcd d_i is telescopic (its own conditions
         # (2) were checked in earlier rounds), so gcd descent decides
@@ -88,7 +91,8 @@ def validate_n(deltas) -> DeltaN:
         d_i = d[i - 1]
         prefix = tuple(v // d_i for v in seq[:i])
         chain = tuple(v // d_i for v in d[:i])
-        if _descend(prefix, chain, n[: i - 1], n[i - 1] * seq[i] // d_i) is None:
+        rows.append(_descend(prefix, chain, n[: i - 1], n[i - 1] * seq[i] // d_i))
+        if rows[-1] is None:
             raise DomainError(
                 f"condition (2): n_{i} * delta_{i} = {n[i - 1] * seq[i]} is not in "
                 f"the semigroup of the first {i} entries"
@@ -100,7 +104,7 @@ def validate_n(deltas) -> DeltaN:
             raise DomainError(
                 f"condition (3): delta_{i} must be below delta_{i - 1} * n_{i - 1}"
             )
-    return DeltaN(seq, _structure(seq, d, n))
+    return DeltaN(seq, _structure(seq, d, n, tuple(rows)))
 
 
 def structure_of(deltas) -> DeltaStructure:
@@ -108,7 +112,9 @@ def structure_of(deltas) -> DeltaStructure:
     return validate_n(deltas).structure
 
 
-def _structure(seq: tuple[int, ...], d: tuple[int, ...], n: tuple[int, ...]) -> DeltaStructure:
+def _structure(
+    seq: tuple[int, ...], d: tuple[int, ...], n: tuple[int, ...], rows: tuple
+) -> DeltaStructure:
     g = len(seq) - 1
     divisible = g >= 1 and seq[0] % (seq[0] - seq[1]) == 0
     newton: list[tuple[int, int]] = []
@@ -124,7 +130,7 @@ def _structure(seq: tuple[int, ...], d: tuple[int, ...], n: tuple[int, ...]) -> 
     if newton:
         e, m = newton[-1]
         cf = cf_of(Fraction(m, e))
-    return DeltaStructure(tuple(d), n, tuple(newton), cf, divisible)
+    return DeltaStructure(tuple(d), n, tuple(newton), cf, divisible, rows)
 
 
 def cf_of(value: Fraction) -> tuple[int, ...]:

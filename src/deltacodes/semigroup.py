@@ -26,6 +26,7 @@ from operator import itemgetter
 from ._value import Value, _set
 from .deltaseq import (
     DeltaN,
+    gap_count_telescopic,
     telescopic_exponents,
     telescopic_members,
     validate_n,
@@ -179,9 +180,6 @@ class _RationalEngine(_Engine):
     def add(self, a: RatValue, b: RatValue) -> RatValue:
         return RatValue(a.value + b.value)
 
-    def sub(self, a: RatValue, b: RatValue) -> RatValue:
-        return RatValue(a.value - b.value)
-
 
 class _IntegerEngine(_RationalEngine):
     """The integer sequence's own telescopic semigroup."""
@@ -258,9 +256,6 @@ class _PlanarEngine(_HeadEngine):
 
     def add(self, a: LexValue, b: LexValue) -> LexValue:
         return LexValue(a.x + b.x, a.y + b.y)
-
-    def sub(self, a: LexValue, b: LexValue) -> LexValue:
-        return LexValue(a.x - b.x, a.y - b.y)
 
     def represent(self, value: LexValue) -> Representation:
         if (value.x, value.y) < (0, 0):
@@ -354,9 +349,6 @@ class _QuadraticEngine(_HeadEngine):
 
     def add(self, a: QuadValue, b: QuadValue) -> QuadValue:
         return QuadValue(a.r + b.r, a.m + b.m, self.tau)
-
-    def sub(self, a: QuadValue, b: QuadValue) -> QuadValue:
-        return QuadValue(a.r - b.r, a.m - b.m, self.tau)
 
     def represent(self, value: QuadValue) -> Representation:
         if _quad_sign(value.r, value.m, self.tau) < 0:
@@ -499,6 +491,55 @@ def _engine(delta):
     return engine
 
 
+# --- pair counts ------------------------------------------------------------
+
+
+def _pair_counts(delta, walked, start: int = 0) -> list[int]:
+    """omega of each member of ``walked[start:]``, where ``walked`` holds the
+    (value, Representation) pairs of every member from zero on, in order, as
+    ``walk`` yields them: how many members each one exceeds by a member.
+
+    Every kind but the chain is the telescopic head H plus m copies of one
+    free generator (none for the integer kind, whose head is itself), and a
+    member is s * u + m * L with s in H, both read from its own exponents.
+    As u and L are independent, a - b is a member exactly when m_a >= m_b
+    and s_a - s_b lies in H, so omega is (m + 1) * nu_H(s), nu_H(s) the
+    number of head members h <= s with s - h in H.  H is telescopic, so its
+    conductor is c = 2g for g gaps, and for s >= 2c - 1 the gaps and s minus
+    the gaps are disjoint: nu_H(s) = s + 1 - 2g (Kirfel and Pellikaan 1995).
+    Below that bound nu_H(s) is a popcount of the head members' bits against
+    their mirror image, taken up to the largest such s asked for.
+
+    The chain counts instead, on the integer keys that the members times the
+    lcm of their denominators are: the earlier-or-equal members that a
+    member exceeds by a member.
+    """
+    eng = _engine(delta)
+    if isinstance(eng, _ChainEngine):
+        den = lcm(*(v.value.denominator for v, _ in walked))
+        keys = [v.value.numerator * (den // v.value.denominator) for v, _ in walked]
+        seen = set(keys)
+        # keys are distinct, so are the differences from one key
+        return [
+            len(seen.intersection([keys[i] - k for k in keys[: i + 1]]))
+            for i in range(start, len(keys))
+        ]
+    head = eng.head if isinstance(eng, _HeadEngine) else delta
+    g, deltas = gap_count_telescopic(head), head.deltas
+    exponents = [rep.exponents for _, rep in walked[start:]]
+    sums = [sum(a * v for a, v in zip(exps, deltas)) for exps in exponents]
+    top = max((s for s in sums if s < 4 * g - 1), default=-1)
+    below = [v for block in telescopic_members(head, -1, top) for v, _, _ in block]
+    bits = sum(1 << v for v in below)
+    mirror = sum(1 << (top - v) for v in below)
+    counts = [
+        s + 1 - 2 * g if s > top else (bits & (mirror >> (top - s))).bit_count() for s in sums
+    ]
+    if head is delta:
+        return counts
+    return [(exps[-1] + 1) * nu for exps, nu in zip(exponents, counts)]
+
+
 # --- public operations ------------------------------------------------------
 
 
@@ -545,15 +586,13 @@ def enumerate_upto(delta, bound):
 
 
 def omega(delta, value) -> int:
-    """How many ordered pairs of members sum to the value."""
+    """How many ordered pairs of members sum to the value: 0 below zero and
+    for a non-member."""
     eng = _engine(delta)
     value = eng.lift(value)
     if compare(value, eng.zero()) < 0:
         return 0
-    members = [v for v, _ in enumerate_upto(delta, value)]
-    seen = set(members)
-    count = 0
-    for member in members:
-        if eng.sub(value, member) in seen:
-            count += 1
-    return count
+    walked = enumerate_upto(delta, value)
+    if walked[-1][0] != value:
+        return 0
+    return _pair_counts(delta, walked, len(walked) - 1)[0]

@@ -71,3 +71,6 @@ CH75 = build_type_e(UNDER_75, 4)
 EV7 = EvalMap(F7, POINTS_F7)
 EV32_A = EvalMap(F32, xi_points(F32, PAIRS_F32_A))
 EV32_B = EvalMap(F32, xi_points(F32, PAIRS_F32_B))
+# Eleven of the 31 F_32 points of PAIRS_F32_B, so a floor-free search of
+# every row stays short.
+EV32_SMALL = EvalMap(F32, xi_points(F32, PAIRS_F32_B[::3]))

@@ -9,7 +9,8 @@ the scan's evaluation rows as pointwise products of approximant powers
 and its pair counts by set intersection over all earlier members,
 the column search with every candidate reduced from scratch against the
 whole basis, semigroup membership by a sieve over every integer up to the
-bound, a window
+bound, the approximants' exponent rows by validating each prefix of the
+sequence again, a window
 of members by sorting every member found, the member walk with each window's
 values built whole, a quadratic value in floating point, and the command
 line read by ``argparse``.  They live
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -33,7 +35,7 @@ from deltacodes.approximants import (
 )
 from deltacodes.cli import COMMANDS
 from deltacodes.codes import EvalMap
-from deltacodes.deltaseq import DeltaN, _tails
+from deltacodes.deltaseq import DeltaN, _tails, telescopic_exponents, validate_n
 from deltacodes.errors import DomainError
 from deltacodes.gf import (
     FieldElement,
@@ -364,6 +366,22 @@ def gaps(gens) -> list[int]:
     bound = gs[0] * gs[-1] + 1
     reach = _sieve(gs, bound)
     return [v for v in range(1, bound + 1) if not reach[v]]
+
+
+def prefix_row(base: DeltaN, i: int) -> tuple[int, ...]:
+    """Bounded exponents of n_i * delta_i over delta_0..delta_{i-1}, from the
+    prefix divided by its gcd, validated as a sequence of its own."""
+    n_i = base.structure.n[i - 1]
+    target = n_i * base.deltas[i]
+    prefix = base.deltas[:i]
+    d = reduce(gcd, prefix)
+    if target % d:
+        raise DomainError("inconsistent δ-sequence")
+    scaled = validate_n(tuple(v // d for v in prefix))
+    exps = telescopic_exponents(scaled, target // d)
+    if exps is None:
+        raise DomainError("inconsistent δ-sequence")
+    return exps
 
 
 def telescopic_members_sorted(

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from fractions import Fraction
 from math import comb, prod
+from unittest import mock
 
 import pytest
 
 import helpers
+from deltacodes import approximants, codes, deltaseq, genesis, semigroup
 from deltacodes.approximants import (
     MAX_EXPANSION_TERMS,
     BivarPoly,
+    _base_sequence,
     build_approximates,
     expand_family,
     expansion_terms,
@@ -19,8 +23,8 @@ from deltacodes.deltaseq import validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import build_type_c, build_type_d, build_type_e
 from deltacodes.gf import FieldSpec
-from deltacodes.semigroup import LexValue, QuadValue, RatValue, enumerate_upto
-from oracles import basis_for, deg_y, poly_eval
+from deltacodes.semigroup import LexValue, QuadValue, RatValue, enumerate_upto, generators
+from oracles import basis_for, deg_y, poly_eval, prefix_row
 
 F7 = FieldSpec(7)
 F2 = FieldSpec(2)
@@ -215,6 +219,54 @@ FAMILIES = {
     "E 3 1, 0 steps": build_type_e((3, 1), steps=0),
     "E 3 1, chosen": build_type_e((3, 1), 2, ((2, 5), (2, 19))),
 }
+
+
+class TestExpansionRows:
+    """``validate_n`` keeps the exponent rows that condition (2) found, and
+    ``build_approximates`` reads them instead of validating each prefix
+    again."""
+
+    @staticmethod
+    def prefix_rows(base):
+        return tuple(prefix_row(base, i) for i in range(1, base.g + 1))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_structure_rows_equal_the_prefix_rows(self, name):
+        base = _base_sequence(FAMILIES[name])
+        assert base.structure.rows == self.prefix_rows(base)
+
+    @pytest.mark.parametrize(
+        "under", [(7, 5), (11, 9), (3, 1), (36, 24, 8, 18, 13)], ids=str
+    )
+    def test_150_step_chains(self, under):
+        chain = build_type_e(under, 150)
+        base = chain.stages[-1]
+        assert base.structure.rows == self.prefix_rows(base)
+        # the family ends at q_g, so the row of n_g * delta_g goes unused
+        steps = build_approximates(chain, F7).expansion
+        expected = list(zip(base.structure.n, base.structure.rows))[:-1]
+        assert [(s.n, s.exponents) for s in steps] == expected
+
+    def test_building_validates_nothing(self):
+        """Once a sequence's engine is built (the planar one validates its
+        head), building its family calls neither ``validate_n`` nor
+        ``telescopic_exponents``, under any name they are imported by."""
+        calls = []
+
+        def spy(name):
+            return lambda *args: calls.append(name)
+
+        for delta in FAMILIES.values():
+            generators(delta)
+        with ExitStack() as stack:
+            for module in (approximants, codes, deltaseq, genesis, semigroup):
+                for name in ("validate_n", "telescopic_exponents", "_descend"):
+                    if hasattr(module, name):
+                        stack.enter_context(mock.patch.object(module, name, spy(name)))
+            for delta in FAMILIES.values():
+                for depth in range(1, len(generators(delta))):
+                    build_approximates(delta, F7, depth)
+        assert calls == []
 
 
 def _total_degree(p):

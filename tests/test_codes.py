@@ -56,7 +56,7 @@ from deltacodes.semigroup import (
 
 from helpers import (
     CH119, CH75, CH_BIG, DN119, DR119, DR75, DR_BIG_A, DR_BIG_B, DZ119, DZ2029, DZ427, DZ53,
-    DZ75, DZ_BIG, EV32_B, EV7, F7, F32, PAIRS_F32_B, UNDER_2029, UNDER_BIG, xi_points,
+    DZ75, DZ_BIG, EV32_B, EV32_SMALL, EV7, F7, F32, UNDER_2029, UNDER_BIG,
 )
 import oracles
 from oracles import basis_element, basis_for, evaluation_matrix, gaps, members_below
@@ -662,11 +662,6 @@ class TestScanTable:
             scan_table(DZ119, FAM7, EV7, mode="all")
 
 
-# Eleven of the 31 F_32 points of PAIRS_F32_B, so a floor-free search of
-# every row stays short.
-EV32_SMALL = EvalMap(F32, xi_points(F32, PAIRS_F32_B[::3]))
-
-
 class TestScanFloor:
     """Each scan row's d, found from the previous rank's d on, equals a
     search of the same code from 1."""
@@ -792,10 +787,12 @@ class TestBlockScan:
 
     @pytest.mark.parametrize("kind", sorted(SCAN_KINDS))
     @pytest.mark.parametrize("ev", [EV7, EV32_SMALL], ids=["F7", "F32"])
-    def test_pair_counts_equal_omega(self, kind, ev):
+    def test_pair_counts_and_omega_equal_the_oracle(self, kind, ev):
         delta = SCAN_KINDS[kind]
         data = Scan(delta, build_approximates(delta, ev.spec), ev)
-        assert data.weights == tuple(omega(delta, m) for m in data.members)
+        expected = tuple(oracles.pair_counts(data.members))
+        assert data.weights == expected
+        assert tuple(omega(delta, m) for m in data.members) == expected
 
     @pytest.mark.parametrize("kind", sorted(SCAN_KINDS))
     @pytest.mark.parametrize("ev", [EV7, EV32_SMALL, EV1], ids=["F7", "F32", "F7-1"])

@@ -17,7 +17,7 @@ from deltacodes import codes, minweight
 from deltacodes.approximants import _fit_exponents, build_approximates
 from deltacodes.codes import EvalMap, Scan, scan_table
 from deltacodes.deltaseq import validate_n
-from deltacodes.genesis import build_type_c
+from deltacodes.genesis import build_type_c, build_type_e
 from deltacodes.gf import (
     MAX_FIELD_SIZE,
     FieldSpec,
@@ -33,7 +33,7 @@ from deltacodes.minweight import (
     min_dependent_columns,
     multiply_rows,
 )
-from deltacodes.semigroup import walk
+from deltacodes.semigroup import _pair_counts, walk
 
 import helpers
 from oracles import PointwiseRows, min_dependent_columns_from_scratch, pair_counts
@@ -762,7 +762,11 @@ class TestMultiplyRows:
         oracle = PointwiseRows(fam, ev)
         expected = array("i", [v for exps in scan.exponents for v in oracle.row(exps)])
         assert scan.rows.flat.tobytes() == expected.tobytes()
-        assert list(scan.rows) == [tuple(oracle.row(exps)) for exps in scan.exponents]
+        rows = [tuple(oracle.row(exps)) for exps in scan.exponents]
+        assert list(scan.rows) == rows
+        # a slice is a tuple of rows, as the tuple of tuples before the view gave
+        for cut in (slice(1, 3), slice(None), slice(-2, None), slice(None, None, -3), slice(5, 2)):
+            assert scan.rows[cut] == tuple(rows[cut])
 
     @pytest.mark.parametrize("name", ["DN119", "DZ_BIG", "DR75", "CH75"])
     def test_random_point_sets_up_to_2048_points(self, name):
@@ -856,12 +860,14 @@ class TestMultiplyRows:
 
 
 class TestClosedFormPairCounts:
-    """omega = (m + 1) * nu_H(s), against counting pairs by set intersection."""
+    """omega from ``semigroup._pair_counts``, (m + 1) * nu_H(s) for every kind
+    but the chain, against counting pairs by set intersection."""
 
+    @pytest.mark.parametrize("ev", ["EV7", "EV32_SMALL"])
     @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
-    def test_scan_weights_equal_the_oracle(self, name):
-        delta = SCAN_FAMILIES[name]
-        scan = Scan(delta, build_approximates(delta, helpers.F7), helpers.EV7)
+    def test_scan_weights_equal_the_oracle(self, name, ev):
+        delta, ev = SCAN_FAMILIES[name], getattr(helpers, ev)
+        scan = Scan(delta, build_approximates(delta, ev.spec), ev)
         assert scan.weights == tuple(pair_counts(scan.members))
 
     # The member lists on which the closed form was first checked: the
@@ -883,12 +889,23 @@ class TestClosedFormPairCounts:
         is quadratic)."""
         walked = list(itertools.islice(walk(delta), count))
         members = [value for value, _ in walked]
-        pair_count = codes._pair_count(delta)
+        counts = _pair_counts(delta, walked)
         at = range(count)
         if count > 2086:
             inner = random.Random(count).sample(range(100, count - 100), 200)
             at = [*range(100), *sorted(inner), *range(count - 100, count)]
-        assert [pair_count(walked[i][1].exponents) for i in at] == pair_counts(members, at)
+        assert [counts[i] for i in at] == pair_counts(members, at)
+        assert _pair_counts(delta, walked, count - 100) == counts[-100:]
 
-    def test_the_chain_keeps_its_count(self):
-        assert codes._pair_count(helpers.CH75) is None
+    @pytest.mark.parametrize(
+        "delta",
+        [helpers.CH75, helpers.CH_BIG, build_type_e(helpers.UNDER_119, 6)],
+        ids=["CH75", "CH_BIG", "119-6"],
+    )
+    def test_chain_families(self, delta):
+        """The chain counts on integer keys: the first 400 members, whose
+        walk reaches beyond the chain's own stages."""
+        walked = list(itertools.islice(walk(delta), 400))
+        counts = _pair_counts(delta, walked)
+        assert counts == pair_counts([value for value, _ in walked])
+        assert _pair_counts(delta, walked, 300) == counts[300:]

@@ -206,8 +206,33 @@ class TestOmega:
     def test_larger(self):
         assert omega(DZ2, LexValue(21, 5)) == 10
 
-    def test_nonmember_zero(self):
-        assert omega(DZ2, LexValue(7, 2)) == 0
+    @pytest.mark.parametrize(
+        "delta,below,outside",
+        [
+            (DN, RatValue(Fraction(-1)), RatValue(Fraction(10))),
+            (DZ2, LexValue(0, -1), LexValue(7, 2)),
+            (DR, QuadValue(Fraction(-3), 1, TAU), RatValue(Fraction(1, 7))),
+            (DQ119, RatValue(Fraction(-1, 2)), RatValue(Fraction(1, 7))),
+        ],
+        ids=["integer", "planar", "quadratic", "chain"],
+    )
+    def test_zero_below_zero_and_off_the_semigroup(self, delta, below, outside):
+        for value in (below, outside):
+            with pytest.raises(DomainError, match="below zero|not a member"):
+                represent(delta, value)
+            assert omega(delta, value) == 0
+
+    def test_a_kind_mismatch_raises(self):
+        with pytest.raises(DomainError, match="kind mismatch"):
+            omega(DN, LexValue(1, 1))
+        with pytest.raises(DomainError, match="kind mismatch"):
+            omega(DZ2, RatValue(Fraction(1)))
+
+    def test_a_generator_on_the_y_axis_raises_from_zero_on(self):
+        ams = build_type_c((6, 3, 1))
+        assert omega(ams, LexValue(-1, 0)) == 0
+        with pytest.raises(DomainError, match="infinite"):
+            omega(ams, LexValue(0, 0))
 
     def test_symmetric_double_loop(self):
         out = enumerate_upto(DZ2, LexValue(21, 5))

@@ -44,7 +44,7 @@ CASES = {
     FieldSpec: (2, 3, (1, 1, 0, 1)),
     FieldElement: (F8, (1, 0, 1)),
     QuadExt: (Fraction(1, 2), Fraction(3), 5),
-    DeltaStructure: ((2, 1), (2,), ((1, 3),), (3,), False),
+    DeltaStructure: ((2, 1), (2,), ((1, 3),), (3,), False, ((3,),)),
     DeltaN: ((3, 2), "structure"),
     CFValue: (Fraction(7, 2), ((3, 1), (7, 2))),
     CWitness: ("dstar", (2,), (1, 2), (0, 1), ((0, 1),), (1, 0), (1,), 1, (0, 1)),
