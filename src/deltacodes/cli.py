@@ -19,7 +19,7 @@ from math import gcd
 
 from ._value import Value, _set
 from .approximants import build_approximates, expand_family
-from .codes import EvalMap, render_value, scan_table, table_csv
+from .codes import EvalMap, render_ratio, render_value, scan_table, table_csv
 from .errors import ConfigError, DomainError
 from .genesis import build_type_c, build_type_d, build_type_e, validate_n
 from .gf import FieldElement, FieldSpec
@@ -368,27 +368,45 @@ def _run_approximates(config: JobConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Memo(dict):
+    """``render(key)`` for each key asked for, rendered once: the quadratic
+    listing repeats each head value and copy count on many lines."""
+
+    def __init__(self, render) -> None:
+        self.render = render
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
 def _run_semigroup(config: JobConfig):
     """One line per member up to the bound, rendered straight from the
     semigroup's integer rows: the value as ``render_value`` prints it, then
-    the exponents.  Each exponent tail is rendered once, and the text comes
-    one block of rows at a time; every error is raised before the first."""
+    the exponents.  Each exponent tail is rendered once (each head value and
+    copy count of tau too, for the quadratic kind), and the text comes one
+    block of rows at a time; every error is raised before the first."""
     delta = _build_delta(config)
-    quadratic = config.delta_type == "D"
 
-    def label(tail):  # the text between the value and c, and after c
-        mid = f" + {tail[-1]}*tau : " if quadratic else " : "
-        return mid, " %d" * len(tail) % tail + "\n"
+    def label(tail):
+        return " %d" * len(tail) % tail
 
     scale, blocks = rows_upto(delta, _bound_value(config, delta), label)
     if config.delta_type == "C":
-        return ("".join([f"({x},{y}){mid}{c}{t}" for (x, y), c, (mid, t) in b]) for b in blocks)
+        return ("".join([f"({x},{y}) : {c}{t} {m}\n" for (x, y), c, t, m in b]) for b in blocks)
+    if config.delta_type == "D":
+        ratio = _Memo(lambda v: render_ratio(v, scale))
+        mid, end = _Memo(" + {}*tau : ".format), _Memo(" {}\n".format)
+        return (
+            "".join([f"{ratio[v]}{mid[m]}{c}{t}{end[m]}" for v, c, t, m in b])
+            for b in blocks
+        )
     # the ratio in lowest terms, as render_ratio writes it
     return (
         "".join([
-            f"{v // g}{mid}{c}{t}" if (g := gcd(v, scale)) == scale
-            else f"{v // g}/{scale // g}{mid}{c}{t}"
-            for v, c, (mid, t) in b
+            f"{v // g} : {c}{t}\n" if (g := gcd(v, scale)) == scale
+            else f"{v // g}/{scale // g} : {c}{t}\n"
+            for v, c, t in b
         ])
         for b in blocks
     )

@@ -237,6 +237,19 @@ def _tails(delta: DeltaN, hi: int) -> list[tuple[int, tuple[int, ...]]]:
     return tails
 
 
+def _tail_table(delta: DeltaN, hi: int, label=None) -> tuple[list, list]:
+    """The bounded tails whose sum s = q delta_0 + r is <= hi, sorted by
+    their residue r: a pair (residues, order), ``order`` holding (r, q, tail)
+    with ``label(tail)`` in place of the tail when a label is given (called
+    once per tail).  Residues are distinct, so no two tails are compared."""
+    first = delta.deltas[0]
+    order = sorted(
+        (s % first, s // first, tail if label is None else label(tail))
+        for s, tail in _tails(delta, hi)
+    )
+    return [r for r, _, _ in order], order
+
+
 def telescopic_members(delta: DeltaN, lo: int, hi: int, label=None):
     """Members v with lo < v <= hi in increasing order, one list of rows per
     block [k delta_0, (k + 1) delta_0) of the window.
@@ -251,18 +264,14 @@ def telescopic_members(delta: DeltaN, lo: int, hi: int, label=None):
     width of the window.  The tails are found and labelled before the first
     block is asked for.
     """
-    first = delta.deltas[0]
-    order = sorted(
-        (s % first, s // first, tail if label is None else label(tail))
-        for s, tail in _tails(delta, hi)
-    )  # residues are distinct, so no two tails are compared
-    return _sweep(first, order, max(lo + 1, 0), hi)
+    residues, order = _tail_table(delta, hi, label)
+    return _sweep(delta.deltas[0], residues, order, max(lo + 1, 0), hi)
 
 
-def _sweep(first: int, order: list, lo: int, hi: int):
-    """The blocks of the members lo <= v <= hi, from the tails (r, q, tail)
-    sorted by residue."""
-    residues = [r for r, _, _ in order]
+def _sweep(first: int, residues: list, order: list, lo: int, hi: int):
+    """The blocks of the members lo <= v <= hi, from a ``_tail_table`` that
+    holds every tail with sum <= hi (a tail with a larger sum gives no row:
+    its q exceeds the block's k)."""
     for k in range(lo // first, hi // first + 1):
         base = k * first
         start, stop = bisect_left(residues, lo - base), bisect_right(residues, hi - base)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 from operator import itemgetter
 
@@ -27,6 +28,8 @@ from ._value import Value, _set
 from .deltaseq import (
     DeltaN,
     gap_count_telescopic,
+    _sweep,
+    _tail_table,
     telescopic_exponents,
     telescopic_members,
     validate_n,
@@ -119,21 +122,26 @@ def _floor(value: Fraction) -> int:
 class _Engine:
     """The ordered walk shared by every kind.
 
-    An engine supplies ``blocks(lo, hi, label)``: the members in the window
-    (lo, hi] (from zero on when lo is None) in increasing order, as a pair
-    (scale, blocks), each block a list of rows.  A row is ``(v, c, tail)``:
-    ``v`` is the integer numerator over ``scale`` of the member's rational
-    part, or the plane vector (x, y) for the planar kind (scale 1), and its
-    exponents are c followed by the tuple ``tail``, one object shared by
-    the rows with the same tail (``label(tail)`` in its place when a label
-    is given); for the quadratic kind the member is v / scale + tail[-1] *
-    tau.  The integer and chain kinds give one block per multiple of their
-    first generator, the others one block for the window.  ``values`` turns
-    rows of one window into (value, Representation) pairs as they are read.
-    The walk strings windows together, doubling the upper end, so every
-    member is yielded once and in order; it builds a member's pair only when
-    the member is consumed.
+    ``upto(bound, label)`` gives the members from zero to the bound in
+    increasing order as a pair (scale, blocks), each block a list of rows,
+    and raises every error before the first block.  A row is ``(v, c,
+    tail)``, with m appended for the kinds with a free generator: ``v`` is
+    the integer numerator over ``scale`` of the member's rational part, or
+    the plane vector (x, y) for the planar kind, and its exponents are c,
+    the tuple ``tail`` and m, the tail one object shared by the rows with
+    that tail (``label(tail)`` in its place when a label is given); a
+    quadratic member is v / scale + m * tau.  ``values`` turns the rows of a
+    block into (value, Representation) pairs as they are read.  The integer
+    and chain kinds supply ``blocks(lo, hi, label)``, the window (lo, hi]
+    one block per multiple of their first generator, and walk by doubling
+    the upper end.
     """
+
+    def finite(self) -> None:
+        """Raise when the members below some value are infinitely many."""
+
+    def upto(self, bound, label=None):
+        return self.blocks(None, bound, label)
 
     def walk(self):
         """Every member from zero on, unbounded."""
@@ -150,20 +158,56 @@ class _HeadEngine(_Engine):
     plus m times one free generator.  ``top(value, m)`` is the largest s
     whose member with m copies is <= value, negative when there is none;
     ``copies(value)`` is the least m whose m copies alone exceed value, so
-    top(value, m) >= 0 exactly for m < copies(value)."""
+    top(value, m) >= 0 exactly for m < copies(value).
 
-    def runs(self, lo, hi, label=None):
-        """(m, head rows) for each m: the rows (s, c, tail) of the head
-        members whose member with m copies lies in the window (lo, hi], by
-        s, with m appended to each tail (and the label applied to that)."""
-        for m in range(self.copies(hi)):
-            bottom = -1 if lo is None else self.top(lo, m)
+    Members come one sub-window (k g_0, (k + 1) g_0] at a time (the first
+    closed at zero), g_0 the first generator, each sorted on its own.
+    Moving a value by g_0 moves every top by delta_0, so copy m takes the
+    head members above its top at the last upper end, up to that plus
+    delta_0: one ``_sweep`` of one table of at most delta_0 head tails,
+    built up to top(bound, 0) for a listing and grown by doubling in the
+    walk.  ``top`` is called once per copy as it enters (and for the bound).
+    """
 
-            def with_m(tail):  # called for every tail before the call below returns
-                return tail + (m,) if label is None else label(tail + (m,))
+    def upto(self, bound, label=None):
+        self.finite()
+        return self.scale, self._windows(self.top(bound, 0), label, bound)
 
-            blocks = telescopic_members(self.head, bottom, self.top(hi, m), with_m)
-            yield m, [row for block in blocks for row in block]
+    def walk(self):
+        self.finite()
+        for rows in self._windows(-1):
+            yield from self.values(self.scale, rows)
+
+    def _windows(self, extent, label=None, bound=None):
+        """The sorted rows of each sub-window up to the bound (unbounded when
+        None), from a table of the tails up to ``extent`` that the walk
+        grows by doubling when it passes it (so it is rebuilt a logarithmic
+        number of times; a listing never passes it)."""
+        first = self.head.deltas[0]
+        residues, order = _tail_table(self.head, extent, label)
+        edge = upper = self.generators()[0]
+        bottoms = []
+        while True:
+            end = bound is not None and compare(upper, bound) >= 0
+            value = bound if end else upper
+            tops = [
+                bottoms[m] + first if m < len(bottoms) and not end else self.top(value, m)
+                for m in range(self.copies(value))
+            ]
+            if not tops:  # the bound is below zero
+                return
+            if tops[0] > extent and len(order) < first:
+                extent = max(tops[0], 2 * extent)
+                residues, order = _tail_table(self.head, extent)
+            bottoms += [-1] * (len(tops) - len(bottoms))
+            yield self.sort(
+                [(m, _sweep(first, residues, order, lo + 1, hi))
+                 for m, (lo, hi) in enumerate(zip(bottoms, tops))],
+                tops,
+            )
+            if end:
+                return
+            bottoms, upper = tops, self.add(upper, edge)
 
 
 class _RationalEngine(_Engine):
@@ -232,6 +276,8 @@ class _PlanarEngine(_HeadEngine):
     times the last generator, peeled off by the determinant of the witness
     pair."""
 
+    scale = 1
+
     def __init__(self, delta: DeltaZ2) -> None:
         self.delta = delta
         w = delta.witness
@@ -290,22 +336,26 @@ class _PlanarEngine(_HeadEngine):
         # raises when the free generator is on the y axis and value.x > 0
         return _least_scalar_above(self.last, (value.x, value.y))
 
-    def blocks(self, lo, hi: LexValue, label=None):
+    def finite(self) -> None:
         if any(gx == 0 for gx, _ in self.delta.deltas):
             raise DomainError(
                 "enumeration is infinite: a generator has first component zero"
             )
+
+    def sort(self, runs, tops):
         (ux, uy), (lx, ly) = self.u, self.last
-        found = []
-        for m, run in self.runs(lo, hi, label):
-            found += [((s * ux + m * lx, s * uy + m * ly), c, tail) for s, c, tail in run]
-        found.sort(key=itemgetter(0))
-        return 1, [found]
+        rows = []
+        for m, blocks in runs:
+            x, y = m * lx, m * ly
+            rows += [((s * ux + x, s * uy + y), c, tail, m) for b in blocks for s, c, tail in b]
+        rows.sort(key=itemgetter(0))
+        return rows
 
     def values(self, scale: int, rows):
         bounds = self.bounds
         return (
-            (LexValue(x, y), Representation((c,) + tail, bounds)) for (x, y), c, tail in rows
+            (LexValue(x, y), Representation((c, *tail, m), bounds))
+            for (x, y), c, tail, m in rows
         )
 
 
@@ -377,44 +427,43 @@ class _QuadraticEngine(_HeadEngine):
         c0, c1, norm = self.copies_ints
         return value.m + floor_surd(p * c0, p * c1, r * norm, self.tau.d) + 1
 
-    def blocks(self, lo, hi: QuadValue, label=None):
-        """The head members for each multiple m of tau, sorted on the integer
-        key floor(value * 2**shift), which no two members of the window share.
+    def sort(self, runs, tops):
+        """The rows of one sub-window sorted on the integer key
+        floor(den * value * 2**shift), which no two of its members share.
 
         den * value = A + B sqrt(d) with integers A = v * step + m * a_den and
         B = m * b_den.  For two distinct members let dA, dB be the differences.
         If dB = 0 then |dA| >= 1.  Otherwise dA^2 - dB^2 d is a nonzero integer
         (d is squarefree), so |dA + dB sqrt(d)| >= 1 / |dA - dB sqrt(d)| >=
-        1 / (|dA| + |dB| sqrt(d)).  In the window |A| <= a_max and |B| <= b_max,
-        so |dA| + |dB| sqrt(d) <= 2 (a_max + b_max (isqrt(d) + 1)), and with
-        2**shift above den times that, two members differ by at least
-        2**-shift and their keys differ: the sort is exact on its own."""
-        tau, scale, den, d = self.tau, self.scale, self.den, self.tau.d
-        step, a_den, b_den = den // scale, int(tau.a * den), int(tau.b * den)
-        runs = list(self.runs(lo, hi, label))
-        top_m = len(runs) - 1
-        top_v = max((run[-1][0] for _, run in runs if run), default=0)
-        a_max = top_v * step + top_m * abs(a_den)
-        b_max = top_m * abs(b_den)
-        shift = (2 * den * (a_max + b_max * (isqrt(d) + 1))).bit_length()
-        keyed = []
-        while runs:  # last first, each freed once keyed: the keys are distinct
-            m, run = runs.pop()
+        1 / (|dA| + |dB| sqrt(d)).  In the sub-window v <= tops[0] and m <
+        len(tops), so |A| <= a_max and |B| <= b_max below, |dA| + |dB| sqrt(d)
+        <= 2 (a_max + b_max (isqrt(d) + 1)) < 2**shift, and two members' keys
+        differ by at least one: the sort is exact on its own."""
+        tau, den, d = self.tau, self.den, self.tau.d
+        step, a_den, b_den = den // self.scale, int(tau.a * den), int(tau.b * den)
+        a_max = tops[0] * step + (len(tops) - 1) * abs(a_den)
+        b_max = (len(tops) - 1) * abs(b_den)
+        shift = (2 * (a_max + b_max * (isqrt(d) + 1))).bit_length()
+        unit, rows, keys = step << shift, [], []
+        for m, blocks in runs:
             # floor(m * b_den * sqrt(d) * 2**shift): the root is irrational
             # unless m = 0, so below zero it is one less than -isqrt.  Adding
-            # the integer part and dividing by den keep the floor exact.
+            # the integer part keeps the floor exact.
             irr = m * b_den
             root = isqrt(irr * irr * d << 2 * shift)
             base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
-            keyed += [(((v * step << shift) + base) // den, v, c, tail) for v, c, tail in run]
-        keyed.sort(key=itemgetter(0))
-        return scale, [[(v, c, tail) for _, v, c, tail in keyed]]
+            for block in blocks:
+                rows += [(v, c, tail, m) for v, c, tail in block]
+                keys += [v * unit + base for v, _, _ in block]
+        # list.sort calls its key once per row, in order, before it compares
+        rows.sort(key=partial(next, iter(keys)))
+        return rows
 
     def values(self, scale: int, rows):
         tau, bounds = self.tau, self.bounds
         return (
-            (QuadValue(Fraction(v, scale), tail[-1], tau), Representation((c,) + tail, bounds))
-            for v, c, tail in rows
+            (QuadValue(Fraction(v, scale), m, tau), Representation((c, *tail, m), bounds))
+            for v, c, tail, m in rows
         )
 
 
@@ -571,28 +620,33 @@ def walk(delta):
 def rows_upto(delta, bound, label=None):
     """All members up to the bound in increasing order as integer rows: a
     pair (scale, blocks), the blocks a lazy sequence of lists of rows
-    ``(v, c, tail)``, read as in ``_Engine``, with ``label(tail)`` in place
-    of each tail when a label is given (called once per tail).  Every error
-    is raised here, before the first block is asked for."""
+    ``(v, c, tail)`` or, for the planar and quadratic kinds, ``(v, c, tail,
+    m)``, read as in ``_Engine``, with ``label(tail)`` in place of each tail
+    when a label is given (called once per tail).  Every error is raised
+    here, before the first block is asked for."""
     eng = _engine(delta)
-    return eng.blocks(None, eng.lift(bound), label)
+    return eng.upto(eng.lift(bound), label)
 
 
 def enumerate_upto(delta, bound):
     """All members up to the bound in increasing order, with representations."""
     eng = _engine(delta)
-    scale, blocks = eng.blocks(None, eng.lift(bound))
+    scale, blocks = eng.upto(eng.lift(bound))
     return list(eng.values(scale, [row for block in blocks for row in block]))
 
 
 def omega(delta, value) -> int:
     """How many ordered pairs of members sum to the value: 0 below zero and
-    for a non-member."""
+    for a non-member.  ``_pair_counts`` reads it from the representation,
+    and for the chain from the members up to the value."""
     eng = _engine(delta)
     value = eng.lift(value)
     if compare(value, eng.zero()) < 0:
         return 0
-    walked = enumerate_upto(delta, value)
-    if walked[-1][0] != value:
+    eng.finite()
+    try:
+        rep = eng.represent(value)
+    except DomainError:  # not a member
         return 0
+    walked = enumerate_upto(delta, value) if isinstance(eng, _ChainEngine) else [(value, rep)]
     return _pair_counts(delta, walked, len(walked) - 1)[0]

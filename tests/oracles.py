@@ -11,10 +11,11 @@ the column search with every candidate reduced from scratch against the
 whole basis, semigroup membership by a sieve over every integer up to the
 bound, the approximants' exponent rows by validating each prefix of the
 sequence again, a window
-of members by sorting every member found, the member walk with each window's
-values built whole, a quadratic value in floating point, and the command
-line read by ``argparse``.  They live
-outside the package, so the library neither ships nor imports them, and a
+of members by sorting every member found, a planar or quadratic window
+merged across the copies of its free generator by one sort of the whole
+window, the member walk with each window's values built whole, a quadratic
+value in floating point, and the command line read by ``argparse``.  They
+live outside the package, so the library neither ships nor imports them, and a
 test that compares the two compares independent code.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter
 
 from deltacodes.approximants import (
@@ -35,7 +36,13 @@ from deltacodes.approximants import (
 )
 from deltacodes.cli import COMMANDS
 from deltacodes.codes import EvalMap
-from deltacodes.deltaseq import DeltaN, _tails, telescopic_exponents, validate_n
+from deltacodes.deltaseq import (
+    DeltaN,
+    _tails,
+    telescopic_exponents,
+    telescopic_members,
+    validate_n,
+)
 from deltacodes.errors import DomainError
 from deltacodes.gf import (
     FieldElement,
@@ -45,6 +52,7 @@ from deltacodes.gf import (
     _powers,
     rank_nullspace_ints,
 )
+from deltacodes.genesis import DeltaR, DeltaZ2
 from deltacodes.quadratics import QuadExt
 from deltacodes.semigroup import LexValue, RatValue, _engine, enumerate_upto, represent
 
@@ -400,15 +408,61 @@ def telescopic_members_sorted(
     return out
 
 
+def head_window(delta, lo, hi):
+    """The members of a planar or quadratic semigroup in the window (lo, hi]
+    (from zero on when lo is None) as (scale, rows), the rows (v, c, tail, m)
+    of the library's listing, merged across the copies m of the free
+    generator by one sort of the whole window: on the plane vector, or on the
+    quadratic kind's integer key floor(value * 2**shift) with the shift taken
+    from the window's largest head member and copy count."""
+    eng = _engine(delta)
+    eng.finite()
+    runs = []
+    for m in range(eng.copies(hi)):
+        bottom = -1 if lo is None else eng.top(lo, m)
+        blocks = telescopic_members(eng.head, bottom, eng.top(hi, m))
+        runs.append((m, [row for block in blocks for row in block]))
+    if isinstance(delta, DeltaZ2):
+        (ux, uy), (lx, ly) = eng.u, eng.last
+        found = [
+            ((s * ux + m * lx, s * uy + m * ly), c, tail, m)
+            for m, run in runs
+            for s, c, tail in run
+        ]
+        found.sort(key=itemgetter(0))
+        return 1, found
+    tau, scale, den, d = eng.tau, eng.scale, eng.den, eng.tau.d
+    step, a_den, b_den = den // scale, int(tau.a * den), int(tau.b * den)
+    top_m = len(runs) - 1
+    top_v = max((run[-1][0] for _, run in runs if run), default=0)
+    a_max = top_v * step + top_m * abs(a_den)
+    b_max = top_m * abs(b_den)
+    shift = (2 * den * (a_max + b_max * (isqrt(d) + 1))).bit_length()
+    keyed = []
+    for m, run in runs:
+        irr = m * b_den
+        root = isqrt(irr * irr * d << 2 * shift)
+        base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
+        keyed += [(((v * step << shift) + base) // den, v, c, tail, m) for v, c, tail in run]
+    keyed.sort(key=itemgetter(0))
+    return scale, [row[1:] for row in keyed]
+
+
 def walk_eager(delta):
-    """The ordered member walk with each window built whole: its blocks are
-    joined, and the (value, Representation) pair of every member in the
-    window is built before the first is yielded."""
+    """The ordered member walk with each window built whole, its upper end
+    doubled from the first generator on: the blocks are joined (for the
+    planar and quadratic kinds the window is ``head_window``), and the
+    (value, Representation) pair of every member in the window is built
+    before the first is yielded."""
     eng = _engine(delta)
     lo, hi = None, eng.add(eng.zero(), eng.generators()[0])
     while True:
-        scale, blocks = eng.blocks(lo, hi)
-        yield from list(eng.values(scale, [row for block in blocks for row in block]))
+        if isinstance(delta, (DeltaZ2, DeltaR)):
+            scale, rows = head_window(delta, lo, hi)
+        else:
+            scale, blocks = eng.blocks(lo, hi)
+            rows = [row for block in blocks for row in block]
+        yield from list(eng.values(scale, rows))
         lo, hi = hi, eng.add(hi, hi)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import time
 import weakref
 from fractions import Fraction
 from functools import cmp_to_key
@@ -42,6 +43,7 @@ from deltacodes.semigroup import (
 )
 
 import helpers
+import oracles
 from oracles import members_below, walk_eager
 
 DZ2 = build_type_c((11, 9))
@@ -233,6 +235,26 @@ class TestOmega:
         assert omega(ams, LexValue(-1, 0)) == 0
         with pytest.raises(DomainError, match="infinite"):
             omega(ams, LexValue(0, 0))
+
+    @pytest.mark.parametrize(
+        "delta, value",
+        [
+            (DZ2_BIG, LexValue(1000, -5)),
+            (helpers.DR_BIG_A, QuadValue(Fraction(30), 4, helpers.DR_BIG_A.tail)),
+            (validate_n((36, 24, 8, 18, 13)), RatValue(Fraction(20000))),
+        ],
+        ids=["planar", "quadratic", "integer"],
+    )
+    def test_a_large_value_is_read_from_its_representation(self, delta, value):
+        """omega of a member tens of thousands of members out takes no walk:
+        well under 0.1 s, where enumerating up to the planar (2000, 0) took
+        1.6 s and 137 MB.  The count is the oracle's over every member."""
+        start = time.perf_counter()
+        count = omega(delta, value)
+        assert time.perf_counter() - start < 0.1
+        members = [v for v, _ in enumerate_upto(delta, value)]
+        assert members[-1] == value and len(members) > 10_000
+        assert count == oracles.pair_counts(members, [len(members) - 1])[0]
 
     def test_symmetric_double_loop(self):
         out = enumerate_upto(DZ2, LexValue(21, 5))
@@ -584,49 +606,42 @@ QUADRATIC_FAMILIES = {
 
 
 def quadratic_windows(delta, count):
-    """The walk's windows (lo, hi] until they hold ``count`` members, each as
-    (hi, scale, rows)."""
-    lo, hi, total = None, generators(delta)[0], 0
-    while total < count:
-        scale, rows = listed_window(delta, lo, hi)
-        yield hi, scale, rows
-        total += len(rows)
-        lo, hi = hi, QuadValue(hi.r * 2, hi.m * 2, hi.tau)
-
-
-def listed_window(delta, lo, hi):
-    scale, blocks = semigroup_module._engine(delta).blocks(lo, hi)
-    return scale, [row for block in blocks for row in block]
+    """The listing's sub-windows, one block each, up to the ``count``-th
+    member: (bound, scale, blocks)."""
+    bound = next(islice(walk(delta), count - 1, None))[0]
+    scale, blocks = semigroup_module.rows_upto(delta, bound)
+    return bound, scale, list(blocks)
 
 
 def exact_keys(delta, scale, rows):
-    """floor(value * 2**shift) of each row, computed in QuadExt arithmetic,
-    with shift taken from the rows as the bound in ``_QuadraticEngine.blocks``
-    states it: 2**shift > den * 2 (max |A| + max |B| (isqrt(d) + 1)), where
-    den * value = A + B sqrt(d)."""
+    """floor(den * value * 2**shift) of each row, computed in QuadExt
+    arithmetic, with shift taken from the rows as the bound in
+    ``_QuadraticEngine.sort`` states it: 2**shift > 2 (max |A| + max |B|
+    (isqrt(d) + 1)), where den * value = A + B sqrt(d)."""
     tau = delta.tail
     den = lcm(scale, tau.a.denominator, tau.b.denominator)
-    a_max = max(abs(v * (den // scale) + tail[-1] * tau.a * den) for v, _, tail in rows)
-    b_max = max(abs(tail[-1] * tau.b * den) for _, _, tail in rows)
-    shift = int(2 * den * (a_max + b_max * (isqrt(tau.d) + 1))).bit_length()
-    return [((tau * tail[-1] + Fraction(v, scale)) * 2**shift).floor() for v, _, tail in rows]
+    a_max = max(abs(v * (den // scale) + m * tau.a * den) for v, _, _, m in rows)
+    b_max = max(abs(m * tau.b * den) for _, _, _, m in rows)
+    shift = int(2 * (a_max + b_max * (isqrt(tau.d) + 1))).bit_length()
+    return [
+        ((tau * m + Fraction(v, scale)) * den * 2**shift).floor() for v, _, _, m in rows
+    ]
 
 
 class TestExactQuadraticKey:
     @pytest.mark.parametrize("name", sorted(QUADRATIC_FAMILIES))
     def test_window_keys_are_distinct_and_the_order_is_exact(self, name):
-        """Over the walk's windows holding the first 300 members, the keys the
-        bound allows rise strictly along each window, and the joined windows
-        list what the sorted reference lists."""
+        """Over the listing's sub-windows holding the first 300 members, the
+        keys the bound allows rise strictly along each sub-window, and the
+        joined sub-windows list what the sorted reference lists."""
         delta = QUADRATIC_FAMILIES[name]
+        bound, scale, blocks = quadratic_windows(delta, 300)
         listed = []
-        for hi, scale, rows in quadratic_windows(delta, 300):
+        for rows in blocks:
             keys = exact_keys(delta, scale, rows)
-            assert all(a < b for a, b in zip(keys, keys[1:])), hi
-            listed += [
-                (Fraction(v, scale), tail[-1], (c,) + tail) for v, c, tail in rows
-            ]
-        expected = reference_enumerate(delta, hi)
+            assert all(a < b for a, b in zip(keys, keys[1:])), rows[0]
+            listed += [(Fraction(v, scale), m, (c, *tail, m)) for v, c, tail, m in rows]
+        expected = reference_enumerate(delta, bound)
         assert listed == [(v.r, v.m, rep.exponents) for v, rep in expected]
 
     @pytest.mark.parametrize(
@@ -643,6 +658,207 @@ class TestExactQuadraticKey:
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert enumerate_upto(DR_BIG, bound) == reference_enumerate(DR_BIG, bound)
         assert cli_listing("quadratic", bound) == object_listing(DR_BIG, bound)
+
+
+# --- sub-windows against the whole-window merge ---------------------------------
+
+# Every planar and quadratic fixture family, with the config that builds it.
+HEAD_CONFIGS = {
+    "DZ119": "type = C\nunder = 11 9\n",
+    "DZ53": "type = C\nunder = 5 3\n",
+    "DZ75": "type = C\nunder = 7 5\n",
+    "DZ2029": "type = C\nunder = 20 8 29\n",
+    "DZ427": "type = C\nunder = 42 30 70 77\n",
+    "DZ_BIG": "type = C\nunder = 36 24 8 18 13\n",
+    "DR119": "type = D\nunder = 11 9\ndigits = 80 1 2\n",
+    "DR75": "type = D\nunder = 7 5\ndigits = 28 3 1\n",
+    "DR_BIG_A": "type = D\nunder = 36 24 8 18 13\ndigits = 20 5 2\n",
+    "DR_BIG_B": "type = D\nunder = 36 24 8 18 13\ndigits = 15 2 1\n",
+}
+HEAD_FAMILIES = {name: getattr(helpers, name) for name in HEAD_CONFIGS}
+
+
+def _scaled(value, t: Fraction):
+    """t times a planar or quadratic value, t >= 0 rational; a planar value
+    is rounded down to integer components."""
+    if isinstance(value, LexValue):
+        return LexValue(floor(value.x * t), floor(value.y * t))
+    return QuadValue(value.r * t, floor(value.m * t), value.tau)
+
+
+def _nudged(value, step: int):
+    """A value just above (step > 0) or below (step < 0) the given one."""
+    if isinstance(value, LexValue):
+        return LexValue(value.x, value.y + step)
+    return QuadValue(value.r + Fraction(step, 10**6), value.m, value.tau)
+
+
+def _edge(delta, k: int):
+    """The upper end of sub-window k - 1: k times the first generator."""
+    return _scaled(generators(delta)[0], Fraction(k))
+
+
+def head_bounds(name):
+    """A bound anywhere from below zero to eight first generators out, with
+    up to three copies of tau for the quadratic kind."""
+    g0 = generators(HEAD_FAMILIES[name])[0]
+    scale = st.fractions(-1, 8, max_denominator=40)
+    if isinstance(g0, LexValue):
+        return st.builds(
+            lambda t, y: LexValue(floor(g0.x * t), y), scale, st.integers(-30, 30)
+        )
+    return st.builds(lambda t, m: QuadValue(g0.r * t, m, g0.tau), scale, st.integers(0, 3))
+
+
+def oracle_listing(delta, lo, hi):
+    """(value, Representation) pairs of the whole-window merge over (lo, hi]."""
+    scale, rows = oracles.head_window(delta, lo, hi)
+    return list(semigroup_module._engine(delta).values(scale, rows))
+
+
+def head_cli_listing(name, bound):
+    text = f"[field]\np = 7\n[delta]\n{HEAD_CONFIGS[name]}[job]\nbound = {_bound_text(bound)}\n"
+    return run(parse_config(text).replace(command="semigroup"))
+
+
+def rendered(pairs):
+    return "".join(
+        f"{render_value(v)} : {' '.join(map(str, rep.exponents))}\n" for v, rep in pairs
+    )
+
+
+def sub_window(delta, value) -> int:
+    """The k whose sub-window (k g_0, (k + 1) g_0] holds the value, zero in
+    sub-window 0."""
+    k = 0
+    while compare(value, _edge(delta, k + 1)) > 0:
+        k += 1
+    return k
+
+
+def spy_sorts(monkeypatch, delta):
+    """Every list of rows the engine's ``sort`` returns, as it returns it."""
+    kind = type(semigroup_module._engine(delta))
+    original, sorted_rows = kind.sort, []
+
+    def sort(self, runs, tops):
+        rows = original(self, runs, tops)
+        sorted_rows.append(rows)
+        return rows
+
+    monkeypatch.setattr(kind, "sort", sort)
+    return sorted_rows
+
+
+class TestSubWindows:
+    def test_configs_build_the_head_families(self):
+        for name, text in HEAD_CONFIGS.items():
+            config = parse_config(f"[field]\np = 7\n[delta]\n{text}")
+            assert cli_build_delta(config) == HEAD_FAMILIES[name]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(HEAD_CONFIGS)))
+    def test_listing_equals_the_whole_window(self, data, name):
+        """``rows_upto``, ``enumerate_upto`` and the CLI text up to a bound
+        anywhere, below zero too, as the window merged whole."""
+        delta, bound = HEAD_FAMILIES[name], data.draw(head_bounds(name))
+        scale, rows = listed_rows(delta, bound)
+        assert (scale, rows) == oracles.head_window(delta, None, bound)
+        expected = oracle_listing(delta, None, bound)
+        assert enumerate_upto(delta, bound) == expected
+        assert head_cli_listing(name, bound) == rendered(expected)
+
+    @pytest.mark.parametrize("name", sorted(HEAD_CONFIGS))
+    def test_bounds_on_and_beside_a_sub_window_edge(self, name):
+        delta = HEAD_FAMILIES[name]
+        for k in range(6):
+            edge = _edge(delta, k)
+            for bound in (edge, _nudged(edge, 1), _nudged(edge, -1)):
+                expected = oracle_listing(delta, None, bound)
+                assert enumerate_upto(delta, bound) == expected, bound
+                assert head_cli_listing(name, bound) == rendered(expected), bound
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(HEAD_CONFIGS)))
+    def test_a_window_of_the_listing_equals_the_whole_window(self, data, name):
+        """The members above lo of the listing up to hi, for random lo < hi,
+        are the window (lo, hi] merged whole."""
+        delta = HEAD_FAMILIES[name]
+        lo, hi = sorted(
+            (data.draw(head_bounds(name)), data.draw(head_bounds(name))),
+            key=cmp_to_key(compare),
+        )
+        listed = [pair for pair in enumerate_upto(delta, hi) if compare(pair[0], lo) > 0]
+        assert listed == oracle_listing(delta, lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(HEAD_CONFIGS))
+    def test_walk_prefix_equals_the_eager_walk(self, name):
+        delta = HEAD_FAMILIES[name]
+        assert list(islice(walk(delta), 2000)) == list(islice(walk_eager(delta), 2000))
+
+    def test_negative_y_members_are_listed_in_order(self):
+        """DZ427's last vector lies below the x axis, so many members do too."""
+        delta = HEAD_FAMILIES["DZ427"]
+        bound = _edge(delta, 20)
+        listed = enumerate_upto(delta, bound)
+        assert sum(v.y < 0 for v, _ in listed) > 100
+        assert listed == oracle_listing(delta, None, bound)
+        assert listed == reference_enumerate(delta, bound)
+
+    def test_a_generator_on_the_y_axis_raises_before_any_block(self):
+        ams = build_type_c((6, 3, 1))
+        with pytest.raises(DomainError, match="infinite"):
+            semigroup_module.rows_upto(ams, LexValue(3, 3))
+        with pytest.raises(DomainError, match="infinite"):
+            next(walk(ams))
+
+    @pytest.mark.parametrize("name", sorted(HEAD_CONFIGS))
+    def test_no_sort_spans_more_than_one_sub_window(self, name, monkeypatch):
+        """Each list the engine sorts, in the listing and in the walk, holds
+        members of one sub-window, one list per sub-window in turn."""
+        delta = HEAD_FAMILIES[name]
+        eng = semigroup_module._engine(delta)
+        sorted_rows = spy_sorts(monkeypatch, delta)
+        enumerate_upto(delta, _nudged(_edge(delta, 7), -1))
+
+        def windows():
+            return [
+                [sub_window(delta, v) for v, _ in eng.values(eng.scale, rows)]
+                for rows in sorted_rows
+            ]
+
+        assert windows() == [[k] * len(w) for k, w in enumerate(windows())]
+        assert len(sorted_rows) == 7
+        sorted_rows.clear()
+        list(islice(walk(delta), 500))
+        assert windows() == [[k] * len(w) for k, w in enumerate(windows())]
+
+    def test_the_walk_doubles_its_tail_table(self, monkeypatch):
+        """DZ427's head (21, 15, 35) has 21 tails, the largest sum 160: a long
+        walk builds its table up to -1, 21, 42, 84 and 168, then never again,
+        where growing it one sub-window at a time would build it nine times."""
+        extents, original = [], semigroup_module._tail_table
+
+        def spy(head, hi, label=None):
+            extents.append(hi)
+            return original(head, hi, label)
+
+        monkeypatch.setattr(semigroup_module, "_tail_table", spy)
+        assert len(list(islice(walk(build_type_c(helpers.UNDER_427)), 3000))) == 3000
+        assert extents == [-1, 21, 42, 84, 168]
+
+    def test_a_walk_builds_no_row_past_the_sub_window_of_its_last_member(self, monkeypatch):
+        """A 62-member walk of dr_big_a (the walk-wide job's rank bound)
+        sorts the sub-windows up to the one that holds its 62nd member, and
+        builds no row above that sub-window's upper end."""
+        delta = build_type_d(helpers.UNDER_BIG, (20, 5, 2))
+        eng = semigroup_module._engine(delta)
+        sorted_rows = spy_sorts(monkeypatch, delta)
+        last = list(islice(walk(delta), 62))[-1][0]
+        upper = _edge(delta, sub_window(delta, last) + 1)
+        built = [v for rows in sorted_rows for v, _ in eng.values(eng.scale, rows)]
+        assert len(sorted_rows) == sub_window(delta, last) + 1
+        assert all(compare(v, upper) <= 0 for v in built)
 
 
 class TestQuadraticFloors:
