@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from collections.abc import Sequence
 from itertools import islice
 from math import gcd
 
@@ -118,29 +117,6 @@ class Table(list):
 # --- the rank scan ----------------------------------------------------------
 
 
-class _Rows(Sequence):
-    """Rows of one length n kept flat in the array('i') ``flat``, row i at
-    ``flat[i * n:(i + 1) * n]``; each row reads as a tuple, and a slice as a
-    tuple of them."""
-
-    __slots__ = ("flat", "n")
-
-    def __init__(self, flat: array, n: int) -> None:
-        self.flat, self.n = flat, n
-
-    def __len__(self) -> int:
-        return len(self.flat) // self.n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        i = range(len(self))[i]  # IndexError past the end, which iteration needs
-        return tuple(self.flat[i * self.n : (i + 1) * self.n])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-
 def _approximant_rows(fam: ApproximateFamily, ev: EvalMap, mul, sub, backend) -> array:
     """The values of the approximants at the points, row i for q_i, in one
     array('i').
@@ -172,7 +148,7 @@ class Scan:
     then takes the pair counts (``semigroup._pair_counts``) and the bounds
     built from them.  Members are walked in blocks of n - rank (at least
     one).  One ``minweight.multiply_rows`` call forms a block's rows in the
-    flat array behind ``rows``, and one ``minweight.extend_echelon`` call
+    flat array('i') ``rows``, and one ``minweight.extend_echelon`` call
     reduces them, read in place, against the echelon basis kept here: the
     rank can reach n only on the last row of a block, so the walk stops at
     the rank bound as a row-at-a-time walk would.  Hold one scan to ask it about many
@@ -277,7 +253,7 @@ class Scan:
         self.n = n
         self.members = tuple(members)          # ascending, members[0] = 0
         self.exponents = tuple(exponents)      # fitted representation per member
-        self.rows = _Rows(rows, n)             # encoded evaluation row per member
+        self.rows = rows                       # encoded rows, member i's at [i * n:(i + 1) * n]
         self.jump = tuple(jump)                # whether the rank grew at this member
         self.rank_after = tuple(rank_after)    # rank of the first i + 1 rows
         self.omega_index = omega_index         # index of the rank bound Omega_n
@@ -307,8 +283,8 @@ class Scan:
     def _parity_rows(self, i: int) -> list[array]:
         """The encoded rows at rank steps up to members[i], each an
         array('i'): a basis of the evaluation space there."""
-        flat, n = self.rows.flat, self.n
-        return [flat[j * n : (j + 1) * n] for j in range(i + 1) if self.jump[j]]
+        rows, n = self.rows, self.n
+        return [rows[j * n : (j + 1) * n] for j in range(i + 1) if self.jump[j]]
 
     def code_at(self, alpha) -> CodePair:
         """The evaluation space and dual code at a semigroup member."""
@@ -402,23 +378,25 @@ def goppa_distance(delta, alpha) -> int:
 def _goppa(delta):
     """``goppa_distance`` on one sequence, as a function of a member and its
     exponents.  What does not depend on the member is found once: the head
-    and its gap count, and for the chain each stage prefix, validated once
-    per stage and last nonzero exponent."""
+    and its gap count, and for the chain each prefix star.  A chain prefix of
+    length k, divided by its gcd, is the same in every stage, as a stage is
+    the one before it times z: the first ladder stage's prefix, validated,
+    for k below that stage's length L, and the ladder stage of length k,
+    already validated, from L on."""
     if isinstance(delta, DeltaQ):
-        eng, prefixes = _engine(delta), {}
+        ladder, stars = _engine(delta).ladder, {}
+        base = ladder[0]
 
         def estimate(alpha, exponents) -> int:
-            # the stage the representation was taken in, from the engine's
-            # ladder, whose stages differ in length
-            stage = eng.covering_stage(alpha.value)
-            s_last = max((i for i, a in enumerate(exponents) if a), default=0)
-            key = (len(stage.deltas), s_last)
-            if key not in prefixes:
-                k = max(s_last, 1) + 1
-                d = stage.structure.d[k - 1]
-                star = validate_n(tuple(v // d for v in stage.deltas[:k]))
-                prefixes[key] = star, 1 - gap_count_telescopic(star)
-            star, offset = prefixes[key]
+            k = max(max((i for i, a in enumerate(exponents) if a), default=0), 1) + 1
+            if k not in stars:
+                if k < len(base.deltas):
+                    d = base.structure.d[k - 1]
+                    star = validate_n(tuple(v // d for v in base.deltas[:k]))
+                else:
+                    star = ladder[k - len(base.deltas)]
+                stars[k] = star, 1 - gap_count_telescopic(star)
+            star, offset = stars[k]
             value = sum(a * v for a, v in zip(exponents, star.deltas))
             return telescopic_count(star, value) + offset
 

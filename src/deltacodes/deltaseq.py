@@ -250,21 +250,20 @@ def _tail_table(delta: DeltaN, hi: int, label=None) -> tuple[list, list]:
     return [r for r, _, _ in order], order
 
 
-def telescopic_members(delta: DeltaN, lo: int, hi: int, label=None):
+def telescopic_members(delta: DeltaN, lo: int, hi: int):
     """Members v with lo < v <= hi in increasing order, one list of rows per
     block [k delta_0, (k + 1) delta_0) of the window.
 
     A row is (v, c, tail): v = c * delta_0 + sum gamma_i delta_i, with the
-    bounded tail (gamma_1, ..., gamma_g), or ``label(tail)`` when a label is
-    given, one object shared by every member with that tail.  A tail with
-    sum s = q delta_0 + r gives the member r + k delta_0 of block k with
-    c = k - q whenever k >= q, and distinct tails have distinct residues r,
-    so sorting the tails by r once puts every block in order: the work is
-    the at most min(hi + 1, delta_0) tails plus the output, whatever the
-    width of the window.  The tails are found and labelled before the first
-    block is asked for.
+    bounded tail (gamma_1, ..., gamma_g) one object shared by every member
+    with that tail.  A tail with sum s = q delta_0 + r gives the member
+    r + k delta_0 of block k with c = k - q whenever k >= q, and distinct
+    tails have distinct residues r, so sorting the tails by r once puts
+    every block in order: the work is the at most min(hi + 1, delta_0) tails
+    plus the output, whatever the width of the window.  The tails are found
+    before the first block is asked for.
     """
-    residues, order = _tail_table(delta, hi, label)
+    residues, order = _tail_table(delta, hi)
     return _sweep(delta.deltas[0], residues, order, max(lo + 1, 0), hi)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 from operator import itemgetter
 
 from ._value import Value, _set
@@ -115,95 +115,93 @@ def compare(left, right) -> int:
 # --- per-kind engines -------------------------------------------------------
 
 
-def _floor(value: Fraction) -> int:
-    return value.numerator // value.denominator
-
-
 class _Engine:
     """The ordered walk shared by every kind.
 
-    ``upto(bound, label)`` gives the members from zero to the bound in
-    increasing order as a pair (scale, blocks), each block a list of rows,
-    and raises every error before the first block.  A row is ``(v, c,
-    tail)``, with m appended for the kinds with a free generator: ``v`` is
-    the integer numerator over ``scale`` of the member's rational part, or
-    the plane vector (x, y) for the planar kind, and its exponents are c,
-    the tuple ``tail`` and m, the tail one object shared by the rows with
-    that tail (``label(tail)`` in its place when a label is given); a
-    quadratic member is v / scale + m * tau.  ``values`` turns the rows of a
-    block into (value, Representation) pairs as they are read.  The integer
-    and chain kinds supply ``blocks(lo, hi, label)``, the window (lo, hi]
-    one block per multiple of their first generator, and walk by doubling
-    the upper end.
+    A member is a member s of a telescopic integer semigroup, the head, plus
+    m copies of one free generator: the planar and quadratic kinds have one,
+    the integer kind (its own head) and the chain (whose head is the stage
+    that covers the values at hand) none, so ``copies`` is 1 from zero on.
+    ``stage(value)`` is the (head, scale) that covers the members up to the
+    value; ``top(value, m)`` is the largest s whose member with m copies is
+    <= value, negative when there is none; ``copies(value)`` is the least m
+    whose m copies alone exceed value.
+
+    Members come one sub-window (k g_0, (k + 1) g_0] at a time (the first
+    closed at zero), g_0 the first generator, each sorted on its own by
+    ``sort``.  Moving a value by g_0 moves every top by delta_0, the head's
+    first generator, so copy m takes the head members above its top at the
+    last upper end, up to that plus delta_0: one ``_sweep`` of one table of
+    at most delta_0 head tails, built up to top(bound, 0) for a listing and
+    grown by doubling in the walk.  ``top`` is called once per copy as it
+    enters and at a listing's bound, as top(k g_0, 0) = k delta_0.  A listing
+    reads every sub-window in the bound's stage, the walk each in the stage
+    that covers its upper end.  Each chain stage is the one before it times
+    z, delta_0 and delta_1 included, so g_0 is one block of every stage, and
+    a walk that enters a stage multiplies its carried tops by z.
+
+    ``upto(bound, label)`` gives the members up to the bound as a pair
+    (scale, blocks), one block of rows per sub-window, and raises every error
+    before the first block.  A row is ``(v, c, tail)``, with m appended for
+    the kinds with a free generator: ``v`` is the integer numerator over
+    ``scale`` of the member's rational part, or the plane vector (x, y), and
+    its exponents are c, the tuple ``tail`` and m, the tail one object shared
+    by the rows with that tail (``label(tail)`` when a label is given); a
+    quadratic member is v / scale + m * tau.  ``values`` turns rows into
+    (value, Representation) pairs as they are read.
     """
+
+    scale = 1
 
     def finite(self) -> None:
         """Raise when the members below some value are infinitely many."""
 
+    def stage(self, value):
+        return self.head, self.scale
+
     def upto(self, bound, label=None):
-        return self.blocks(None, bound, label)
+        self.finite()
+        head, scale = self.stage(bound)
+        extent = self.top(bound, 0)
+        return scale, self._windows(head, extent, _tail_table(head, extent, label), bound)
 
     def walk(self):
         """Every member from zero on, unbounded."""
-        lo, hi = None, self.generators()[0]
-        while True:
-            scale, blocks = self.blocks(lo, hi)
-            for block in blocks:
-                yield from self.values(scale, block)
-            lo, hi = hi, self.add(hi, hi)
-
-
-class _HeadEngine(_Engine):
-    """A kind whose members are a member s of the integer semigroup ``head``
-    plus m times one free generator.  ``top(value, m)`` is the largest s
-    whose member with m copies is <= value, negative when there is none;
-    ``copies(value)`` is the least m whose m copies alone exceed value, so
-    top(value, m) >= 0 exactly for m < copies(value).
-
-    Members come one sub-window (k g_0, (k + 1) g_0] at a time (the first
-    closed at zero), g_0 the first generator, each sorted on its own.
-    Moving a value by g_0 moves every top by delta_0, so copy m takes the
-    head members above its top at the last upper end, up to that plus
-    delta_0: one ``_sweep`` of one table of at most delta_0 head tails,
-    built up to top(bound, 0) for a listing and grown by doubling in the
-    walk.  ``top`` is called once per copy as it enters (and for the bound).
-    """
-
-    def upto(self, bound, label=None):
         self.finite()
-        return self.scale, self._windows(self.top(bound, 0), label, bound)
+        head, _ = self.stage(self.generators()[0])
+        for rows in self._windows(head, -1):
+            yield from self.values(rows)
 
-    def walk(self):
-        self.finite()
-        for rows in self._windows(-1):
-            yield from self.values(self.scale, rows)
-
-    def _windows(self, extent, label=None, bound=None):
+    def _windows(self, head, extent, table=((), ()), bound=None):
         """The sorted rows of each sub-window up to the bound (unbounded when
-        None), from a table of the tails up to ``extent`` that the walk
-        grows by doubling when it passes it (so it is rebuilt a logarithmic
-        number of times; a listing never passes it)."""
-        first = self.head.deltas[0]
-        residues, order = _tail_table(self.head, extent, label)
+        None), from a ``table`` of the head's tails up to ``extent`` (none at
+        first in the walk), which the walk grows by doubling when it passes
+        it; a listing never does."""
+        first = head.deltas[0]
+        residues, order = table
         edge = upper = self.generators()[0]
-        bottoms = []
+        bottoms, tops = [-1], [0]  # the tops at zero, which the first sub-window holds
         while True:
             end = bound is not None and compare(upper, bound) >= 0
             value = bound if end else upper
+            if bound is None and (new := self.stage(upper)[0]) is not head:
+                # the walk enters a chain stage, the last one times z
+                z = new.deltas[0] // first
+                bottoms, tops = [b * z for b in bottoms], [t * z for t in tops]
+                head, first, extent, order = new, new.deltas[0], -1, ()
             tops = [
-                bottoms[m] + first if m < len(bottoms) and not end else self.top(value, m)
+                tops[m] + first if m < len(tops) and not end else self.top(value, m)
                 for m in range(self.copies(value))
             ]
             if not tops:  # the bound is below zero
                 return
             if tops[0] > extent and len(order) < first:
                 extent = max(tops[0], 2 * extent)
-                residues, order = _tail_table(self.head, extent)
+                residues, order = _tail_table(head, extent)
             bottoms += [-1] * (len(tops) - len(bottoms))
             yield self.sort(
                 [(m, _sweep(first, residues, order, lo + 1, hi))
-                 for m, (lo, hi) in enumerate(zip(bottoms, tops))],
-                tops,
+                 for m, (lo, hi) in enumerate(zip(bottoms, tops))]
             )
             if end:
                 return
@@ -224,32 +222,44 @@ class _RationalEngine(_Engine):
     def add(self, a: RatValue, b: RatValue) -> RatValue:
         return RatValue(a.value + b.value)
 
+    def represent(self, value: RatValue) -> Representation:
+        if value.value < 0:
+            raise DomainError("below zero")
+        head, scale = self.stage(value)
+        scaled = value.value * scale
+        if scaled.denominator != 1:
+            raise DomainError("not a member")
+        exps = telescopic_exponents(head, int(scaled))
+        if exps is None:
+            raise DomainError("not a member")
+        return Representation(exps, (None,) + tuple(head.structure.n))
+
+    def top(self, value: RatValue, m: int) -> int:
+        return floor(value.value * self.stage(value)[1])
+
+    def copies(self, value: RatValue) -> int:
+        return int(value.value >= 0)
+
+    def sort(self, runs):
+        """The one copy's blocks, joined in place: they are in order."""
+        ((_, blocks),) = runs
+        rows = next(blocks, [])
+        for block in blocks:
+            rows += block
+        return rows
+
 
 class _IntegerEngine(_RationalEngine):
-    """The integer sequence's own telescopic semigroup."""
+    """The integer sequence's own telescopic semigroup, its own head."""
 
     def __init__(self, delta: DeltaN) -> None:
-        self.delta = delta
+        self.delta = self.head = delta
         self.bounds = (None,) + tuple(delta.structure.n)
 
     def generators(self) -> tuple[RatValue, ...]:
         return tuple(RatValue(Fraction(v)) for v in self.delta.deltas)
 
-    def represent(self, value: RatValue) -> Representation:
-        if value.value < 0:
-            raise DomainError("below zero")
-        if value.value.denominator != 1:
-            raise DomainError("not a member")
-        exps = telescopic_exponents(self.delta, int(value.value))
-        if exps is None:
-            raise DomainError("not a member")
-        return Representation(exps, self.bounds)
-
-    def blocks(self, lo, hi: RatValue, label=None):
-        bottom = -1 if lo is None else _floor(lo.value)
-        return 1, telescopic_members(self.delta, bottom, _floor(hi.value), label)
-
-    def values(self, scale: int, rows):
+    def values(self, rows):
         bounds = self.bounds
         return (
             (RatValue(Fraction(v)), Representation((c,) + tail, bounds)) for v, c, tail in rows
@@ -271,12 +281,10 @@ def _least_scalar_above(u: tuple[int, int], t: tuple[int, int]) -> int:
     return max(ty // uy + 1, 0)
 
 
-class _PlanarEngine(_HeadEngine):
+class _PlanarEngine(_Engine):
     """Plane-vector semigroup: s * u for s in the telescopic head, plus m
     times the last generator, peeled off by the determinant of the witness
     pair."""
-
-    scale = 1
 
     def __init__(self, delta: DeltaZ2) -> None:
         self.delta = delta
@@ -342,7 +350,7 @@ class _PlanarEngine(_HeadEngine):
                 "enumeration is infinite: a generator has first component zero"
             )
 
-    def sort(self, runs, tops):
+    def sort(self, runs):
         (ux, uy), (lx, ly) = self.u, self.last
         rows = []
         for m, blocks in runs:
@@ -351,7 +359,7 @@ class _PlanarEngine(_HeadEngine):
         rows.sort(key=itemgetter(0))
         return rows
 
-    def values(self, scale: int, rows):
+    def values(self, rows):
         bounds = self.bounds
         return (
             (LexValue(x, y), Representation((c, *tail, m), bounds))
@@ -359,7 +367,7 @@ class _PlanarEngine(_HeadEngine):
         )
 
 
-class _QuadraticEngine(_HeadEngine):
+class _QuadraticEngine(_Engine):
     """Rational head s / scale, s in the integer sequence's semigroup, plus
     m times one irrational tail generator tau."""
 
@@ -427,23 +435,22 @@ class _QuadraticEngine(_HeadEngine):
         c0, c1, norm = self.copies_ints
         return value.m + floor_surd(p * c0, p * c1, r * norm, self.tau.d) + 1
 
-    def sort(self, runs, tops):
+    def sort(self, runs):
         """The rows of one sub-window sorted on the integer key
         floor(den * value * 2**shift), which no two of its members share.
 
         den * value = A + B sqrt(d) with integers A = v * step + m * a_den and
-        B = m * b_den.  For two distinct members let dA, dB be the differences.
-        If dB = 0 then |dA| >= 1.  Otherwise dA^2 - dB^2 d is a nonzero integer
-        (d is squarefree), so |dA + dB sqrt(d)| >= 1 / |dA - dB sqrt(d)| >=
-        1 / (|dA| + |dB| sqrt(d)).  In the sub-window v <= tops[0] and m <
-        len(tops), so |A| <= a_max and |B| <= b_max below, |dA| + |dB| sqrt(d)
-        <= 2 (a_max + b_max (isqrt(d) + 1)) < 2**shift, and two members' keys
-        differ by at least one: the sort is exact on its own."""
+        B = m * b_den.  For two distinct members let dA, dB be the differences;
+        their keys differ when |dA + dB sqrt(d)| >= 1.  Otherwise dB != 0, as
+        dA would be a nonzero integer, so dA^2 - dB^2 d is a nonzero integer
+        (d is squarefree) and |dA + dB sqrt(d)| >= 1 / |dA - dB sqrt(d)|.
+        Then |dA| < 1 + |dB| sqrt(d), so |dA - dB sqrt(d)| < 1 + 2 |dB|
+        sqrt(d) <= 1 + 2 b_max sqrt(d) <= 2**shift, as m < len(runs) in the
+        sub-window and 2**shift > 2 b_max (isqrt(d) + 1): the keys differ by
+        at least one, and the sort is exact on its own."""
         tau, den, d = self.tau, self.den, self.tau.d
         step, a_den, b_den = den // self.scale, int(tau.a * den), int(tau.b * den)
-        a_max = tops[0] * step + (len(tops) - 1) * abs(a_den)
-        b_max = (len(tops) - 1) * abs(b_den)
-        shift = (2 * (a_max + b_max * (isqrt(d) + 1))).bit_length()
+        shift = (2 * (len(runs) - 1) * abs(b_den) * (isqrt(d) + 1)).bit_length()
         unit, rows, keys = step << shift, [], []
         for m, blocks in runs:
             # floor(m * b_den * sqrt(d) * 2**shift): the root is irrational
@@ -459,8 +466,8 @@ class _QuadraticEngine(_HeadEngine):
         rows.sort(key=partial(next, iter(keys)))
         return rows
 
-    def values(self, scale: int, rows):
-        tau, bounds = self.tau, self.bounds
+    def values(self, rows):
+        tau, bounds, scale = self.tau, self.bounds, self.scale
         return (
             (QuadValue(Fraction(v, scale), m, tau), Representation((c, *tail, m), bounds))
             for v, c, tail, m in rows
@@ -488,30 +495,16 @@ class _ChainEngine(_RationalEngine):
             self.appended.append(Fraction(grown.deltas[-1], grown.deltas[1]))
         return self.ladder[bisect_right(self.appended, bound)]
 
-    def represent(self, value: RatValue) -> Representation:
-        if value.value < 0:
-            raise DomainError("below zero")
+    def stage(self, value: RatValue):
         stage = self.covering_stage(value.value)
-        scaled = value.value * stage.deltas[1]
-        if scaled.denominator != 1:
-            raise DomainError("not a member")
-        exps = telescopic_exponents(stage, int(scaled))
-        if exps is None:
-            raise DomainError("not a member")
-        return Representation(exps, (None,) + tuple(stage.structure.n))
+        return stage, stage.deltas[1]
 
-    def blocks(self, lo, hi: RatValue, label=None):
-        stage = self.covering_stage(hi.value)
-        scale = stage.deltas[1]
-        bottom = -1 if lo is None else _floor(lo.value * scale)
-        return scale, telescopic_members(stage, bottom, _floor(hi.value * scale), label)
-
-    def values(self, scale: int, rows):
+    def values(self, rows):
         if not rows:
             return ()
         # every ladder step appends one generator, so the row width names the stage
         stage = self.ladder[len(rows[0][2]) + 1 - len(self.ladder[0].deltas)]
-        bounds = (None,) + tuple(stage.structure.n)
+        bounds, scale = (None,) + tuple(stage.structure.n), stage.deltas[1]
         return (
             (RatValue(Fraction(v, scale)), Representation((c,) + tail, bounds))
             for v, c, tail in rows
@@ -573,7 +566,7 @@ def _pair_counts(delta, walked, start: int = 0) -> list[int]:
             len(seen.intersection([keys[i] - k for k in keys[: i + 1]]))
             for i in range(start, len(keys))
         ]
-    head = eng.head if isinstance(eng, _HeadEngine) else delta
+    head = eng.head
     g, deltas = gap_count_telescopic(head), head.deltas
     exponents = [rep.exponents for _, rep in walked[start:]]
     sums = [sum(a * v for a, v in zip(exps, deltas)) for exps in exponents]
@@ -611,9 +604,10 @@ def represent(delta, value) -> Representation:
 def walk(delta):
     """Every member from zero on in increasing order, with its representation.
 
-    The walk does not end.  For the chain kind a representation may carry
-    trailing zero exponents of generators beyond the member's own stage.
-    """
+    The walk does not end.  It takes one sub-window (k g_0, (k + 1) g_0] at
+    a time, g_0 the first generator (``_Engine``), and a chain member's
+    representation has the width of the stage that covers its sub-window's
+    upper end: it may end in zeros beyond the member's own stage."""
     return _engine(delta).walk()
 
 
@@ -621,9 +615,10 @@ def rows_upto(delta, bound, label=None):
     """All members up to the bound in increasing order as integer rows: a
     pair (scale, blocks), the blocks a lazy sequence of lists of rows
     ``(v, c, tail)`` or, for the planar and quadratic kinds, ``(v, c, tail,
-    m)``, read as in ``_Engine``, with ``label(tail)`` in place of each tail
-    when a label is given (called once per tail).  Every error is raised
-    here, before the first block is asked for."""
+    m)``, one list per sub-window and for the chain all in the bound's
+    stage, read as in ``_Engine``, with ``label(tail)`` in place of each tail
+    when a label is given (called once per tail, here).  Every error is
+    raised here, before the first block is asked for."""
     eng = _engine(delta)
     return eng.upto(eng.lift(bound), label)
 
@@ -631,8 +626,8 @@ def rows_upto(delta, bound, label=None):
 def enumerate_upto(delta, bound):
     """All members up to the bound in increasing order, with representations."""
     eng = _engine(delta)
-    scale, blocks = eng.upto(eng.lift(bound))
-    return list(eng.values(scale, [row for block in blocks for row in block]))
+    _, blocks = eng.upto(eng.lift(bound))
+    return list(eng.values([row for block in blocks for row in block]))
 
 
 def omega(delta, value) -> int:

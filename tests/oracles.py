@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from operator import itemgetter
 
 from deltacodes.approximants import (
@@ -52,9 +53,16 @@ from deltacodes.gf import (
     _powers,
     rank_nullspace_ints,
 )
-from deltacodes.genesis import DeltaR, DeltaZ2
+from deltacodes.genesis import DeltaQ, DeltaR, DeltaZ2
 from deltacodes.quadratics import QuadExt
-from deltacodes.semigroup import LexValue, RatValue, _engine, enumerate_upto, represent
+from deltacodes.semigroup import (
+    LexValue,
+    RatValue,
+    Representation,
+    _engine,
+    enumerate_upto,
+    represent,
+)
 
 # --- finite fields -----------------------------------------------------------
 
@@ -450,19 +458,38 @@ def head_window(delta, lo, hi):
 
 def walk_eager(delta):
     """The ordered member walk with each window built whole, its upper end
-    doubled from the first generator on: the blocks are joined (for the
-    planar and quadratic kinds the window is ``head_window``), and the
-    (value, Representation) pair of every member in the window is built
-    before the first is yielded."""
+    doubled from the first generator on, and the (value, Representation)
+    pair of every member in the window built before the first is yielded.
+    A planar or quadratic window is ``head_window``; an integer or chain
+    window is the members of the sequence, or of the stage that covers the
+    window's upper end, and each chain member's exponents are then cut to
+    the width of the stage that covers the upper end of its own sub-window
+    (k g_0, (k + 1) g_0], g_0 the first generator: the walk's width rule
+    (the exponents cut off are zeros)."""
     eng = _engine(delta)
-    lo, hi = None, eng.add(eng.zero(), eng.generators()[0])
+    g0 = eng.generators()[0]
+    lo, hi = None, g0
     while True:
         if isinstance(delta, (DeltaZ2, DeltaR)):
-            scale, rows = head_window(delta, lo, hi)
+            yield from list(eng.values(head_window(delta, lo, hi)[1]))
         else:
-            scale, blocks = eng.blocks(lo, hi)
-            rows = [row for block in blocks for row in block]
-        yield from list(eng.values(scale, rows))
+            chain = isinstance(delta, DeltaQ)
+            stage = eng.covering_stage(hi.value) if chain else delta
+            scale = stage.deltas[1] if chain else 1
+            bottom = -1 if lo is None else floor(lo.value * scale)
+            pairs = []
+            for block in telescopic_members(stage, bottom, floor(hi.value * scale)):
+                for v, c, tail in block:
+                    value, exps, own = Fraction(v, scale), (c,) + tail, stage
+                    if chain:
+                        k = max(-(-value // g0.value) - 1, 0)
+                        own = eng.covering_stage((k + 1) * g0.value)
+                        if any(exps[len(own.deltas):]):
+                            raise AssertionError(f"{value} needs more than its stage")
+                        exps = exps[: len(own.deltas)]
+                    rep = Representation(exps, (None,) + tuple(own.structure.n))
+                    pairs.append((RatValue(value), rep))
+            yield from pairs
         lo, hi = hi, eng.add(hi, hi)
 
 

@@ -203,3 +203,52 @@ def test_the_scan_for_unused_imports():
 def test_no_module_imports_a_name_it_does_not_use(module):
     source = (ROOT / "src" / "deltacodes" / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+# Private names that only code outside the package reads: the benchmark
+# worker imports ``gf._tables``.
+READ_OUTSIDE = {"gf._tables"}
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The top-level private names (``_name``, not dunder) that a module of
+    ``sources`` (name -> source) defines and no module reads, as
+    ``module._name``.  A name is read where any module loads it, takes it as
+    an attribute or imports it."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [
+                (module, name) for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_the_scan_for_dead_private_names():
+    sources = {
+        "a": "_ONE = 1\n_two: int = 2\ndef _f():\n    return _ONE\nclass _C:\n    pass\n",
+        "b": "from a import _f\nimport a\nx = a._two\n__all__ = []\n",
+    }
+    assert dead_private_names(sources) == ["a._C"]
+
+
+def test_every_private_name_is_read():
+    package = ROOT / "src" / "deltacodes"
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert set(dead_private_names(sources)) == READ_OUTSIDE

@@ -7,7 +7,9 @@ import pathlib
 import random
 import time
 import weakref
+from array import array
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import gcd
 from types import SimpleNamespace
@@ -176,7 +178,9 @@ class TestPointwiseRows:
         basis = basis_for(delta, fam, data.members[-1])
         assert [b.weight for b in basis] == list(data.members)
         matrix = evaluation_matrix(ev, basis)
-        assert [tuple(int(v) for v in row) for row in matrix] == list(data.rows)
+        n = ev.n
+        rows = [tuple(data.rows[i * n : (i + 1) * n]) for i in range(len(data.members))]
+        assert [tuple(int(v) for v in row) for row in matrix] == rows
 
 
 class TestCodeAt:
@@ -444,6 +448,44 @@ class TestGoppaDistance:
         start = time.perf_counter()
         assert goppa_distance(delta, value) == estimate
         assert time.perf_counter() - start < 0.01
+
+
+# Chains whose first 300 members use prefixes longer than the first ladder
+# stage, two of them with choices of their own.
+STAR_CHAINS = {
+    "11-9": CH119,
+    "7-5": CH75,
+    "36-24-8-18-13": CH_BIG,
+    "11-9-z64": build_type_e((11, 9), 1, [(64, 577)]),
+    "3-1-z17": build_type_e((3, 1), 4, [(2, 5), (2, 19), (17, 324)]),
+}
+
+
+class TestChainStars:
+    @pytest.mark.parametrize("name", sorted(STAR_CHAINS))
+    def test_each_star_is_the_prefix_of_the_members_stage(self, name):
+        """Over 300 walked members, each estimate equals the one from the
+        prefix of the member's own covering stage divided by its gcd and
+        validated, as the estimate once took it; the estimate validates only
+        prefixes shorter than the first ladder stage."""
+        chain = STAR_CHAINS[name]
+        eng, walked = _engine(chain), list(islice(walk(chain), 300))
+        with mock.patch.object(codes, "validate_n", side_effect=validate_n) as spy:
+            estimate = codes._goppa(chain)
+            got = [estimate(v, rep.exponents) for v, rep in walked]
+        first = len(eng.ladder[0].deltas)
+        assert all(len(call.args[0]) < first for call in spy.call_args_list)
+        expected, longest = [], 0
+        for v, rep in walked:
+            stage = eng.covering_stage(v.value)
+            k = max(max((i for i, a in enumerate(rep.exponents) if a), default=0), 1) + 1
+            d = reduce(gcd, stage.deltas[:k])
+            star = validate_n(tuple(x // d for x in stage.deltas[:k]))
+            value = sum(a * x for a, x in zip(rep.exponents, star.deltas))
+            expected.append(telescopic_count(star, value) + 1 - gap_count_telescopic(star))
+            longest = max(longest, k)
+        assert got == expected
+        assert longest > first
 
 
 # Families of all four kinds for the gap-count check; the quadratic kind needs
@@ -740,7 +782,8 @@ def row_at_a_time_scan(delta, fam, ev, horizon):
         suffix_prod[i] = best_prod
     return SimpleNamespace(
         delta=delta, spec=ev.spec, n=n,
-        members=tuple(members), exponents=tuple(exponents), rows=tuple(rows),
+        members=tuple(members), exponents=tuple(exponents),
+        rows=array("i", [v for row in rows for v in row]),
         jump=tuple(jump), rank_after=tuple(rank_after), omega_index=omega_index,
         weights=tuple(weights), suffix_all=tuple(suffix_all[::-1]),
         suffix_jump=tuple(suffix_jump[::-1]), suffix_prod=tuple(suffix_prod),

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from deltacodes.deltaseq import (
     DeltaN,
+    _tail_table,
     canonical_cf,
     cf_of,
     denormalize,
@@ -368,7 +369,8 @@ def sweep_windows(draw):
 def test_residue_sweep_equals_the_sorted_listing(case):
     """The sweep lists the same members with the same exponents as sorting
     every member found, one block of delta_0 values per list, and each tail
-    is labelled once and shared by the rows that carry it."""
+    is one object shared by the rows that carry it; the tail table labels
+    each tail once."""
     delta, lo, hi = case
     first = delta.deltas[0]
     labelled = []
@@ -377,15 +379,16 @@ def test_residue_sweep_equals_the_sorted_listing(case):
         labelled.append(tail)
         return [tail]
 
-    blocks = list(telescopic_members(delta, lo, hi, label))
-    rows = [(v, (c,) + boxed[0]) for block in blocks for v, c, boxed in block]
+    _, order = _tail_table(delta, hi, label)
+    _, plain = _tail_table(delta, hi)
+    assert len(labelled) == len(set(labelled)) == len(order)
+    assert [boxed[0] for _, _, boxed in order] == [tail for _, _, tail in plain]
+    blocks = list(telescopic_members(delta, lo, hi))
+    rows = [(v, (c,) + tail) for block in blocks for v, c, tail in block]
     assert rows == telescopic_members_sorted(delta, lo, hi)
-    plain = telescopic_members(delta, lo, hi)
-    assert [(v, (c,) + tail) for block in plain for v, c, tail in block] == rows
     assert all(len({v // first for v, _, _ in block}) == 1 for block in blocks if block)
-    assert len(labelled) == len(set(labelled))
-    boxes = [boxed for block in blocks for _, _, boxed in block]
-    assert len({id(boxed) for boxed in boxes}) == len({boxed[0] for boxed in boxes})
+    tails = [tail for block in blocks for _, _, tail in block]
+    assert len({id(tail) for tail in tails}) == len(set(tails))
 
 
 def test_telescopic_count_ignores_the_size_of_w():

@@ -6,10 +6,12 @@ import gc
 import random
 import time
 import weakref
+from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
 from math import floor, isqrt, lcm
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -616,19 +618,80 @@ def quadratic_windows(delta, count):
 def exact_keys(delta, scale, rows):
     """floor(den * value * 2**shift) of each row, computed in QuadExt
     arithmetic, with shift taken from the rows as the bound in
-    ``_QuadraticEngine.sort`` states it: 2**shift > 2 (max |A| + max |B|
-    (isqrt(d) + 1)), where den * value = A + B sqrt(d)."""
+    ``_QuadraticEngine.sort`` states it: 2**shift > 2 max |B| (isqrt(d) +
+    1), where den * value = A + B sqrt(d)."""
     tau = delta.tail
     den = lcm(scale, tau.a.denominator, tau.b.denominator)
-    a_max = max(abs(v * (den // scale) + m * tau.a * den) for v, _, _, m in rows)
     b_max = max(abs(m * tau.b * den) for _, _, _, m in rows)
-    shift = int(2 * (a_max + b_max * (isqrt(tau.d) + 1))).bit_length()
+    shift = int(2 * b_max * (isqrt(tau.d) + 1)).bit_length()
     return [
         ((tau * m + Fraction(v, scale)) * den * 2**shift).floor() for v, _, _, m in rows
     ]
 
 
+# Quadratic families over five heads and three radicands.
+FAR_QUADRATICS = [
+    (under, digits, radicand)
+    for under, digits in [
+        ((11, 9), (80, 1, 2)),
+        ((7, 5), (28, 3, 1)),
+        ((5, 3), (6, 1, 1)),
+        ((36, 24, 8, 18, 13), (15, 2, 1)),
+        ((36, 24, 8, 18, 13), (20, 5, 2)),
+    ]
+    for radicand in (2, 5, 13)
+]
+
+
 class TestExactQuadraticKey:
+    @pytest.mark.parametrize(
+        "d,x,y", [(2, 17, 12), (2, 577, 408), (3, 26, 15), (3, 362, 209), (13, 649, 180)]
+    )
+    def test_pell_pairs_keep_their_order(self, d, x, y):
+        """Two members come closest when dA^2 - dB^2 d = 1 (a Pell pair):
+        then dA - dB sqrt(d) = 1 / (dA + dB sqrt(d)), the bound in ``sort``
+        at its tightest.  With tau = sqrt(d), den * value = v + m sqrt(d): the
+        rows (x, m) and (0, m + y) for m = 1..20, the larger one first, sort
+        as one sub-window in strict order."""
+        eng = SimpleNamespace(tau=QuadExt(Fraction(0), Fraction(1), d), den=1, scale=1)
+        found = [[] for _ in range(y + 21)]
+        for m in range(1, 21):
+            found[m].append((x, 0, ()))
+            found[m + y].insert(0, (0, 0, ()))
+        rows = semigroup_module._QuadraticEngine.sort(
+            eng, [(m, iter([run])) for m, run in enumerate(found)]
+        )
+        values = [QuadValue(Fraction(v), m, eng.tau) for v, _, _, m in rows]
+        assert len(values) == 40
+        assert all(compare(a, b) < 0 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "under,digits,radicand",
+        FAR_QUADRATICS,
+        ids=[f"{under}-{digits}-sqrt{d}" for under, digits, d in FAR_QUADRATICS],
+    )
+    def test_members_far_from_zero_are_in_strict_order(self, under, digits, radicand):
+        """The shift has no term in the members' size.  The last three
+        sub-windows of the listing up to 40 + 30 tau (thousands of members,
+        up to 30 copies of tau), and one sort of rows near 10**12 with 30
+        copies, each rise strictly under ``compare``."""
+        delta = build_type_d(under, digits, radicand)
+        eng = semigroup_module._engine(delta)
+        _, blocks = semigroup_module.rows_upto(delta, QuadValue(Fraction(40), 30, delta.tail))
+        far = list(deque(blocks, maxlen=3))
+        assert sum(map(len, far)) > 100
+        runs = []
+        for m in range(30):
+            # the head values v whose member with m copies lies near 10**12
+            centre = ((QuadExt(Fraction(10**12), Fraction(0), radicand) - delta.tail * m)
+                      * eng.scale).floor()
+            runs.append((m, iter([[(v, 0, ()) for v in range(centre - 20, centre + 21)]])))
+        far.append(eng.sort(runs))
+        assert len(far[-1]) == 30 * 41
+        for rows in far:
+            values = [v for v, _ in eng.values(rows)]
+            assert all(compare(a, b) < 0 for a, b in zip(values, values[1:]))
+
     @pytest.mark.parametrize("name", sorted(QUADRATIC_FAMILIES))
     def test_window_keys_are_distinct_and_the_order_is_exact(self, name):
         """Over the listing's sub-windows holding the first 300 members, the
@@ -712,8 +775,8 @@ def head_bounds(name):
 
 def oracle_listing(delta, lo, hi):
     """(value, Representation) pairs of the whole-window merge over (lo, hi]."""
-    scale, rows = oracles.head_window(delta, lo, hi)
-    return list(semigroup_module._engine(delta).values(scale, rows))
+    _, rows = oracles.head_window(delta, lo, hi)
+    return list(semigroup_module._engine(delta).values(rows))
 
 
 def head_cli_listing(name, bound):
@@ -741,8 +804,8 @@ def spy_sorts(monkeypatch, delta):
     kind = type(semigroup_module._engine(delta))
     original, sorted_rows = kind.sort, []
 
-    def sort(self, runs, tops):
-        rows = original(self, runs, tops)
+    def sort(self, runs):
+        rows = original(self, runs)
         sorted_rows.append(rows)
         return rows
 
@@ -823,7 +886,7 @@ class TestSubWindows:
 
         def windows():
             return [
-                [sub_window(delta, v) for v, _ in eng.values(eng.scale, rows)]
+                [sub_window(delta, v) for v, _ in eng.values(rows)]
                 for rows in sorted_rows
             ]
 
@@ -835,8 +898,9 @@ class TestSubWindows:
 
     def test_the_walk_doubles_its_tail_table(self, monkeypatch):
         """DZ427's head (21, 15, 35) has 21 tails, the largest sum 160: a long
-        walk builds its table up to -1, 21, 42, 84 and 168, then never again,
-        where growing it one sub-window at a time would build it nine times."""
+        walk builds its table up to 21 (the first sub-window's top), 42, 84
+        and 168, then never again, where growing it one sub-window at a time
+        would build it eight times."""
         extents, original = [], semigroup_module._tail_table
 
         def spy(head, hi, label=None):
@@ -845,7 +909,7 @@ class TestSubWindows:
 
         monkeypatch.setattr(semigroup_module, "_tail_table", spy)
         assert len(list(islice(walk(build_type_c(helpers.UNDER_427)), 3000))) == 3000
-        assert extents == [-1, 21, 42, 84, 168]
+        assert extents == [21, 42, 84, 168]
 
     def test_a_walk_builds_no_row_past_the_sub_window_of_its_last_member(self, monkeypatch):
         """A 62-member walk of dr_big_a (the walk-wide job's rank bound)
@@ -856,9 +920,44 @@ class TestSubWindows:
         sorted_rows = spy_sorts(monkeypatch, delta)
         last = list(islice(walk(delta), 62))[-1][0]
         upper = _edge(delta, sub_window(delta, last) + 1)
-        built = [v for rows in sorted_rows for v, _ in eng.values(eng.scale, rows)]
+        built = [v for rows in sorted_rows for v, _ in eng.values(rows)]
         assert len(sorted_rows) == sub_window(delta, last) + 1
         assert all(compare(v, upper) <= 0 for v in built)
+
+
+# (11, 9) extended once with z = 64: the first stage (704, 576, 577), then
+# stages of the default z; its first 400 members span five stages.
+CH_WIDE_Z = build_type_e((11, 9), 1, [(64, 577)])
+
+
+class TestChainWalk:
+    def test_the_walk_equals_the_eager_walk_across_stages(self):
+        """Each member's representation has the width of the stage that
+        covers the upper end of its own sub-window."""
+        walked = list(islice(walk(CH_WIDE_Z), 400))
+        assert walked == list(islice(walk_eager(CH_WIDE_Z), 400))
+        assert len({len(rep.exponents) for _, rep in walked}) > 3
+
+    def test_tail_tables_stay_within_twice_the_top(self, monkeypatch):
+        """Every table the walk builds is the head of the stage that covers
+        the upper end of the sub-window it is built for, (k + 1) g_0, and
+        reaches no further than twice that sub-window's top, (k + 1)
+        delta_0: the bound the doubling walk kept."""
+        calls, walked, original = [], [], semigroup_module._tail_table
+
+        def spy(head, hi, label=None):
+            calls.append((len(walked), head, hi))
+            return original(head, hi, label)
+
+        monkeypatch.setattr(semigroup_module, "_tail_table", spy)
+        for pair in islice(walk(CH_WIDE_Z), 400):
+            walked.append(pair)
+        eng, g0 = semigroup_module._engine(CH_WIDE_Z), generators(CH_WIDE_Z)[0].value
+        for i, head, hi in calls:
+            k = max(-(-walked[i][0].value // g0) - 1, 0)  # the next member's sub-window
+            assert head is eng.covering_stage((k + 1) * g0)
+            assert 0 <= hi <= 2 * (k + 1) * head.deltas[0], (i, hi)
+        assert len({head for _, head, _ in calls}) > 3
 
 
 class TestQuadraticFloors:
