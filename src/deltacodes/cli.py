@@ -370,7 +370,8 @@ def _run_approximates(config: JobConfig) -> str:
 
 class _Memo(dict):
     """``render(key)`` for each key asked for, rendered once: the quadratic
-    listing repeats each head value and copy count on many lines."""
+    listing repeats each head value and copy count on many lines, and a
+    rational one each denominator."""
 
     def __init__(self, render) -> None:
         self.render = render
@@ -382,33 +383,32 @@ class _Memo(dict):
 
 def _run_semigroup(config: JobConfig):
     """One line per member up to the bound, rendered straight from the
-    semigroup's integer rows: the value as ``render_value`` prints it, then
-    the exponents.  Each exponent tail is rendered once (each head value and
-    copy count of tau too, for the quadratic kind), and the text comes one
-    block of rows at a time; every error is raised before the first."""
+    semigroup's integer windows: the value as ``render_value`` prints it,
+    then the exponents.  Each exponent tail is rendered once, as the labels
+    of its exponents joined (each head value and copy count of tau too, for
+    the quadratic kind, and each denominator of a rational value), and the
+    text comes one window at a time; every error is raised before the
+    first."""
     delta = _build_delta(config)
-
-    def label(tail):
-        return " %d" * len(tail) % tail
-
-    scale, blocks = rows_upto(delta, _bound_value(config, delta), label)
+    scale, windows = rows_upto(delta, _bound_value(config, delta), " {}".format)
     if config.delta_type == "C":
-        return ("".join([f"({x},{y}) : {c}{t} {m}\n" for (x, y), c, t, m in b]) for b in blocks)
+        return ("".join([f"({x},{y}) : {c}{t} {m}\n" for x, y, c, t, m in w]) for w in windows)
     if config.delta_type == "D":
         ratio = _Memo(lambda v: render_ratio(v, scale))
         mid, end = _Memo(" + {}*tau : ".format), _Memo(" {}\n".format)
         return (
-            "".join([f"{ratio[v]}{mid[m]}{c}{t}{end[m]}" for v, c, t, m in b])
-            for b in blocks
+            "".join([f"{ratio[v]}{mid[m]}{c}{t}{end[m]}" for v, c, t, m in w])
+            for w in windows
         )
-    # the ratio in lowest terms, as render_ratio writes it
+    # the ratio in lowest terms, as render_ratio writes it, the denominator
+    # rendered once for each gcd of a numerator with the scale
+    over = _Memo(lambda g: "" if g == scale else f"/{scale // g}")
     return (
         "".join([
-            f"{v // g} : {c}{t}\n" if (g := gcd(v, scale)) == scale
-            else f"{v // g}/{scale // g} : {c}{t}\n"
-            for v, c, t in b
+            f"{(v := base + r) // (g := gcd(v, scale))}{over[g]} : {k - q}{t}\n"
+            for r, q, t in entries
         ])
-        for b in blocks
+        for base, k, entries in windows
     )
 
 

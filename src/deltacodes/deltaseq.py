@@ -218,19 +218,22 @@ def _descend(seq, d, n, value: int) -> tuple[int, ...] | None:
     return tuple(exps)
 
 
-def _tails(delta: DeltaN, hi: int) -> list[tuple[int, tuple[int, ...]]]:
+def _tails(delta: DeltaN, hi: int, label=None) -> list[tuple[int, tuple[int, ...] | str]]:
     """Every bounded tail (gamma_1, ..., gamma_g), gamma_i < n_i, whose sum
     s = sum gamma_i delta_i is <= hi, as pairs (s, tail) in no set order.
+    With a ``label``, which renders one exponent, the tail is the text of
+    its labels joined instead, each label rendered once per exponent.
 
     Representations are unique, so distinct tails have distinct sums modulo
     delta_0: there are at most min(hi + 1, delta_0) of them.
     """
     seq, n = delta.deltas, delta.structure.n
-    tails = [(0, ())] if hi >= 0 else []
+    tails = [(0, () if label is None else "")] if hi >= 0 else []
     for i in range(delta.g, 0, -1):
         step, cap = seq[i], n[i - 1]
+        digits = [(c,) if label is None else label(c) for c in range(cap)]
         tails = [
-            (s + c * step, (c,) + tail)
+            (s + c * step, digits[c] + tail)
             for s, tail in tails
             for c in range(min(cap, (hi - s) // step + 1))
         ]
@@ -239,14 +242,11 @@ def _tails(delta: DeltaN, hi: int) -> list[tuple[int, tuple[int, ...]]]:
 
 def _tail_table(delta: DeltaN, hi: int, label=None) -> tuple[list, list]:
     """The bounded tails whose sum s = q delta_0 + r is <= hi, sorted by
-    their residue r: a pair (residues, order), ``order`` holding (r, q, tail)
-    with ``label(tail)`` in place of the tail when a label is given (called
-    once per tail).  Residues are distinct, so no two tails are compared."""
+    their residue r: a pair (residues, order), ``order`` holding (r, q, tail),
+    the tail labelled as in ``_tails`` when a label is given.  Residues are
+    distinct, so no two tails are compared."""
     first = delta.deltas[0]
-    order = sorted(
-        (s % first, s // first, tail if label is None else label(tail))
-        for s, tail in _tails(delta, hi)
-    )
+    order = sorted((s % first, s // first, tail) for s, tail in _tails(delta, hi, label))
     return [r for r, _, _ in order], order
 
 
@@ -256,25 +256,32 @@ def telescopic_members(delta: DeltaN, lo: int, hi: int):
 
     A row is (v, c, tail): v = c * delta_0 + sum gamma_i delta_i, with the
     bounded tail (gamma_1, ..., gamma_g) one object shared by every member
-    with that tail.  A tail with sum s = q delta_0 + r gives the member
-    r + k delta_0 of block k with c = k - q whenever k >= q, and distinct
-    tails have distinct residues r, so sorting the tails by r once puts
-    every block in order: the work is the at most min(hi + 1, delta_0) tails
-    plus the output, whatever the width of the window.  The tails are found
-    before the first block is asked for.
+    with that tail, built from the entries of ``_sweep``.  The tails are
+    found before the first block is asked for.
     """
     residues, order = _tail_table(delta, hi)
-    return _sweep(delta.deltas[0], residues, order, max(lo + 1, 0), hi)
+    return (
+        [(base + r, k - q, tail) for r, q, tail in entries]
+        for base, k, entries in _sweep(delta.deltas[0], residues, order, max(lo + 1, 0), hi)
+    )
 
 
 def _sweep(first: int, residues: list, order: list, lo: int, hi: int):
-    """The blocks of the members lo <= v <= hi, from a ``_tail_table`` that
-    holds every tail with sum <= hi (a tail with a larger sum gives no row:
-    its q exceeds the block's k)."""
+    """The members lo <= v <= hi, one triple (base, k, entries) per block
+    [base, base + delta_0) with base = k delta_0, from a ``_tail_table`` that
+    holds every tail with sum <= hi.
+
+    ``entries`` are the table's own (r, q, tail) triples with q <= k, in
+    increasing r: a tail with sum s = q delta_0 + r gives the member
+    base + r of block k, with exponent k - q on delta_0, whenever k >= q
+    (a tail with a larger sum gives none).  Distinct tails have distinct
+    residues, so sorting the tails by r once puts every block in order: the
+    work is the at most min(hi + 1, delta_0) tails plus the output, whatever
+    the width of the window, and no member is built here."""
     for k in range(lo // first, hi // first + 1):
         base = k * first
         start, stop = bisect_left(residues, lo - base), bisect_right(residues, hi - base)
-        yield [(base + r, k - q, tail) for r, q, tail in order[start:stop] if q <= k]
+        yield base, k, [entry for entry in order[start:stop] if entry[1] <= k]
 
 
 def telescopic_count(delta: DeltaN, w: int) -> int:

@@ -7,8 +7,9 @@ semigroups: exact comparison of values, the unique bounded representation
 of a member over the generators, and one ordered walk over the members with
 their representations.  Enumeration up to a bound and the pair count omega
 (the number of ordered pairs of members summing to a given value) are views
-on that walk.  The engines yield integer rows;
-value objects are built from them only where a caller asks for values.
+on that walk.  The engines yield integer windows, built from the entries
+of one residue-sorted table of tails; value objects are built from them
+only where a caller asks for values.
 
 Representations are unique under the bound pattern reported alongside the
 exponents: the first exponent is always free, interior exponents are bounded
@@ -22,7 +23,6 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from math import floor, isqrt, lcm
-from operator import itemgetter
 
 from ._value import Value, _set
 from .deltaseq import (
@@ -128,27 +128,29 @@ class _Engine:
     whose m copies alone exceed value.
 
     Members come one sub-window (k g_0, (k + 1) g_0] at a time (the first
-    closed at zero), g_0 the first generator, each sorted on its own by
-    ``sort``.  Moving a value by g_0 moves every top by delta_0, the head's
-    first generator, so copy m takes the head members above its top at the
-    last upper end, up to that plus delta_0: one ``_sweep`` of one table of
-    at most delta_0 head tails, built up to top(bound, 0) for a listing and
-    grown by doubling in the walk.  ``top`` is called once per copy as it
-    enters and at a listing's bound, as top(k g_0, 0) = k delta_0.  A listing
-    reads every sub-window in the bound's stage, the walk each in the stage
-    that covers its upper end.  Each chain stage is the one before it times
-    z, delta_0 and delta_1 included, so g_0 is one block of every stage, and
-    a walk that enters a stage multiplies its carried tops by z.
+    closed at zero), g_0 the first generator.  Moving a value by g_0 moves
+    every top by delta_0, the head's first generator, so copy m takes the
+    head members above its top at the last upper end, up to that plus
+    delta_0: one ``_sweep`` of one table of at most delta_0 head tails,
+    built up to top(bound, 0) for a listing and grown by doubling in the
+    walk.  ``top`` is called once per copy as it enters and at a listing's
+    bound, as top(k g_0, 0) = k delta_0.  ``sort`` builds one row per member
+    of a sub-window from the sweep's entries and puts them in order.  The
+    kinds with no free generator override ``_windows``: their members are
+    the head's blocks, already in order.
 
     ``upto(bound, label)`` gives the members up to the bound as a pair
-    (scale, blocks), one block of rows per sub-window, and raises every error
-    before the first block.  A row is ``(v, c, tail)``, with m appended for
-    the kinds with a free generator: ``v`` is the integer numerator over
-    ``scale`` of the member's rational part, or the plane vector (x, y), and
-    its exponents are c, the tuple ``tail`` and m, the tail one object shared
-    by the rows with that tail (``label(tail)`` when a label is given); a
-    quadratic member is v / scale + m * tau.  ``values`` turns rows into
-    (value, Representation) pairs as they are read.
+    (scale, windows), and raises every error before the first window is
+    asked for.  A window of the planar kind is a list of sorted rows (x, y,
+    c, tail, m), of the quadratic kind (v, c, tail, m), and of the integer
+    and chain kinds one ``_sweep`` block (base, k, entries), which holds
+    the members base + r with exponent k - q on delta_0 for its entries
+    (r, q, tail).  ``v`` is the integer numerator over ``scale`` of the
+    member's rational part, (x, y) the plane vector, and the exponents are
+    c, the tuple ``tail`` and m, the tail one object shared by the members
+    with that tail (its text, when a ``label`` renders each exponent); a
+    quadratic member is v / scale + m * tau.  ``values`` turns one window
+    into (value, Representation) pairs as they are read.
     """
 
     scale = 1
@@ -169,8 +171,8 @@ class _Engine:
         """Every member from zero on, unbounded."""
         self.finite()
         head, _ = self.stage(self.generators()[0])
-        for rows in self._windows(head, -1):
-            yield from self.values(rows)
+        for window in self._windows(head, -1):
+            yield from self.values(window)
 
     def _windows(self, head, extent, table=((), ()), bound=None):
         """The sorted rows of each sub-window up to the bound (unbounded when
@@ -184,11 +186,6 @@ class _Engine:
         while True:
             end = bound is not None and compare(upper, bound) >= 0
             value = bound if end else upper
-            if bound is None and (new := self.stage(upper)[0]) is not head:
-                # the walk enters a chain stage, the last one times z
-                z = new.deltas[0] // first
-                bottoms, tops = [b * z for b in bottoms], [t * z for t in tops]
-                head, first, extent, order = new, new.deltas[0], -1, ()
             tops = [
                 tops[m] + first if m < len(tops) and not end else self.top(value, m)
                 for m in range(self.copies(value))
@@ -240,13 +237,41 @@ class _RationalEngine(_Engine):
     def copies(self, value: RatValue) -> int:
         return int(value.value >= 0)
 
-    def sort(self, runs):
-        """The one copy's blocks, joined in place: they are in order."""
-        ((_, blocks),) = runs
-        rows = next(blocks, [])
-        for block in blocks:
-            rows += block
-        return rows
+    def stage_end(self, value: Fraction):
+        """The least value above ``value`` that ``stage`` covers with another
+        stage, once ``stage`` has been asked for ``value``; None for the
+        integer kind, which has one stage."""
+        return None
+
+    def _windows(self, head, extent, table=((), ()), bound=None):
+        """The head's blocks, on integer tops: a listing is one sweep up to
+        the bound's top, extent.  The walk sweeps sub-window k up to its top
+        (k + 1) delta_0 and grows the table as ``_Engine._windows`` does; it
+        reads a value only where a sub-window's upper end (k + 1) g_0 enters
+        the next chain stage.  Each stage is the one before it times z,
+        delta_0 and delta_1 included, so g_0 is one block of every stage, and
+        the walk multiplies its bottom by z as it enters one."""
+        first = head.deltas[0]
+        residues, order = table
+        if bound is not None:
+            yield from _sweep(first, residues, order, 0, extent)
+            return
+        edge = self.generators()[0].value
+        k, bottom, upper = 0, -1, edge
+        while True:
+            end = self.stage_end(upper)
+            enter = None if end is None else -(-end // edge) - 1
+            while k != enter:
+                top = (k + 1) * first
+                if top > extent and len(order) < first:
+                    extent = max(top, 2 * extent)
+                    residues, order = _tail_table(head, extent)
+                yield from _sweep(first, residues, order, bottom + 1, top)
+                k, bottom = k + 1, top
+            upper = edge * (k + 1)
+            new = self.stage(RatValue(upper))[0]
+            bottom *= new.deltas[0] // first
+            head, first, extent, order = new, new.deltas[0], -1, ()
 
 
 class _IntegerEngine(_RationalEngine):
@@ -259,10 +284,12 @@ class _IntegerEngine(_RationalEngine):
     def generators(self) -> tuple[RatValue, ...]:
         return tuple(RatValue(Fraction(v)) for v in self.delta.deltas)
 
-    def values(self, rows):
+    def values(self, block):
+        base, k, entries = block
         bounds = self.bounds
         return (
-            (RatValue(Fraction(v)), Representation((c,) + tail, bounds)) for v, c, tail in rows
+            (RatValue(Fraction(base + r)), Representation((k - q,) + tail, bounds))
+            for r, q, tail in entries
         )
 
 
@@ -351,19 +378,22 @@ class _PlanarEngine(_Engine):
             )
 
     def sort(self, runs):
+        """The rows (x, y, c, tail, m) of one sub-window in the order of
+        their vectors, which are distinct."""
         (ux, uy), (lx, ly) = self.u, self.last
         rows = []
         for m, blocks in runs:
-            x, y = m * lx, m * ly
-            rows += [((s * ux + x, s * uy + y), c, tail, m) for b in blocks for s, c, tail in b]
-        rows.sort(key=itemgetter(0))
+            for base, k, entries in blocks:
+                x, y = base * ux + m * lx, base * uy + m * ly
+                rows += [(x + r * ux, y + r * uy, k - q, tail, m) for r, q, tail in entries]
+        rows.sort()
         return rows
 
     def values(self, rows):
         bounds = self.bounds
         return (
             (LexValue(x, y), Representation((c, *tail, m), bounds))
-            for (x, y), c, tail, m in rows
+            for x, y, c, tail, m in rows
         )
 
 
@@ -458,10 +488,11 @@ class _QuadraticEngine(_Engine):
             # the integer part keeps the floor exact.
             irr = m * b_den
             root = isqrt(irr * irr * d << 2 * shift)
-            base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
-            for block in blocks:
-                rows += [(v, c, tail, m) for v, c, tail in block]
-                keys += [v * unit + base for v, _, _ in block]
+            shifted = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
+            for base, k, entries in blocks:
+                offset = base * unit + shifted
+                rows += [(base + r, k - q, tail, m) for r, q, tail in entries]
+                keys += [r * unit + offset for r, _, _ in entries]
         # list.sort calls its key once per row, in order, before it compares
         rows.sort(key=partial(next, iter(keys)))
         return rows
@@ -499,15 +530,19 @@ class _ChainEngine(_RationalEngine):
         stage = self.covering_stage(value.value)
         return stage, stage.deltas[1]
 
-    def values(self, rows):
-        if not rows:
+    def stage_end(self, value: Fraction) -> Fraction:
+        return self.appended[bisect_right(self.appended, value)]
+
+    def values(self, block):
+        base, k, entries = block
+        if not entries:
             return ()
-        # every ladder step appends one generator, so the row width names the stage
-        stage = self.ladder[len(rows[0][2]) + 1 - len(self.ladder[0].deltas)]
+        # every ladder step appends one generator, so the tail width names the stage
+        stage = self.ladder[len(entries[0][2]) + 1 - len(self.ladder[0].deltas)]
         bounds, scale = (None,) + tuple(stage.structure.n), stage.deltas[1]
         return (
-            (RatValue(Fraction(v, scale)), Representation((c,) + tail, bounds))
-            for v, c, tail in rows
+            (RatValue(Fraction(base + r, scale)), Representation((k - q,) + tail, bounds))
+            for r, q, tail in entries
         )
 
 
@@ -612,13 +647,16 @@ def walk(delta):
 
 
 def rows_upto(delta, bound, label=None):
-    """All members up to the bound in increasing order as integer rows: a
-    pair (scale, blocks), the blocks a lazy sequence of lists of rows
-    ``(v, c, tail)`` or, for the planar and quadratic kinds, ``(v, c, tail,
-    m)``, one list per sub-window and for the chain all in the bound's
-    stage, read as in ``_Engine``, with ``label(tail)`` in place of each tail
-    when a label is given (called once per tail, here).  Every error is
-    raised here, before the first block is asked for."""
+    """All members up to the bound in increasing order as integer windows:
+    a pair (scale, windows), the windows a lazy sequence, read as in
+    ``_Engine``: for the planar and quadratic kinds one list of sorted rows
+    ``(x, y, c, tail, m)`` or ``(v, c, tail, m)`` per sub-window, and for the
+    integer and chain kinds one ``_sweep`` block ``(base, k, entries)`` per
+    block of delta_0 head values, for the chain all in the bound's stage.
+    When a ``label`` is given it renders one exponent, called once per
+    exponent value and position here, and each tail is the text of its
+    exponents' labels joined.  Every error is raised here, before the first
+    window is asked for."""
     eng = _engine(delta)
     return eng.upto(eng.lift(bound), label)
 
@@ -626,8 +664,8 @@ def rows_upto(delta, bound, label=None):
 def enumerate_upto(delta, bound):
     """All members up to the bound in increasing order, with representations."""
     eng = _engine(delta)
-    _, blocks = eng.upto(eng.lift(bound))
-    return list(eng.values([row for block in blocks for row in block]))
+    _, windows = eng.upto(eng.lift(bound))
+    return [pair for window in windows for pair in eng.values(window)]
 
 
 def omega(delta, value) -> int:

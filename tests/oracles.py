@@ -41,7 +41,6 @@ from deltacodes.deltaseq import (
     DeltaN,
     _tails,
     telescopic_exponents,
-    telescopic_members,
     validate_n,
 )
 from deltacodes.errors import DomainError
@@ -57,6 +56,7 @@ from deltacodes.genesis import DeltaQ, DeltaR, DeltaZ2
 from deltacodes.quadratics import QuadExt
 from deltacodes.semigroup import (
     LexValue,
+    QuadValue,
     RatValue,
     Representation,
     _engine,
@@ -417,27 +417,36 @@ def telescopic_members_sorted(
 
 
 def head_window(delta, lo, hi):
-    """The members of a planar or quadratic semigroup in the window (lo, hi]
-    (from zero on when lo is None) as (scale, rows), the rows (v, c, tail, m)
-    of the library's listing, merged across the copies m of the free
-    generator by one sort of the whole window: on the plane vector, or on the
-    quadratic kind's integer key floor(value * 2**shift) with the shift taken
-    from the window's largest head member and copy count."""
+    """The members in the window (lo, hi] (from zero on when lo is None) as
+    (scale, rows), the rows as the library lists them: (x, y, c, tail, m)
+    for a planar semigroup, (v, c, tail, m) for a quadratic one and (v, c,
+    tail) for the integer and chain kinds, v over the scale of the stage
+    that covers hi.  The head members come from ``telescopic_members_sorted``,
+    one list for each copy m of the free generator, merged by one sort of
+    the whole window: on the plane vector, or on the quadratic kind's integer
+    key floor(value * 2**shift) with the shift taken from the window's
+    largest head member and copy count."""
     eng = _engine(delta)
     eng.finite()
-    runs = []
-    for m in range(eng.copies(hi)):
-        bottom = -1 if lo is None else eng.top(lo, m)
-        blocks = telescopic_members(eng.head, bottom, eng.top(hi, m))
-        runs.append((m, [row for block in blocks for row in block]))
+    if isinstance(delta, (DeltaN, DeltaQ)):
+        stage, scale = eng.stage(hi)
+        bottom = -1 if lo is None else floor(lo.value * scale)
+        members = telescopic_members_sorted(stage, bottom, floor(hi.value * scale))
+        return scale, [(v, exps[0], exps[1:]) for v, exps in members]
+    runs = [
+        (m, telescopic_members_sorted(
+            eng.head, -1 if lo is None else eng.top(lo, m), eng.top(hi, m)
+        ))
+        for m in range(eng.copies(hi))
+    ]
     if isinstance(delta, DeltaZ2):
         (ux, uy), (lx, ly) = eng.u, eng.last
         found = [
-            ((s * ux + m * lx, s * uy + m * ly), c, tail, m)
+            (s * ux + m * lx, s * uy + m * ly, exps[0], exps[1:], m)
             for m, run in runs
-            for s, c, tail in run
+            for s, exps in run
         ]
-        found.sort(key=itemgetter(0))
+        found.sort(key=itemgetter(0, 1))
         return 1, found
     tau, scale, den, d = eng.tau, eng.scale, eng.den, eng.tau.d
     step, a_den, b_den = den // scale, int(tau.a * den), int(tau.b * den)
@@ -451,16 +460,40 @@ def head_window(delta, lo, hi):
         irr = m * b_den
         root = isqrt(irr * irr * d << 2 * shift)
         base = (m * a_den << shift) + (root if irr >= 0 else -root - 1)
-        keyed += [(((v * step << shift) + base) // den, v, c, tail, m) for v, c, tail in run]
+        keyed += [
+            (((v * step << shift) + base) // den, v, exps[0], exps[1:], m) for v, exps in run
+        ]
     keyed.sort(key=itemgetter(0))
     return scale, [row[1:] for row in keyed]
+
+
+def window_listing(delta, lo, hi):
+    """The (value, Representation) pairs of ``head_window``'s rows, a chain
+    member's exponents as wide as the stage that covers hi."""
+    eng = _engine(delta)
+    scale, rows = head_window(delta, lo, hi)
+    if isinstance(delta, (DeltaN, DeltaQ)):
+        bounds = (None,) + tuple(eng.stage(hi)[0].structure.n)
+        return [
+            (RatValue(Fraction(v, scale)), Representation((c,) + tail, bounds))
+            for v, c, tail in rows
+        ]
+    bounds = (None,) + tuple(eng.head.structure.n) + (None,)
+    if isinstance(delta, DeltaZ2):
+        return [
+            (LexValue(x, y), Representation((c, *tail, m), bounds)) for x, y, c, tail, m in rows
+        ]
+    return [
+        (QuadValue(Fraction(v, scale), m, delta.tail), Representation((c, *tail, m), bounds))
+        for v, c, tail, m in rows
+    ]
 
 
 def walk_eager(delta):
     """The ordered member walk with each window built whole, its upper end
     doubled from the first generator on, and the (value, Representation)
     pair of every member in the window built before the first is yielded.
-    A planar or quadratic window is ``head_window``; an integer or chain
+    A planar or quadratic window is ``window_listing``; an integer or chain
     window is the members of the sequence, or of the stage that covers the
     window's upper end, and each chain member's exponents are then cut to
     the width of the stage that covers the upper end of its own sub-window
@@ -471,24 +504,23 @@ def walk_eager(delta):
     lo, hi = None, g0
     while True:
         if isinstance(delta, (DeltaZ2, DeltaR)):
-            yield from list(eng.values(head_window(delta, lo, hi)[1]))
+            yield from window_listing(delta, lo, hi)
         else:
             chain = isinstance(delta, DeltaQ)
             stage = eng.covering_stage(hi.value) if chain else delta
             scale = stage.deltas[1] if chain else 1
             bottom = -1 if lo is None else floor(lo.value * scale)
             pairs = []
-            for block in telescopic_members(stage, bottom, floor(hi.value * scale)):
-                for v, c, tail in block:
-                    value, exps, own = Fraction(v, scale), (c,) + tail, stage
-                    if chain:
-                        k = max(-(-value // g0.value) - 1, 0)
-                        own = eng.covering_stage((k + 1) * g0.value)
-                        if any(exps[len(own.deltas):]):
-                            raise AssertionError(f"{value} needs more than its stage")
-                        exps = exps[: len(own.deltas)]
-                    rep = Representation(exps, (None,) + tuple(own.structure.n))
-                    pairs.append((RatValue(value), rep))
+            for v, exps in telescopic_members_sorted(stage, bottom, floor(hi.value * scale)):
+                value, own = Fraction(v, scale), stage
+                if chain:
+                    k = max(-(-value // g0.value) - 1, 0)
+                    own = eng.covering_stage((k + 1) * g0.value)
+                    if any(exps[len(own.deltas):]):
+                        raise AssertionError(f"{value} needs more than its stage")
+                    exps = exps[: len(own.deltas)]
+                rep = Representation(exps, (None,) + tuple(own.structure.n))
+                pairs.append((RatValue(value), rep))
             yield from pairs
         lo, hi = hi, eng.add(hi, hi)
 

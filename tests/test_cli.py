@@ -753,13 +753,23 @@ def fresh_listing(tmp_path, delta: str, bound: str):
     return float(seconds), float(peak_mb), lines, digest.hexdigest()
 
 
+@pytest.mark.parametrize("name", ["chain119_semigroup", "planar_big_semigroup"])
+def test_a_listing_equals_its_checked_in_text(name, capsys):
+    """The listings of the configs in tests/data, a chain one past four
+    appended generators and a planar one, as the text checked in beside
+    each."""
+    assert main(["semigroup", "--config", str(DATA / f"{name}.cfg")]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.txt").read_text()
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_a_large_chain_listing_streams_in_bounded_memory(tmp_path):
     """The chain (11, 9) with 6 steps lists 744,757 members up to 160.  In a
     fresh interpreter the listing writes the same bytes as when it was built
     whole, within 50 MB peak resident: memory is one block of delta_0 values
     plus the text of each exponent tail, not the output.  On a 2-vCPU VM it
-    takes about 1.3 s and 28 MB; built whole, it took 3.9 s and 319 MB."""
+    takes about 0.47 s and 21 MB (0.72 s and 23 MB when each member was
+    first built as a row tuple); built whole, it took 3.9 s and 319 MB."""
     seconds, peak_mb, lines, digest = fresh_listing(
         tmp_path, "type = E\nunder = 11 9\nsteps = 6\n", "160"
     )

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from deltacodes.deltaseq import (
     DeltaN,
+    _sweep,
     _tail_table,
     canonical_cf,
     cf_of,
@@ -369,26 +370,33 @@ def sweep_windows(draw):
 def test_residue_sweep_equals_the_sorted_listing(case):
     """The sweep lists the same members with the same exponents as sorting
     every member found, one block of delta_0 values per list, and each tail
-    is one object shared by the rows that carry it; the tail table labels
-    each tail once."""
+    is one object shared by the rows that carry it, each entry of a block
+    one of the table's own; the tail table labels each exponent once, and a
+    labelled tail is the text of its exponents' labels."""
     delta, lo, hi = case
     first = delta.deltas[0]
     labelled = []
 
-    def label(tail):
-        labelled.append(tail)
-        return [tail]
+    def label(c):
+        labelled.append(c)
+        return f" {c}"
 
     _, order = _tail_table(delta, hi, label)
-    _, plain = _tail_table(delta, hi)
-    assert len(labelled) == len(set(labelled)) == len(order)
-    assert [boxed[0] for _, _, boxed in order] == [tail for _, _, tail in plain]
+    residues, plain = _tail_table(delta, hi)
+    assert labelled == [c for n_i in reversed(delta.structure.n) for c in range(n_i)]
+    assert [text for _, _, text in order] == [" %d" * len(tail) % tail for _, _, tail in plain]
     blocks = list(telescopic_members(delta, lo, hi))
     rows = [(v, (c,) + tail) for block in blocks for v, c, tail in block]
     assert rows == telescopic_members_sorted(delta, lo, hi)
     assert all(len({v // first for v, _, _ in block}) == 1 for block in blocks if block)
     tails = [tail for block in blocks for _, _, tail in block]
     assert len({id(tail) for tail in tails}) == len(set(tails))
+    swept = list(_sweep(first, residues, plain, max(lo + 1, 0), hi))
+    assert [
+        [(base + r, k - q, tail) for r, q, tail in entries] for base, k, entries in swept
+    ] == blocks
+    owned = {id(entry) for entry in plain}
+    assert all(id(entry) in owned for _, _, entries in swept for entry in entries)
 
 
 def test_telescopic_count_ignores_the_size_of_w():

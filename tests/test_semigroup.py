@@ -23,6 +23,7 @@ from deltacodes.codes import render_value
 from deltacodes.deltaseq import DeltaN, telescopic_exponents, validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import (
+    DeltaQ,
     DeltaR,
     DeltaZ2,
     build_type_c,
@@ -46,7 +47,7 @@ from deltacodes.semigroup import (
 
 import helpers
 import oracles
-from oracles import members_below, walk_eager
+from oracles import members_below, walk_eager, window_listing
 
 DZ2 = build_type_c((11, 9))
 DZ2_BIG = build_type_c((36, 24, 8, 18, 13))
@@ -541,9 +542,15 @@ def cli_listing(kind, bound):
 
 
 def listed_rows(delta, bound):
-    """``rows_upto`` with its blocks joined: (scale, rows)."""
-    scale, blocks = semigroup_module.rows_upto(delta, bound)
-    return scale, [row for block in blocks for row in block]
+    """``rows_upto`` with its windows joined as rows: (scale, rows), each
+    entry (r, q, tail) of an integer or chain block (base, k, entries) the
+    row (base + r, k - q, tail)."""
+    scale, windows = semigroup_module.rows_upto(delta, bound)
+    if isinstance(delta, (DeltaN, DeltaQ)):
+        return scale, [
+            (base + r, k - q, tail) for base, k, entries in windows for r, q, tail in entries
+        ]
+    return scale, [row for window in windows for row in window]
 
 
 def object_listing(delta, bound):
@@ -658,8 +665,9 @@ class TestExactQuadraticKey:
         for m in range(1, 21):
             found[m].append((x, 0, ()))
             found[m + y].insert(0, (0, 0, ()))
+        # each run one sweep block at base 0, its entries (r, q, tail) = (v, 0, ())
         rows = semigroup_module._QuadraticEngine.sort(
-            eng, [(m, iter([run])) for m, run in enumerate(found)]
+            eng, [(m, iter([(0, 0, run)])) for m, run in enumerate(found)]
         )
         values = [QuadValue(Fraction(v), m, eng.tau) for v, _, _, m in rows]
         assert len(values) == 40
@@ -685,7 +693,7 @@ class TestExactQuadraticKey:
             # the head values v whose member with m copies lies near 10**12
             centre = ((QuadExt(Fraction(10**12), Fraction(0), radicand) - delta.tail * m)
                       * eng.scale).floor()
-            runs.append((m, iter([[(v, 0, ()) for v in range(centre - 20, centre + 21)]])))
+            runs.append((m, iter([(centre - 20, 0, [(r, 0, ()) for r in range(41)])])))
         far.append(eng.sort(runs))
         assert len(far[-1]) == 30 * 41
         for rows in far:
@@ -725,8 +733,13 @@ class TestExactQuadraticKey:
 
 # --- sub-windows against the whole-window merge ---------------------------------
 
-# Every planar and quadratic fixture family, with the config that builds it.
-HEAD_CONFIGS = {
+# (11, 9) extended once with z = 64: the first stage (704, 576, 577), then
+# stages of the default z; its first 400 members span five stages.
+CH_WIDE_Z = build_type_e((11, 9), 1, [(64, 577)])
+
+# Every planar and quadratic fixture family, integer sequences and chains
+# (one with its own choices), with the config that builds each.
+WINDOW_CONFIGS = {
     "DZ119": "type = C\nunder = 11 9\n",
     "DZ53": "type = C\nunder = 5 3\n",
     "DZ75": "type = C\nunder = 7 5\n",
@@ -737,15 +750,36 @@ HEAD_CONFIGS = {
     "DR75": "type = D\nunder = 7 5\ndigits = 28 3 1\n",
     "DR_BIG_A": "type = D\nunder = 36 24 8 18 13\ndigits = 20 5 2\n",
     "DR_BIG_B": "type = D\nunder = 36 24 8 18 13\ndigits = 15 2 1\n",
+    "DN_BIG": "type = N\nunder = 36 24 8 18 13\n",
+    "DN32": "type = N\nunder = 3 2\n",
+    "CH119_2": "type = E\nunder = 11 9\nsteps = 2\n",
+    "CH119_6": "type = E\nunder = 11 9\nsteps = 6\n",
+    "CH_WIDE_Z": "type = E\nunder = 11 9\nsteps = 1\nchoices = 64 577\n",
 }
-HEAD_FAMILIES = {name: getattr(helpers, name) for name in HEAD_CONFIGS}
+WINDOW_FAMILIES = {
+    **{name: getattr(helpers, name) for name in WINDOW_CONFIGS if hasattr(helpers, name)},
+    "DN_BIG": validate_n(helpers.UNDER_BIG),
+    "DN32": validate_n((3, 2)),
+    "CH119_2": build_type_e(helpers.UNDER_119, 2),
+    "CH119_6": build_type_e(helpers.UNDER_119, 6),
+    "CH_WIDE_Z": CH_WIDE_Z,
+}
+# The families with a free generator, whose sub-windows the engine sorts.
+FREE_FAMILIES = sorted(
+    name for name, delta in WINDOW_FAMILIES.items() if isinstance(delta, (DeltaZ2, DeltaR))
+)
+CHAIN_FAMILIES = sorted(
+    name for name, delta in WINDOW_FAMILIES.items() if isinstance(delta, DeltaQ)
+)
 
 
 def _scaled(value, t: Fraction):
-    """t times a planar or quadratic value, t >= 0 rational; a planar value
-    is rounded down to integer components."""
+    """t times a value, t >= 0 rational; a planar value is rounded down to
+    integer components."""
     if isinstance(value, LexValue):
         return LexValue(floor(value.x * t), floor(value.y * t))
+    if isinstance(value, RatValue):
+        return RatValue(value.value * t)
     return QuadValue(value.r * t, floor(value.m * t), value.tau)
 
 
@@ -753,6 +787,8 @@ def _nudged(value, step: int):
     """A value just above (step > 0) or below (step < 0) the given one."""
     if isinstance(value, LexValue):
         return LexValue(value.x, value.y + step)
+    if isinstance(value, RatValue):
+        return RatValue(value.value + Fraction(step, 10**6))
     return QuadValue(value.r + Fraction(step, 10**6), value.m, value.tau)
 
 
@@ -761,26 +797,33 @@ def _edge(delta, k: int):
     return _scaled(generators(delta)[0], Fraction(k))
 
 
-def head_bounds(name):
+def window_bounds(name):
     """A bound anywhere from below zero to eight first generators out, with
-    up to three copies of tau for the quadratic kind."""
-    g0 = generators(HEAD_FAMILIES[name])[0]
+    up to three copies of tau for the quadratic kind, and for a chain also
+    between two of its first four appended generators."""
+    delta = WINDOW_FAMILIES[name]
+    g0 = generators(delta)[0]
     scale = st.fractions(-1, 8, max_denominator=40)
     if isinstance(g0, LexValue):
         return st.builds(
             lambda t, y: LexValue(floor(g0.x * t), y), scale, st.integers(-30, 30)
         )
-    return st.builds(lambda t, m: QuadValue(g0.r * t, m, g0.tau), scale, st.integers(0, 3))
+    if isinstance(g0, QuadValue):
+        return st.builds(lambda t, m: QuadValue(g0.r * t, m, g0.tau), scale, st.integers(0, 3))
+    bounds = st.builds(lambda t: RatValue(g0.value * t), scale)
+    if isinstance(delta, DeltaQ):
+        appended = _appended(delta, 4)
+        between = st.builds(
+            lambda pair, t: RatValue(pair[0] + (pair[1] - pair[0]) * t),
+            st.sampled_from(list(zip(appended, appended[1:]))),
+            st.fractions(0, 1, max_denominator=16),
+        )
+        bounds = st.one_of(bounds, between)
+    return bounds
 
 
-def oracle_listing(delta, lo, hi):
-    """(value, Representation) pairs of the whole-window merge over (lo, hi]."""
-    _, rows = oracles.head_window(delta, lo, hi)
-    return list(semigroup_module._engine(delta).values(rows))
-
-
-def head_cli_listing(name, bound):
-    text = f"[field]\np = 7\n[delta]\n{HEAD_CONFIGS[name]}[job]\nbound = {_bound_text(bound)}\n"
+def window_cli_listing(name, bound):
+    text = f"[field]\np = 7\n[delta]\n{WINDOW_CONFIGS[name]}[job]\nbound = {_bound_text(bound)}\n"
     return run(parse_config(text).replace(command="semigroup"))
 
 
@@ -815,57 +858,70 @@ def spy_sorts(monkeypatch, delta):
 
 class TestSubWindows:
     def test_configs_build_the_head_families(self):
-        for name, text in HEAD_CONFIGS.items():
+        for name, text in WINDOW_CONFIGS.items():
             config = parse_config(f"[field]\np = 7\n[delta]\n{text}")
-            assert cli_build_delta(config) == HEAD_FAMILIES[name]
+            assert cli_build_delta(config) == WINDOW_FAMILIES[name]
 
-    @settings(max_examples=120, deadline=None)
-    @given(data=st.data(), name=st.sampled_from(sorted(HEAD_CONFIGS)))
+    @settings(max_examples=160, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(WINDOW_CONFIGS)))
     def test_listing_equals_the_whole_window(self, data, name):
         """``rows_upto``, ``enumerate_upto`` and the CLI text up to a bound
         anywhere, below zero too, as the window merged whole."""
-        delta, bound = HEAD_FAMILIES[name], data.draw(head_bounds(name))
+        delta, bound = WINDOW_FAMILIES[name], data.draw(window_bounds(name))
         scale, rows = listed_rows(delta, bound)
         assert (scale, rows) == oracles.head_window(delta, None, bound)
-        expected = oracle_listing(delta, None, bound)
+        expected = window_listing(delta, None, bound)
         assert enumerate_upto(delta, bound) == expected
-        assert head_cli_listing(name, bound) == rendered(expected)
+        assert window_cli_listing(name, bound) == rendered(expected)
 
-    @pytest.mark.parametrize("name", sorted(HEAD_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
     def test_bounds_on_and_beside_a_sub_window_edge(self, name):
-        delta = HEAD_FAMILIES[name]
+        delta = WINDOW_FAMILIES[name]
         for k in range(6):
             edge = _edge(delta, k)
             for bound in (edge, _nudged(edge, 1), _nudged(edge, -1)):
-                expected = oracle_listing(delta, None, bound)
+                expected = window_listing(delta, None, bound)
                 assert enumerate_upto(delta, bound) == expected, bound
-                assert head_cli_listing(name, bound) == rendered(expected), bound
+                assert window_cli_listing(name, bound) == rendered(expected), bound
 
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), name=st.sampled_from(sorted(HEAD_CONFIGS)))
+    @pytest.mark.parametrize("name", CHAIN_FAMILIES)
+    def test_bounds_on_and_beside_an_appended_generator(self, name):
+        """At each of the first three generators the chain appends, the
+        listing moves to the next stage."""
+        delta = WINDOW_FAMILIES[name]
+        for generator in _appended(delta, 3):
+            edge = RatValue(generator)
+            for bound in (edge, _nudged(edge, 1), _nudged(edge, -1)):
+                expected = window_listing(delta, None, bound)
+                assert listed_rows(delta, bound) == oracles.head_window(delta, None, bound)
+                assert enumerate_upto(delta, bound) == expected, bound
+                assert window_cli_listing(name, bound) == rendered(expected), bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(WINDOW_CONFIGS)))
     def test_a_window_of_the_listing_equals_the_whole_window(self, data, name):
         """The members above lo of the listing up to hi, for random lo < hi,
         are the window (lo, hi] merged whole."""
-        delta = HEAD_FAMILIES[name]
+        delta = WINDOW_FAMILIES[name]
         lo, hi = sorted(
-            (data.draw(head_bounds(name)), data.draw(head_bounds(name))),
+            (data.draw(window_bounds(name)), data.draw(window_bounds(name))),
             key=cmp_to_key(compare),
         )
         listed = [pair for pair in enumerate_upto(delta, hi) if compare(pair[0], lo) > 0]
-        assert listed == oracle_listing(delta, lo, hi)
+        assert listed == window_listing(delta, lo, hi)
 
-    @pytest.mark.parametrize("name", sorted(HEAD_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
     def test_walk_prefix_equals_the_eager_walk(self, name):
-        delta = HEAD_FAMILIES[name]
+        delta = WINDOW_FAMILIES[name]
         assert list(islice(walk(delta), 2000)) == list(islice(walk_eager(delta), 2000))
 
     def test_negative_y_members_are_listed_in_order(self):
         """DZ427's last vector lies below the x axis, so many members do too."""
-        delta = HEAD_FAMILIES["DZ427"]
+        delta = WINDOW_FAMILIES["DZ427"]
         bound = _edge(delta, 20)
         listed = enumerate_upto(delta, bound)
         assert sum(v.y < 0 for v, _ in listed) > 100
-        assert listed == oracle_listing(delta, None, bound)
+        assert listed == window_listing(delta, None, bound)
         assert listed == reference_enumerate(delta, bound)
 
     def test_a_generator_on_the_y_axis_raises_before_any_block(self):
@@ -875,11 +931,11 @@ class TestSubWindows:
         with pytest.raises(DomainError, match="infinite"):
             next(walk(ams))
 
-    @pytest.mark.parametrize("name", sorted(HEAD_CONFIGS))
+    @pytest.mark.parametrize("name", FREE_FAMILIES)
     def test_no_sort_spans_more_than_one_sub_window(self, name, monkeypatch):
         """Each list the engine sorts, in the listing and in the walk, holds
         members of one sub-window, one list per sub-window in turn."""
-        delta = HEAD_FAMILIES[name]
+        delta = WINDOW_FAMILIES[name]
         eng = semigroup_module._engine(delta)
         sorted_rows = spy_sorts(monkeypatch, delta)
         enumerate_upto(delta, _nudged(_edge(delta, 7), -1))
@@ -925,11 +981,6 @@ class TestSubWindows:
         assert all(compare(v, upper) <= 0 for v in built)
 
 
-# (11, 9) extended once with z = 64: the first stage (704, 576, 577), then
-# stages of the default z; its first 400 members span five stages.
-CH_WIDE_Z = build_type_e((11, 9), 1, [(64, 577)])
-
-
 class TestChainWalk:
     def test_the_walk_equals_the_eager_walk_across_stages(self):
         """Each member's representation has the width of the stage that
@@ -937,6 +988,23 @@ class TestChainWalk:
         walked = list(islice(walk(CH_WIDE_Z), 400))
         assert walked == list(islice(walk_eager(CH_WIDE_Z), 400))
         assert len({len(rep.exponents) for _, rep in walked}) > 3
+
+    def test_the_walk_reads_a_value_only_where_it_enters_a_stage(self, monkeypatch):
+        """The walk runs on integer tops: it asks for the stage that covers
+        a sub-window's upper end once at the start and then only where that
+        stage changes, so every stage it is given is a new one."""
+        kind, given = semigroup_module._ChainEngine, []
+        original = kind.stage
+
+        def stage(self, value):
+            found = original(self, value)
+            given.append(found[0])
+            return found
+
+        monkeypatch.setattr(kind, "stage", stage)
+        walked = list(islice(walk(build_type_e((11, 9), 1, [(64, 577)])), 400))
+        assert len(given) == len(set(given)) > 3
+        assert len(given) >= len({len(rep.exponents) for _, rep in walked})
 
     def test_tail_tables_stay_within_twice_the_top(self, monkeypatch):
         """Every table the walk builds is the head of the stage that covers
