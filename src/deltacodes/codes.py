@@ -16,8 +16,10 @@ keep it and ask it for the code and bounds at each alpha.  It walks the
 members in blocks of n - rank.  The kernel's ``multiply_rows`` forms each
 block's rows in one flat array, each row an earlier member's row times one
 approximant's values, and ``extend_echelon`` reduces them in place against
-the echelon basis of the rows so far.  The pair counts behind the order
-bounds come from ``semigroup``, which owns them.
+the echelon basis of the rows so far.  That is the one Gaussian elimination
+here: the dual code at a bound comes from two more ``extend_echelon``
+calls, on the parity rows and on their echelon rows reversed.  The pair
+counts behind the order bounds come from ``semigroup``, which owns them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .approximants import ApproximateFamily, _fit_exponents
 from .deltaseq import DeltaN, gap_count_telescopic, telescopic_count, validate_n
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
-from .gf import FieldSpec, rank_nullspace_ints
+from .gf import FieldSpec
 from .minweight import min_dependent_columns
 from .semigroup import (
     LexValue,
@@ -138,6 +140,33 @@ def _approximant_rows(fam: ApproximateFamily, ev: EvalMap, mul, sub, backend) ->
         lead, rest = work[step.n * n : (step.n + 1) * n], work[-n:]
         values += array("i", [sub[a * q + b] for a, b in zip(lead, rest)])
     return values
+
+
+def _dual_basis(rows: array, n: int, spec: FieldSpec, backend) -> tuple:
+    """A basis of the vectors orthogonal to the rows of length n in the flat
+    array ``rows``, as tuples of field elements: for each non-pivot column f
+    of the rows' reduced row echelon form, ascending, 1 at f and minus the
+    form's column f at the pivots (see ``Scan.code_at``)."""
+    t = spec._t
+    tables, by_val = t.kernel_tables(backend), t.by_val
+    basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
+    flags = minweight.extend_echelon(
+        rows, len(rows) // n, n, t.q, *tables, basis, pivots, 0, backend=backend
+    )
+    rank, reverse = sum(flags), array("i")
+    for b in range(rank - 1, -1, -1):
+        reverse += basis[b * n : (b + 1) * n]
+    minweight.extend_echelon(reverse, rank, n, t.q, *tables, basis, pivots, 0, backend=backend)
+    piv = pivots[:rank].tolist()
+    minus = [by_val[v] for v in t.neg]
+    out = []
+    for f in sorted(set(range(n)).difference(piv)):
+        vec = [by_val[0]] * n
+        vec[f] = by_val[1]
+        for c, v in zip(piv, basis[f : rank * n : n]):
+            vec[c] = minus[v]
+        out.append(tuple(vec))
+    return tuple(out)
 
 
 class Scan:
@@ -250,6 +279,7 @@ class Scan:
 
         self.delta = delta
         self.spec = ev.spec
+        self.backend = backend                 # the kernel backend, None for the default
         self.n = n
         self.members = tuple(members)          # ascending, members[0] = 0
         self.exponents = tuple(exponents)      # fitted representation per member
@@ -287,14 +317,24 @@ class Scan:
         return [rows[j * n : (j + 1) * n] for j in range(i + 1) if self.jump[j]]
 
     def code_at(self, alpha) -> CodePair:
-        """The evaluation space and dual code at a semigroup member."""
+        """The evaluation space and dual code at a semigroup member.
+
+        ``gen_c`` has one vector per non-pivot column of the reduced row
+        echelon form of the parity rows (``_dual_basis``).  That form is
+        unique to E_alpha, so ``gen_c`` does not depend on the rows spanning
+        it.  Two ``extend_echelon`` passes give it: the parity rows, then the
+        echelon rows in reverse order, each reduced only against later rows,
+        which are zero at its pivot and at every pivot before it.
+        """
         represent(self.delta, alpha)
         idx = self._index(alpha)
         enc = self._parity_rows(self.omega_index if idx is None else idx)
         by_val = self.spec._t.by_val
         gen_e = tuple(tuple(by_val[v] for v in row) for row in enc)
-        _, kernel = rank_nullspace_ints([list(row) for row in enc], self.n, self.spec)
-        gen_c = tuple(tuple(by_val[v] for v in row) for row in kernel)
+        rows = array("i")
+        for row in enc:
+            rows += row
+        gen_c = _dual_basis(rows, self.n, self.spec, self.backend)
         return CodePair(alpha, gen_e, len(enc), gen_c, self.n - len(enc))
 
     def feng_rao(self, alpha, literal: bool = False):

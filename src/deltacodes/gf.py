@@ -1,10 +1,11 @@
-"""Exact arithmetic in small finite fields GF(p^m) and linear algebra over them.
+"""Exact arithmetic in small finite fields GF(p^m).
 
 Elements are coefficient tuples over the prime field (little-endian in the
 generator g); all arithmetic goes through precomputed tables, which the kernel
 fills, so everything is integer-exact.  For extension fields the modulus is
 configurable; the default is the smallest primitive monic polynomial, which
-for GF(2^5) is g^5+g^2+1, read from a table.
+for GF(2^5) is g^5+g^2+1, read from a table.  Linear algebra over these
+fields is the kernel's (``minweight.extend_echelon``), not this module's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import minweight
 from ._value import Value, _set
 from .errors import DomainError
 
-__all__ = ["FieldElement", "FieldSpec", "rank_nullspace_ints"]
+__all__ = ["FieldElement", "FieldSpec"]
 
 # The q^2 tables of the largest fields, p = 1021 and 2^10, take about 0.02 s
 # and 26 MB peak with the compiled kernel, and 0.6 s and 62 MB with the pure
@@ -395,45 +396,3 @@ def _tables(spec: FieldSpec) -> _Tables:
     """The spec's own tables; perfbench's kernel job reads them by this name."""
     return spec._t
 
-
-def rank_nullspace_ints(
-    int_rows: list[list[int]], cols: int, spec: FieldSpec
-) -> tuple[int, list[list[int]]]:
-    """Rank and right-nullspace basis of an encoded-integer matrix.
-
-    Operates on encoded values to keep the inner loops cheap.
-    """
-    t = spec._t
-    q = t.q
-    work = [row[:] for row in int_rows]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prow = 0
-    for col in range(cols):
-        sel = next((r for r in range(prow, len(work)) if work[r][col]), None)
-        if sel is None:
-            continue
-        work[prow], work[sel] = work[sel], work[prow]
-        inv_p = t.inv[work[prow][col]]
-        row = work[prow]
-        for j in range(col, cols):
-            row[j] = t.mul[inv_p * q + row[j]]
-        for r in range(len(work)):
-            if r != prow and work[r][col]:
-                f = work[r][col]
-                rr = work[r]
-                for j in range(col, cols):
-                    rr[j] = t.sub[rr[j] * q + t.mul[f * q + row[j]]]
-        pivots.append((prow, col))
-        prow += 1
-    rank = len(pivots)
-    pivot_cols = {c for _, c in pivots}
-    basis: list[list[int]] = []
-    for free in range(cols):
-        if free in pivot_cols:
-            continue
-        vec = [0] * cols
-        vec[free] = 1
-        for r, c in pivots:
-            vec[c] = t.neg[work[r][free]]
-        basis.append(vec)
-    return rank, basis

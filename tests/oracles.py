@@ -1,27 +1,29 @@
 """Reference implementations that only the tests use.
 
-Each one is the plain, slow way to get what the library computes another way:
-field arithmetic one named operation at a time, polynomial products, the
-search for a default modulus, the rank and kernel of a matrix of field
-elements, basis elements as products of approximates, evaluation rows by
-multiplying out each basis polynomial and evaluating it term by term,
-the scan's evaluation rows as pointwise products of approximant powers
-and its pair counts by set intersection over all earlier members,
-the column search with every candidate reduced from scratch against the
-whole basis, semigroup membership by a sieve over every integer up to the
-bound, the approximants' exponent rows by validating each prefix of the
-sequence again, a window
-of members by sorting every member found, a planar or quadratic window
-merged across the copies of its free generator by one sort of the whole
-window, the member walk with each window's values built whole, a quadratic
-value in floating point, and the command line read by ``argparse``.  They
-live outside the package, so the library neither ships nor imports them, and a
-test that compares the two compares independent code.
+Each one is the plain, slow way to get what the library computes another
+way: field arithmetic one named operation at a time, polynomial products,
+the search for a default modulus, the rank and kernel of a matrix by
+Gaussian elimination in pure Python, the minimum weight of a small dual code
+by enumerating every codeword, basis elements as products of approximates,
+evaluation rows by multiplying out each basis polynomial and evaluating it
+term by term, the scan's evaluation rows as pointwise products of
+approximant powers and its pair counts by set intersection over all earlier
+members, the column search with every candidate reduced from scratch against
+the whole basis, semigroup membership by a sieve over every integer up to
+the bound, the approximants' exponent rows by validating each prefix of the
+sequence again, a window of members by sorting every member found, a planar
+or quadratic window merged across the copies of its free generator by one
+sort of the whole window, the member walk with each window's values built
+whole, a quadratic value in floating point, and the command line read by
+``argparse``.  They live outside the package, so the library neither ships
+nor imports them, and a test that compares the two compares independent
+code.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -36,7 +38,7 @@ from deltacodes.approximants import (
     expand_family,
 )
 from deltacodes.cli import COMMANDS
-from deltacodes.codes import EvalMap
+from deltacodes.codes import CodePair, EvalMap
 from deltacodes.deltaseq import (
     DeltaN,
     _tails,
@@ -50,7 +52,6 @@ from deltacodes.gf import (
     _digits,
     _is_irreducible,
     _powers,
-    rank_nullspace_ints,
 )
 from deltacodes.genesis import DeltaQ, DeltaR, DeltaZ2
 from deltacodes.quadratics import QuadExt
@@ -63,6 +64,8 @@ from deltacodes.semigroup import (
     enumerate_upto,
     represent,
 )
+
+from helpers import F7
 
 # --- finite fields -----------------------------------------------------------
 
@@ -134,6 +137,49 @@ def field_arith(
     raise DomainError(f"unknown operation {op!r}")
 
 
+def rank_nullspace_ints(
+    int_rows: list[list[int]], cols: int, spec: FieldSpec
+) -> tuple[int, list[list[int]]]:
+    """Rank and right-nullspace basis of an encoded-integer matrix.
+
+    Operates on encoded values to keep the inner loops cheap.
+    """
+    t = spec._t
+    q = t.q
+    work = [row[:] for row in int_rows]
+    pivots: list[tuple[int, int]] = []  # (row, col)
+    prow = 0
+    for col in range(cols):
+        sel = next((r for r in range(prow, len(work)) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[prow], work[sel] = work[sel], work[prow]
+        inv_p = t.inv[work[prow][col]]
+        row = work[prow]
+        for j in range(col, cols):
+            row[j] = t.mul[inv_p * q + row[j]]
+        for r in range(len(work)):
+            if r != prow and work[r][col]:
+                f = work[r][col]
+                rr = work[r]
+                for j in range(col, cols):
+                    rr[j] = t.sub[rr[j] * q + t.mul[f * q + row[j]]]
+        pivots.append((prow, col))
+        prow += 1
+    rank = len(pivots)
+    pivot_cols = {c for _, c in pivots}
+    basis: list[list[int]] = []
+    for free in range(cols):
+        if free in pivot_cols:
+            continue
+        vec = [0] * cols
+        vec[free] = 1
+        for r, c in pivots:
+            vec[c] = t.neg[work[r][free]]
+        basis.append(vec)
+    return rank, basis
+
+
 def mat_rank_kernel(matrix: Matrix) -> tuple[int, list[list[FieldElement]]]:
     """Rank and a basis of the right kernel; rank + len(kernel) == cols."""
     if not matrix.entries:
@@ -148,6 +194,38 @@ def mat_rank_kernel(matrix: Matrix) -> tuple[int, list[list[FieldElement]]]:
 
 
 # --- evaluation codes --------------------------------------------------------
+
+
+def enumerated_min_weight(code: CodePair) -> int:
+    """Smallest nonzero weight by enumerating the whole dual code over F_7."""
+    rows = [[int(v) for v in row] for row in code.gen_c]
+    n = len(rows[0])
+    best = n + 1
+
+    def rec(i: int, acc: list) -> None:
+        nonlocal best
+        if i == len(rows):
+            weight = sum(1 for v in acc if v)
+            if 0 < weight < best:
+                best = weight
+            return
+        row = rows[i]
+        for c in range(7):
+            rec(i + 1, [(a + c * b) % 7 for a, b in zip(acc, row)])
+
+    rec(0, [0] * n)
+    return best
+
+
+def random_dual_pair(rng: random.Random, n: int, dim_e: int) -> CodePair:
+    """A random dual pair over F_7 with a full-rank dim_e x n evaluation side."""
+    while True:
+        ints = [[rng.randrange(7) for _ in range(n)] for _ in range(dim_e)]
+        rank, kernel = rank_nullspace_ints([row[:] for row in ints], n, F7)
+        if rank == dim_e:
+            gen_e = tuple(tuple(F7.element(v) for v in row) for row in ints)
+            gen_c = tuple(tuple(F7.element(v) for v in row) for row in kernel)
+            return CodePair(None, gen_e, dim_e, gen_c, n - dim_e)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import pytest
 
 from deltacodes.approximants import build_approximates
 from deltacodes.codes import (
-    CodePair,
     EvalMap,
     Scan,
     min_distance,
@@ -33,7 +32,6 @@ from deltacodes.codes import (
 )
 from deltacodes.deltaseq import gap_count_telescopic
 from deltacodes.genesis import build_type_c, build_type_d, build_type_e
-from deltacodes.gf import rank_nullspace_ints
 from deltacodes.quadratics import QuadExt, sqrt_of
 from deltacodes.semigroup import (
     LexValue,
@@ -69,7 +67,15 @@ from helpers import (
     POINTS_F7,
     xi_points,
 )
-from oracles import approx, basis_for, evaluation_matrix, gaps
+from oracles import (
+    approx,
+    basis_for,
+    enumerated_min_weight,
+    evaluation_matrix,
+    gaps,
+    random_dual_pair,
+    rank_nullspace_ints,
+)
 
 # --- reference columns ------------------------------------------------------
 
@@ -503,38 +509,6 @@ def bounded_tuple_census(gens, bounds, zero, add, within):
 
     walk(0, zero)
     return found
-
-
-def enumerated_min_weight(code: CodePair) -> int:
-    """Smallest nonzero weight by enumerating the whole dual code over F_7."""
-    rows = [[int(v) for v in row] for row in code.gen_c]
-    n = len(rows[0])
-    best = n + 1
-
-    def rec(i: int, acc: list) -> None:
-        nonlocal best
-        if i == len(rows):
-            weight = sum(1 for v in acc if v)
-            if 0 < weight < best:
-                best = weight
-            return
-        row = rows[i]
-        for c in range(7):
-            rec(i + 1, [(a + c * b) % 7 for a, b in zip(acc, row)])
-
-    rec(0, [0] * n)
-    return best
-
-
-def random_dual_pair(rng: random.Random, n: int, dim_e: int) -> CodePair:
-    """A random dual pair with a full-rank dim_e x n evaluation side."""
-    while True:
-        ints = [[rng.randrange(7) for _ in range(n)] for _ in range(dim_e)]
-        rank, kernel = rank_nullspace_ints([row[:] for row in ints], n, F7)
-        if rank == dim_e:
-            gen_e = tuple(tuple(F7.element(v) for v in row) for row in ints)
-            gen_c = tuple(tuple(F7.element(v) for v in row) for row in kernel)
-            return CodePair(None, gen_e, dim_e, gen_c, n - dim_e)
 
 
 class TestPropertySuite:

@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from deltacodes import codes
+from deltacodes import _minweight_py, codes, minweight
 from deltacodes.approximants import _fit_exponents, build_approximates
 from deltacodes.codes import (
     DEFAULT_HORIZON,
@@ -41,7 +41,7 @@ from deltacodes.deltaseq import (
 )
 from deltacodes.errors import DomainError
 from deltacodes.genesis import DeltaQ, DeltaR, DeltaZ2, build_type_c, build_type_e
-from deltacodes.gf import FieldSpec, rank_nullspace_ints
+from deltacodes.gf import FieldSpec
 from deltacodes.minweight import available_backends
 from deltacodes.quadratics import QuadExt
 from deltacodes.semigroup import (
@@ -61,7 +61,16 @@ from helpers import (
     DZ75, DZ_BIG, EV32_B, EV32_SMALL, EV7, F7, F32, UNDER_2029, UNDER_BIG,
 )
 import oracles
-from oracles import basis_element, basis_for, evaluation_matrix, gaps, members_below
+from oracles import (
+    basis_element,
+    basis_for,
+    enumerated_min_weight,
+    evaluation_matrix,
+    gaps,
+    members_below,
+    random_dual_pair,
+    rank_nullspace_ints,
+)
 from oracles import PointwiseRows as _PointwiseRows
 
 FAM7 = build_approximates(DZ119, F7)
@@ -183,6 +192,33 @@ class TestPointwiseRows:
         assert [tuple(int(v) for v in row) for row in matrix] == rows
 
 
+# Scans of the four kinds over F_7 and F_32: the checked-in planar table's
+# family and points (tests/data/planar119.cfg) with the other kinds over the
+# same points, and the benchmark's F_32 reference families.  The integer kind
+# over all 31 F_32 points never reaches full rank, so it takes 11 of them.
+CODE_SCANS = {
+    "planar-F7": (DZ119, EV7),
+    "quadratic-F7": (DR119, EV7),
+    "integer-F7": (DN119, EV7),
+    "chain-F7": (CH119, EV7),
+    "planar-F32": (DZ75, EV32_B),
+    "quadratic-F32": (DR75, EV32_B),
+    "integer-F32": (DN119, EV32_SMALL),
+    "chain-F32": (CH75, EV32_B),
+}
+
+
+def code_pair_oracle(scan, i) -> CodePair:
+    """The code pair at members[i] from the scan's parity rows, the dual
+    basis by Gauss-Jordan elimination in ``oracles.rank_nullspace_ints``."""
+    n, by_val = scan.n, scan.spec._t.by_val
+    enc = [scan.rows[j * n : (j + 1) * n].tolist() for j in range(i + 1) if scan.jump[j]]
+    rank, kernel = rank_nullspace_ints(enc, n, scan.spec)
+    assert rank == len(enc)
+    gen_e, gen_c = (tuple(tuple(by_val[v] for v in row) for row in m) for m in (enc, kernel))
+    return CodePair(scan.members[i], gen_e, rank, gen_c, n - rank)
+
+
 class TestCodeAt:
     def test_dimensions_along_the_whole_scan(self):
         for pair, k in zip(SCAN119["alpha"], SCAN119["k"]):
@@ -203,18 +239,105 @@ class TestCodeAt:
         rank, _ = rank_nullspace_ints(ints, 12, F7)
         assert rank == code.dim_e == 5
 
-    def test_duality_of_the_two_generators(self):
-        code = SCAN7.code_at(lex((13, 3)))
-        for erow in code.gen_e:
-            for crow in code.gen_c:
-                acc = F7.zero
-                for a, b in zip(erow, crow):
-                    acc = acc + a * b
-                assert acc == F7.zero
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("delta,ev", [(DZ119, EV7), (DZ75, EV32_B)], ids=["F7", "F32"])
+    def test_duality_of_the_two_generators(self, delta, ev, backend):
+        """Every row of gen_c is orthogonal to every row of gen_e, at every
+        rank of the scan."""
+        scan = Scan(delta, build_approximates(delta, ev.spec), ev, backend=backend)
+        t = ev.spec._t
+        for i in range(scan.omega_index + 1):
+            if not scan.jump[i]:
+                continue
+            code = scan.code_at(scan.members[i])
+            assert len(code.gen_c) == code.k == ev.n - scan.rank_after[i]
+            for erow in code.gen_e:
+                for crow in code.gen_c:
+                    acc = 0
+                    for a, b in zip(erow, crow):
+                        acc = t.add[acc * t.q + t.mul[int(a) * t.q + int(b)]]
+                    assert acc == 0
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("kind", sorted(CODE_SCANS))
+    def test_code_at_every_rank_equals_the_elimination_oracle(self, kind, backend):
+        delta, ev = CODE_SCANS[kind]
+        scan = Scan(delta, build_approximates(delta, ev.spec), ev, backend=backend)
+        jumps = [i for i in range(scan.omega_index + 1) if scan.jump[i]]
+        assert len(jumps) == ev.n
+        for i in jumps:
+            assert scan.code_at(scan.members[i]) == code_pair_oracle(scan, i), i
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("spec", [F7, FieldSpec(3, 2), F32], ids=["F7", "F9", "F32"])
+    def test_dual_basis_of_random_matrices_equals_the_elimination_oracle(self, spec, backend):
+        """Rank-deficient matrices, zero rows and more rows than columns
+        among them."""
+        rng, t, q = random.Random(spec.q), spec._t, spec.q
+        deficient = tall = 0
+        for _ in range(100):
+            n, rows = rng.randint(1, 10), []
+            for _ in range(rng.randint(0, 14)):
+                if rows and rng.random() < 0.4:  # a combination of earlier rows
+                    a, b, c = rng.choice(rows), rng.choice(rows), rng.randrange(q)
+                    rows.append([t.add[x * q + t.mul[c * q + y]] for x, y in zip(a, b)])
+                else:
+                    rows.append([rng.randrange(q) for _ in range(n)])
+            rank, kernel = rank_nullspace_ints(rows, n, spec)
+            deficient += rank < min(len(rows), n)
+            tall += len(rows) > n
+            flat = array("i", [v for row in rows for v in row])
+            got = codes._dual_basis(flat, n, spec, backend)
+            assert got == tuple(tuple(t.by_val[v] for v in vec) for vec in kernel)
+        assert deficient > 10 and tall > 10
+
+    def test_a_pure_scan_reaches_only_the_pure_kernel(self):
+        fam = build_approximates(DZ75, F32)
+        F32._t.kernel_tables("pure")  # built before the spy: tables fill on the default backend
+        spy = mock.MagicMock()
+        with mock.patch.dict(minweight._BACKENDS, {"compiled": spy}):
+            scan = Scan(DZ75, fam, EV32_B, backend="pure")
+            half = scan.rank_after.index(EV32_B.n // 2)
+            with mock.patch.object(
+                _minweight_py, "extend_echelon", wraps=_minweight_py.extend_echelon
+            ) as extend:
+                code = scan.code_at(scan.members[half])
+        assert spy.mock_calls == []
+        assert extend.call_count == 2
+        assert code == code_pair_oracle(scan, half)
+
+    def test_an_unbuilt_backend_is_rejected_as_by_the_kernel(self):
+        with pytest.raises(ValueError) as kernel:
+            minweight.min_dependent_columns([], 0, 0, 7, [], [], [], 1, backend="gpu")
+        with pytest.raises(ValueError) as scan:
+            Scan(DZ119, FAM7, EV7, backend="gpu")
+        assert str(scan.value) == str(kernel.value)
+        built = Scan(DZ119, FAM7, EV7, backend="pure")
+        with mock.patch.dict(minweight._BACKENDS, clear=True):
+            with pytest.raises(ValueError) as kernel:
+                minweight.min_dependent_columns([], 0, 0, 7, [], [], [], 1, backend="pure")
+            with pytest.raises(ValueError) as code_at:
+                built.code_at(lex((13, 3)))
+        assert "'pure' is not built" in str(code_at.value)
+        assert str(code_at.value) == str(kernel.value)
 
     def test_non_member_bound_is_rejected(self):
         with pytest.raises(DomainError, match="not a member"):
             SCAN7.code_at(LexValue(7, 2))
+
+    def test_the_readme_example_runs_as_documented(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        usage = readme[readme.index("## Library use") :]
+        start = usage.index("```python\n") + len("```python\n")
+        block = usage[start : usage.index("```", start)]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["top"] == SCAN7.omega_n == LexValue(21, 5)
+        code = namespace["code"]
+        assert code == code_pair_oracle(SCAN7, SCAN7.members.index(LexValue(13, 3)))
+        assert code.k == 4
+        assert (namespace["d_fr"], namespace["d_ev"], namespace["fr_bound"]) == (4, 5, 2)
+        assert namespace["d"] == 5
 
     def test_field_mismatch_is_rejected(self):
         ev32 = EvalMap(F32, [(1, 2), (3, 4)])
@@ -273,38 +396,6 @@ class TestFengRao:
             SCAN7.feng_rao(lex((21, 5)))
 
 
-def brute_min_weight(code: CodePair) -> int:
-    """Smallest nonzero weight by enumerating the whole dual code over F_7."""
-    rows = [[int(v) for v in row] for row in code.gen_c]
-    n = len(rows[0])
-    best = n + 1
-
-    def rec(i: int, acc: list) -> None:
-        nonlocal best
-        if i == len(rows):
-            w = sum(1 for v in acc if v)
-            if 0 < w < best:
-                best = w
-            return
-        row = rows[i]
-        for c in range(7):
-            rec(i + 1, [(a + c * b) % 7 for a, b in zip(acc, row)])
-
-    rec(0, [0] * n)
-    return best
-
-
-def random_code(rng: random.Random, n: int, dim_e: int) -> CodePair:
-    """A random dual pair with a full-rank dim_e x n evaluation side."""
-    while True:
-        ints = [[rng.randrange(7) for _ in range(n)] for _ in range(dim_e)]
-        rank, kernel = rank_nullspace_ints([row[:] for row in ints], n, F7)
-        if rank == dim_e:
-            gen_e = tuple(tuple(F7.element(v) for v in row) for row in ints)
-            gen_c = tuple(tuple(F7.element(v) for v in row) for row in kernel)
-            return CodePair(None, gen_e, dim_e, gen_c, n - dim_e)
-
-
 class TestMinDistance:
     def test_distances_along_the_whole_scan(self):
         for pair, d in zip(SCAN119["alpha"], SCAN119["d"]):
@@ -318,8 +409,8 @@ class TestMinDistance:
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(20210 + 417)
         for dim_c in (4, 5, 6):
-            code = random_code(rng, 12, 12 - dim_c)
-            assert min_distance(code) == brute_min_weight(code)
+            code = random_dual_pair(rng, 12, 12 - dim_c)
+            assert min_distance(code) == enumerated_min_weight(code)
 
     def test_zero_code_is_rejected(self):
         code = SCAN7.code_at(lex((21, 5)))
@@ -724,10 +815,11 @@ class TestScanFloor:
             assert row.d == min_distance(code)
 
 
-def row_at_a_time_scan(delta, fam, ev, horizon):
+def row_at_a_time_scan(delta, fam, ev, horizon, backend=None):
     """The scan as it was before the block walk: one member at a time,
     eliminated against a dict of pivot rows, with pair counts found by
-    subtracting semigroup values."""
+    subtracting semigroup values; ``backend`` is only recorded, as a scan
+    records the one it was built with."""
     n, q, t = ev.n, ev.spec.q, ev.spec._t
     evaluate = _PointwiseRows(fam, ev)
     members, exponents, rows, jump, rank_after = [], [], [], [], []
@@ -781,7 +873,7 @@ def row_at_a_time_scan(delta, fam, ev, horizon):
         best_prod = prod - 2 if best_prod is None else min(best_prod, prod - 2)
         suffix_prod[i] = best_prod
     return SimpleNamespace(
-        delta=delta, spec=ev.spec, n=n,
+        delta=delta, spec=ev.spec, backend=backend, n=n,
         members=tuple(members), exponents=tuple(exponents),
         rows=array("i", [v for row in rows for v in row]),
         jump=tuple(jump), rank_after=tuple(rank_after), omega_index=omega_index,
@@ -819,7 +911,7 @@ class TestBlockScan:
     def test_scan_data_equals_the_row_at_a_time_scan(self, kind, ev, backend):
         delta = SCAN_KINDS[kind]
         fam = build_approximates(delta, ev.spec)
-        expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, DEFAULT_HORIZON)
+        expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, DEFAULT_HORIZON, backend)
         data = scan_outcome(Scan, delta, fam, ev, DEFAULT_HORIZON, backend)
         if isinstance(expected, str):
             assert data == expected
@@ -853,6 +945,8 @@ class TestBlockScan:
                     f" above the horizon of {horizon}"
                 )
             for backend in available_backends():
+                if isinstance(expected, dict):
+                    expected["backend"] = backend
                 got = scan_outcome(Scan, delta, fam, ev, horizon, backend)
                 assert got == expected, (horizon, backend)
 

@@ -23,7 +23,6 @@ from deltacodes.gf import (
     FieldSpec,
     _is_prime,
     _primitive_powers,
-    rank_nullspace_ints,
 )
 from deltacodes.minweight import (
     _int_array,
@@ -36,7 +35,12 @@ from deltacodes.minweight import (
 from deltacodes.semigroup import _pair_counts, walk
 
 import helpers
-from oracles import PointwiseRows, min_dependent_columns_from_scratch, pair_counts
+from oracles import (
+    PointwiseRows,
+    min_dependent_columns_from_scratch,
+    pair_counts,
+    rank_nullspace_ints,
+)
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
