@@ -1,5 +1,5 @@
-"""Build script: compiles the kernel (column search, echelon extension and field
-tables) from its C source.
+"""Build script: compiles the kernel (column search, echelon extension, row
+products and field tables) from its C source.
 
 ``src/deltacodes/_minweight.c`` is a hand-written CPython extension, so a
 build, and an edit of the kernel, need only a C compiler and the Python

@@ -255,7 +255,7 @@ class Scan:
 
         members = [value for value, _ in walked]
         omega_index = len(members) - 1
-        weights = _pair_counts(delta, walked)
+        weights = _pair_counts(delta, [rep for _, rep in walked])
 
         suffix_all: list[int] = [0] * len(members)
         suffix_jump: list[int | None] = [None] * len(members)
@@ -424,8 +424,8 @@ def _goppa(delta):
     for k below that stage's length L, and the ladder stage of length k,
     already validated, from L on."""
     if isinstance(delta, DeltaQ):
-        ladder, stars = _engine(delta).ladder, {}
-        base = ladder[0]
+        eng, stars = _engine(delta), {}
+        base = eng.ladder[0]
 
         def estimate(alpha, exponents) -> int:
             k = max(max((i for i, a in enumerate(exponents) if a), default=0), 1) + 1
@@ -434,7 +434,7 @@ def _goppa(delta):
                     d = base.structure.d[k - 1]
                     star = validate_n(tuple(v // d for v in base.deltas[:k]))
                 else:
-                    star = ladder[k - len(base.deltas)]
+                    star = eng.stage_of(k)
                 stars[k] = star, 1 - gap_count_telescopic(star)
             star, offset = stars[k]
             value = sum(a * v for a, v in zip(exponents, star.deltas))

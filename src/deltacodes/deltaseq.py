@@ -29,7 +29,6 @@ __all__ = [
     "structure_of",
     "telescopic_count",
     "telescopic_exponents",
-    "telescopic_members",
     "validate_n",
 ]
 
@@ -178,10 +177,10 @@ def gap_count_telescopic(delta: DeltaN) -> int:
     """Closed-form gap count (sum (n_i - 1) delta_i - delta_0 + 1) / 2."""
     n = delta.structure.n
     total = sum((n[i - 1] - 1) * delta.deltas[i] for i in range(1, delta.g + 1))
-    value = Fraction(total - delta.deltas[0] + 1, 2)
-    if value.denominator != 1:
+    twice = total - delta.deltas[0] + 1
+    if twice % 2:
         raise DomainError("closed-form gap count is not an integer")
-    return int(value)
+    return twice // 2
 
 
 def telescopic_exponents(delta: DeltaN, value: int) -> tuple[int, ...] | None:
@@ -248,22 +247,6 @@ def _tail_table(delta: DeltaN, hi: int, label=None) -> tuple[list, list]:
     first = delta.deltas[0]
     order = sorted((s % first, s // first, tail) for s, tail in _tails(delta, hi, label))
     return [r for r, _, _ in order], order
-
-
-def telescopic_members(delta: DeltaN, lo: int, hi: int):
-    """Members v with lo < v <= hi in increasing order, one list of rows per
-    block [k delta_0, (k + 1) delta_0) of the window.
-
-    A row is (v, c, tail): v = c * delta_0 + sum gamma_i delta_i, with the
-    bounded tail (gamma_1, ..., gamma_g) one object shared by every member
-    with that tail, built from the entries of ``_sweep``.  The tails are
-    found before the first block is asked for.
-    """
-    residues, order = _tail_table(delta, hi)
-    return (
-        [(base + r, k - q, tail) for r, q, tail in entries]
-        for base, k, entries in _sweep(delta.deltas[0], residues, order, max(lo + 1, 0), hi)
-    )
 
 
 def _sweep(first: int, residues: list, order: list, lo: int, hi: int):

@@ -5,11 +5,12 @@ integers, plane vectors under lexicographic order, rationals, or a real
 quadratic extension.  This module provides the shared operations on those
 semigroups: exact comparison of values, the unique bounded representation
 of a member over the generators, and one ordered walk over the members with
-their representations.  Enumeration up to a bound and the pair count omega
-(the number of ordered pairs of members summing to a given value) are views
-on that walk.  The engines yield integer windows, built from the entries
-of one residue-sorted table of tails; value objects are built from them
-only where a caller asks for values.
+their representations.  Enumeration up to a bound is a view on that walk.
+The pair count omega (the number of ordered pairs of members summing to a
+given value) is read from the value's representation alone, with no walk.
+The engines yield integer windows, built from the entries of one
+residue-sorted table of tails; value objects are built from them only where
+a caller asks for values.
 
 Representations are unique under the bound pattern reported alongside the
 exponents: the first exponent is always free, interior exponents are bounded
@@ -23,6 +24,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from math import floor, isqrt, lcm
+from operator import mul
 
 from ._value import Value, _set
 from .deltaseq import (
@@ -30,8 +32,8 @@ from .deltaseq import (
     gap_count_telescopic,
     _sweep,
     _tail_table,
+    _tails,
     telescopic_exponents,
-    telescopic_members,
     validate_n,
 )
 from .errors import DomainError
@@ -123,9 +125,10 @@ class _Engine:
     the integer kind (its own head) and the chain (whose head is the stage
     that covers the values at hand) none, so ``copies`` is 1 from zero on.
     ``stage(value)`` is the (head, scale) that covers the members up to the
-    value; ``top(value, m)`` is the largest s whose member with m copies is
-    <= value, negative when there is none; ``copies(value)`` is the least m
-    whose m copies alone exceed value.
+    value, and ``stage_of(width)`` the head that a representation of that
+    width is written over; ``top(value, m)`` is the largest s whose member
+    with m copies is <= value, negative when there is none; ``copies(value)``
+    is the least m whose m copies alone exceed value.
 
     Members come one sub-window (k g_0, (k + 1) g_0] at a time (the first
     closed at zero), g_0 the first generator.  Moving a value by g_0 moves
@@ -160,6 +163,9 @@ class _Engine:
 
     def stage(self, value):
         return self.head, self.scale
+
+    def stage_of(self, width: int) -> DeltaN:
+        return self.head
 
     def upto(self, bound, label=None):
         self.finite()
@@ -533,12 +539,16 @@ class _ChainEngine(_RationalEngine):
     def stage_end(self, value: Fraction) -> Fraction:
         return self.appended[bisect_right(self.appended, value)]
 
+    def stage_of(self, width: int) -> DeltaN:
+        """Every ladder step appends one generator, so a representation's
+        width names its stage."""
+        return self.ladder[width - len(self.ladder[0].deltas)]
+
     def values(self, block):
         base, k, entries = block
         if not entries:
             return ()
-        # every ladder step appends one generator, so the tail width names the stage
-        stage = self.ladder[len(entries[0][2]) + 1 - len(self.ladder[0].deltas)]
+        stage = self.stage_of(len(entries[0][2]) + 1)
         bounds, scale = (None,) + tuple(stage.structure.n), stage.deltas[1]
         return (
             (RatValue(Fraction(base + r, scale)), Representation((k - q,) + tail, bounds))
@@ -571,50 +581,53 @@ def _engine(delta):
 # --- pair counts ------------------------------------------------------------
 
 
-def _pair_counts(delta, walked, start: int = 0) -> list[int]:
-    """omega of each member of ``walked[start:]``, where ``walked`` holds the
-    (value, Representation) pairs of every member from zero on, in order, as
-    ``walk`` yields them: how many members each one exceeds by a member.
+def _pair_counts(delta, reps) -> list[int]:
+    """omega of each member given by its Representation in ``reps``: how
+    many members it exceeds by a member.
 
-    Every kind but the chain is the telescopic head H plus m copies of one
-    free generator (none for the integer kind, whose head is itself), and a
-    member is s * u + m * L with s in H, both read from its own exponents.
-    As u and L are independent, a - b is a member exactly when m_a >= m_b
-    and s_a - s_b lies in H, so omega is (m + 1) * nu_H(s), nu_H(s) the
-    number of head members h <= s with s - h in H.  H is telescopic, so its
-    conductor is c = 2g for g gaps, and for s >= 2c - 1 the gaps and s minus
-    the gaps are disjoint: nu_H(s) = s + 1 - 2g (Kirfel and Pellikaan 1995).
-    Below that bound nu_H(s) is a popcount of the head members' bits against
-    their mirror image, taken up to the largest such s asked for.
+    Every kind is the telescopic head H plus m copies of one free generator
+    (none for the integer kind, whose head is itself, and for the chain,
+    whose head is the ladder stage its widest representation is written
+    over: that stage covers every member up to that one).  A member is
+    s * u + m * L with s in H, both read from its own exponents.  As u and L
+    are independent, a - b is a member exactly when m_a >= m_b and s_a - s_b
+    lies in H, so omega is (m + 1) * nu_H(s), nu_H(s) the number of head
+    members h <= s with s - h in H.  H is telescopic, so its conductor is
+    c = 2g for g gaps, and for s >= 2c - 1 the gaps and s minus the gaps are
+    disjoint: nu_H(s) = s + 1 - 2g (Kirfel and Pellikaan 1995).
 
-    The chain counts instead, on the integer keys that the members times the
-    lcm of their denominators are: the earlier-or-equal members that a
-    member exceeds by a member.
+    Below that bound the head's bounded tails are its Apery set with respect
+    to delta_0: the least member A[r] of each residue class r.  So a member
+    is t + c delta_0 for one tail t and c >= 0, and the pairs summing to s
+    are, for each tail t <= s with t' = A[(s - t) mod delta_0] <= s - t, the
+    (s - t - t') / delta_0 + 1 ways to share the multiples of delta_0.  The
+    pair of tails (t, t') is met again from t', so only t <= t' (hence
+    t <= s / 2) is visited and a pair of distinct tails counts twice.  Each
+    distinct s is counted once.
     """
     eng = _engine(delta)
-    if isinstance(eng, _ChainEngine):
-        den = lcm(*(v.value.denominator for v, _ in walked))
-        keys = [v.value.numerator * (den // v.value.denominator) for v, _ in walked]
-        seen = set(keys)
-        # keys are distinct, so are the differences from one key
-        return [
-            len(seen.intersection([keys[i] - k for k in keys[: i + 1]]))
-            for i in range(start, len(keys))
-        ]
-    head = eng.head
-    g, deltas = gap_count_telescopic(head), head.deltas
-    exponents = [rep.exponents for _, rep in walked[start:]]
-    sums = [sum(a * v for a, v in zip(exps, deltas)) for exps in exponents]
-    top = max((s for s in sums if s < 4 * g - 1), default=-1)
-    below = [v for block in telescopic_members(head, -1, top) for v, _, _ in block]
-    bits = sum(1 << v for v in below)
-    mirror = sum(1 << (top - v) for v in below)
-    counts = [
-        s + 1 - 2 * g if s > top else (bits & (mirror >> (top - s))).bit_count() for s in sums
-    ]
-    if head is delta:
-        return counts
-    return [(exps[-1] + 1) * nu for exps, nu in zip(exponents, counts)]
+    head = eng.stage_of(max(len(rep.exponents) for rep in reps))
+    first, deltas, g = head.deltas[0], head.deltas, gap_count_telescopic(head)
+    sums = [sum(map(mul, rep.exponents, deltas)) for rep in reps]
+    below = {s for s in sums if s < 4 * g - 1}
+    tails = sorted(t for t, _ in _tails(head, max(below, default=-1)))
+    apery = {t % first: t for t in tails}
+    nu = {}
+    for s in below:
+        count, half, beyond = 0, s // 2, s + 1  # beyond: no tail up to s
+        for t in tails:
+            if t > half:
+                break
+            rest = s - t
+            other = apery.get(rest % first, beyond)
+            if t <= other <= rest:
+                ways = (rest - other) // first + 1
+                count += ways if other == t else 2 * ways
+        nu[s] = count
+    counts = [nu.get(s, s + 1 - 2 * g) for s in sums]
+    if len(reps[0].exponents) > len(deltas):  # the last exponent is m
+        return [(rep.exponents[-1] + 1) * count for rep, count in zip(reps, counts)]
+    return counts
 
 
 # --- public operations ------------------------------------------------------
@@ -670,8 +683,8 @@ def enumerate_upto(delta, bound):
 
 def omega(delta, value) -> int:
     """How many ordered pairs of members sum to the value: 0 below zero and
-    for a non-member.  ``_pair_counts`` reads it from the representation,
-    and for the chain from the members up to the value."""
+    for a non-member.  ``_pair_counts`` reads it from the value's
+    representation alone, for every kind: no member is walked."""
     eng = _engine(delta)
     value = eng.lift(value)
     if compare(value, eng.zero()) < 0:
@@ -681,5 +694,4 @@ def omega(delta, value) -> int:
         rep = eng.represent(value)
     except DomainError:  # not a member
         return 0
-    walked = enumerate_upto(delta, value) if isinstance(eng, _ChainEngine) else [(value, rep)]
-    return _pair_counts(delta, walked, len(walked) - 1)[0]
+    return _pair_counts(delta, [rep])[0]

@@ -68,6 +68,15 @@ CH119 = build_type_e(UNDER_119, 4)
 CH_BIG = build_type_e(UNDER_BIG, 3)
 CH75 = build_type_e(UNDER_75, 4)
 
+# Every family above, by name: the scan and pair-count tests run over these.
+SCAN_FAMILIES = {
+    name: globals()[name]
+    for name in (
+        "DN119", "DZ119", "DZ_BIG", "DZ75", "DZ53", "DZ2029", "DZ427",
+        "DR119", "DR_BIG_A", "DR_BIG_B", "DR75", "CH119", "CH_BIG", "CH75",
+    )
+}
+
 EV7 = EvalMap(F7, POINTS_F7)
 EV32_A = EvalMap(F32, xi_points(F32, PAIRS_F32_A))
 EV32_B = EvalMap(F32, xi_points(F32, PAIRS_F32_B))

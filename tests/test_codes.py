@@ -898,8 +898,9 @@ EV1 = EvalMap(F7, [(1, 1)])
 
 class TestBlockScan:
     """The scan walks members in blocks of n - rank rows, each reduced by one
-    kernel call, and counts pairs on integer keys; it must give what the
-    row-at-a-time scan gave, on both kernel backends."""
+    kernel call, and reads each member's pair count from its representation;
+    it must give what the row-at-a-time scan gave, on both kernel
+    backends."""
 
     # Over the 31 points of EV32_B the integer kind never reaches full rank
     # and stops at the horizon.

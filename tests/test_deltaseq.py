@@ -8,8 +8,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltacodes import deltaseq
 from deltacodes.deltaseq import (
     DeltaN,
+    DeltaStructure,
     _sweep,
     _tail_table,
     canonical_cf,
@@ -20,7 +22,6 @@ from deltacodes.deltaseq import (
     structure_of,
     telescopic_count,
     telescopic_exponents,
-    telescopic_members,
     validate_n,
 )
 from deltacodes.errors import DomainError
@@ -306,7 +307,7 @@ def test_gcd_descent_decides_condition_2_like_the_sieve(seq):
 def test_telescopic_count_equals_the_sieve(data):
     """The number of members below w, from the bounded tails, equals the
     sieve's count of members <= w - 1, for w at or below zero too; the
-    window listing over the same tails agrees with the sieve as well."""
+    residue sweep of the same tails agrees with the sieve as well."""
     seq = data.draw(st.one_of(st.sampled_from(VALID), near_telescopic()))
     try:
         delta = validate_n(seq)
@@ -315,7 +316,9 @@ def test_telescopic_count_equals_the_sieve(data):
     w = data.draw(st.integers(-20, 2 * delta.deltas[0] * delta.deltas[-1]))
     assert telescopic_count(delta, w) == len(members_below(delta.deltas, w - 1))
     lo = data.draw(st.integers(-20, w))
-    assert [v for block in telescopic_members(delta, lo, w) for v, _, _ in block] == [
+    residues, order = _tail_table(delta, w)
+    swept = _sweep(delta.deltas[0], residues, order, max(lo + 1, 0), w)
+    assert [base + r for base, _, entries in swept for r, _, _ in entries] == [
         v for v in members_below(delta.deltas, w) if v > lo
     ]
 
@@ -385,18 +388,36 @@ def test_residue_sweep_equals_the_sorted_listing(case):
     residues, plain = _tail_table(delta, hi)
     assert labelled == [c for n_i in reversed(delta.structure.n) for c in range(n_i)]
     assert [text for _, _, text in order] == [" %d" * len(tail) % tail for _, _, tail in plain]
-    blocks = list(telescopic_members(delta, lo, hi))
+    swept = list(_sweep(first, residues, plain, max(lo + 1, 0), hi))
+    blocks = [
+        [(base + r, k - q, tail) for r, q, tail in entries] for base, k, entries in swept
+    ]
     rows = [(v, (c,) + tail) for block in blocks for v, c, tail in block]
     assert rows == telescopic_members_sorted(delta, lo, hi)
     assert all(len({v // first for v, _, _ in block}) == 1 for block in blocks if block)
     tails = [tail for block in blocks for _, _, tail in block]
     assert len({id(tail) for tail in tails}) == len(set(tails))
-    swept = list(_sweep(first, residues, plain, max(lo + 1, 0), hi))
-    assert [
-        [(base + r, k - q, tail) for r, q, tail in entries] for base, k, entries in swept
-    ] == blocks
     owned = {id(entry) for entry in plain}
     assert all(id(entry) in owned for _, _, entries in swept for entry in entries)
+
+
+def test_the_gap_count_parity_is_read_on_integers(monkeypatch):
+    """2g, the conductor, is even for every valid sequence, and a stage of a
+    long chain, whose entries have many digits, is counted with no Fraction
+    built; an odd 2g, which only a structure built by hand can give, raises
+    the closed-form error."""
+    stage = _engine(build_type_e((11, 9), 6)).covering_stage(Fraction(640))
+    expected, small = gap_count_telescopic(stage), validate_n((36, 24, 8, 18, 13))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(deltaseq, "Fraction", refuse)
+    assert gap_count_telescopic(stage) == expected
+    assert gap_count_telescopic(small) == 30
+    odd = DeltaN((2, 1), DeltaStructure((2, 1), (3,), (), None, False, ()))
+    with pytest.raises(DomainError, match="^closed-form gap count is not an integer$"):
+        gap_count_telescopic(odd)
 
 
 def test_telescopic_count_ignores_the_size_of_w():

@@ -16,8 +16,7 @@ import pytest
 from deltacodes import codes, minweight
 from deltacodes.approximants import _fit_exponents, build_approximates
 from deltacodes.codes import EvalMap, Scan, scan_table
-from deltacodes.deltaseq import validate_n
-from deltacodes.genesis import build_type_c, build_type_e
+from deltacodes.genesis import build_type_c
 from deltacodes.gf import (
     MAX_FIELD_SIZE,
     FieldSpec,
@@ -32,13 +31,12 @@ from deltacodes.minweight import (
     min_dependent_columns,
     multiply_rows,
 )
-from deltacodes.semigroup import _pair_counts, walk
+from deltacodes.semigroup import walk
 
 import helpers
 from oracles import (
     PointwiseRows,
     min_dependent_columns_from_scratch,
-    pair_counts,
     rank_nullspace_ints,
 )
 
@@ -717,13 +715,7 @@ class TestKnownInstances:
 
 # --- the scan's rows and pair counts -----------------------------------------
 
-SCAN_FAMILIES = {
-    name: getattr(helpers, name)
-    for name in (
-        "DN119", "DZ119", "DZ_BIG", "DZ75", "DZ53", "DZ2029", "DZ427",
-        "DR119", "DR_BIG_A", "DR_BIG_B", "DR75", "CH119", "CH_BIG", "CH75",
-    )
-}
+SCAN_FAMILIES = helpers.SCAN_FAMILIES
 # Over the 31 points of EV32_B the integer kind never reaches full rank.
 SCAN_CASES = [
     (name, ev)
@@ -855,56 +847,3 @@ class TestMultiplyRows:
         assert [row.d for row in rows] == [2, 3, 4]
         assert {kind for kind, _ in seen} == {array, memoryview}
         assert all(same for _, same in seen)
-
-
-
-class TestClosedFormPairCounts:
-    """omega from ``semigroup._pair_counts``, (m + 1) * nu_H(s) for every kind
-    but the chain, against counting pairs by set intersection."""
-
-    @pytest.mark.parametrize("ev", ["EV7", "EV32_SMALL"])
-    @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
-    def test_scan_weights_equal_the_oracle(self, name, ev):
-        delta, ev = SCAN_FAMILIES[name], getattr(helpers, ev)
-        scan = Scan(delta, build_approximates(delta, ev.spec), ev)
-        assert scan.weights == tuple(pair_counts(scan.members))
-
-    # The member lists on which the closed form was first checked: the
-    # 961-point scan of the planar (5, 3) family walks 2,086 members.
-    @pytest.mark.parametrize(
-        "delta,count",
-        [
-            (build_type_c((5, 3)), 2086),
-            (build_type_c((5, 3)), 10100),
-            (helpers.DZ_BIG, 6118),
-            (helpers.DR_BIG_A, 1225),
-            (validate_n(helpers.UNDER_BIG), 571),
-        ],
-        ids=["planar-2086", "planar-10100", "planar-big-6118", "quadratic-1225", "integer-571"],
-    )
-    def test_baseline_member_lists(self, delta, count):
-        """Every member of the lists up to 2,086 members; of the longer ones,
-        the first and last 100 and 200 drawn in between (the oracle's set work
-        is quadratic)."""
-        walked = list(itertools.islice(walk(delta), count))
-        members = [value for value, _ in walked]
-        counts = _pair_counts(delta, walked)
-        at = range(count)
-        if count > 2086:
-            inner = random.Random(count).sample(range(100, count - 100), 200)
-            at = [*range(100), *sorted(inner), *range(count - 100, count)]
-        assert [counts[i] for i in at] == pair_counts(members, at)
-        assert _pair_counts(delta, walked, count - 100) == counts[-100:]
-
-    @pytest.mark.parametrize(
-        "delta",
-        [helpers.CH75, helpers.CH_BIG, build_type_e(helpers.UNDER_119, 6)],
-        ids=["CH75", "CH_BIG", "119-6"],
-    )
-    def test_chain_families(self, delta):
-        """The chain counts on integer keys: the first 400 members, whose
-        walk reaches beyond the chain's own stages."""
-        walked = list(itertools.islice(walk(delta), 400))
-        counts = _pair_counts(delta, walked)
-        assert counts == pair_counts([value for value, _ in walked])
-        assert _pair_counts(delta, walked, 300) == counts[300:]

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import gc
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 import weakref
 from collections import deque
@@ -17,10 +21,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import deltacodes
 from deltacodes import semigroup as semigroup_module
+from deltacodes.approximants import build_approximates
 from deltacodes.cli import _build_delta as cli_build_delta, parse_config, run
-from deltacodes.codes import render_value
-from deltacodes.deltaseq import DeltaN, telescopic_exponents, validate_n
+from deltacodes.codes import Scan, render_value
+from deltacodes.deltaseq import DeltaN, gap_count_telescopic, telescopic_exponents, validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import (
     DeltaQ,
@@ -37,6 +43,7 @@ from deltacodes.semigroup import (
     QuadValue,
     RatValue,
     Representation,
+    _pair_counts,
     compare,
     enumerate_upto,
     generators,
@@ -47,7 +54,8 @@ from deltacodes.semigroup import (
 
 import helpers
 import oracles
-from oracles import members_below, walk_eager, window_listing
+from oracles import members_below, pair_counts, walk_eager, window_listing
+from test_deltaseq import VALID, near_telescopic
 
 DZ2 = build_type_c((11, 9))
 DZ2_BIG = build_type_c((36, 24, 8, 18, 13))
@@ -271,6 +279,152 @@ class TestOmega:
                 if rest in values:
                     count += 1
             assert omega(DZ2, v) == count
+
+
+OMEGA_AT_160 = """
+import time
+from fractions import Fraction
+from deltacodes.genesis import build_type_e
+from deltacodes.semigroup import RatValue, omega
+delta = build_type_e((11, 9), 6)
+start = time.perf_counter()
+count = omega(delta, RatValue(Fraction(160)))
+seconds = time.perf_counter() - start
+status = open("/proc/self/status").read().split("VmHWM:")[1]
+print(count, seconds, int(status.split()[0]) / 1024)
+"""
+
+
+class TestClosedFormPairCounts:
+    """omega from ``semigroup._pair_counts``, (m + 1) * nu_H(s) for every
+    kind, with nu_H read from the head's Apery set below 2c - 1, against
+    counting pairs by set intersection."""
+
+    @pytest.mark.parametrize("ev", ["EV7", "EV32_SMALL"])
+    @pytest.mark.parametrize("name", sorted(helpers.SCAN_FAMILIES))
+    def test_scan_weights_equal_the_oracle(self, name, ev):
+        delta, ev = helpers.SCAN_FAMILIES[name], getattr(helpers, ev)
+        scan = Scan(delta, build_approximates(delta, ev.spec), ev)
+        assert scan.weights == tuple(pair_counts(scan.members))
+
+    # The member lists on which the closed form was first checked: the
+    # 961-point scan of the planar (5, 3) family walks 2,086 members.  The
+    # chains are walked as far: (7, 5) with 4 steps crosses four appended
+    # generators, and (13, 6) with 2 steps is one block of its widest stage,
+    # so its tails are about as many as its members.
+    @pytest.mark.parametrize(
+        "delta,count",
+        [
+            (build_type_c((5, 3)), 2086),
+            (build_type_c((5, 3)), 10100),
+            (helpers.DZ_BIG, 6118),
+            (helpers.DR_BIG_A, 1225),
+            (validate_n(helpers.UNDER_BIG), 571),
+            (helpers.CH75, 4096),
+            (build_type_e((11, 9), 6), 4096),
+            (helpers.CH_BIG, 4096),
+            (build_type_e((13, 6), 2), 4096),
+        ],
+        ids=[
+            "planar-2086", "planar-10100", "planar-big-6118", "quadratic-1225",
+            "integer-571", "chain-75-4096", "chain-119-6-4096", "chain-big-4096",
+            "chain-13-6-4096",
+        ],
+    )
+    def test_baseline_member_lists(self, delta, count):
+        """Every member of the lists up to 2,086 members; of the longer ones,
+        the first and last 100 and 200 drawn in between (the oracle's set work
+        is quadratic)."""
+        walked = list(islice(walk(delta), count))
+        members = [value for value, _ in walked]
+        counts = _pair_counts(delta, [rep for _, rep in walked])
+        at = range(count)
+        if count > 2086:
+            inner = random.Random(count).sample(range(100, count - 100), 200)
+            at = [*range(100), *sorted(inner), *range(count - 100, count)]
+        assert [counts[i] for i in at] == pair_counts(members, at)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [helpers.CH75, helpers.CH_BIG, build_type_e(helpers.UNDER_119, 6)],
+        ids=["CH75", "CH_BIG", "119-6"],
+    )
+    def test_chain_families(self, delta):
+        """The first 400 members, whose walk reaches beyond the chain's own
+        stages."""
+        walked = list(islice(walk(delta), 400))
+        counts = _pair_counts(delta, [rep for _, rep in walked])
+        assert counts == pair_counts([value for value, _ in walked])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from(VALID), near_telescopic()))
+    def test_nu_equals_the_brute_force_count(self, seq):
+        """nu_H(s) of an integer sequence, its own head, at every member s
+        from zero to past 4g - 1, where the closed form takes over, against
+        the pairs of sieved members that sum to s; a repeated s is counted
+        once and read again."""
+        try:
+            delta = validate_n(seq)
+        except DomainError:
+            delta = validate_n(VALID[-1])
+        top = 4 * gap_count_telescopic(delta) + 2 * delta.deltas[0]
+        members = members_below(delta.deltas, top)
+        assert members[-1] > 4 * gap_count_telescopic(delta) - 1
+        present = set(members)
+        expected = [len(present.intersection([s - h for h in members if h <= s])) for s in members]
+        reps = [represent(delta, RatValue(Fraction(s))) for s in members]
+        assert _pair_counts(delta, reps + reps[::-1]) == expected + expected[::-1]
+
+    @pytest.mark.parametrize(
+        "delta", [build_type_e((11, 9), 6), helpers.CH75], ids=["119-6", "CH75"]
+    )
+    @pytest.mark.parametrize("bound", [40, 80])
+    def test_omega_on_chain_values_equals_the_oracle(self, delta, bound):
+        """omega of the last five members up to the bound, and of the bound
+        itself, against the oracle's count over every member up to it."""
+        members = [v for v, _ in enumerate_upto(delta, RatValue(Fraction(bound)))]
+        at = range(len(members) - 5, len(members))
+        assert members[-1] == RatValue(Fraction(bound))
+        assert [omega(delta, members[i]) for i in at] == pair_counts(members, at)
+
+    @pytest.mark.parametrize("name", sorted(helpers.SCAN_FAMILIES))
+    def test_omega_walks_nothing(self, name, monkeypatch):
+        """omega reads the representation alone: it calls none of ``walk``,
+        ``enumerate_upto`` or the engine's ``upto``."""
+        delta = helpers.SCAN_FAMILIES[name]
+        value = list(islice(walk(delta), 300))[-1][0]
+        expected = omega(delta, value)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("omega walked the members")
+
+        for owner, attr in (
+            (semigroup_module, "walk"),
+            (semigroup_module, "enumerate_upto"),
+            (semigroup_module._Engine, "upto"),
+            (semigroup_module._Engine, "walk"),
+            (semigroup_module._Engine, "_windows"),
+            (semigroup_module._RationalEngine, "_windows"),
+        ):
+            monkeypatch.setattr(owner, attr, refuse)
+        assert omega(delta, value) == expected
+
+    def test_omega_of_a_far_chain_value_in_a_fresh_interpreter(self):
+        """omega at 160 on the (11, 9) chain of 6 steps, which has 744,757
+        members up to there, takes under 0.5 s and 50 MB: it walks none."""
+        root = str(pathlib.Path(deltacodes.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", OMEGA_AT_160],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        count, seconds, peak_mb = result.stdout.split()
+        assert int(count) == 199377
+        assert float(seconds) < 0.5
+        assert float(peak_mb) < 50
 
 
 class TestWeights:
