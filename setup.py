@@ -1,9 +1,12 @@
 """Build script: compiles the kernel (column search, echelon extension, row
-products and field tables) from its C source.
+products, and a field's subtraction and multiplication tables) from its C
+source.
 
 ``src/deltacodes/_minweight.c`` is a hand-written CPython extension, so a
 build, and an edit of the kernel, need only a C compiler and the Python
-headers.  For a source-tree run, build the kernel next to its sources with
+headers.  Its entry points keep the signatures of the pure-Python twin
+``_minweight_py.py``, whose docstrings state their contracts; an edit of one
+is an edit of both.  For a source-tree run, build the kernel next to its sources with
 ``python setup.py build_ext --inplace``.
 
 That in-place build also byte-compiles ``src/deltacodes/*.py`` into

@@ -10,10 +10,10 @@
    hashing (see pairs).  extend_echelon is the rank step of a scan: it
    reduces a block of rows against a normalized echelon basis the caller
    keeps, with reduce and the lead_one the search uses.  field_tables fills a
-   field's q*q addition, subtraction and multiplication tables.
-   multiply_rows forms a scan's evaluation rows: each new row is an earlier
-   row times one row of approximant values, entry by entry.
-   _minweight_py.py is the same in Python. */
+   field's q*q subtraction and multiplication tables.  multiply_rows forms a
+   scan's evaluation rows: each new row is an earlier row times one row of
+   approximant values, entry by entry.  _minweight_py.py is the same in
+   Python, and its docstrings state each entry point's contract. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -217,16 +217,7 @@ static PyObject *search(Search *s, int wmin, int wmax)
 
 PyDoc_STRVAR(min_dependent_columns_doc,
 "min_dependent_columns(cols, r, n, q, mul, sub, inv, wmax, wmin=1)\n--\n\n"
-"Smallest w with wmin <= w <= wmax such that some w columns are linearly\n"
-"dependent, or 0 when there is none.\n\n"
-"That is max(d, wmin) for the least dependent size d, because a superset of\n"
-"a dependent set is dependent; so a known lower bound on d as ``wmin``\n"
-"skips the depths below it.  ``cols`` is column-major (entry (i, j) at\n"
-"``cols[j * r + i]``); ``mul`` and ``sub`` are flat q*q tables, ``inv`` a\n"
-"length-q table, all array('i').  Each depth of the search keeps the later\n"
-"columns reduced modulo the columns chosen so far, and the last two columns\n"
-"of a subset are found by hashing the reduced, normalized columns instead of\n"
-"trying every pair.");
+"See _minweight_py.min_dependent_columns.");
 
 static PyObject *min_dependent_columns(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -283,14 +274,7 @@ static PyObject *extend(Search *s, const int *rows, int m, int rank)
 
 PyDoc_STRVAR(extend_echelon_doc,
 "extend_echelon(rows, m, n, q, mul, sub, inv, basis, pivots, rank)\n--\n\n"
-"Reduce each of the m rows of length n in turn against a normalized echelon\n"
-"basis, and append each independent one, scaled to a leading 1; one flag\n"
-"per row as bytes, 1 when the row was independent of the rows before it.\n\n"
-"``rows`` is row-major; ``mul`` and ``sub`` are flat q*q tables, ``inv`` a\n"
-"length-q table.  The caller keeps the basis across calls: its first\n"
-"``rank`` rows in ``basis`` (room for n*n ints) and their pivot columns in\n"
-"``pivots`` (room for n ints), both writable, all array('i').  The new rank\n"
-"is ``rank`` plus the number of flags set.");
+"See _minweight_py.extend_echelon.");
 
 static PyObject *extend_echelon(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -349,13 +333,7 @@ static PyObject *multiply(int *out, Py_ssize_t start, Py_ssize_t m, const int *p
 
 PyDoc_STRVAR(multiply_rows_doc,
 "multiply_rows(rows, start, parents, factors, values, n, q, mul)\n--\n\n"
-"Form rows start, start + 1, ... of ``rows`` (row-major, rows of length n):\n"
-"row start + i is row parents[i] of ``rows`` times row factors[i] of\n"
-"``values``, entry by entry through the flat q*q table ``mul``.  A parent\n"
-"must come before the row it makes, so a row made by the call can be the\n"
-"parent of a later one.  ``rows`` is a writable array('i') with room for\n"
-"the rows made; ``parents`` and ``factors`` are array('i') of one length,\n"
-"and ``values`` holds whole rows of length n.");
+"See _minweight_py.multiply_rows.");
 
 static PyObject *multiply_rows(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -387,19 +365,18 @@ static PyObject *multiply_rows(PyObject *Py_UNUSED(self), PyObject *args)
     return result;
 }
 
-/* out[a * q + b] = a + sign * b, digit by digit mod p: the low digits
-   combine mod p, and the rest is p times the entry at (a / p, b / p), which
-   comes earlier in the table (out[0] is set first, as it reads itself). */
-static void digitwise(int *out, const int *low, const int *high, int p, int q, int sign)
+/* out[a * q + b] = a - b, digit by digit mod p: the low digits subtract
+   mod p, and the rest is p times the entry at (a / p, b / p), which comes
+   earlier in the table (out[0] is set first, as it reads itself). */
+static void digitwise(int *out, const int *low, const int *high, int p, int q)
 {
     out[0] = 0;
     for (int a = 0; a < q; a++) {
         int *row = out + (size_t)a * q;
         const int *rest = out + (size_t)high[a] * q;
         for (int b = 0; b < q; b++) {
-            int d = low[a] + sign * low[b];
-            d = d < 0 ? d + p : d >= p ? d - p : d;
-            row[b] = d + p * rest[high[b]];
+            int d = low[a] - low[b];
+            row[b] = (d < 0 ? d + p : d) + p * rest[high[b]];
         }
     }
 }
@@ -407,7 +384,7 @@ static void digitwise(int *out, const int *low, const int *high, int p, int q, i
 /* Fill the tables from the q - 1 powers, each in [0, q); 0, or -1 with
    ValueError when a power is zero or repeats one before it, written before
    any table, or with MemoryError. */
-static int fill(const int *powers, int p, int q, int *add, int *sub, int *mul)
+static int fill(const int *powers, int p, int q, int *sub, int *mul)
 {
     int order = q - 1;
     /* the logarithms, the powers twice over, and each value's low digit and
@@ -433,9 +410,7 @@ static int fill(const int *powers, int p, int q, int *add, int *sub, int *mul)
         logs[powers[k]] = k;
         cycle[k] = cycle[k + order] = powers[k];
     }
-    digitwise(add, low, high, p, q, 1);
-    if (sub != add)
-        digitwise(sub, low, high, p, q, -1);
+    digitwise(sub, low, high, p, q);
     memset(mul, 0, sizeof(int) * (size_t)q); /* 0 * b */
     for (int a = 1; a < q; a++) {
         int *row = mul + (size_t)a * q;
@@ -449,22 +424,16 @@ static int fill(const int *powers, int p, int q, int *add, int *sub, int *mul)
 }
 
 PyDoc_STRVAR(field_tables_doc,
-"field_tables(powers, p, m, add, sub, mul)\n--\n\n"
-"Fill the flat q*q addition, subtraction and multiplication tables of\n"
-"GF(p^m), q = p^m, on encoded values (base-p digits, little-endian).\n\n"
-"``powers`` holds the q - 1 distinct encoded powers g^0, g^1, ... of a\n"
-"primitive element g; ``mul`` goes through their logarithms.  ``add`` and\n"
-"``sub`` work digit by digit mod p and need no powers.  The outputs are\n"
-"writable array('i') with room for q*q ints; when p = 2, ``sub`` may be\n"
-"``add`` itself, which is then filled once.");
+"field_tables(powers, p, m, sub, mul)\n--\n\n"
+"See _minweight_py.field_tables.");
 
 static PyObject *field_tables(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_buffer powers, add, sub, mul;
-    int p, m, q = 1, *a, *s, *x;
+    Py_buffer powers, sub, mul;
+    int p, m, q = 1, *s, *x;
     const int *pw;
     PyObject *result = NULL;
-    if (!PyArg_ParseTuple(args, "y*iiy*y*y*", &powers, &p, &m, &add, &sub, &mul))
+    if (!PyArg_ParseTuple(args, "y*iiy*y*", &powers, &p, &m, &sub, &mul))
         return NULL;
     for (int i = 0; i < m && p >= 2 && p <= MAX_Q && q <= MAX_Q; i++)
         q *= p; /* at most MAX_Q * MAX_Q, which fits in an int */
@@ -473,16 +442,12 @@ static PyObject *field_tables(PyObject *Py_UNUSED(self), PyObject *args)
                      "p must be at least 2, m at least 1 and p^m at most %d", MAX_Q);
     else if (powers.len != (Py_ssize_t)sizeof(int) * (q - 1))
         PyErr_Format(PyExc_ValueError, "powers must hold q - 1 = %d ints", q - 1);
-    else if (add.buf == sub.buf && p != 2)
-        PyErr_SetString(PyExc_ValueError, "sub may be add only when p = 2");
     else if ((pw = check(&powers, q - 1, q, "powers"))
-             && (a = check_out(&add, (Py_ssize_t)q * q, 0, q, "add"))
              && (s = check_out(&sub, (Py_ssize_t)q * q, 0, q, "sub"))
              && (x = check_out(&mul, (Py_ssize_t)q * q, 0, q, "mul"))
-             && fill(pw, p, q, a, s, x) == 0)
+             && fill(pw, p, q, s, x) == 0)
         result = Py_NewRef(Py_None);
     PyBuffer_Release(&powers);
-    PyBuffer_Release(&add);
     PyBuffer_Release(&sub);
     PyBuffer_Release(&mul);
     return result;

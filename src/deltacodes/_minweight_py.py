@@ -1,16 +1,26 @@
-"""Pure-Python twin of the compiled kernel.
+"""Pure-Python twin of the compiled kernel, and the one statement of the
+kernel's contracts: the C kernel ``_minweight.c`` has the same algorithms and
+call signatures, and its docstrings point here.
 
-Same algorithms and call signatures as the C kernel ``_minweight.c``, and the
-reference the tests compare it against.  ``min_dependent_columns`` is an
-iterative-deepening DFS over column subsets in increasing index order, from a
-floor ``wmin`` on, with the chosen columns kept as a normalized echelon basis.
-Each depth keeps the images of the later columns modulo the basis so far, so
-going one depth down costs one row operation per column, and the last two
-columns of a subset are closed by hashing their normalized images.
-``extend_echelon`` is the rank step of a scan: it reduces a block of rows
-against an echelon basis the caller keeps.  Both share one normalization.
-``field_tables`` fills a field's q*q arithmetic tables, and ``multiply_rows``
-forms a scan's evaluation rows, each an earlier row times a row of values.
+``min_dependent_columns`` is an iterative-deepening DFS over column subsets
+in increasing index order, from a floor ``wmin`` on, with the chosen columns
+kept as a normalized echelon basis.  Each depth keeps the images of the later
+columns modulo the basis so far, so going one depth down costs one row
+operation per column, and the last two columns of a subset are closed by
+hashing their normalized images.  ``extend_echelon`` is the rank step of a
+scan: it reduces a block of rows against an echelon basis the caller keeps.
+Both share one normalization.  ``field_tables`` fills a field's q*q
+subtraction and multiplication tables, and ``multiply_rows`` forms a scan's
+evaluation rows, each an earlier row times a row of values.
+
+The tables are flat: ``mul`` and ``sub`` hold q*q entries, a * b and a - b
+at [a * q + b], and ``inv`` holds q.  The compiled kernel takes every
+sequence as an array('i') or a memoryview of one, and checks every buffer
+for its item size and length, and every table entry and every value entry
+``multiply_rows`` reads for [0, q).  This twin takes any sequence of ints
+for an input and does not check those entries.  Both raise ValueError with
+the same messages on a size out of range, and on an entry of ``cols``,
+``rows`` or a caller's ``basis`` and ``pivots`` outside its range.
 """
 
 from __future__ import annotations
@@ -79,12 +89,17 @@ def min_dependent_columns(cols, r, n, q, mul, sub, inv, wmax, wmin=1):
     pivots.  With w - 2 columns in the basis, the pair level makes every
     later column's image and scales it to a leading 1, so a zero image, or
     an image seen before, closes a dependent set of size at most w: about
-    C(n, w - 1) images at that depth, not C(n, w).
+    C(n, w - 1) images at that depth, not C(n, w).  The images take w - 2
+    levels of n x r entries at the depth w the search reaches, whatever
+    ``wmax`` is.
     """
-    if wmin < 1:
-        raise ValueError("wmin must be positive")
+    if r < 0 or n < 0 or q < 0 or wmax < 0 or wmin < 1 or q > MAX_Q:
+        raise ValueError(
+            f"r, n, q and wmax must be non-negative, wmin positive and q at most {MAX_Q}"
+        )
     if r == 0:  # every column is zero
         return wmin if wmin <= min(wmax, n) else 0
+    _check(cols, r * n, q, "cols")
 
     tails: list[list[int]] = []  # the basis rows from their pivots on
     pivots: list[int] = []
@@ -143,8 +158,17 @@ def extend_echelon(rows, m, n, q, mul, sub, inv, basis, pivots, rank):
     length-q table.  The caller keeps the basis across calls: its first
     ``rank`` rows in ``basis`` (room for n*n entries) and their pivot columns
     in ``pivots`` (room for n), both updated in place.  The new rank is
-    ``rank`` plus the number of flags set.
+    ``rank`` plus the number of flags set.  ``basis`` and ``pivots`` are
+    writable array('i'), and the first ``rank`` pivots lie in [0, n).
     """
+    if m < 0 or n < 0 or q < 0 or not 0 <= rank <= n or q > MAX_Q:
+        raise ValueError(
+            f"m, n and q must be non-negative, rank in [0, n] and q at most {MAX_Q}"
+        )
+    _check(rows, m * n, q, "rows")
+    basis, pivots = _out(basis, n * n, "basis"), _out(pivots, n, "pivots")
+    _check(basis, rank * n, q, "basis")
+    _check(pivots, rank, n, "pivots")
     tails = [list(basis[b * n + p : (b + 1) * n]) for b, p in enumerate(pivots[:rank])]
     piv = list(pivots[:rank])
     flags = bytearray(m)
@@ -165,22 +189,22 @@ def extend_echelon(rows, m, n, q, mul, sub, inv, basis, pivots, rank):
     return bytes(flags)
 
 
-def _digitwise(p, m, sign):
-    """Flat array('i') of a + sign * b digit by digit mod p on encoded values,
+def _digitwise(p, m):
+    """Flat array('i') of a - b digit by digit mod p on encoded values,
     grown one base-p digit at a time: for a = a_low + P * a_top (a_low < P)
     the entry at (a, b) is the entry at (a_low, b_low) plus
-    P * ((a_top + sign * b_top) mod p).  So the grown row of (a_low, a_top)
-    is the row of (a_low, 0) rotated by sign * a_top blocks of P, and each
-    row is copied in two slices."""
+    P * ((a_top - b_top) mod p).  So the grown row of (a_low, a_top) is the
+    row of (a_low, 0) rotated by -a_top blocks of P, and each row is copied
+    in two slices."""
     table, size = array("i", [0]), 1
     for _ in range(m):
         rows = [
-            array("i", [v + sign * k % p * size for k in range(p) for v in table[a : a + size]])
+            array("i", [v + -k % p * size for k in range(p) for v in table[a : a + size]])
             for a in range(0, size * size, size)
         ]
         grown = array("i")
         for a_top in range(p):
-            cut = sign * a_top % p * size
+            cut = -a_top % p * size
             for row in rows:
                 grown += row[cut:]
                 grown += row[:cut]
@@ -201,30 +225,38 @@ def _out(buf, room, name):
     return view
 
 
-def field_tables(powers, p, m, add, sub, mul):
-    """Fill the flat q*q addition, subtraction and multiplication tables of
-    GF(p^m), q = p^m, on encoded values (base-p digits, little-endian).
+def _check(values, need, bound, name):
+    """ValueError unless ``values`` holds at least ``need`` entries, the
+    first ``need`` of them in [0, bound)."""
+    if len(values) < need:
+        raise ValueError(f"{name} holds {len(values)} entries, needs {need}")
+    head = values[:need]
+    if need and (min(head) < 0 or max(head) >= bound):
+        i = next(i for i, v in enumerate(head) if not 0 <= v < bound)
+        raise ValueError(f"{name}[{i}] = {head[i]} is not in [0, {bound})")
+
+
+def field_tables(powers, p, m, sub, mul):
+    """Fill the flat q*q subtraction and multiplication tables of GF(p^m),
+    q = p^m, on encoded values (base-p digits, little-endian).
 
     ``powers`` holds the q - 1 distinct encoded powers g^0, g^1, ... of a
-    primitive element g; ``mul`` goes through their logarithms.  ``add`` and
-    ``sub`` work digit by digit mod p and need no powers.  The outputs are
-    writable array('i') with room for q*q ints; when p = 2, ``sub`` may be
-    ``add`` itself, which is then filled once.
+    primitive element g; ``mul`` goes through their logarithms.  ``sub``
+    works digit by digit mod p and needs no powers; its row 0 is the
+    negation, so a + b is sub[a * q + sub[b]].  The outputs are writable
+    array('i') with room for q*q ints.  ValueError when q exceeds
+    ``MAX_Q``, the powers are not q - 1 distinct values in [1, q), or an
+    output is read-only or too short.
     """
     if p < 2 or m < 1 or p > MAX_Q or m >= MAX_Q.bit_length() or p**m > MAX_Q:
         raise ValueError(f"p must be at least 2, m at least 1 and p^m at most {MAX_Q}")
     q, order = p**m, p**m - 1
     if len(powers) != order:
         raise ValueError(f"powers must hold q - 1 = {order} ints")
-    same = sub is add
-    if same and p != 2:
-        raise ValueError("sub may be add only when p = 2")
     if not all(0 < v < q for v in powers) or len(set(powers)) != order:
         raise ValueError("powers must be distinct and in [1, q)")
-    add, sub, mul = (_out(add, q * q, "add"), _out(sub, q * q, "sub"), _out(mul, q * q, "mul"))
-    add[: q * q] = _digitwise(p, m, 1)
-    if not same:
-        sub[: q * q] = _digitwise(p, m, -1)
+    sub, mul = _out(sub, q * q, "sub"), _out(mul, q * q, "mul")
+    sub[: q * q] = _digitwise(p, m)
     # Row a > 0 reads the powers from g^(log a) on at the logarithms of
     # 1, ..., q - 1, after a 0 for column 0, which is put at the end.
     powers, log = list(powers), [0] * q

@@ -129,14 +129,15 @@ def _approximant_rows(fam: ApproximateFamily, ev: EvalMap, mul, sub, backend) ->
     ones, made by one ``multiply_rows`` call.  The second chain is never
     empty, as n_i delta_i > 0 has a nonzero representation.
     """
-    n, q = ev.n, ev.spec.q
+    n, q, kernel = ev.n, ev.spec.q, minweight.kernel(backend)
     values = array("i", [int(v) for coords in zip(*ev.points) for v in coords])
     for i, step in enumerate(fam.expansion, start=1):
-        factors = [i] * step.n + [j for j, a in enumerate(step.exponents) for _ in range(a)]
-        parents = list(range(len(factors)))
+        lower = [j for j, a in enumerate(step.exponents) for _ in range(a)]
+        factors = array("i", [i] * step.n + lower)
+        parents = array("i", range(len(factors)))
         parents[step.n] = 0  # the product starts again from the ones
         work = array("i", [1]) * n + array("i", [0]) * (len(factors) * n)
-        minweight.multiply_rows(work, 1, parents, factors, values, n, q, mul, backend=backend)
+        kernel.multiply_rows(work, 1, parents, factors, values, n, q, mul)
         lead, rest = work[step.n * n : (step.n + 1) * n], work[-n:]
         values += array("i", [sub[a * q + b] for a, b in zip(lead, rest)])
     return values
@@ -147,16 +148,14 @@ def _dual_basis(rows: array, n: int, spec: FieldSpec, backend) -> tuple:
     array ``rows``, as tuples of field elements: for each non-pivot column f
     of the rows' reduced row echelon form, ascending, 1 at f and minus the
     form's column f at the pivots (see ``Scan.code_at``)."""
-    t = spec._t
+    t, extend = spec._t, minweight.kernel(backend).extend_echelon
     tables, by_val = t.kernel_tables(backend), t.by_val
     basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
-    flags = minweight.extend_echelon(
-        rows, len(rows) // n, n, t.q, *tables, basis, pivots, 0, backend=backend
-    )
+    flags = extend(rows, len(rows) // n, n, t.q, *tables, basis, pivots, 0)
     rank, reverse = sum(flags), array("i")
     for b in range(rank - 1, -1, -1):
         reverse += basis[b * n : (b + 1) * n]
-    minweight.extend_echelon(reverse, rank, n, t.q, *tables, basis, pivots, 0, backend=backend)
+    extend(reverse, rank, n, t.q, *tables, basis, pivots, 0)
     piv = pivots[:rank].tolist()
     minus = [by_val[v] for v in t.neg]
     out = []
@@ -176,9 +175,9 @@ class Scan:
     The constructor walks the members with each member's row and rank step,
     then takes the pair counts (``semigroup._pair_counts``) and the bounds
     built from them.  Members are walked in blocks of n - rank (at least
-    one).  One ``minweight.multiply_rows`` call forms a block's rows in the
-    flat array('i') ``rows``, and one ``minweight.extend_echelon`` call
-    reduces them, read in place, against the echelon basis kept here: the
+    one).  One kernel ``multiply_rows`` call forms a block's rows in the
+    flat array('i') ``rows``, and one ``extend_echelon`` call reduces them,
+    read in place, against the echelon basis kept here: the
     rank can reach n only on the last row of a block, so the walk stops at
     the rank bound as a row-at-a-time walk would.  Hold one scan to ask it about many
     bounds; the library keeps no reference to it.
@@ -209,6 +208,7 @@ class Scan:
                 f"rank ceiling: rank {n} needs at least {n} members, above the"
                 f" horizon of {horizon}"
             )
+        kernel = minweight.kernel(backend)
         q, tables = ev.spec.q, ev.spec._t.kernel_tables(backend)
         values = _approximant_rows(fam, ev, tables[0], tables[1], backend)
         basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
@@ -240,13 +240,12 @@ class Scan:
                 walked.append(pair)
                 exponents.append(exps)
             rows += array("i", [0]) * (len(parents) * n)
-            minweight.multiply_rows(
-                rows, len(walked) - len(parents), parents, factors, values, n, q, tables[0],
-                backend=backend,
+            kernel.multiply_rows(
+                rows, len(walked) - len(parents), parents, factors, values, n, q, tables[0]
             )
-            flags = minweight.extend_echelon(
+            flags = kernel.extend_echelon(
                 memoryview(rows)[start * n :], len(walked) - start, n, q, *tables, basis,
-                pivots, rank, backend=backend,
+                pivots, rank,
             )
             for flag in flags:
                 rank += flag
@@ -377,6 +376,8 @@ def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None, wmin=1) -
     cols = array("i", [0]) * (r * n)
     for i, row in enumerate(enc_rows):
         cols[i::r] = array("i", row)
+    # the wrapper, which passes these arrays on as they are: perfbench's
+    # probe times the search at this name in codes
     w = min_dependent_columns(
         cols, r, n, spec.q, *t.kernel_tables(backend), r + 1, wmin, backend=backend
     )

@@ -5,7 +5,7 @@ generator g); all arithmetic goes through precomputed tables, which the kernel
 fills, so everything is integer-exact.  For extension fields the modulus is
 configurable; the default is the smallest primitive monic polynomial, which
 for GF(2^5) is g^5+g^2+1, read from a table.  Linear algebra over these
-fields is the kernel's (``minweight.extend_echelon``), not this module's.
+fields is the kernel's (``extend_echelon``), not this module's.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class FieldElement(Value):
 
     def __add__(self, other: FieldElement) -> FieldElement:
         t = self.field._t
-        return t.by_val[t.add[self.encoded * t.q + self._other(other).encoded]]
+        return t.by_val[t.sub[self.encoded * t.q + t.neg[self._other(other).encoded]]]
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         t = self.field._t
@@ -336,10 +336,11 @@ def _primitive_powers(spec: FieldSpec) -> tuple[int, list[int]]:
 
 
 class _Tables:
-    """Arithmetic tables for one field, indexed by encoded values: ``add``,
-    ``sub`` and ``mul`` are flat q*q array('i') that the kernel fills, and
-    ``neg``, ``inv``, ``by_val`` and ``dlog`` are q-sized lists, ``by_val``
-    built on its first use.  ``gpow`` lists the encoded powers 1, g, g^2, ...
+    """Arithmetic tables for one field, indexed by encoded values: ``sub``
+    and ``mul`` are flat q*q array('i') that the kernel fills, and ``neg``,
+    ``inv``, ``by_val`` and ``dlog`` are q-sized lists, ``by_val`` built on
+    its first use.  A sum is a difference, a + b = a - neg[b], so no third
+    q*q table is kept.  ``gpow`` lists the encoded powers 1, g, g^2, ...
     of the class of g (encoded p) up to its order, so g^k is
     gpow[k % len(gpow)]; None for a prime field."""
 
@@ -361,10 +362,8 @@ class _Tables:
         else:
             self.gpow = powers if root == p else _powers(p, p, spec.modulus)
 
-        self.add, self.mul = array("i", [0]) * (q * q), array("i", [0]) * (q * q)
-        # in characteristic 2, a - b = a + b: one table serves both
-        self.sub = self.add if p == 2 else array("i", [0]) * (q * q)
-        minweight.field_tables(powers, p, m, self.add, self.sub, self.mul)
+        self.sub, self.mul = array("i", [0]) * (q * q), array("i", [0]) * (q * q)
+        minweight.kernel().field_tables(array("i", powers), p, m, self.sub, self.mul)
         self.neg = self.sub[:q].tolist()
 
     @functools.cached_property

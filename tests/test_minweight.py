@@ -2,18 +2,20 @@
 reduces every column from scratch, and with brute force."""
 
 import functools
+import inspect
 import itertools
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from array import array
 from unittest import mock
 
 import pytest
 
-from deltacodes import codes, minweight
+from deltacodes import _minweight_py, codes, minweight
 from deltacodes.approximants import _fit_exponents, build_approximates
 from deltacodes.codes import EvalMap, Scan, scan_table
 from deltacodes.genesis import build_type_c
@@ -23,14 +25,7 @@ from deltacodes.gf import (
     _is_prime,
     _primitive_powers,
 )
-from deltacodes.minweight import (
-    _int_array,
-    available_backends,
-    extend_echelon,
-    field_tables,
-    min_dependent_columns,
-    multiply_rows,
-)
+from deltacodes.minweight import available_backends, min_dependent_columns
 from deltacodes.semigroup import walk
 
 import helpers
@@ -44,6 +39,15 @@ F2 = FieldSpec(2)
 F5 = FieldSpec(5)
 F32 = FieldSpec(2, 5)
 F256 = FieldSpec(2, 8)
+ENTRY_POINTS = ("min_dependent_columns", "extend_echelon", "field_tables", "multiply_rows")
+
+
+def built_kernel(backend):
+    """The kernel module of a backend; the test is skipped when it is not
+    built."""
+    if backend not in available_backends():
+        pytest.skip("the compiled kernel is not built")
+    return minweight.kernel(backend)
 
 
 def kernel_args(spec, rows, n=None):
@@ -200,17 +204,64 @@ class TestBackends:
                     assert min_dependent_columns(*args, wmax, backend=name) == expected
 
     def test_int_arrays_are_passed_without_a_copy(self):
-        ints = array("i", [1, 2])
-        assert _int_array(ints) is ints
-        for other in ([1, 2], array("l", [1, 2])):
-            copy = _int_array(other)
-            assert copy.typecode == "i" and list(copy) == [1, 2]
+        """The wrapper hands the compiled kernel an array('i') as it is, and
+        a copy of anything else as one."""
+        seen = []
+        spy = types.SimpleNamespace(min_dependent_columns=lambda *args: seen.append(args) or 0)
+        cols, r, n, q, mul, sub, inv = kernel_args(F5, [[1, 2]])
+        ints = array("i", cols)
+        with mock.patch.dict(minweight._BACKENDS, {"compiled": spy}):
+            for given in (ints, cols, array("l", cols)):
+                min_dependent_columns(given, r, n, q, mul, sub, inv, 2, backend="compiled")
+        assert seen[0][0] is ints
+        for args in seen:
+            assert all(isinstance(a, array) and a.typecode == "i" for a in args[:1] + args[4:7])
+            assert list(args[0]) == cols and list(args[6]) == inv
+
+    def test_both_backends_keep_one_signature(self):
+        """Each compiled entry point's text signature is its twin's, so the
+        twin's docstrings state the compiled contract too."""
+        compiled = built_kernel("compiled")
+        for name in ENTRY_POINTS:
+            twin = inspect.signature(getattr(_minweight_py, name))
+            assert inspect.signature(getattr(compiled, name)) == twin, name
+            assert getattr(compiled, name).__doc__ == f"See _minweight_py.{name}."
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_bad_sizes_and_columns_are_rejected(self, backend):
+        """Both backends reject a size out of range, or a column entry
+        outside [0, q), with one message."""
+        search = built_kernel(backend).min_dependent_columns
+        cols, r, n, q = kernel_args(F5, [[1, 2, 3], [4, 0, 1]])[:4]
+        mul, sub, inv = F5._t.kernel_tables(backend)
+        good = [array("i", cols), r, n, q, mul, sub, inv, 3, 1]
+        assert search(*good) == 3
+        sizes = "r, n, q and wmax must be non-negative, wmin positive and q at most 46340"
+        bad = [
+            (0, array("i", cols[:-1]), "cols holds 5 entries, needs 6"),
+            (0, array("i", [5] + cols[1:]), "cols[0] = 5 is not in [0, 5)"),
+            (0, array("i", cols[:3] + [-1] + cols[4:]), "cols[3] = -1 is not in [0, 5)"),
+            (1, -1, sizes), (2, -1, sizes), (3, -1, sizes), (3, 46341, sizes),
+            (7, -1, sizes), (8, 0, sizes), (8, -1, sizes),
+        ]
+        for index, value, message in bad:
+            args = list(good)
+            args[index] = value
+            with pytest.raises(ValueError) as error:
+                search(*args)
+            assert str(error.value) == message, (index, value)
+        # three rows of two columns: unchecked, a -1 would index a table from
+        # its end and a 7 past the end of one
+        for entry in (-1, 7):
+            with pytest.raises(ValueError) as error:
+                search(array("i", [entry, 2, 3, 4, 0, 1]), 3, 2, 5, mul, sub, inv, 3)
+            assert str(error.value) == f"cols[0] = {entry} is not in [0, 5)"
 
     def test_compiled_rejects_bad_input(self):
-        """The C entry point checks its buffers and sizes before it reads."""
-        compiled = available_backends().get("compiled")
-        if compiled is None:
-            pytest.skip("the compiled kernel is not built")
+        """The C entry point checks the item size of its buffers and its
+        tables before it reads; the sizes and the columns are checked on
+        both backends (test_bad_sizes_and_columns_are_rejected)."""
+        compiled = built_kernel("compiled").min_dependent_columns
         cols, r, n, q, mul, sub, inv = kernel_args(F5, [[1, 2, 3], [4, 0, 1]])
         good = [array("i", cols), r, n, q, array("i", mul), array("i", sub),
                 array("i", inv), 3, 1]
@@ -218,13 +269,10 @@ class TestBackends:
         assert compiled(*good[:-1]) == 3  # wmin defaults to 1
         bad = [
             (0, array("b", bytes(4 * len(cols)))),  # item size 1
-            (0, array("i", cols[:-1])),  # shorter than r * n
             (4, array("i", mul[:-1])),  # shorter than q * q
             (5, array("i", sub[:-1])),
             (6, array("i", inv[:-1])),  # shorter than q
-            (0, array("i", [5] + cols[1:])),  # entry outside [0, q)
-            (1, -1), (2, -1), (3, -1), (7, -1),  # negative r, n, q, wmax
-            (8, 0), (8, -1),  # wmin below 1
+            (4, array("i", [5]) + mul[1:]),  # table entry outside [0, q)
         ]
         for index, value in bad:
             args = list(good)
@@ -233,54 +281,78 @@ class TestBackends:
                 compiled(*args)
 
 
-    def test_compiled_extend_echelon_rejects_bad_input(self):
-        """The C echelon extension checks its buffers, its sizes and the
-        caller's basis before it reads or writes."""
-        extend = pytest.importorskip("deltacodes._minweight").extend_echelon
-        n, q = 3, 5
-        mul, sub, inv = (array("i", x) for x in kernel_args(F5, [[0]])[4:])
+    @staticmethod
+    def extend_case(backend):
+        """The echelon extension of a backend, arguments that pass, and a
+        copy of them with a fresh basis and pivots."""
         basis, pivots = array("i", [0, 1, 2] + [0] * 6), array("i", [1, 0, 0])
-        rows = [0, 2, 4, 1, 1, 1]  # twice the basis row, then a new row
-        good = [array("i", rows), 2, n, q, mul, sub, inv, basis, pivots, 1]
+        rows = array("i", [0, 2, 4, 1, 1, 1])  # twice the basis row, then a new row
+        good = [rows, 2, 3, 5, *F5._t.kernel_tables(backend), basis, pivots, 1]
 
-        def fresh(args):
+        def fresh(index=None, value=None):
             # the basis and pivots as a call sees them, unchanged by others
-            args = list(args)
+            args = list(good)
             args[7], args[8] = array("i", basis), array("i", pivots)
+            if index is not None:
+                args[index] = value
             return args
 
-        assert extend(*fresh(good)) == b"\x00\x01"
-        readonly = memoryview(array("i", basis)).toreadonly()
+        extend = built_kernel(backend).extend_echelon
+        assert extend(*fresh()) == b"\x00\x01"
+        return extend, good, fresh
+
+    def test_compiled_extend_echelon_rejects_bad_input(self):
+        """The C echelon extension checks the item size of its inputs and
+        its tables before it reads; the sizes, the rows and the caller's
+        basis are checked on both backends
+        (test_extend_echelon_rejects_bad_sizes_rows_and_basis)."""
+        extend, good, fresh = self.extend_case("compiled")
+        rows, mul, sub, inv = good[0], *good[4:7]
         bad = [
             (0, array("b", bytes(4 * len(rows)))),  # item size 1
-            (0, array("i", rows[:-1])),  # shorter than m * n
-            (0, array("i", [5] + rows[1:])),  # entry outside [0, q)
             (4, array("i", mul[:-1])),  # shorter than q * q
             (5, array("i", sub[:-1])),
             (6, array("i", inv[:-1])),  # shorter than q
-            (7, array("i", basis[:-1])),  # no room for n rows
-            (8, array("i", pivots[:-1])),  # no room for n pivots
-            (7, readonly),
-            (8, memoryview(array("i", pivots)).toreadonly()),
-            (7, array("i", [0, 1, 5] + [0] * 6)),  # basis entry outside [0, q)
-            (7, array("i", [0, -1, 2] + [0] * 6)),
-            (8, array("i", [3, 0, 0])),  # pivot outside [0, n)
-            (8, array("i", [-1, 0, 0])),
-            (1, -1), (2, -1), (3, -1),  # negative m, n, q
+            (6, array("i", [0, 1, 3, 2, 5])),  # table entry outside [0, q)
         ]
         for index, value in bad:
-            args = fresh(good)
-            args[index] = value
             with pytest.raises(ValueError):
-                extend(*args)
+                extend(*fresh(index, value))
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_extend_echelon_rejects_bad_sizes_rows_and_basis(self, backend):
+        """Both backends check these with the same message before they
+        write."""
+        extend, good, fresh = self.extend_case(backend)
+        rows, basis, pivots = good[0].tolist(), good[7], good[8]
+        sizes = "m, n and q must be non-negative, rank in [0, n] and q at most 46340"
+        bad = [
+            (0, array("i", rows[:-1]), "rows holds 5 entries, needs 6"),
+            (0, array("i", [5] + rows[1:]), "rows[0] = 5 is not in [0, 5)"),
+            (0, array("i", rows[:4] + [-1, 1]), "rows[4] = -1 is not in [0, 5)"),
+            (7, array("i", basis[:-1]), "basis holds 8 entries, needs 9"),
+            (8, array("i", pivots[:-1]), "pivots holds 2 entries, needs 3"),
+            (7, memoryview(array("i", basis)).toreadonly(), "basis must be writable"),
+            (8, memoryview(array("i", pivots)).toreadonly(), "pivots must be writable"),
+            (7, array("l", basis), "basis must be an array('i')"),
+            (7, array("i", [0, 1, 5] + [0] * 6), "basis[2] = 5 is not in [0, 5)"),
+            (7, array("i", [0, -1, 2] + [0] * 6), "basis[1] = -1 is not in [0, 5)"),
+            (8, array("i", [3, 0, 0]), "pivots[0] = 3 is not in [0, 3)"),
+            (8, array("i", [-1, 0, 0]), "pivots[0] = -1 is not in [0, 3)"),
+            (1, -1, sizes), (2, -1, sizes), (3, -1, sizes), (3, 46341, sizes),
+        ]
+        for index, value, message in bad:
+            with pytest.raises(ValueError) as error:
+                extend(*fresh(index, value))
+            assert str(error.value) == message, (index, value)
         # rank outside [0, n], with buffers that would pass for that rank
-        for rank in (-1, n + 1):
-            args = fresh(good)
-            args[7] = array("i", [0, 1, 2] * (n + 1) + [0] * n)
-            args[8] = array("i", [1] * (n + 1))
-            args[9] = rank
-            with pytest.raises(ValueError):
+        for rank in (-1, 4):
+            args = fresh(9, rank)
+            args[7] = array("i", [0, 1, 2] * 4 + [0] * 3)
+            args[8] = array("i", [1] * 4)
+            with pytest.raises(ValueError) as error:
                 extend(*args)
+            assert str(error.value) == sizes
 
 
 def mixed_rows(spec, rng, n, count):
@@ -321,16 +393,13 @@ class EchelonCase:
         the given sizes; ``guard`` entries after the room for n rows and n
         pivots must stay untouched."""
         spec, n = self.spec, self.n
-        t = spec._t
+        extend, tables = minweight.kernel(backend).extend_echelon, spec._t.kernel_tables(backend)
         basis = array("i", [0] * (n * n) + [guard] * n)
         pivots = array("i", [0] * n + [guard])
         flags, rank, at = [], 0, 0
         for m in sizes:
-            block = [v for row in self.rows[at : at + m] for v in row]
-            got = extend_echelon(
-                block, m, n, spec.q, t.mul, t.sub, t.inv, basis, pivots, rank,
-                backend=backend,
-            )
+            block = array("i", [v for row in self.rows[at : at + m] for v in row])
+            got = extend(block, m, n, spec.q, *tables, basis, pivots, rank)
             assert isinstance(got, bytes) and len(got) == m
             flags += got
             rank += sum(got)
@@ -597,17 +666,17 @@ EVERY_FIELD = [
 
 
 def filled_tables(spec, powers, backend):
-    """``add``, ``sub`` and ``mul`` of the spec as one backend fills them,
-    from the given powers; ``sub`` is ``add`` when p = 2."""
+    """``sub`` and ``mul`` of the spec as one backend fills them, from the
+    given powers."""
     q = spec.q
-    add, mul = array("i", [0]) * (q * q), array("i", [0]) * (q * q)
-    sub = add if spec.p == 2 else array("i", [0]) * (q * q)
-    field_tables(powers, spec.p, spec.m, add, sub, mul, backend=backend)
-    return add, sub, mul
+    sub, mul = array("i", [0]) * (q * q), array("i", [0]) * (q * q)
+    minweight.kernel(backend).field_tables(array("i", powers), spec.p, spec.m, sub, mul)
+    return sub, mul
 
 
 class TestFieldTables:
-    """The third kernel entry point: a field's q*q arithmetic tables."""
+    """The third kernel entry point: a field's q*q subtraction and
+    multiplication tables."""
 
     def test_backends_agree_on_every_field(self):
         if "compiled" not in available_backends():
@@ -624,21 +693,15 @@ class TestFieldTables:
     def test_tables_are_the_field_operations(self, spec):
         field = slow_field(spec)
         powers = _primitive_powers(spec)[1]
+        q = spec.q
         for backend in available_backends():
-            # the powers as a list and as an array('i')
-            for given in (powers, array("i", powers)):
-                add, sub, mul = filled_tables(spec, given, backend)
-                for a in range(spec.q):
-                    for b in range(spec.q):
-                        at = a * spec.q + b
-                        assert (add[at], sub[at]) == (field.add(a, b), field.sub(a, b))
-                        assert mul[at] == field.mul(a, b)
-
-    def test_a_separate_sub_is_filled_when_p_is_2(self):
-        q = 16
-        add, sub, mul = (array("i", [-1]) * (q * q) for _ in range(3))
-        field_tables(_primitive_powers(FieldSpec(2, 4))[1], 2, 4, add, sub, mul)
-        assert sub == add and -1 not in mul
+            sub, mul = filled_tables(spec, powers, backend)
+            for a in range(q):
+                for b in range(q):
+                    assert sub[a * q + b] == field.sub(a, b)
+                    assert mul[a * q + b] == field.mul(a, b)
+                    # a sum is a difference with the negation, row 0 of sub
+                    assert sub[a * q + sub[b]] == field.add(a, b)
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_bad_input_is_rejected(self, backend):
@@ -646,13 +709,13 @@ class TestFieldTables:
             pytest.skip("the compiled kernel is not built")
         spec = FieldSpec(3, 2)
         q, powers = spec.q, _primitive_powers(spec)[1]
+        fill = minweight.kernel(backend).field_tables
 
         def out(size=q * q):
             return array("i", [0]) * size
 
-        good = [powers, 3, 2, out(), out(), out()]
-        field_tables(*good, backend=backend)
-        add = good[3]
+        good = [array("i", powers), 3, 2, out(), out()]
+        fill(*good)
         bad = [
             (0, powers[:-1]),  # short
             (0, powers + [powers[0]]),  # long
@@ -667,24 +730,19 @@ class TestFieldTables:
             (2, 16),  # 3^16 is above MAX_Q
             (3, out(q * q - 1)),  # short outputs
             (4, out(q * q - 1)),
-            (5, out(q * q - 1)),
             (3, memoryview(out()).toreadonly()),  # read-only outputs
             (4, memoryview(out()).toreadonly()),
-            (5, memoryview(out()).toreadonly()),
             (3, array("b", bytes(4 * q * q))),  # item size 1
         ]
         for index, value in bad:
             args = list(good)
-            args[index] = value
+            args[index] = array("i", value) if index == 0 else value
             with pytest.raises(ValueError):
-                field_tables(*args, backend=backend)
-        with pytest.raises(ValueError, match="sub may be add only when p = 2"):
-            field_tables(powers, 3, 2, add, add, out(), backend=backend)
+                fill(*args)
 
     def test_a_backend_that_is_not_built_is_rejected(self):
         with pytest.raises(ValueError, match="is not built"):
-            field_tables([1], 2, 1, array("i", [0] * 4), array("i", [0] * 4),
-                         array("i", [0] * 4), backend="missing")
+            minweight.kernel("missing")
 
 
 class TestKnownInstances:
@@ -741,7 +799,9 @@ def scan_rows_by_rule(delta, fam, ev, count, backend):
             factors.append(i)
         index[exps] = k
     rows = array("i", [1] * n + [0] * (len(parents) * n))
-    multiply_rows(rows, 1, parents, factors, values, n, q, mul, backend=backend)
+    minweight.kernel(backend).multiply_rows(
+        rows, 1, array("i", parents), array("i", factors), values, n, q, mul
+    )
     return list(index), rows
 
 
@@ -776,11 +836,11 @@ class TestMultiplyRows:
     def test_bad_input_is_rejected(self, backend):
         n, q, mul = 3, 5, F5._t.kernel_tables(backend)[0]
         values = array("i", [1, 2, 3, 4, 0, 1])  # two rows of values
+        multiply_rows = minweight.kernel(backend).multiply_rows
 
         def call(rows=None, parents=(0, 1), factors=(0, 1)):
             rows = array("i", [1] * n + [0] * (2 * n)) if rows is None else rows
-            multiply_rows(rows, 1, array("i", parents), array("i", factors), values, n, q, mul,
-                          backend=backend)
+            multiply_rows(rows, 1, array("i", parents), array("i", factors), values, n, q, mul)
             return rows
 
         assert list(call()) == [1, 1, 1, 1, 2, 3, 4, 0, 3]
@@ -800,7 +860,8 @@ class TestMultiplyRows:
             with pytest.raises(ValueError):
                 call(**case)
         with pytest.raises(ValueError):
-            multiply_rows(array("i", [1] * 9), -1, [0], [0], values, n, q, mul, backend=backend)
+            multiply_rows(array("i", [1] * 9), -1, array("i", [0]), array("i", [0]), values, n, q,
+                          mul)
 
     def test_compiled_checks_every_buffer(self):
         """The C entry point, called directly, checks the item size of each
@@ -828,22 +889,42 @@ class TestMultiplyRows:
                 compiled(*args)
 
     def test_the_scan_hands_the_kernel_its_arrays_uncopied(self):
-        """The scan's row blocks reach the rank step as memoryview slices of
-        its flat rows, and the search gets its columns as an array('i'):
-        the compiled wrapper copies neither."""
-        if "compiled" not in available_backends():
-            pytest.skip("the compiled kernel is not built")
-        real, seen = minweight._int_array, []
+        """The compiled entry points receive the scan's own objects: its
+        flat rows, each block of them as a memoryview slice of those rows,
+        the field's table arrays, and the search's columns as an
+        array('i')."""
+        compiled = built_kernel("compiled")
+        calls = []
 
-        def spy(values):
-            got = real(values)
-            seen.append((type(values), got is values))
-            return got
+        def spying(name):
+            def call(*args):
+                # a memoryview is recorded by the array it shows, so that
+                # the scan can grow its rows after the call
+                calls.append((name, [(type(a), getattr(a, "obj", a)) for a in args]))
+                return getattr(compiled, name)(*args)
 
-        fam = build_approximates(helpers.DZ75, F32)
-        with mock.patch.object(minweight, "BACKEND", "compiled"), \
-                mock.patch.object(minweight, "_int_array", spy):
-            rows = scan_table(helpers.DZ75, fam, helpers.EV32_B, limit=3)
-        assert [row.d for row in rows] == [2, 3, 4]
-        assert {kind for kind, _ in seen} == {array, memoryview}
-        assert all(same for _, same in seen)
+            return call
+
+        spy = types.SimpleNamespace(**{name: spying(name) for name in ENTRY_POINTS})
+        spec = helpers.EV32_B.spec
+        fam, t = build_approximates(helpers.DZ75, spec), spec._t
+        tables = t.kernel_tables("compiled")
+        assert tables[0] is t.mul and tables[1] is t.sub
+        with mock.patch.dict(minweight._BACKENDS, {"compiled": spy}):
+            scan = Scan(helpers.DZ75, fam, helpers.EV32_B, backend="compiled")
+            code = scan.code_at(scan.members[scan.rank_after.index(3)])
+            d = codes.min_distance(code, backend="compiled")
+        assert d == codes.min_distance(code, backend="pure") == 3
+        walk_calls = [args for name, args in calls if name in ("multiply_rows", "extend_echelon")]
+        assert {name for name, _ in calls} == {*ENTRY_POINTS} - {"field_tables"}
+        for name, args in calls:
+            buffers = [(kind, obj) for kind, obj in args if kind in (array, memoryview)]
+            assert all(isinstance(obj, array) and obj.typecode == "i" for _, obj in buffers)
+            given = args[7:] if name == "multiply_rows" else args[4:7]
+            assert all(obj is want for (_, obj), want in zip(given, tables)), name
+        scan_rows = [args for args in walk_calls if args[0][1] is scan.rows]
+        kinds = {(len(args), args[0][0]) for args in scan_rows}
+        assert kinds == {(8, array), (10, memoryview)}  # row products, then rank steps
+        assert len(scan_rows) >= 2 * 3
+        (search,) = [args for name, args in calls if name == "min_dependent_columns"]
+        assert search[0][0] is array
