@@ -147,16 +147,16 @@ static int dfs(const Search *s, int nbasis, int start, int depth_left)
 
 /* The ints of buf if it holds at least `room` aligned ints, the first `need`
    of them each in [0, q); else NULL with ValueError set.  An empty array's
-   buffer may be unaligned. */
+   buffer may be unaligned, so a short buffer is reported as short first. */
 static int *check_room(const Py_buffer *buf, Py_ssize_t room, Py_ssize_t need, int q,
                        const char *name)
 {
     int *x = buf->buf;
     Py_ssize_t len = buf->len / (Py_ssize_t)sizeof(int), i = 0;
-    if (buf->itemsize != sizeof(int) || (room > 0 && (uintptr_t)x % sizeof(int)))
-        PyErr_Format(PyExc_ValueError, "%s must be an array('i')", name);
-    else if (len < room)
+    if (buf->itemsize == sizeof(int) && len < room)
         PyErr_Format(PyExc_ValueError, "%s holds %zd entries, needs %zd", name, len, room);
+    else if (buf->itemsize != sizeof(int) || (room > 0 && (uintptr_t)x % sizeof(int)))
+        PyErr_Format(PyExc_ValueError, "%s must be an array('i')", name);
     else {
         while (i < need && x[i] >= 0 && x[i] < q)
             i++;
@@ -247,8 +247,8 @@ static PyObject *min_dependent_columns(PyObject *Py_UNUSED(self), PyObject *args
 }
 
 /* Reduce each of the m rows of length s->r against the basis, appending the
-   independent ones normalized; the flags as bytes.  A full basis spans every
-   row, so nothing is written past row r. */
+   independent ones normalized; the flags as bytes.  Each row is reduced in
+   basis row rank, below both the first rank + m and r. */
 static PyObject *extend(Search *s, const int *rows, int m, int rank)
 {
     int n = s->r;
@@ -257,10 +257,10 @@ static PyObject *extend(Search *s, const int *rows, int m, int rank)
         return NULL;
     char *flag = PyBytes_AS_STRING(flags);
     for (int i = 0; i < m; i++) {
-        int *row = s->basis + (size_t)rank * n;
         flag[i] = 0;
         if (rank == n)
             continue;
+        int *row = s->basis + (size_t)rank * n;
         memcpy(row, rows + (size_t)i * n, sizeof(int) * n);
         reduce(s, row, rank);
         int p = lead_one(s, row);
@@ -286,6 +286,7 @@ static PyObject *extend_echelon(PyObject *Py_UNUSED(self), PyObject *args)
     if (!PyArg_ParseTuple(args, "y*iiiy*y*y*y*y*i", &rows, &m, &s.r, &s.q, &mul, &sub,
                           &inv, &basis, &pivots, &rank))
         return NULL;
+    Py_ssize_t room = (Py_ssize_t)rank + m < s.r ? (Py_ssize_t)rank + m : s.r;
     if (m < 0 || s.r < 0 || s.q < 0 || rank < 0 || rank > s.r || s.q > MAX_Q)
         PyErr_Format(PyExc_ValueError,
                      "m, n and q must be non-negative, rank in [0, n] "
@@ -294,9 +295,9 @@ static PyObject *extend_echelon(PyObject *Py_UNUSED(self), PyObject *args)
              && (s.mul = check(&mul, (Py_ssize_t)s.q * s.q, s.q, "mul"))
              && (s.sub = check(&sub, (Py_ssize_t)s.q * s.q, s.q, "sub"))
              && (s.inv = check(&inv, s.q, s.q, "inv"))
-             && (s.basis = check_out(&basis, (Py_ssize_t)s.r * s.r,
-                                     (Py_ssize_t)rank * s.r, s.q, "basis"))
-             && (s.pivots = check_out(&pivots, s.r, rank, s.r, "pivots")))
+             && (s.basis = check_out(&basis, room * s.r, (Py_ssize_t)rank * s.r, s.q,
+                                     "basis"))
+             && (s.pivots = check_out(&pivots, room, rank, s.r, "pivots")))
         result = extend(&s, in, m, rank);
     PyBuffer_Release(&rows);
     PyBuffer_Release(&mul);

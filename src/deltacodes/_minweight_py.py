@@ -16,11 +16,11 @@ evaluation rows, each an earlier row times a row of values.
 The tables are flat: ``mul`` and ``sub`` hold q*q entries, a * b and a - b
 at [a * q + b], and ``inv`` holds q.  The compiled kernel takes every
 sequence as an array('i') or a memoryview of one, and checks every buffer
-for its item size and length, and every table entry and every value entry
-``multiply_rows`` reads for [0, q).  This twin takes any sequence of ints
-for an input and does not check those entries.  Both raise ValueError with
-the same messages on a size out of range, and on an entry of ``cols``,
-``rows`` or a caller's ``basis`` and ``pivots`` outside its range.
+for its item size and length, and every table entry for [0, q).  This twin
+takes any sequence of ints for an input and does not check table entries.
+Both raise ValueError with the same messages on a size out of range, and on
+any other entry outside its range: of ``cols``, ``rows``, ``parents``,
+``factors``, ``values`` or a caller's ``basis`` and ``pivots``.
 """
 
 from __future__ import annotations
@@ -156,17 +156,18 @@ def extend_echelon(rows, m, n, q, mul, sub, inv, basis, pivots, rank):
 
     ``rows`` is row-major; ``mul`` and ``sub`` are flat q*q tables, ``inv`` a
     length-q table.  The caller keeps the basis across calls: its first
-    ``rank`` rows in ``basis`` (room for n*n entries) and their pivot columns
-    in ``pivots`` (room for n), both updated in place.  The new rank is
-    ``rank`` plus the number of flags set.  ``basis`` and ``pivots`` are
-    writable array('i'), and the first ``rank`` pivots lie in [0, n).
+    ``rank`` rows in ``basis`` and their pivot columns, in [0, n), in
+    ``pivots``, writable array('i') with room for the rows the call can
+    write, min(rank + m, n) rows of n entries and as many pivots.  Both are
+    updated in place, and the new rank is ``rank`` plus the flags set.
     """
     if m < 0 or n < 0 or q < 0 or not 0 <= rank <= n or q > MAX_Q:
         raise ValueError(
             f"m, n and q must be non-negative, rank in [0, n] and q at most {MAX_Q}"
         )
     _check(rows, m * n, q, "rows")
-    basis, pivots = _out(basis, n * n, "basis"), _out(pivots, n, "pivots")
+    room = min(rank + m, n)
+    basis, pivots = _out(basis, room * n, "basis"), _out(pivots, room, "pivots")
     _check(basis, rank * n, q, "basis")
     _check(pivots, rank, n, "pivots")
     tails = [list(basis[b * n + p : (b + 1) * n]) for b, p in enumerate(pivots[:rank])]
@@ -225,15 +226,15 @@ def _out(buf, room, name):
     return view
 
 
-def _check(values, need, bound, name):
-    """ValueError unless ``values`` holds at least ``need`` entries, the
-    first ``need`` of them in [0, bound)."""
-    if len(values) < need:
-        raise ValueError(f"{name} holds {len(values)} entries, needs {need}")
-    head = values[:need]
+def _check(values, need, bound, name, start=0):
+    """``values[start:start + need]``, each in [0, bound); ValueError otherwise."""
+    if len(values) < start + need:
+        raise ValueError(f"{name} holds {len(values)} entries, needs {start + need}")
+    head = values[start : start + need]
     if need and (min(head) < 0 or max(head) >= bound):
         i = next(i for i, v in enumerate(head) if not 0 <= v < bound)
-        raise ValueError(f"{name}[{i}] = {head[i]} is not in [0, {bound})")
+        raise ValueError(f"{name}[{start + i}] = {head[i]} is not in [0, {bound})")
+    return head
 
 
 def field_tables(powers, p, m, sub, mul):
@@ -276,21 +277,24 @@ def multiply_rows(rows, start, parents, factors, values, n, q, mul):
     must come before the row it makes, so a row made by the call can be the
     parent of a later one.  ``rows`` is a writable array('i') with room for
     the rows made; ``parents`` and ``factors`` have one length, and
-    ``values`` holds whole rows of length n.  ValueError otherwise, with the
-    rows before a bad parent or factor written.  Unlike the compiled kernel
-    it does not check that the entries it reads lie in [0, q).
+    ``values`` holds whole rows of length n, each entry in [0, q), as is each
+    entry of a parent row.  ValueError otherwise, with the rows before a
+    parent not before its row, or before a parent entry outside [0, q),
+    written.
     """
     if start < 0 or n < 1 or not 1 <= q <= MAX_Q:
         raise ValueError(f"start must be non-negative, n positive and q in [1, {MAX_Q}]")
     if len(parents) != len(factors):
         raise ValueError("parents and factors must have one length")
-    out, width = _out(rows, (start + len(parents)) * n, "rows"), len(values) // n
+    m, width = len(parents), len(values) // n
+    out = _out(rows, (start + m) * n, "rows")
+    _check(parents, m, start + m, "parents")
+    _check(factors, m, width, "factors")
+    _check(values, width * n, q, "values")
     for i, (p, f) in enumerate(zip(parents, factors)):
-        if not 0 <= p < start + i:
+        if p >= start + i:
             raise ValueError(f"parents[{i}] = {p} is not before row {start + i}")
-        if not 0 <= f < width:
-            raise ValueError(f"factors[{i}] = {f} is not in [0, {width})")
-        row, value = out[p * n : (p + 1) * n], values[f * n : (f + 1) * n]
+        row, value = _check(out, n, q, "rows", p * n), values[f * n : (f + 1) * n]
         out[(start + i) * n : (start + i + 1) * n] = array(
             "i", [mul[a * q + b] for a, b in zip(row, value)]
         )

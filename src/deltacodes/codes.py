@@ -16,9 +16,10 @@ keep it and ask it for the code and bounds at each alpha.  It walks the
 members in blocks of n - rank.  The kernel's ``multiply_rows`` forms each
 block's rows in one flat array, each row an earlier member's row times one
 approximant's values, and ``extend_echelon`` reduces them in place against
-the echelon basis of the rows so far.  That is the one Gaussian elimination
-here: the dual code at a bound comes from two more ``extend_echelon``
-calls, on the parity rows and on their echelon rows reversed.  The pair
+the echelon basis of the rows so far, which the scan keeps.  That is the one
+Gaussian elimination here: at rank r the first r basis rows span the
+evaluation space, the distance search reads them, and the dual code comes
+from one more ``extend_echelon`` pass, over those rows reversed.  The pair
 counts behind the order bounds come from ``semigroup``, which owns them.
 """
 
@@ -143,26 +144,28 @@ def _approximant_rows(fam: ApproximateFamily, ev: EvalMap, mul, sub, backend) ->
     return values
 
 
-def _dual_basis(rows: array, n: int, spec: FieldSpec, backend) -> tuple:
-    """A basis of the vectors orthogonal to the rows of length n in the flat
-    array ``rows``, as tuples of field elements: for each non-pivot column f
-    of the rows' reduced row echelon form, ascending, 1 at f and minus the
-    form's column f at the pivots (see ``Scan.code_at``)."""
-    t, extend = spec._t, minweight.kernel(backend).extend_echelon
-    tables, by_val = t.kernel_tables(backend), t.by_val
-    basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
-    flags = extend(rows, len(rows) // n, n, t.q, *tables, basis, pivots, 0)
-    rank, reverse = sum(flags), array("i")
+def _dual_basis(basis, rank: int, n: int, spec: FieldSpec, backend) -> tuple:
+    """A basis of the vectors orthogonal to the first ``rank`` rows, of
+    length n, of the normalized echelon basis ``basis``, as tuples of field
+    elements: for each non-pivot column f of the rows' reduced row echelon
+    form, ascending, 1 at f and minus the form's column f at the pivots.  One
+    ``extend_echelon`` pass over the rows reversed gives the form and its
+    pivots: each row is reduced only against later rows, which are zero at
+    its pivot and at every pivot before it (see ``Scan.code_at``)."""
+    t = spec._t
+    by_val, reverse = t.by_val, array("i")
     for b in range(rank - 1, -1, -1):
         reverse += basis[b * n : (b + 1) * n]
-    extend(reverse, rank, n, t.q, *tables, basis, pivots, 0)
-    piv = pivots[:rank].tolist()
+    form, piv = array("i", [0]) * (rank * n), array("i", [0]) * rank
+    minweight.kernel(backend).extend_echelon(
+        reverse, rank, n, t.q, *t.kernel_tables(backend), form, piv, 0
+    )
     minus = [by_val[v] for v in t.neg]
     out = []
     for f in sorted(set(range(n)).difference(piv)):
         vec = [by_val[0]] * n
         vec[f] = by_val[1]
-        for c, v in zip(piv, basis[f : rank * n : n]):
+        for c, v in zip(piv, form[f::n]):
             vec[c] = minus[v]
         out.append(tuple(vec))
     return tuple(out)
@@ -177,9 +180,11 @@ class Scan:
     built from them.  Members are walked in blocks of n - rank (at least
     one).  One kernel ``multiply_rows`` call forms a block's rows in the
     flat array('i') ``rows``, and one ``extend_echelon`` call reduces them,
-    read in place, against the echelon basis kept here: the
-    rank can reach n only on the last row of a block, so the walk stops at
-    the rank bound as a row-at-a-time walk would.  Hold one scan to ask it about many
+    read in place, against the echelon basis kept in ``basis`` and
+    ``pivots``: the rank can reach n only on the last row of a block, so the
+    walk stops at the rank bound as a row-at-a-time walk would.  A row that
+    does not raise the rank writes no basis row, so at rank r the first r
+    rows span the evaluation space.  Hold one scan to ask it about many
     bounds; the library keeps no reference to it.
 
     A member's row is the row of its parent, the member with its first
@@ -283,6 +288,8 @@ class Scan:
         self.members = tuple(members)          # ascending, members[0] = 0
         self.exponents = tuple(exponents)      # fitted representation per member
         self.rows = rows                       # encoded rows, member i's at [i * n:(i + 1) * n]
+        self.basis = basis                     # echelon rows in rank-step order, n x n
+        self.pivots = pivots                   # the pivot column of each basis row
         self.jump = tuple(jump)                # whether the rank grew at this member
         self.rank_after = tuple(rank_after)    # rank of the first i + 1 rows
         self.omega_index = omega_index         # index of the rank bound Omega_n
@@ -309,32 +316,23 @@ class Scan:
                 hi = mid
         return lo
 
-    def _parity_rows(self, i: int) -> list[array]:
-        """The encoded rows at rank steps up to members[i], each an
-        array('i'): a basis of the evaluation space there."""
-        rows, n = self.rows, self.n
-        return [rows[j * n : (j + 1) * n] for j in range(i + 1) if self.jump[j]]
-
     def code_at(self, alpha) -> CodePair:
         """The evaluation space and dual code at a semigroup member.
 
-        ``gen_c`` has one vector per non-pivot column of the reduced row
-        echelon form of the parity rows (``_dual_basis``).  That form is
-        unique to E_alpha, so ``gen_c`` does not depend on the rows spanning
-        it.  Two ``extend_echelon`` passes give it: the parity rows, then the
-        echelon rows in reverse order, each reduced only against later rows,
-        which are zero at its pivot and at every pivot before it.
+        ``gen_e`` holds the rows at rank steps up to alpha.  ``gen_c`` has one
+        vector per non-pivot column of the reduced row echelon form of E_alpha
+        (``_dual_basis``), from the scan's first rank basis rows, which span
+        it.  That form is unique to E_alpha, so ``gen_c`` does not depend on
+        the rows spanning it.
         """
         represent(self.delta, alpha)
         idx = self._index(alpha)
-        enc = self._parity_rows(self.omega_index if idx is None else idx)
-        by_val = self.spec._t.by_val
-        gen_e = tuple(tuple(by_val[v] for v in row) for row in enc)
-        rows = array("i")
-        for row in enc:
-            rows += row
-        gen_c = _dual_basis(rows, self.n, self.spec, self.backend)
-        return CodePair(alpha, gen_e, len(enc), gen_c, self.n - len(enc))
+        i = self.omega_index if idx is None else idx
+        rows, n, rank, by_val = self.rows, self.n, self.rank_after[i], self.spec._t.by_val
+        steps = [j for j in range(i + 1) if self.jump[j]]
+        gen_e = tuple(tuple(map(by_val.__getitem__, rows[j * n : (j + 1) * n])) for j in steps)
+        gen_c = _dual_basis(self.basis, rank, n, self.spec, self.backend)
+        return CodePair(alpha, gen_e, rank, gen_c, n - rank)
 
     def feng_rao(self, alpha, literal: bool = False):
         """The weight bound, its strict-step variant, and the product bound.
@@ -366,20 +364,17 @@ class Scan:
 # --- minimum distance -------------------------------------------------------
 
 
-def _distance_of_rows(spec: FieldSpec, enc_rows, n: int, backend=None, wmin=1) -> int:
-    """Minimum distance of the dual of the code with parity rows ``enc_rows``;
-    ``wmin`` must not exceed it (the search starts there)."""
-    r = len(enc_rows)
-    if r == 0:
-        return 1
-    t = spec._t
+def _distance_of_rows(spec: FieldSpec, rows: array, r: int, n: int, backend=None, wmin=1) -> int:
+    """Minimum distance of the dual of the code spanned by the first r rows,
+    of length n, of the flat array('i') ``rows``; ``wmin`` must not exceed
+    it (the search starts there)."""
     cols = array("i", [0]) * (r * n)
-    for i, row in enumerate(enc_rows):
-        cols[i::r] = array("i", row)
+    for i in range(r):
+        cols[i::r] = rows[i * n : (i + 1) * n]
     # the wrapper, which passes these arrays on as they are: perfbench's
     # probe times the search at this name in codes
     w = min_dependent_columns(
-        cols, r, n, spec.q, *t.kernel_tables(backend), r + 1, wmin, backend=backend
+        cols, r, n, spec.q, *spec._t.kernel_tables(backend), r + 1, wmin, backend=backend
     )
     if w == 0:
         raise DomainError("distance search exhausted without a dependency")
@@ -393,8 +388,8 @@ def min_distance(code: CodePair, backend: str | None = None) -> int:
     if not code.gen_e:
         return 1
     spec = code.gen_e[0][0].field
-    enc = [tuple(int(v) for v in row) for row in code.gen_e]
-    return _distance_of_rows(spec, enc, len(enc[0]), backend)
+    rows = array("i", [int(v) for row in code.gen_e for v in row])
+    return _distance_of_rows(spec, rows, len(code.gen_e), len(code.gen_e[0]), backend)
 
 
 # --- the Goppa-style estimate -----------------------------------------------
@@ -501,13 +496,13 @@ def scan_table(
     """
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
+    if mode not in ("jumps", "full"):
+        raise DomainError(f"unknown mode: {mode!r}")
     scan = Scan(delta, fam, ev)
     if mode == "jumps":
         indices = [i for i in range(1, scan.omega_index) if scan.jump[i]]
-    elif mode == "full":
-        indices = list(range(scan.omega_index))
     else:
-        raise DomainError(f"unknown mode: {mode!r}")
+        indices = list(range(scan.omega_index))
     dropped = 0
     if limit is not None:
         dropped = max(len(indices) - limit, 0)
@@ -516,7 +511,8 @@ def scan_table(
     # The parity rows of a later row extend those of an earlier one, so its
     # dual code is a subcode and d never decreases: the search for a new rank
     # starts at the d of the previous one (never at d_ev or d_fr, which are
-    # checked against d).
+    # checked against d).  d depends only on the span, as row operations
+    # keep every column dependency, so the search reads the scan's basis.
     distances: dict[int, int] = {}
     floor = 1
     goppa = _goppa(delta) if indices else None
@@ -528,8 +524,7 @@ def scan_table(
         elif rank in distances:
             d = distances[rank]
         else:
-            enc = scan._parity_rows(i)
-            d = floor = _distance_of_rows(ev.spec, enc, ev.n, wmin=floor)
+            d = floor = _distance_of_rows(ev.spec, scan.basis, rank, ev.n, wmin=floor)
             distances[rank] = d
         out.append(
             TableRow(

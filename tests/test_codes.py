@@ -286,7 +286,12 @@ class TestCodeAt:
             deficient += rank < min(len(rows), n)
             tall += len(rows) > n
             flat = array("i", [v for row in rows for v in row])
-            got = codes._dual_basis(flat, n, spec, backend)
+            basis, pivots = array("i", [0]) * (n * n), array("i", [0]) * n
+            flags = minweight.kernel(backend).extend_echelon(
+                flat, len(rows), n, q, *t.kernel_tables(backend), basis, pivots, 0
+            )
+            assert sum(flags) == rank
+            got = codes._dual_basis(basis, rank, n, spec, backend)
             assert got == tuple(tuple(t.by_val[v] for v in vec) for vec in kernel)
         assert deficient > 10 and tall > 10
 
@@ -302,7 +307,28 @@ class TestCodeAt:
             ) as extend:
                 code = scan.code_at(scan.members[half])
         assert spy.mock_calls == []
-        assert extend.call_count == 2
+        assert extend.call_count == 1
+        assert code == code_pair_oracle(scan, half)
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_code_at_makes_one_kernel_pass_over_the_scan_basis(self, backend):
+        """One extend_echelon call, on the scan's first rank basis rows in
+        reverse order, into arrays with room for rank rows; the scan's
+        basis is read, not written."""
+        kernel = minweight.kernel(backend)
+        scan = Scan(DZ75, build_approximates(DZ75, F32), EV32_B, backend=backend)
+        n, rank = EV32_B.n, EV32_B.n // 2
+        half = scan.rank_after.index(rank)
+        kept = array("i", scan.basis), array("i", scan.pivots)
+        with mock.patch.object(kernel, "extend_echelon", wraps=kernel.extend_echelon) as extend:
+            code = scan.code_at(scan.members[half])
+        (call,) = extend.call_args_list
+        rows, m, width = call.args[:3]
+        assert (m, width) == (rank, n)
+        reverse = [scan.basis[b * n : (b + 1) * n] for b in range(rank - 1, -1, -1)]
+        assert rows == sum(reverse, array("i"))
+        assert (len(call.args[7]), len(call.args[8]), call.args[9]) == (rank * n, rank, 0)
+        assert (scan.basis, scan.pivots) == kept
         assert code == code_pair_oracle(scan, half)
 
     def test_an_unbuilt_backend_is_rejected_as_by_the_kernel(self):
@@ -422,12 +448,15 @@ class TestMinDistance:
         assert min_distance(code) == 1
 
     def test_parity_rows_reach_the_search_column_major(self):
+        """The first r rows of the flat array, and no row after them."""
         rng = random.Random(5)
         r, n = 4, 9
-        rows = [tuple(rng.randrange(32) for _ in range(n)) for _ in range(r)]
+        rows = [tuple(rng.randrange(32) for _ in range(n)) for _ in range(r + 1)]
+        flat = array("i", [v for row in rows for v in row])
         with mock.patch.object(codes, "min_dependent_columns", return_value=3) as search:
-            assert codes._distance_of_rows(F32, rows, n) == 3
+            assert codes._distance_of_rows(F32, flat, r, n) == 3
         assert list(search.call_args.args[0]) == [rows[i][j] for j in range(n) for i in range(r)]
+        assert search.call_args.args[1:3] == (r, n)
 
 
 class TestGoppaDistance:
@@ -790,8 +819,13 @@ class TestScanTable:
         assert rows[0].k == 0 and rows[0].d is None
 
     def test_unknown_mode_is_rejected(self):
-        with pytest.raises(DomainError, match="mode"):
-            scan_table(DZ119, FAM7, EV7, mode="all")
+        """Before any scan is built."""
+        with mock.patch.object(codes, "Scan", wraps=Scan) as spy:
+            for mode in ("all", "jump"):
+                with pytest.raises(DomainError) as error:
+                    scan_table(DZ119, FAM7, EV7, mode=mode)
+                assert str(error.value) == f"unknown mode: {mode!r}"
+        assert spy.call_count == 0
 
 
 class TestScanFloor:
@@ -818,7 +852,9 @@ def row_at_a_time_scan(delta, fam, ev, horizon, backend=None):
     """The scan as it was before the block walk: one member at a time,
     eliminated against a dict of pivot rows, with pair counts found by
     subtracting semigroup values; ``backend`` is only recorded, as a scan
-    records the one it was built with."""
+    records the one it was built with.  The pivot rows, in the order they
+    were found, are the scan's ``basis``, and their leading columns its
+    ``pivots``."""
     n, q, t = ev.n, ev.spec.q, ev.spec._t
     evaluate = _PointwiseRows(fam, ev)
     members, exponents, rows, jump, rank_after = [], [], [], [], []
@@ -875,6 +911,8 @@ def row_at_a_time_scan(delta, fam, ev, horizon, backend=None):
         delta=delta, spec=ev.spec, backend=backend, n=n,
         members=tuple(members), exponents=tuple(exponents),
         rows=array("i", [v for row in rows for v in row]),
+        basis=array("i", [v for row in pivots.values() for v in row]),
+        pivots=array("i", pivots),
         jump=tuple(jump), rank_after=tuple(rank_after), omega_index=omega_index,
         weights=tuple(weights), suffix_all=tuple(suffix_all[::-1]),
         suffix_jump=tuple(suffix_jump[::-1]), suffix_prod=tuple(suffix_prod),
@@ -898,8 +936,8 @@ EV1 = EvalMap(F7, [(1, 1)])
 class TestBlockScan:
     """The scan walks members in blocks of n - rank rows, each reduced by one
     kernel call, and reads each member's pair count from its representation;
-    it must give what the row-at-a-time scan gave, on both kernel
-    backends."""
+    it must give what the row-at-a-time scan gave, on both kernel backends,
+    the echelon basis it keeps included."""
 
     # Over the 31 points of EV32_B the integer kind never reaches full rank
     # and stops at the horizon.

@@ -345,6 +345,23 @@ class TestBackends:
             with pytest.raises(ValueError) as error:
                 extend(*fresh(index, value))
             assert str(error.value) == message, (index, value)
+        # room for the rows the call can write, min(rank + m, n) rows and as
+        # many pivots: one row short is rejected, the exact room accepted
+        for m, room in ((0, 1), (1, 2), (2, 3), (3, 3)):
+            for kept, message in (
+                ((room, room), None),
+                ((room - 1, room), f"basis holds {room * 3 - 3} entries, needs {room * 3}"),
+                ((room, room - 1), f"pivots holds {room - 1} entries, needs {room}"),
+            ):
+                args = fresh(1, m)
+                args[0] = array("i", rows + [1, 2, 3])
+                args[7], args[8] = array("i", basis[: kept[0] * 3]), array("i", pivots[: kept[1]])
+                if message is None:
+                    assert len(extend(*args)) == m
+                    continue
+                with pytest.raises(ValueError) as error:
+                    extend(*args)
+                assert str(error.value) == message, m
         # rank outside [0, n], with buffers that would pass for that rank
         for rank in (-1, 4):
             args = fresh(9, rank)
@@ -390,22 +407,25 @@ class EchelonCase:
 
     def run(self, sizes, backend, guard=7):
         """Flags, basis rows and pivots after feeding the rows in blocks of
-        the given sizes; ``guard`` entries after the room for n rows and n
-        pivots must stay untouched."""
+        the given sizes.  Each call gets the room it may write, min(rank +
+        m, n) rows and as many pivots, and then ``guard`` entries, which
+        must stay untouched."""
         spec, n = self.spec, self.n
         extend, tables = minweight.kernel(backend).extend_echelon, spec._t.kernel_tables(backend)
-        basis = array("i", [0] * (n * n) + [guard] * n)
-        pivots = array("i", [0] * n + [guard])
+        basis, pivots = array("i"), array("i")
         flags, rank, at = [], 0, 0
         for m in sizes:
+            room = min(rank + m, n)
+            basis = basis[: rank * n] + array("i", [0] * ((room - rank) * n) + [guard] * n)
+            pivots = pivots[:rank] + array("i", [0] * (room - rank) + [guard])
             block = array("i", [v for row in self.rows[at : at + m] for v in row])
             got = extend(block, m, n, spec.q, *tables, basis, pivots, rank)
             assert isinstance(got, bytes) and len(got) == m
+            assert list(basis[room * n :]) == [guard] * n and pivots[room] == guard
             flags += got
             rank += sum(got)
             at += m
         assert at == len(self.rows)
-        assert list(basis[n * n :]) == [guard] * n and pivots[n] == guard
         return flags, list(basis[: rank * n]), list(pivots[:rank])
 
 
@@ -862,6 +882,27 @@ class TestMultiplyRows:
         with pytest.raises(ValueError):
             multiply_rows(array("i", [1] * 9), -1, array("i", [0]), array("i", [0]), values, n, q,
                           mul)
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_entries_out_of_range_are_rejected_with_one_message(self, backend):
+        """A value entry, or an entry of a parent row, outside [0, q) would
+        index ``mul`` outside its row; a parent or a factor outside the rows
+        would read past them.  Both backends reject each with one message."""
+        multiply_rows = minweight.kernel(backend).multiply_rows
+        mul = F5._t.kernel_tables(backend)[0]
+        for row, parent, factor, values, message in (
+            ([1, 1, 1], 0, 0, [4, 0, -1], "values[2] = -1 is not in [0, 5)"),
+            ([1, 9, 1], 0, 0, [4, 0, 1], "rows[1] = 9 is not in [0, 5)"),
+            ([1, 1, 1], -1, 0, [4, 0, 1], "parents[0] = -1 is not in [0, 2)"),
+            ([1, 1, 1], 2, 0, [4, 0, 1], "parents[0] = 2 is not in [0, 2)"),
+            ([1, 1, 1], 1, 0, [4, 0, 1], "parents[0] = 1 is not before row 1"),
+            ([1, 1, 1], 0, 1, [4, 0, 1], "factors[0] = 1 is not in [0, 1)"),
+        ):
+            rows = array("i", row + [0, 0, 0])
+            with pytest.raises(ValueError) as error:
+                multiply_rows(rows, 1, array("i", [parent]), array("i", [factor]),
+                              array("i", values), 3, 5, mul)
+            assert str(error.value) == message
 
     def test_compiled_checks_every_buffer(self):
         """The C entry point, called directly, checks the item size of each
