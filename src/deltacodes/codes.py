@@ -33,7 +33,7 @@ from math import gcd
 
 from . import minweight
 from ._value import Value
-from .approximants import ApproximateFamily, _fit_exponents
+from .approximants import ApproximateFamily, _fit_exponents, build_approximates
 from .deltaseq import DeltaN, gap_count_telescopic, telescopic_count, validate_n
 from .errors import DomainError
 from .genesis import DeltaQ, DeltaR, DeltaZ2
@@ -46,6 +46,7 @@ from .semigroup import (
     _engine,
     _pair_counts,
     compare,
+    generators,
     represent,
     walk,
 )
@@ -205,6 +206,14 @@ class Scan:
         if fam.spec != ev.spec:
             raise DomainError(
                 "field mismatch: the family and the points use different fields"
+            )
+        # the sequence's own family at the family's depth; a depth it has no
+        # family at is a mismatch too, reported with the same message
+        depth = len(fam.weights) - 1
+        own = 0 < depth < len(generators(delta)) and build_approximates(delta, fam.spec, depth)
+        if fam != own:
+            raise DomainError(
+                "family mismatch: the family was not built for this sequence"
             )
         n = ev.n
         if n > horizon:

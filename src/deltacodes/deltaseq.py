@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from ._value import Value
@@ -59,46 +60,40 @@ class DeltaN(Value):
         return len(self.deltas) - 1
 
 
-def _gcd_chain(deltas: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    acc = 0
-    for v in deltas:
-        acc = gcd(acc, v)
-        out.append(acc)
-    return tuple(out)
-
-
 def validate_n(deltas) -> DeltaN:
     """Validate a sequence, naming the first violated condition on failure."""
-    seq = tuple(int(v) for v in deltas)
+    return _checked(tuple(int(v) for v in deltas), ())
+
+
+def _checked(seq: tuple[int, ...], rows: tuple) -> DeltaN:
+    """Check (1) on the whole gcd chain, and (2) and (3) past the first
+    len(rows) + 1 entries, which satisfy them with the exponent rows ``rows``."""
     if not seq:
         raise DomainError("sequence must not be empty")
     if any(v <= 0 for v in seq):
         raise DomainError("sequence entries must be positive integers")
     g = len(seq) - 1
-    d = _gcd_chain(seq)
+    d = tuple(accumulate(seq, gcd))
     if d[-1] != 1:
         raise DomainError(f"condition (1): gcd chain must end at 1, got d = {d[-1]}")
     n = tuple(d[i] // d[i + 1] for i in range(g))
     if any(v == 1 for v in n):
         raise DomainError("condition (1): every n_i must exceed 1")
-    rows = []
-    for i in range(1, g + 1):
-        # The prefix divided by its gcd d_i is telescopic (its own conditions
-        # (2) were checked in earlier rounds), so gcd descent decides
-        # membership exactly; n_i * delta_i is always a multiple of d_i.
-        d_i = d[i - 1]
-        prefix = tuple(v // d_i for v in seq[:i])
-        chain = tuple(v // d_i for v in d[:i])
-        rows.append(_descend(prefix, chain, n[: i - 1], n[i - 1] * seq[i] // d_i))
+    known = len(rows)
+    rows = list(rows)
+    for i in range(known + 1, g + 1):
+        # The prefix is d_i times a telescopic sequence (its conditions (2)
+        # held in earlier rounds), so gcd descent on it decides membership
+        # exactly; n_i * delta_i is always a multiple of d_i.
+        rows.append(_descend(seq[:i], d[:i], n[: i - 1], n[i - 1] * seq[i]))
         if rows[-1] is None:
             raise DomainError(
                 f"condition (2): n_{i} * delta_{i} = {n[i - 1] * seq[i]} is not in "
                 f"the semigroup of the first {i} entries"
             )
-    if g >= 1 and seq[0] <= seq[1]:
+    if known == 0 and g >= 1 and seq[0] <= seq[1]:
         raise DomainError("condition (3): delta_0 must exceed delta_1")
-    for i in range(2, g + 1):
+    for i in range(max(known + 1, 2), g + 1):
         if seq[i] >= seq[i - 1] * n[i - 2]:
             raise DomainError(
                 f"condition (3): delta_{i} must be below delta_{i - 1} * n_{i - 1}"
@@ -196,23 +191,21 @@ def telescopic_exponents(delta: DeltaN, value: int) -> tuple[int, ...] | None:
 
 def _descend(seq, d, n, value: int) -> tuple[int, ...] | None:
     """Gcd descent on a telescopic sequence given by its entries, gcd chain
-    (d[i] holds d_{i+1}) and quotients."""
+    (d[i] holds d_{i+1}) and quotients, for a multiple of the gcd of the
+    entries: each exponent leaves a multiple of the next gcd down, d_i =
+    n_i d_{i+1}, so only a negative rest shows a value is not a member."""
     if value < 0:
         return None
     exps = [0] * len(seq)
     v = value
     for i in range(len(seq) - 1, 0, -1):
         d_next = d[i]
-        if v % d_next:
-            return None
         n_i = n[i - 1]
         w = seq[i] // d_next
         exps[i] = (v // d_next) * pow(w, -1, n_i) % n_i
         v -= exps[i] * seq[i]
         if v < 0:
             return None
-    if v % seq[0]:
-        return None
     exps[0] = v // seq[0]
     return tuple(exps)
 

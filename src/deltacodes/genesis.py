@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._value import Value
-from .deltaseq import DeltaN, normalize, telescopic_exponents, validate_n
+from .deltaseq import DeltaN, _checked, normalize, telescopic_exponents, validate_n
 from .errors import DomainError
 from .quadratics import QuadExt, sqrt_of
 
@@ -72,7 +72,9 @@ def cf_eval(digits, tail: QuadExt | None = None) -> CFValue:
 
 def extend_n(delta: DeltaN, choice: tuple[int, int] | None = None) -> DeltaN:
     """Scale the sequence by z and append delta'; by default the smallest
-    z >= 2 coprime to the last entry with delta' = (z + 1) * last."""
+    z >= 2 coprime to the last entry with delta' = (z + 1) * last.  z times a
+    valid sequence keeps its quotients n_i, conditions (2) and (3) and every
+    exponent row, so only the appended entry is checked: one descent."""
     last = delta.deltas[-1]
     if choice is None:
         z = 2
@@ -85,7 +87,7 @@ def extend_n(delta: DeltaN, choice: tuple[int, int] | None = None) -> DeltaN:
             raise DomainError("scale factor z must be at least 2")
         if new <= z * last:
             raise DomainError("normalized sequence not increasing")
-    return validate_n(tuple(z * v for v in delta.deltas) + (new,))
+    return _checked(tuple(z * v for v in delta.deltas) + (new,), delta.structure.rows)
 
 
 # --- planar sequences -------------------------------------------------------
@@ -250,20 +252,21 @@ class DeltaQ(Value):
 
 
 # A time budget of about 2 s for a command on a chain, as a step count.
-# Each extension validates a stage one entry longer, so the time grows about
-# as the fourth power of the steps, doubling every 25 or so.  The costliest
-# commands, ``table`` and ``approximates``, build the chain and then the
-# family's recurrence; at 150 steps they took 0.8 to 1.7 s (2 vCPUs) from
-# (7, 5), (11, 9), (3, 1) and (36, 24, 8, 18, 13) with the default choices,
-# and ``construct`` 0.4 to 0.9 s for about 490 KB.  Choices with longer
+# An extension checks only the entry it appends (``extend_n``), so at 150
+# steps every command took 0.03 to 0.05 s (2 vCPUs) from (7, 5), (11, 9),
+# (3, 1) and (36, 24, 8, 18, 13) with the default choices, ``construct``
+# printing about 490 KB.  The limit, set when every step validated the whole
+# stage (0.5 to 0.9 s a command), is not yet re-derived.  Choices with longer
 # numbers than the default ones make every entry longer, and a longer start
 # every stage: either is slower.
 MAX_CHAIN_STEPS = 150
 
 
 def build_type_e(start, steps: int, choices=None) -> DeltaQ:
-    """Extend a starting integer sequence the given number of times, at most
-    ``MAX_CHAIN_STEPS``; more steps are rejected before any extension."""
+    """Extend a starting integer sequence the given number of times, 0 to
+    ``MAX_CHAIN_STEPS``; other counts are rejected before any sequence is built."""
+    if steps < 0:
+        raise DomainError(f"type E chain: steps must be >= 0, got {steps}")
     if steps > MAX_CHAIN_STEPS:
         raise DomainError(f"type E chain: {steps} steps exceed the limit of {MAX_CHAIN_STEPS}")
     delta = start if isinstance(start, DeltaN) else validate_n(start)

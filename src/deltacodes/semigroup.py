@@ -123,7 +123,7 @@ class _Engine:
     A member is a member s of a telescopic integer semigroup, the head, plus
     m copies of one free generator: the planar and quadratic kinds have one,
     the integer kind (its own head) and the chain (whose head is the stage
-    that covers the values at hand) none, so ``copies`` is 1 from zero on.
+    that covers the values at hand) none, so they have no ``copies``.
     ``stage(value)`` is the (head, scale) that covers the members up to the
     value, and ``stage_of(width)`` the head that a representation of that
     width is written over; ``top(value, m)`` is the largest s whose member
@@ -239,9 +239,6 @@ class _RationalEngine(_Engine):
 
     def top(self, value: RatValue, m: int) -> int:
         return floor(value.value * self.stage(value)[1])
-
-    def copies(self, value: RatValue) -> int:
-        return int(value.value >= 0)
 
     def stage_end(self, value: Fraction):
         """The least value above ``value`` that ``stage`` covers with another

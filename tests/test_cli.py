@@ -418,6 +418,15 @@ class TestCommands:
                 f" the limit of {MAX_CHAIN_STEPS}\n",
             )
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_negative_step_count_is_rejected_by_every_command(self, tmp_path, capsys, command):
+        path = tmp_path / "e.cfg"
+        path.write_text(OVER_STEPS_CFG.replace(f"steps = {MAX_CHAIN_STEPS + 1}", "steps = -2"))
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error[domain]: type E chain: steps must be >= 0, got -2\n"
+        )
+
     def test_semigroup_n(self, tmp_path, capsys):
         path = tmp_path / "n.cfg"
         path.write_text(FIELD_7 + DELTA_N + "[job]\nbound = 40\n")
@@ -636,6 +645,18 @@ class TestTableFromTheRecurrence:
         assert time.perf_counter() - start < 5
         assert lines[1] == "1,010000000000000000000000000000000000000000,6,3,2,2,0,-10"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("command", ["construct", "validate", "table"])
+    def test_the_chain_at_the_step_limit_keeps_its_bytes(self, capsys, command):
+        """tests/data/chain75_150.cfg, the chain (7, 5) at the step limit,
+        prints what it printed while every step validated the whole stage:
+        the sha256 digests in chain75_150.sha256."""
+        digests = dict(
+            line.split()[::-1] for line in (DATA / "chain75_150.sha256").read_text().splitlines()
+        )
+        assert main([command, "--config", str(DATA / "chain75_150.cfg")]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[command]
 
     def test_the_step_limit_keeps_its_time_budget(self):
         """A table job, one of the costliest commands on a chain, at the

@@ -19,12 +19,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deltacodes import _minweight_py, codes, minweight
-from deltacodes.approximants import _fit_exponents, build_approximates
+from deltacodes.approximants import ApproximateFamily, _fit_exponents, build_approximates
 from deltacodes.codes import (
     DEFAULT_HORIZON,
     CodePair,
     EvalMap,
     Scan,
+    TableRow,
     goppa_distance,
     min_distance,
     render_value,
@@ -50,6 +51,7 @@ from deltacodes.semigroup import (
     RatValue,
     _engine,
     _least_scalar_above,
+    compare,
     enumerate_upto,
     omega,
     represent,
@@ -58,7 +60,8 @@ from deltacodes.semigroup import (
 
 from helpers import (
     CH119, CH75, CH_BIG, DN119, DR119, DR75, DR_BIG_A, DR_BIG_B, DZ119, DZ2029, DZ427, DZ53,
-    DZ75, DZ_BIG, EV32_B, EV32_SMALL, EV7, F7, F32, UNDER_2029, UNDER_BIG,
+    DZ75, DZ_BIG, EV32_B, EV32_SMALL, EV7, F7, F32, UNDER_2029, UNDER_427, UNDER_75, UNDER_BIG,
+    xi_points,
 )
 import oracles
 from oracles import (
@@ -75,6 +78,9 @@ from oracles import PointwiseRows as _PointwiseRows
 
 FAM7 = build_approximates(DZ119, F7)
 SCAN7 = Scan(DZ119, FAM7, EV7)
+FAM427 = build_approximates(DZ427, F32)
+# The 24 points (g^a, g^((3a + 1) mod 31)), a = 1..24, over F_32.
+EV32_24 = EvalMap(F32, xi_points(F32, [(a, (3 * a + 1) % 31) for a in range(1, 25)]))
 
 # Scan of the {11,9}-family codes over the 12 standard F_7 points: one entry
 # per strict-inclusion step of the dual chain, smallest member first.
@@ -368,6 +374,46 @@ class TestCodeAt:
         ev32 = EvalMap(F32, [(1, 2), (3, 4)])
         with pytest.raises(DomainError, match="field mismatch"):
             Scan(DZ119, FAM7, ev32)
+
+    @pytest.mark.parametrize(
+        "delta, fam",
+        [
+            (validate_n(UNDER_2029), build_approximates(validate_n(UNDER_427), F32)),
+            (validate_n(UNDER_427), build_approximates(validate_n(UNDER_2029), F32)),
+            (CH75, build_approximates(validate_n(UNDER_75), F32)),
+            (DZ75, build_approximates(DR75, F32)),
+            (DZ427, ApproximateFamily(F32, FAM427.weights, FAM427.expansion[:1] * 2)),
+            (DZ427, ApproximateFamily(F32, FAM427.weights[:1], ())),
+        ],
+        ids=["longer", "shorter", "other-kind", "other-tail", "other-rows", "one-weight"],
+    )
+    def test_a_family_built_for_another_sequence_is_rejected(self, delta, fam, monkeypatch):
+        """Before any member is walked, so no table is computed from it."""
+        monkeypatch.setattr(codes, "walk", lambda *args: pytest.fail("a member was walked"))
+        with pytest.raises(
+            DomainError, match="^family mismatch: the family was not built for this sequence$"
+        ):
+            scan_table(delta, fam, EV32_24)
+
+    @pytest.mark.parametrize("depth", [3, 4, 5])
+    def test_a_family_of_any_depth_built_for_the_sequence_passes(self, depth):
+        """The check compares a family with the sequence's own family of the
+        same depth; one too shallow for the points fails later, as before."""
+        fam = build_approximates(CH75, F32, depth)
+        if depth == 3:
+            with pytest.raises(DomainError, match="^extend prefix"):
+                Scan(CH75, fam, EV32_24)
+        else:
+            assert Scan(CH75, fam, EV32_24).omega_n == RatValue(Fraction(9, 2))
+
+    def test_a_member_above_the_rank_bound_gives_the_full_rank_code(self):
+        above = next(value for value, _ in walk(DZ119) if compare(value, SCAN7.omega_n) > 0)
+        assert SCAN7._index(above) is None
+        assert SCAN7.code_at(above) == CodePair(
+            above, SCAN7.code_at(SCAN7.omega_n).gen_e, 12, (), 0
+        )
+        with pytest.raises(DomainError, match="dual code is zero at and beyond the rank bound"):
+            SCAN7.feng_rao(above)
 
 
 class TestOmegaBound:
@@ -1004,6 +1050,10 @@ class TestRendering:
         assert lines[1] == '"(4,1)",01,10,2,2,2,0,2'
         assert lines[-1] == '"(20,5)",05,1,10,10,10,4,6'
         assert len(lines) == 11
+
+    def test_an_exponent_of_two_digits_is_written_dotted(self):
+        row = TableRow(RatValue(Fraction(99)), (0, 11), 3, None, 2, 2, 0, -1)
+        assert table_csv([row]).splitlines()[1] == "99,0.11,3,,2,2,0,-1"
 
 
 class TestReedSolomonEquivalence:

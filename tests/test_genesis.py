@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltacodes import genesis
-from deltacodes.deltaseq import validate_n
+from deltacodes import deltaseq, genesis
+from deltacodes.deltaseq import DeltaN, validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import (
     DeltaQ,
@@ -166,8 +171,6 @@ class TestExtendN:
 
     @given(st.integers(2, 80), st.integers(1, 79))
     def test_default_always_valid(self, a, b):
-        from math import gcd
-
         if a <= b:
             a, b = b + 1, a
         if gcd(a, b) != 1:
@@ -176,6 +179,61 @@ class TestExtendN:
         ext = extend_n(base)
         assert ext.deltas[-2] < ext.deltas[-1]
         assert ext.deltas[:-1] == tuple(v * (ext.deltas[0] // a) for v in (a, b))
+
+    def test_a_step_equals_the_whole_validation(self):
+        """Seeded: an extension, which checks only the entry it appends,
+        gives the DeltaN that validating the whole extended sequence gives,
+        or the same message, for the default choice and for random choices
+        that fail each condition or none."""
+        rng = random.Random(30)
+        pool = []
+        while len(pool) < 200:
+            seq = tuple(rng.randint(1, 120) for _ in range(rng.randint(1, 5)))
+            outcome = _outcome(validate_n, seq)
+            if isinstance(outcome, DeltaN):
+                pool.append(outcome)
+        seen = set()
+        for _ in range(2000):
+            delta = rng.choice(pool)
+            last = delta.deltas[-1]
+            if rng.random() < 0.2:
+                z, choice = 2, None
+                while gcd(z, last) != 1:
+                    z += 1
+                new = (z + 1) * last
+            else:
+                z = rng.randint(2, 9)
+                new = rng.randint(z * last + 1, 3 * z * last)
+                choice = (z, new)
+            ext = _outcome(extend_n, delta, choice)
+            assert ext == _outcome(validate_n, tuple(z * v for v in delta.deltas) + (new,))
+            if isinstance(ext, DeltaN):
+                seen.add("valid")
+                if len(ext.deltas) < 8:
+                    pool.append(ext)
+            else:
+                seen.add(ext[: len("condition (1)")])
+        assert seen == {"valid", "condition (1)", "condition (2)", "condition (3)"}
+
+    def test_a_step_makes_one_descent(self):
+        """One gcd descent per extension, and g per validation of g + 1
+        entries, the extended sequences' included."""
+        with mock.patch.object(deltaseq, "_descend", side_effect=deltaseq._descend) as spy:
+            delta = validate_n((36, 24, 8, 18, 13))
+            assert spy.call_count == 4
+            for step in range(1, 41):
+                delta = extend_n(delta)
+                assert spy.call_count == 4 + step
+            validate_n(delta.deltas)
+            assert spy.call_count == 44 + delta.g
+
+
+def _outcome(build, *args):
+    """What ``build`` returns, or the message of the DomainError it raises."""
+    try:
+        return build(*args)
+    except DomainError as err:
+        return str(err)
 
 
 class TestTypeC:
@@ -360,6 +418,15 @@ class TestTypeD:
         assert Fraction(2031059, 1000000) < tail < Fraction(2031060, 1000000)
 
 
+CHAIN_AT_THE_LIMIT = """
+import time
+from deltacodes.genesis import MAX_CHAIN_STEPS, build_type_e
+start = time.perf_counter()
+chain = build_type_e((7, 5), MAX_CHAIN_STEPS)
+print(len(chain.choices), time.perf_counter() - start)
+"""
+
+
 class TestTypeE:
     def test_default_chain_from_11_9(self):
         out = build_type_e((11, 9), steps=3)
@@ -393,15 +460,42 @@ class TestTypeE:
         with pytest.raises(DomainError, match="normalized sequence not increasing"):
             build_type_e((3, 1), steps=1, choices=[(2, 1)])
 
-    def test_steps_over_the_limit_are_rejected_before_any_extension(self, monkeypatch):
+    @pytest.fixture
+    def no_sequence_built(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a sequence was built")
 
         monkeypatch.setattr(genesis, "extend_n", refuse)
         monkeypatch.setattr(genesis, "validate_n", refuse)
+
+    def test_steps_over_the_limit_are_rejected_before_any_extension(self, no_sequence_built):
         limit = genesis.MAX_CHAIN_STEPS
         with pytest.raises(DomainError, match=f"^type E chain: {limit + 1} steps exceed"):
             build_type_e((7, 5), limit + 1)
+
+    @pytest.mark.parametrize("steps", [-1, -2])
+    def test_a_negative_step_count_is_rejected_before_any_sequence(
+        self, no_sequence_built, steps
+    ):
+        with pytest.raises(DomainError, match=rf"^type E chain: steps must be >= 0, got {steps}$"):
+            build_type_e((7, 5), steps)
+
+    def test_the_step_limit_keeps_its_time_budget(self):
+        """In a fresh interpreter, the chain (7, 5) at the step limit builds
+        in under 0.25 s: about 0.02 s on a 2-vCPU VM, where validating each
+        whole stage took 0.42 to 0.61 s."""
+        root = str(pathlib.Path(genesis.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", CHAIN_AT_THE_LIMIT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        steps, seconds = result.stdout.split()
+        assert int(steps) == genesis.MAX_CHAIN_STEPS
+        assert float(seconds) < 0.25
 
     def test_extension_returns_new_value(self):
         base = build_type_e((11, 9), steps=0)

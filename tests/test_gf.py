@@ -380,6 +380,14 @@ def test_rendering():
     assert str(xi * xi) == "g^2"
 
 
+def test_rendering_without_a_logarithm_table():
+    """Under the non-primitive modulus x^4+x^3+x^2+x+1 the field keeps no
+    logarithms, so an element prints as its nonzero coefficients."""
+    f16 = FieldSpec(2, 4, 0x1F)
+    assert not f16.is_primitive
+    assert [str(f16.element(v)) for v in (0, 1, 2, 0b1011)] == ["0", "1", "g^1", "1+g^1+g^3"]
+
+
 def test_rank_kernel_identity():
     m = Matrix(3, 3, [F7.one if i == j else F7.zero for i in range(3) for j in range(3)])
     rank, kernel = mat_rank_kernel(m)
