@@ -170,17 +170,23 @@ def build_approximates(delta, spec: FieldSpec, depth: int | None = None) -> Appr
     q_i^{n_i}.  So q_{i+1} keeps the leading term y^{n_i D_i} of q_i^{n_i}:
     it is monic of degree D_{i+1}, and in particular not zero.
     """
-    weights = generators(delta)
-    max_depth = len(weights) - 1
+    depth = _depth(delta, depth)
+    structure = _base_sequence(delta).structure
+    steps = tuple(map(ExpansionStep, structure.n, structure.rows[: depth - 1]))
+    return ApproximateFamily(spec, tuple(generators(delta)[: depth + 1]), steps)
+
+
+def _depth(delta, depth: int | None) -> int:
+    """The depth of the sequence's family, ``depth`` or every generator's
+    when None; a depth it has no family at is rejected."""
+    max_depth = len(generators(delta)) - 1
     if depth is None:
-        depth = max_depth
+        return max_depth
     if depth < 1:
         raise DomainError("depth must be at least 1")
     if depth > max_depth:
         raise DomainError("depth exceeds the generator count")
-    structure = _base_sequence(delta).structure
-    steps = tuple(map(ExpansionStep, structure.n, structure.rows[: depth - 1]))
-    return ApproximateFamily(spec, tuple(weights[: depth + 1]), steps)
+    return depth
 
 
 # A time budget of about 2 s for the expansion, as an estimated term count.

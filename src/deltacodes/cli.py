@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._value import Value, _set
-from .approximants import build_approximates, expand_family
+from .approximants import _depth, build_approximates, expand_family
 from .codes import EvalMap, render_ratio, render_value, scan_table, table_csv
 from .errors import ConfigError, DomainError
 from .genesis import build_type_c, build_type_d, build_type_e, validate_n
@@ -414,9 +414,10 @@ def _run_semigroup(config: JobConfig):
 
 def _run_table(config: JobConfig) -> str:
     delta = _build_delta(config)
-    fam = build_approximates(delta, config.spec, config.depth)
+    # a depth the sequence has no family at is reported before the points
+    depth = _depth(delta, config.depth)
     ev = EvalMap(config.spec, config.points)
-    rows = scan_table(delta, fam, ev, mode=config.mode, limit=config.limit)
+    rows = scan_table(delta, ev, mode=config.mode, limit=config.limit, depth=depth)
     if rows.dropped:
         print(f"note: table limited to {config.limit} rows", file=sys.stderr)
     return table_csv(rows)

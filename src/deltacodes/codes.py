@@ -46,7 +46,6 @@ from .semigroup import (
     _engine,
     _pair_counts,
     compare,
-    generators,
     represent,
     walk,
 )
@@ -173,12 +172,13 @@ def _dual_basis(basis, rank: int, n: int, spec: FieldSpec, backend) -> tuple:
 
 
 class Scan:
-    """The chain of codes for one family at one set of points, up to the
+    """The chain of codes for a sequence's family of approximates, at
+    ``depth`` (every generator when None), at one set of points, up to the
     rank bound Omega_n.
 
-    The constructor walks the members with each member's row and rank step,
-    then takes the pair counts (``semigroup._pair_counts``) and the bounds
-    built from them.  Members are walked in blocks of n - rank (at least
+    The constructor builds the family (``build_approximates``), walks the
+    members with each member's row and rank step, then takes the pair counts
+    (``semigroup._pair_counts``) and the bounds built from them.  Members are walked in blocks of n - rank (at least
     one).  One kernel ``multiply_rows`` call forms a block's rows in the
     flat array('i') ``rows``, and one ``extend_echelon`` call reduces them,
     read in place, against the echelon basis kept in ``basis`` and
@@ -198,23 +198,12 @@ class Scan:
     def __init__(
         self,
         delta,
-        fam: ApproximateFamily,
         ev: EvalMap,
+        depth: int | None = None,
         horizon: int = DEFAULT_HORIZON,
         backend: str | None = None,
     ) -> None:
-        if fam.spec != ev.spec:
-            raise DomainError(
-                "field mismatch: the family and the points use different fields"
-            )
-        # the sequence's own family at the family's depth; a depth it has no
-        # family at is a mismatch too, reported with the same message
-        depth = len(fam.weights) - 1
-        own = 0 < depth < len(generators(delta)) and build_approximates(delta, fam.spec, depth)
-        if fam != own:
-            raise DomainError(
-                "family mismatch: the family was not built for this sequence"
-            )
+        fam = build_approximates(delta, ev.spec, depth)
         n = ev.n
         if n > horizon:
             # the rank cannot exceed the number of members walked
@@ -491,23 +480,24 @@ def _goppa(delta):
 
 def scan_table(
     delta,
-    fam: ApproximateFamily,
     ev: EvalMap,
     mode: str = "jumps",
     limit: int | None = None,
+    depth: int | None = None,
 ) -> Table:
     """Code parameters along the member chain below the rank bound.
 
     ``jumps`` keeps one row per strict step of the dual chain strictly
     between zero and the rank bound; ``full`` reports every member below the
     rank bound, zero included.  ``limit`` caps the number of rows; the
-    table's ``dropped`` counts the rows it left out.
+    table's ``dropped`` counts the rows it left out.  ``depth`` is the
+    family's, as for ``Scan``.
     """
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if mode not in ("jumps", "full"):
         raise DomainError(f"unknown mode: {mode!r}")
-    scan = Scan(delta, fam, ev)
+    scan = Scan(delta, ev, depth)
     if mode == "jumps":
         indices = [i for i in range(1, scan.omega_index) if scan.jump[i]]
     else:

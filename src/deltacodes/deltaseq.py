@@ -22,12 +22,9 @@ from .errors import DomainError
 __all__ = [
     "DeltaN",
     "DeltaStructure",
-    "canonical_cf",
     "cf_of",
-    "denormalize",
     "gap_count_telescopic",
     "normalize",
-    "structure_of",
     "telescopic_count",
     "telescopic_exponents",
     "validate_n",
@@ -101,11 +98,6 @@ def _checked(seq: tuple[int, ...], rows: tuple) -> DeltaN:
     return DeltaN(seq, _structure(seq, d, n, tuple(rows)))
 
 
-def structure_of(deltas) -> DeltaStructure:
-    """Structure of a sequence, validating it first."""
-    return validate_n(deltas).structure
-
-
 def _structure(
     seq: tuple[int, ...], d: tuple[int, ...], n: tuple[int, ...], rows: tuple
 ) -> DeltaStructure:
@@ -140,32 +132,11 @@ def cf_of(value: Fraction) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def canonical_cf(digits) -> tuple[int, ...]:
-    """Canonicalize digits so the expansion never ends in 1 (..., a, 1 -> ..., a+1)."""
-    out = tuple(int(v) for v in digits)
-    if not out:
-        raise DomainError("continued fraction needs at least one digit")
-    if out[0] < 1 or any(v < 1 for v in out[1:]):
-        raise DomainError("continued-fraction digits must be positive")
-    if len(out) > 1 and out[-1] == 1:
-        out = out[:-2] + (out[-2] + 1,)
-    return out
-
-
 def normalize(delta: DeltaN) -> tuple[Fraction, ...]:
     """The sequence scaled so its second entry becomes 1."""
     if delta.g < 1:
         raise DomainError("normalization needs at least two entries")
     return tuple(Fraction(v, delta.deltas[1]) for v in delta.deltas)
-
-
-def denormalize(values) -> tuple[int, ...]:
-    """Clear denominators by the lcm, recovering the integer sequence."""
-    fracs = [Fraction(v) for v in values]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return tuple(int(f * lcm) for f in fracs)
 
 
 def gap_count_telescopic(delta: DeltaN) -> int:

@@ -264,12 +264,17 @@ MAX_CHAIN_STEPS = 150
 
 def build_type_e(start, steps: int, choices=None) -> DeltaQ:
     """Extend a starting integer sequence the given number of times, 0 to
-    ``MAX_CHAIN_STEPS``; other counts are rejected before any sequence is built."""
+    ``MAX_CHAIN_STEPS``; other counts are rejected before any sequence is built.
+    A one-entry start, (1), has no extension: the stage (z, new) would need
+    new > z for the step and z > new for condition (3).  So it takes 0 steps
+    only, and more are rejected before any extension is tried."""
     if steps < 0:
         raise DomainError(f"type E chain: steps must be >= 0, got {steps}")
     if steps > MAX_CHAIN_STEPS:
         raise DomainError(f"type E chain: {steps} steps exceed the limit of {MAX_CHAIN_STEPS}")
     delta = start if isinstance(start, DeltaN) else validate_n(start)
+    if steps and len(delta.deltas) == 1:
+        raise DomainError("type E chain: a one-entry start has no extension")
     picks: list[tuple[int, int] | None] = list(choices or [])
     if len(picks) > steps:
         raise DomainError("more choices than steps")

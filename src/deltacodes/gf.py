@@ -318,8 +318,10 @@ class FieldElement(Value):
             k = t.dlog[v]
             return "1" if k == 0 else ("g" if k == 1 else f"g^{k}")
         return "+".join(
-            f"{'' if c == 1 else c}g^{i}" for i, c in enumerate(self.coeffs) if c
-        ).replace("g^0", "1")
+            str(c) if i == 0 else f"{'' if c == 1 else c}g^{i}"
+            for i, c in enumerate(self.coeffs)
+            if c
+        )
 
 
 def _primitive_powers(spec: FieldSpec) -> tuple[int, list[int]]:

@@ -46,7 +46,6 @@ __all__ = [
     "RatValue",
     "Representation",
     "compare",
-    "enumerate_upto",
     "generators",
     "omega",
     "represent",
@@ -669,13 +668,6 @@ def rows_upto(delta, bound, label=None):
     window is asked for."""
     eng = _engine(delta)
     return eng.upto(eng.lift(bound), label)
-
-
-def enumerate_upto(delta, bound):
-    """All members up to the bound in increasing order, with representations."""
-    eng = _engine(delta)
-    _, windows = eng.upto(eng.lift(bound))
-    return [pair for window in windows for pair in eng.values(window)]
 
 
 def omega(delta, value) -> int:

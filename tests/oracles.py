@@ -2,7 +2,7 @@
 
 Each one is the plain, slow way to get what the library computes another
 way: field arithmetic one named operation at a time, polynomial products,
-the search for a default modulus, the rank and kernel of a matrix by
+a printed field element read back, the search for a default modulus, the rank and kernel of a matrix by
 Gaussian elimination in pure Python, the minimum weight of a small dual code
 by enumerating every codeword, basis elements as products of approximates,
 evaluation rows by multiplying out each basis polynomial and evaluating it
@@ -61,7 +61,6 @@ from deltacodes.semigroup import (
     RatValue,
     Representation,
     _engine,
-    enumerate_upto,
     represent,
 )
 
@@ -89,6 +88,34 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
         if _is_irreducible(mod, p) and len(_powers(p, p, mod)) == p**m - 1:
             return mod
     raise DomainError(f"no primitive polynomial of degree {m} over GF({p})")
+
+
+def parse_element(spec: FieldSpec, text: str) -> tuple[int, ...]:
+    """The little-endian coefficients of the element that ``text`` writes:
+    an integer below p for a prime field; otherwise ``0`` or a sum of terms
+    ``c``, ``g``, ``g^k``, ``cg`` or ``cg^k``, with 0 < c < p and g the class
+    of x, each power x^k reduced by the modulus one degree at a time.
+    ValueError for any other text."""
+    p, m = spec.p, spec.m
+    if m == 1:
+        if not text.isdigit() or int(text) >= p:
+            raise ValueError(f"not an element of GF({p}): {text!r}")
+        return (int(text),)
+    total = [0] * m
+    if text == "0":
+        return tuple(total)
+    for term in text.split("+"):
+        head, g, power = term.partition("g")
+        if power and not (power.startswith("^") and power[1:].isdigit()):
+            raise ValueError(f"bad power in {text!r}")
+        if not (g or head) or not (head or "1").isdigit() or not 0 < int(head or 1) < p:
+            raise ValueError(f"bad coefficient in {text!r}")
+        x_k = [1] + [0] * (m - 1)
+        for _ in range(int(power[1:]) if power else 1 if g else 0):
+            lead, x_k = x_k[-1], [0] + x_k[:-1]
+            x_k = [(a - lead * f) % p for a, f in zip(x_k, spec.modulus)]
+        total = [(t + int(head or 1) * a) % p for t, a in zip(total, x_k)]
+    return tuple(total)
 
 
 @dataclass
@@ -460,6 +487,14 @@ def gaps(gens) -> list[int]:
     bound = gs[0] * gs[-1] + 1
     reach = _sieve(gs, bound)
     return [v for v in range(1, bound + 1) if not reach[v]]
+
+
+def enumerate_upto(delta, bound):
+    """All members up to the bound in increasing order, with their
+    representations: every window of the engine's listing, read whole."""
+    eng = _engine(delta)
+    _, windows = eng.upto(eng.lift(bound))
+    return [pair for window in windows for pair in eng.values(window)]
 
 
 def prefix_row(base: DeltaN, i: int) -> tuple[int, ...]:

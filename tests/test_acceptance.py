@@ -37,7 +37,6 @@ from deltacodes.semigroup import (
     LexValue,
     QuadValue,
     RatValue,
-    enumerate_upto,
     generators,
     represent,
 )
@@ -70,6 +69,7 @@ from helpers import (
 from oracles import (
     approx,
     basis_for,
+    enumerate_upto,
     enumerated_min_weight,
     evaluation_matrix,
     gaps,
@@ -257,9 +257,8 @@ def verdict(label: str, failures: list[str]) -> None:
 def run_scan(label: str, delta, spec, points, limit=None):
     """A scan over a fresh evaluation map, with its wall time recorded."""
     ev = EvalMap(spec, list(points))
-    fam = build_approximates(delta, spec)
     start = time.perf_counter()
-    rows = scan_table(delta, fam, ev, limit=limit)
+    rows = scan_table(delta, ev, limit=limit)
     elapsed = time.perf_counter() - start
     if spec is F32:
         _F32_TIMES[label] = elapsed
@@ -596,7 +595,7 @@ class TestPropertySuite:
         ]
         produced = 0
         for label, delta, spec, ev in combos:
-            scan = Scan(delta, build_approximates(delta, spec), ev)
+            scan = Scan(delta, ev)
             seen_dims: set[int] = set()
             for value, _ in enumerate_upto(delta, scan.omega_n):
                 code = scan.code_at(value)

@@ -23,8 +23,8 @@ from deltacodes.deltaseq import validate_n
 from deltacodes.errors import DomainError
 from deltacodes.genesis import build_type_c, build_type_d, build_type_e
 from deltacodes.gf import FieldSpec
-from deltacodes.semigroup import LexValue, QuadValue, RatValue, enumerate_upto, generators
-from oracles import basis_for, deg_y, poly_eval, prefix_row
+from deltacodes.semigroup import LexValue, QuadValue, RatValue, generators
+from oracles import basis_for, deg_y, enumerate_upto, poly_eval, prefix_row
 
 F7 = FieldSpec(7)
 F2 = FieldSpec(2)

@@ -18,6 +18,7 @@ import json
 import os
 import pathlib
 import py_compile
+import re
 import shutil
 import subprocess
 import sys
@@ -205,9 +206,23 @@ def test_no_module_imports_a_name_it_does_not_use(module):
     assert unused_imports(source) == []
 
 
-# Private names that only code outside the package reads: the benchmark
-# worker imports ``gf._tables``.
-READ_OUTSIDE = {"gf._tables"}
+# Names that only code outside the package reads: the benchmark worker
+# imports ``gf._tables`` and calls ``minweight.available_backends``.
+READ_OUTSIDE = {"gf._tables", "minweight.available_backends"}
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """The names a piece of source reads: every name it loads, takes as an
+    attribute or imports."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+    return read
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
@@ -230,13 +245,7 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 (module, name) for name in names
                 if name.startswith("_") and not name.startswith("__")
             ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read |= read_names(tree)
     return [f"{module}.{name}" for module, name in defined if name not in read]
 
 
@@ -251,4 +260,97 @@ def test_the_scan_for_dead_private_names():
 def test_every_private_name_is_read():
     package = ROOT / "src" / "deltacodes"
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
-    assert set(dead_private_names(sources)) == READ_OUTSIDE
+    assert set(dead_private_names(sources)) == {
+        name for name in READ_OUTSIDE if name.partition(".")[2].startswith("_")
+    }
+
+
+def top_level_names(tree: ast.Module) -> dict[str, ast.AST]:
+    """Each name a module binds at its top level, in an ``if`` or ``try``
+    there too, with the statement that binds it (an empty one for an
+    import)."""
+    out, todo = {}, list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # an imported name reads nothing of the module
+            out.update(((a.asname or a.name).split(".")[0], ast.Pass()) for a in node.names)
+        elif isinstance(node, (ast.If, ast.Try)):
+            todo += [*node.body, *node.orelse, *getattr(node, "finalbody", [])]
+            todo += [stmt for handler in getattr(node, "handlers", []) for stmt in handler.body]
+    return out
+
+
+def unreached_exports(sources: dict[str, str], entry: str, named: set[str]) -> list[str]:
+    """The ``__all__`` names of ``sources`` (module -> source), as
+    ``module.name``, that nothing reaches.  A name is reached when another
+    module reads it (as ``dead_private_names`` reads), when it is in
+    ``named``, when it is the ``entry`` point (``module:name``, the console
+    script), or when the body of a reached name of its own module reads it:
+    so a command line run reaches what ``main`` calls, and what that calls,
+    module by module."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = {module: read_names(tree) for module, tree in trees.items()}
+    unreached = []
+    for module, tree in trees.items():
+        bound = top_level_names(tree)
+        elsewhere = set().union(*(r for other, r in reads.items() if other != module))
+        todo = [
+            name for name in bound
+            if name in elsewhere or name in named or f"{module}:{name}" == entry
+        ]
+        reached = set(todo)
+        while todo:
+            for name in read_names(bound[todo.pop()]):
+                if name in bound and name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+        exported = bound.get("__all__")
+        names = ast.literal_eval(exported.value) if exported else []
+        unreached += [f"{module}.{name}" for name in names if name not in reached]
+    return unreached
+
+
+def test_the_scan_for_unreached_exports():
+    sources = {
+        "a": (
+            "__all__ = ['main', 'helper', 'shown', 'used', 'dead', 'FLAG']\n"
+            "if True:\n    FLAG = 1\n"
+            "def main():\n    return helper()\n"
+            "def helper():\n    return FLAG\n"
+            "def shown():\n    pass\n"
+            "def used():\n    pass\n"
+            "def dead():\n    return used()\n"
+        ),
+        "b": "from a import used\n__all__ = ['alone']\ndef alone():\n    pass\n",
+    }
+    assert unreached_exports(sources, "a:main", {"shown"}) == ["a.dead", "b.alone"]
+
+
+def library_use_names() -> set[str]:
+    """The names in the code of the README's "Library use" section: its
+    inline code and its example."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = " ".join(text for _, text in re.findall(r"(`+)(.+?)\1", section, re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", code))
+
+
+def test_every_exported_name_is_reached():
+    """Each ``__all__`` name is read by another module, is run by a command
+    (the console script's entry point calls it, or a function it reaches
+    does), or is named in the README's "Library use" section; the names that
+    only code outside the package reads are ``READ_OUTSIDE``."""
+    package = ROOT / "src" / "deltacodes"
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (entry,) = re.findall(r'^deltacodes = "deltacodes\.(\w+:\w+)"$', pyproject, re.M)
+    found = unreached_exports(sources, entry, library_use_names())
+    assert set(found) == {
+        name for name in READ_OUTSIDE if not name.partition(".")[2].startswith("_")
+    }

@@ -390,6 +390,20 @@ class TestCommands:
         assert out[1] == "q_1 = y"
         assert out[2] == "weights: (5,1) (4,1)"
 
+    def test_approximates_over_a_non_primitive_modulus(self, tmp_path, capsys):
+        """GF(9) under x^2 + 1 keeps no logarithms, so each coefficient
+        prints as its coefficients in g: the constant 2 as ``2``."""
+        path = tmp_path / "e.cfg"
+        path.write_text(
+            "[field]\np = 3\nm = 2\nmodulus = 10\n[delta]\ntype = E\nunder = 7 5\nsteps = 2\n"
+        )
+        assert main(["approximates", "--config", str(path)]) == 0
+        assert capsys.readouterr() == (
+            "q_0 = x\nq_1 = y\nq_2 = y^7 + 2*x^5\nq_3 = y^14 + x^5*y^7 + x^10 + 2*y^3\n"
+            "weights: 7/5 1 3/2 9/4\n",
+            "",
+        )
+
     def test_approximates_over_the_term_limit_is_rejected_before_any_product(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -575,6 +589,20 @@ class TestTable:
         path.write_text(FIELD_7 + "[delta]\ntype = C\nunder = 11 9\n")
         assert main(["table", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error[domain]:")
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [(0, "depth must be at least 1"), (3, "depth exceeds the generator count")],
+    )
+    def test_a_bad_depth_is_reported_before_the_missing_points(
+        self, tmp_path, capsys, depth, message
+    ):
+        """The depth is checked before the points are read, so a config with
+        neither a family at its depth nor any point reports the depth."""
+        path = tmp_path / "depth.cfg"
+        path.write_text(FIELD_7 + f"[delta]\ntype = N\nunder = 6 4 3\n[job]\ndepth = {depth}\n")
+        assert main(["table", "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error[domain]: {message}\n")
 
 
 # The reference scans of the acceptance suite besides the golden table, as

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deltacodes import _minweight_py, codes, minweight
-from deltacodes.approximants import ApproximateFamily, _fit_exponents, build_approximates
+from deltacodes.approximants import _fit_exponents, build_approximates
 from deltacodes.codes import (
     DEFAULT_HORIZON,
     CodePair,
@@ -34,9 +34,7 @@ from deltacodes.codes import (
 )
 from deltacodes.deltaseq import (
     DeltaN,
-    denormalize,
     gap_count_telescopic,
-    normalize,
     telescopic_count,
     validate_n,
 )
@@ -52,7 +50,6 @@ from deltacodes.semigroup import (
     _engine,
     _least_scalar_above,
     compare,
-    enumerate_upto,
     omega,
     represent,
     walk,
@@ -60,13 +57,14 @@ from deltacodes.semigroup import (
 
 from helpers import (
     CH119, CH75, CH_BIG, DN119, DR119, DR75, DR_BIG_A, DR_BIG_B, DZ119, DZ2029, DZ427, DZ53,
-    DZ75, DZ_BIG, EV32_B, EV32_SMALL, EV7, F7, F32, UNDER_2029, UNDER_427, UNDER_75, UNDER_BIG,
+    DZ75, DZ_BIG, EV32_B, EV32_SMALL, EV7, F7, F32, UNDER_2029, UNDER_BIG,
     xi_points,
 )
 import oracles
 from oracles import (
     basis_element,
     basis_for,
+    enumerate_upto,
     enumerated_min_weight,
     evaluation_matrix,
     gaps,
@@ -77,8 +75,7 @@ from oracles import (
 from oracles import PointwiseRows as _PointwiseRows
 
 FAM7 = build_approximates(DZ119, F7)
-SCAN7 = Scan(DZ119, FAM7, EV7)
-FAM427 = build_approximates(DZ427, F32)
+SCAN7 = Scan(DZ119, EV7)
 # The 24 points (g^a, g^((3a + 1) mod 31)), a = 1..24, over F_32.
 EV32_24 = EvalMap(F32, xi_points(F32, [(a, (3 * a + 1) % 31) for a in range(1, 25)]))
 
@@ -189,7 +186,7 @@ class TestPointwiseRows:
     )
     def test_scan_rows_equal_the_evaluation_matrix(self, delta, spec, ev):
         fam = build_approximates(delta, spec)
-        data = Scan(delta, fam, ev)
+        data = Scan(delta, ev)
         basis = basis_for(delta, fam, data.members[-1])
         assert [b.weight for b in basis] == list(data.members)
         matrix = evaluation_matrix(ev, basis)
@@ -250,7 +247,7 @@ class TestCodeAt:
     def test_duality_of_the_two_generators(self, delta, ev, backend):
         """Every row of gen_c is orthogonal to every row of gen_e, at every
         rank of the scan."""
-        scan = Scan(delta, build_approximates(delta, ev.spec), ev, backend=backend)
+        scan = Scan(delta, ev, backend=backend)
         for i in range(scan.omega_index + 1):
             if not scan.jump[i]:
                 continue
@@ -267,7 +264,7 @@ class TestCodeAt:
     @pytest.mark.parametrize("kind", sorted(CODE_SCANS))
     def test_code_at_every_rank_equals_the_elimination_oracle(self, kind, backend):
         delta, ev = CODE_SCANS[kind]
-        scan = Scan(delta, build_approximates(delta, ev.spec), ev, backend=backend)
+        scan = Scan(delta, ev, backend=backend)
         jumps = [i for i in range(scan.omega_index + 1) if scan.jump[i]]
         assert len(jumps) == ev.n
         for i in jumps:
@@ -302,11 +299,10 @@ class TestCodeAt:
         assert deficient > 10 and tall > 10
 
     def test_a_pure_scan_reaches_only_the_pure_kernel(self):
-        fam = build_approximates(DZ75, F32)
         F32._t.kernel_tables("pure")  # built before the spy: tables fill on the default backend
         spy = mock.MagicMock()
         with mock.patch.dict(minweight._BACKENDS, {"compiled": spy}):
-            scan = Scan(DZ75, fam, EV32_B, backend="pure")
+            scan = Scan(DZ75, EV32_B, backend="pure")
             half = scan.rank_after.index(EV32_B.n // 2)
             with mock.patch.object(
                 _minweight_py, "extend_echelon", wraps=_minweight_py.extend_echelon
@@ -322,7 +318,7 @@ class TestCodeAt:
         reverse order, into arrays with room for rank rows; the scan's
         basis is read, not written."""
         kernel = minweight.kernel(backend)
-        scan = Scan(DZ75, build_approximates(DZ75, F32), EV32_B, backend=backend)
+        scan = Scan(DZ75, EV32_B, backend=backend)
         n, rank = EV32_B.n, EV32_B.n // 2
         half = scan.rank_after.index(rank)
         kept = array("i", scan.basis), array("i", scan.pivots)
@@ -341,9 +337,9 @@ class TestCodeAt:
         with pytest.raises(ValueError) as kernel:
             minweight.min_dependent_columns([], 0, 0, 7, [], [], [], 1, backend="gpu")
         with pytest.raises(ValueError) as scan:
-            Scan(DZ119, FAM7, EV7, backend="gpu")
+            Scan(DZ119, EV7, backend="gpu")
         assert str(scan.value) == str(kernel.value)
-        built = Scan(DZ119, FAM7, EV7, backend="pure")
+        built = Scan(DZ119, EV7, backend="pure")
         with mock.patch.dict(minweight._BACKENDS, clear=True):
             with pytest.raises(ValueError) as kernel:
                 minweight.min_dependent_columns([], 0, 0, 7, [], [], [], 1, backend="pure")
@@ -370,41 +366,26 @@ class TestCodeAt:
         assert (namespace["d_fr"], namespace["d_ev"], namespace["fr_bound"]) == (4, 5, 2)
         assert namespace["d"] == 5
 
-    def test_field_mismatch_is_rejected(self):
-        ev32 = EvalMap(F32, [(1, 2), (3, 4)])
-        with pytest.raises(DomainError, match="field mismatch"):
-            Scan(DZ119, FAM7, ev32)
-
-    @pytest.mark.parametrize(
-        "delta, fam",
-        [
-            (validate_n(UNDER_2029), build_approximates(validate_n(UNDER_427), F32)),
-            (validate_n(UNDER_427), build_approximates(validate_n(UNDER_2029), F32)),
-            (CH75, build_approximates(validate_n(UNDER_75), F32)),
-            (DZ75, build_approximates(DR75, F32)),
-            (DZ427, ApproximateFamily(F32, FAM427.weights, FAM427.expansion[:1] * 2)),
-            (DZ427, ApproximateFamily(F32, FAM427.weights[:1], ())),
-        ],
-        ids=["longer", "shorter", "other-kind", "other-tail", "other-rows", "one-weight"],
-    )
-    def test_a_family_built_for_another_sequence_is_rejected(self, delta, fam, monkeypatch):
-        """Before any member is walked, so no table is computed from it."""
-        monkeypatch.setattr(codes, "walk", lambda *args: pytest.fail("a member was walked"))
-        with pytest.raises(
-            DomainError, match="^family mismatch: the family was not built for this sequence$"
-        ):
-            scan_table(delta, fam, EV32_24)
-
     @pytest.mark.parametrize("depth", [3, 4, 5])
-    def test_a_family_of_any_depth_built_for_the_sequence_passes(self, depth):
-        """The check compares a family with the sequence's own family of the
-        same depth; one too shallow for the points fails later, as before."""
-        fam = build_approximates(CH75, F32, depth)
+    def test_a_scan_builds_the_family_at_its_depth(self, depth):
+        """A family too shallow for the members the points need is
+        rejected once the walk reaches them."""
         if depth == 3:
             with pytest.raises(DomainError, match="^extend prefix"):
-                Scan(CH75, fam, EV32_24)
+                Scan(CH75, EV32_24, depth)
         else:
-            assert Scan(CH75, fam, EV32_24).omega_n == RatValue(Fraction(9, 2))
+            assert Scan(CH75, EV32_24, depth).omega_n == RatValue(Fraction(9, 2))
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [(0, "depth must be at least 1"), (6, "depth exceeds the generator count")],
+    )
+    def test_a_depth_without_a_family_is_rejected_before_any_member_is_walked(
+        self, depth, message, monkeypatch
+    ):
+        monkeypatch.setattr(codes, "walk", lambda *args: pytest.fail("a member was walked"))
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            scan_table(CH75, EV32_24, depth=depth)
 
     def test_a_member_above_the_rank_bound_gives_the_full_rank_code(self):
         above = next(value for value, _ in walk(DZ119) if compare(value, SCAN7.omega_n) > 0)
@@ -422,11 +403,11 @@ class TestOmegaBound:
 
     def test_single_point_bound_is_the_first_positive_member(self):
         ev = EvalMap(F7, [(1, 1)])
-        assert Scan(DZ119, FAM7, ev).omega_n == LexValue(4, 1)
+        assert Scan(DZ119, ev).omega_n == LexValue(4, 1)
 
     def test_horizon_cap_raises(self):
         with pytest.raises(DomainError, match="rank ceiling"):
-            Scan(DZ119, FAM7, EV7, horizon=3)
+            Scan(DZ119, EV7, horizon=3)
 
     def test_more_points_than_the_horizon_are_rejected_up_front(self):
         """4,100 points over F_256 can never reach rank 4,100 within the
@@ -434,10 +415,9 @@ class TestOmegaBound:
         walked or any table is built."""
         f256 = FieldSpec(2, 8)
         ev = EvalMap(f256, [(x, y) for x in range(256) for y in range(17)][:4100])
-        fam = build_approximates(DZ119, f256)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="rank ceiling: rank 4100 needs at least 4100"):
-            Scan(DZ119, fam, ev)
+            Scan(DZ119, ev)
         assert time.perf_counter() - start < 0.1
         assert "_t" not in vars(f256)
 
@@ -727,7 +707,8 @@ def sieve_goppa(delta, alpha) -> int:
         )
     stage = _engine(delta).covering_stage(alpha.value)
     s_last = max((i for i, a in enumerate(rep.exponents) if a), default=0)
-    star = denormalize(normalize(stage)[: max(s_last, 1) + 1])
+    prefix = stage.deltas[: max(s_last, 1) + 1]
+    star = tuple(v // gcd(*prefix) for v in prefix)
     value = sum(a * v for a, v in zip(rep.exponents, star))
     return chi(star, value) + 1 - gap_count_telescopic(validate_n(star))
 
@@ -798,15 +779,14 @@ class TestWithoutTheSieve:
     @pytest.mark.parametrize("name", sorted(REFERENCE_FAMILIES))
     def test_reference_family_scans(self, name):
         delta = REFERENCE_FAMILIES[name]
-        fam = build_approximates(delta, F7)
         with without_the_sieve():
-            rows = scan_table(delta, fam, EV7, mode="full")
+            rows = scan_table(delta, EV7, mode="full")
         assert len(rows) > 1
         assert [row.goppa for row in rows] == [sieve_goppa(delta, row.alpha) for row in rows]
 
     def test_golden_table(self):
         with without_the_sieve():
-            text = table_csv(scan_table(DZ119, FAM7, EV7))
+            text = table_csv(scan_table(DZ119, EV7))
         assert text == (pathlib.Path(__file__).parent / "data" / "golden_table2.csv").read_text()
 
     def test_estimates_along_walks(self):
@@ -823,7 +803,7 @@ class TestWithoutTheSieve:
 
 class TestScanTable:
     def test_strict_step_rows_match_the_frozen_scan(self):
-        rows = scan_table(DZ119, FAM7, EV7)
+        rows = scan_table(DZ119, EV7)
         assert len(rows) == 10
         assert [(r.alpha.x, r.alpha.y) for r in rows] == SCAN119["alpha"]
         assert [r.exponents for r in rows] == SCAN119["exp"]
@@ -835,7 +815,7 @@ class TestScanTable:
         assert [r.goppa for r in rows] == SCAN119["goppa"]
 
     def test_full_mode_covers_every_member_below_the_bound(self):
-        rows = scan_table(DZ119, FAM7, EV7, mode="full")
+        rows = scan_table(DZ119, EV7, mode="full")
         assert len(rows) == 16
         assert [(r.alpha.x, r.alpha.y) for r in rows] == MEMBERS119[:16]
         assert rows[0].k == 11 and rows[0].d == 2
@@ -846,21 +826,21 @@ class TestScanTable:
         assert plateau.k == 4 and plateau.d == 5
 
     def test_bounds_never_cross(self):
-        for row in scan_table(DZ119, FAM7, EV7, mode="full"):
+        for row in scan_table(DZ119, EV7, mode="full"):
             assert row.d_fr <= row.d_ev <= row.d
             assert row.d <= 12 - row.k + 1
 
     def test_row_limit(self):
-        rows = scan_table(DZ119, FAM7, EV7, limit=4)
+        rows = scan_table(DZ119, EV7, limit=4)
         assert [r.k for r in rows] == [10, 9, 8, 7]
         assert rows.dropped == 6
-        assert scan_table(DZ119, FAM7, EV7).dropped == 0
-        assert scan_table(DZ119, FAM7, EV7, limit=10).dropped == 0
+        assert scan_table(DZ119, EV7).dropped == 0
+        assert scan_table(DZ119, EV7, limit=10).dropped == 0
 
     def test_single_point_scan(self):
         ev = EvalMap(F7, [(1, 1)])
-        assert scan_table(DZ119, FAM7, ev) == []
-        rows = scan_table(DZ119, FAM7, ev, mode="full")
+        assert scan_table(DZ119, ev) == []
+        rows = scan_table(DZ119, ev, mode="full")
         assert len(rows) == 1
         assert rows[0].k == 0 and rows[0].d is None
 
@@ -869,7 +849,7 @@ class TestScanTable:
         with mock.patch.object(codes, "Scan", wraps=Scan) as spy:
             for mode in ("all", "jump"):
                 with pytest.raises(DomainError) as error:
-                    scan_table(DZ119, FAM7, EV7, mode=mode)
+                    scan_table(DZ119, EV7, mode=mode)
                 assert str(error.value) == f"unknown mode: {mode!r}"
         assert spy.call_count == 0
 
@@ -885,16 +865,15 @@ class TestScanFloor:
     )
     def test_scan_distances_equal_floor_free_search(self, kind, ev, mode, limit):
         delta = ROW_KINDS[kind][0]
-        fam = build_approximates(delta, ev.spec)
-        rows = scan_table(delta, fam, ev, mode=mode, limit=limit)
+        rows = scan_table(delta, ev, mode=mode, limit=limit)
         assert rows and (limit is None or len(rows) == limit)
-        scan = Scan(delta, fam, ev)
+        scan = Scan(delta, ev)
         for row in rows:
             code = scan.code_at(row.alpha)
             assert row.d == min_distance(code)
 
 
-def row_at_a_time_scan(delta, fam, ev, horizon, backend=None):
+def row_at_a_time_scan(delta, ev, horizon, backend=None):
     """The scan as it was before the block walk: one member at a time,
     eliminated against a dict of pivot rows, with pair counts found by
     subtracting semigroup values; ``backend`` is only recorded, as a scan
@@ -902,6 +881,7 @@ def row_at_a_time_scan(delta, fam, ev, horizon, backend=None):
     were found, are the scan's ``basis``, and their leading columns its
     ``pivots``."""
     n, q, t = ev.n, ev.spec.q, ev.spec._t
+    fam = build_approximates(delta, ev.spec)
     evaluate = _PointwiseRows(fam, ev)
     members, exponents, rows, jump, rank_after = [], [], [], [], []
     pivots = {}
@@ -965,10 +945,10 @@ def row_at_a_time_scan(delta, fam, ev, horizon, backend=None):
     )
 
 
-def scan_outcome(build, *args):
+def scan_outcome(build, delta, ev, horizon, backend=None):
     """The scan's attributes by name, or the DomainError text it raised."""
     try:
-        return vars(build(*args))
+        return vars(build(delta, ev, horizon=horizon, backend=backend))
     except DomainError as exc:
         return str(exc)
 
@@ -994,9 +974,8 @@ class TestBlockScan:
     @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_scan_data_equals_the_row_at_a_time_scan(self, kind, ev, backend):
         delta = SCAN_KINDS[kind]
-        fam = build_approximates(delta, ev.spec)
-        expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, DEFAULT_HORIZON, backend)
-        data = scan_outcome(Scan, delta, fam, ev, DEFAULT_HORIZON, backend)
+        expected = scan_outcome(row_at_a_time_scan, delta, ev, DEFAULT_HORIZON, backend)
+        data = scan_outcome(Scan, delta, ev, DEFAULT_HORIZON, backend)
         if isinstance(expected, str):
             assert data == expected
             return
@@ -1008,7 +987,7 @@ class TestBlockScan:
     @pytest.mark.parametrize("ev", [EV7, EV32_SMALL], ids=["F7", "F32"])
     def test_pair_counts_and_omega_equal_the_oracle(self, kind, ev):
         delta = SCAN_KINDS[kind]
-        data = Scan(delta, build_approximates(delta, ev.spec), ev)
+        data = Scan(delta, ev)
         expected = tuple(oracles.pair_counts(data.members))
         assert data.weights == expected
         assert tuple(omega(delta, m) for m in data.members) == expected
@@ -1018,10 +997,9 @@ class TestBlockScan:
     def test_every_horizon_stops_where_the_row_at_a_time_scan_did(self, kind, ev):
         """Below n members the scan is rejected before it walks any."""
         delta = SCAN_KINDS[kind]
-        fam = build_approximates(delta, ev.spec)
-        top = len(Scan(delta, fam, ev).members)
+        top = len(Scan(delta, ev).members)
         for horizon in range(top + 2):
-            expected = scan_outcome(row_at_a_time_scan, delta, fam, ev, horizon)
+            expected = scan_outcome(row_at_a_time_scan, delta, ev, horizon)
             assert isinstance(expected, str) == (horizon < top)
             if horizon < ev.n:
                 expected = (
@@ -1031,7 +1009,7 @@ class TestBlockScan:
             for backend in available_backends():
                 if isinstance(expected, dict):
                     expected["backend"] = backend
-                got = scan_outcome(Scan, delta, fam, ev, horizon, backend)
+                got = scan_outcome(Scan, delta, ev, horizon, backend)
                 assert got == expected, (horizon, backend)
 
 
@@ -1044,7 +1022,7 @@ class TestRendering:
         assert render_value(quad) == "11/9 + 2*tau"
 
     def test_csv_shape_and_corner_rows(self):
-        text = table_csv(scan_table(DZ119, FAM7, EV7))
+        text = table_csv(scan_table(DZ119, EV7))
         lines = text.splitlines()
         assert lines[0] == "alpha,exp,k,d,d_ev,d_fr,fr_bound,goppa"
         assert lines[1] == '"(4,1)",01,10,2,2,2,0,2'
@@ -1082,8 +1060,8 @@ class TestBoundedState:
         refs = []
         for _ in range(1000):
             ev = EvalMap(F7, rng.sample(cells, 5))
-            scan_table(DZ119, FAM7, ev)
-            scan = Scan(DZ119, FAM7, ev)
+            scan_table(DZ119, ev)
+            scan = Scan(DZ119, ev)
             scan.code_at(scan.omega_n)
             scan.feng_rao(scan.members[0])
             refs.append(weakref.ref(ev))

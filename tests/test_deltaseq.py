@@ -14,12 +14,9 @@ from deltacodes.deltaseq import (
     DeltaStructure,
     _sweep,
     _tail_table,
-    canonical_cf,
     cf_of,
-    denormalize,
     gap_count_telescopic,
     normalize,
-    structure_of,
     telescopic_count,
     telescopic_exponents,
     validate_n,
@@ -78,7 +75,7 @@ def test_nonpositive_entries_rejected():
 
 
 def test_structure_of_two_generator_case():
-    s = structure_of((11, 9))
+    s = validate_n((11, 9)).structure
     assert s.d == (11, 1)
     assert s.n == (11,)
     assert s.newton == ((2, 11),)
@@ -87,7 +84,7 @@ def test_structure_of_two_generator_case():
 
 
 def test_structure_of_three_generator_case():
-    s = structure_of((40, 12, 97))
+    s = validate_n((40, 12, 97)).structure
     assert s.d == (40, 4, 1)
     assert s.n == (10, 4)
     assert s.newton == ((28, 40), (4, 23))
@@ -96,7 +93,7 @@ def test_structure_of_three_generator_case():
 
 
 def test_structure_of_divisible_case():
-    s = structure_of((36, 24, 8, 18, 13))
+    s = validate_n((36, 24, 8, 18, 13)).structure
     assert s.d == (36, 12, 4, 2, 1)
     assert s.n == (3, 3, 2, 2)
     assert s.divisible
@@ -105,7 +102,7 @@ def test_structure_of_divisible_case():
 
 
 def test_structure_of_divisible_three_elements():
-    s = structure_of((6, 3, 1))
+    s = validate_n((6, 3, 1)).structure
     assert s.d == (6, 3, 1)
     assert s.n == (2, 3)
     assert s.divisible
@@ -114,15 +111,15 @@ def test_structure_of_divisible_three_elements():
 
 
 def test_structure_of_trivial_cases():
-    s = structure_of((2, 1))
+    s = validate_n((2, 1)).structure
     assert s.divisible and s.newton == () and s.cf is None
-    s = structure_of((1,))
+    s = validate_n((1,)).structure
     assert s.d == (1,) and s.n == () and s.cf is None
 
 
 def test_last_quotient_always_in_lowest_terms_with_big_denominator():
     for seq in VALID:
-        s = structure_of(seq)
+        s = validate_n(seq).structure
         if s.cf is None:
             continue
         e, m = s.newton[-1]
@@ -139,11 +136,6 @@ def test_normalize_divides_by_second_entry():
         Fraction(3, 4),
         Fraction(13, 24),
     )
-
-
-@pytest.mark.parametrize("seq", [s for s in VALID if len(s) > 1])
-def test_normalize_roundtrip(seq):
-    assert denormalize(normalize(validate_n(seq))) == seq
 
 
 def test_membership():
@@ -205,18 +197,6 @@ def test_telescopic_exponents_longer_sequence():
         if exps is not None:
             assert sum(e * d for e, d in zip(exps, delta.deltas)) == v
             assert all(0 <= exps[i] < struct.n[i - 1] for i in range(1, len(exps)))
-
-
-def test_canonical_cf():
-    assert canonical_cf((5, 1, 3)) == (5, 1, 3)
-    assert canonical_cf((5, 1, 2, 1)) == (5, 1, 3)
-    assert canonical_cf((1, 1)) == (2,)
-    with pytest.raises(DomainError):
-        canonical_cf(())
-    with pytest.raises(DomainError):
-        canonical_cf((5, 0, 2))
-    with pytest.raises(DomainError):
-        canonical_cf((5, -1))
 
 
 def test_cf_of_fraction():

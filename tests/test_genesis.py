@@ -468,6 +468,22 @@ class TestTypeE:
         monkeypatch.setattr(genesis, "extend_n", refuse)
         monkeypatch.setattr(genesis, "validate_n", refuse)
 
+    @pytest.mark.parametrize("choices", [None, [(2, 3)], [(3, 2)]])
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_a_one_entry_start_is_rejected_before_any_extension(
+        self, monkeypatch, steps, choices
+    ):
+        def refuse(*args):
+            raise AssertionError("an extension was tried")
+
+        monkeypatch.setattr(genesis, "extend_n", refuse)
+        with pytest.raises(DomainError, match="^type E chain: a one-entry start has no extension$"):
+            build_type_e((1,), steps, choices)
+
+    def test_a_one_entry_start_takes_zero_steps(self):
+        out = build_type_e((1,), 0)
+        assert [s.deltas for s in out.stages] == [(1,)]
+
     def test_steps_over_the_limit_are_rejected_before_any_extension(self, no_sequence_built):
         limit = genesis.MAX_CHAIN_STEPS
         with pytest.raises(DomainError, match=f"^type E chain: {limit + 1} steps exceed"):

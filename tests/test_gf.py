@@ -26,7 +26,14 @@ from deltacodes.gf import (
     _poly_rem,
     _Tables,
 )
-from oracles import Matrix, default_modulus, field_arith, mat_rank_kernel, poly_mul
+from oracles import (
+    Matrix,
+    default_modulus,
+    field_arith,
+    mat_rank_kernel,
+    parse_element,
+    poly_mul,
+)
 
 F7 = FieldSpec(7)
 F32 = FieldSpec(2, 5)
@@ -386,6 +393,45 @@ def test_rendering_without_a_logarithm_table():
     f16 = FieldSpec(2, 4, 0x1F)
     assert not f16.is_primitive
     assert [str(f16.element(v)) for v in (0, 1, 2, 0b1011)] == ["0", "1", "g^1", "1+g^1+g^3"]
+
+
+def test_a_constant_term_prints_as_its_coefficient():
+    f9 = FieldSpec(3, 2, 10)  # x^2 + 1, not primitive
+    assert [str(f9.element(v)) for v in (2, 5, 8)] == ["2", "2+g^1", "2+2g^1"]
+
+
+@pytest.mark.parametrize(
+    "p, m", [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for m in (1, 2, 3, 4) if p**m <= 27]
+)
+def test_every_element_prints_as_text_that_reads_back(p, m):
+    """Every element of GF(p^m), under every monic irreducible modulus of
+    degree m, renders to text that the oracle parses back to it; every
+    extension field here but GF(4) and GF(8) has moduli of both kinds."""
+    if m == 1:
+        specs = [FieldSpec(p)]
+    else:
+        specs = []
+        for code in range(p**m, 2 * p**m):
+            try:
+                specs.append(FieldSpec(p, m, code))
+            except DomainError:  # reducible
+                pass
+        kinds = {spec.is_primitive for spec in specs}
+        assert kinds == ({True} if p**m in (4, 8) else {True, False})
+    for spec in specs:
+        for v in range(spec.q):
+            element = spec.element(v)
+            assert parse_element(spec, str(element)) == element.coeffs
+
+
+def test_the_element_parser_rejects_what_no_element_prints():
+    f9 = FieldSpec(3, 2, 10)
+    for text in ("21", "21+g^1", "3g", "g^", "g^x", "+g", "", "0g", "x"):
+        with pytest.raises(ValueError):
+            parse_element(f9, text)
+    for text in ("7", "-1", "a"):
+        with pytest.raises(ValueError):
+            parse_element(F7, text)
 
 
 def test_rank_kernel_identity():

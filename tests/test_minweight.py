@@ -667,7 +667,7 @@ def test_the_24_point_scan_keeps_its_distances(monkeypatch):
     cells = random.Random(0).sample(range(31 * 31), 24)
     points = [(gpow[a], gpow[b]) for a, b in (divmod(c, 31) for c in cells)]
     delta = build_type_c((5, 3))
-    rows = scan_table(delta, build_approximates(delta, spec), EvalMap(spec, points))
+    rows = scan_table(delta, EvalMap(spec, points))
     d = {24 - row.k: row.d for row in rows}
     assert {rank: d[rank] for rank in SCAN_24_D} == SCAN_24_D
 
@@ -834,7 +834,7 @@ class TestMultiplyRows:
     def test_scan_rows_equal_pointwise_products(self, name, ev, backend):
         delta, ev = SCAN_FAMILIES[name], getattr(helpers, ev)
         fam = build_approximates(delta, ev.spec)
-        scan = Scan(delta, fam, ev, backend=backend)
+        scan = Scan(delta, ev, backend=backend)
         oracle = PointwiseRows(fam, ev)
         expected = array("i", [v for exps in scan.exponents for v in oracle.row(exps)])
         assert scan.rows.tobytes() == expected.tobytes()
@@ -948,11 +948,11 @@ class TestMultiplyRows:
 
         spy = types.SimpleNamespace(**{name: spying(name) for name in ENTRY_POINTS})
         spec = helpers.EV32_B.spec
-        fam, t = build_approximates(helpers.DZ75, spec), spec._t
+        t = spec._t
         tables = t.kernel_tables("compiled")
         assert tables[0] is t.mul and tables[1] is t.sub
         with mock.patch.dict(minweight._BACKENDS, {"compiled": spy}):
-            scan = Scan(helpers.DZ75, fam, helpers.EV32_B, backend="compiled")
+            scan = Scan(helpers.DZ75, helpers.EV32_B, backend="compiled")
             code = scan.code_at(scan.members[scan.rank_after.index(3)])
             d = codes.min_distance(code, backend="compiled")
         assert d == codes.min_distance(code, backend="pure") == 3

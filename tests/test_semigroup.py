@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 import deltacodes
 from deltacodes import semigroup as semigroup_module
-from deltacodes.approximants import build_approximates
 from deltacodes.cli import _build_delta as cli_build_delta, parse_config, run
 from deltacodes.codes import Scan, render_value
 from deltacodes.deltaseq import DeltaN, gap_count_telescopic, telescopic_exponents, validate_n
@@ -45,7 +44,6 @@ from deltacodes.semigroup import (
     Representation,
     _pair_counts,
     compare,
-    enumerate_upto,
     generators,
     omega,
     represent,
@@ -54,7 +52,7 @@ from deltacodes.semigroup import (
 
 import helpers
 import oracles
-from oracles import members_below, pair_counts, walk_eager, window_listing
+from oracles import enumerate_upto, members_below, pair_counts, walk_eager, window_listing
 from test_deltaseq import VALID, near_telescopic
 
 DZ2 = build_type_c((11, 9))
@@ -304,7 +302,7 @@ class TestClosedFormPairCounts:
     @pytest.mark.parametrize("name", sorted(helpers.SCAN_FAMILIES))
     def test_scan_weights_equal_the_oracle(self, name, ev):
         delta, ev = helpers.SCAN_FAMILIES[name], getattr(helpers, ev)
-        scan = Scan(delta, build_approximates(delta, ev.spec), ev)
+        scan = Scan(delta, ev)
         assert scan.weights == tuple(pair_counts(scan.members))
 
     # The member lists on which the closed form was first checked: the
@@ -389,8 +387,8 @@ class TestClosedFormPairCounts:
 
     @pytest.mark.parametrize("name", sorted(helpers.SCAN_FAMILIES))
     def test_omega_walks_nothing(self, name, monkeypatch):
-        """omega reads the representation alone: it calls none of ``walk``,
-        ``enumerate_upto`` or the engine's ``upto``."""
+        """omega reads the representation alone: it calls neither ``walk``
+        nor the engine's ``upto``."""
         delta = helpers.SCAN_FAMILIES[name]
         value = list(islice(walk(delta), 300))[-1][0]
         expected = omega(delta, value)
@@ -400,7 +398,6 @@ class TestClosedFormPairCounts:
 
         for owner, attr in (
             (semigroup_module, "walk"),
-            (semigroup_module, "enumerate_upto"),
             (semigroup_module._Engine, "upto"),
             (semigroup_module._Engine, "walk"),
             (semigroup_module._Engine, "_windows"),

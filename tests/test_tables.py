@@ -11,15 +11,13 @@ the plane-vector semigroup with weight 3.
 
 from __future__ import annotations
 
-from deltacodes.approximants import build_approximates
 from deltacodes.codes import scan_table
 
 from helpers import CH_BIG, DR_BIG_B, DZ_BIG, EV7, F7
 
 
 def check_scan(delta, d_col, d_ev_col):
-    fam = build_approximates(delta, F7)
-    rows = scan_table(delta, fam, EV7)
+    rows = scan_table(delta, EV7)
     assert [r.k for r in rows] == list(range(10, 0, -1))
     assert [r.d for r in rows] == d_col
     assert [r.d_ev for r in rows] == d_ev_col
